@@ -90,21 +90,16 @@ impl fmt::Display for BackendError {
 impl std::error::Error for BackendError {}
 
 /// Which backend a sweep runs on (`--backend local|remote`).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum BackendChoice {
     /// In-process thread pool (the default).
+    #[default]
     Local,
     /// HTTP submit/poll against `wormsim-worker` processes.
     Remote {
         /// Worker addresses (`HOST:PORT`, from repeated `--worker` flags).
         workers: Vec<String>,
     },
-}
-
-impl Default for BackendChoice {
-    fn default() -> Self {
-        BackendChoice::Local
-    }
 }
 
 /// Where sweep points execute. Submit up to [`capacity`] jobs, poll their

@@ -3,33 +3,19 @@
 //! pipeline the figure regenerators use.
 //!
 //! ```text
-//! sweep [--topo torus:16x16] [--algos all|phop,ecube,...]
+//! sweep [--algos all|phop,ecube,...]
 //!       [--traffic uniform|hotspot:15,15@0.04|local:3|transpose|bitrev|complement]
 //!       [--loads 0.1:1.0:0.1 | 0.1,0.5,0.9] [--switching wh|wh:4|vct|saf]
-//!       [--quick|--saturation] [--seed N] [--threads N] [--out DIR]
-//!       [--observe DIR] [--trace-out DIR] [--sample-every N]
-//!       [--cycle-budget N] [--wall-budget SECS]
+//!       [harness flags, see `SweepOptions::USAGE`]
 //! ```
 //!
-//! With `--observe DIR`, every run writes a `RunManifest` JSON and a JSONL
-//! time-series sample stream under `DIR`; `--trace-out DIR` additionally
-//! streams per-message trace events; `--sample-every N` sets the sampling
-//! stride in cycles.
-//!
-//! Every sweep journals completed points to `DIR/sweep.journal.jsonl`
-//! (atomic JSONL, one record per point). After a crash or Ctrl-C, rerun
-//! with `--resume <journal>` to skip the journaled points — the merged
-//! CSV is byte-identical to an uninterrupted run. `--retries N` bounds
-//! retry attempts for transient outcomes (budget trips, harness panics);
-//! `--resume --salvage` additionally recovers every valid record from a
-//! corrupted journal, quarantining bad lines to a `.corrupt.jsonl` sidecar.
-//!
-//! With the remote backend, `--point-deadline SECS` writes off workers
-//! whose heartbeat freezes mid-point, `--hedge-after SECS` re-dispatches
-//! stragglers to idle capacity (first commit wins, duplicates discarded),
-//! and `--quarantine-after N` gives up on a point after N failed
-//! dispatches, parking it in a `.quarantine.jsonl` sidecar and exiting
-//! with code 4.
+//! The harness flags are the ones every sweep binary shares: `--topo`,
+//! the schedule and seed, `--threads`/`--backend remote`, telemetry
+//! (`--observe`, docs/OBSERVABILITY.md), budgets, the journal and
+//! `--resume` (docs/ROBUSTNESS.md), and supervision (docs/DISTRIBUTION.md).
+//! Completed points are journaled to `DIR/sweep.journal.jsonl`; exit
+//! status is 0 whole, 1 error, 2 usage, 4 quarantined points,
+//! 130 interrupted.
 //!
 //! Examples:
 //!
@@ -39,25 +25,23 @@
 //! ```
 
 use wormsim::presets::FigureSpec;
-use wormsim::MeasurementSchedule;
-use wormsim_bench::{cli, print_figure, run_figure_or_exit, write_csv, SweepOptions};
+use wormsim_bench::{
+    cli, print_figure, retain_runnable, run_figure_or_exit, write_csv, BackendChoice, SweepOptions,
+};
 
-const USAGE: &str = "usage: sweep [--topo T] [--algos A] [--traffic W] [--loads L] \
-                     [--switching S] [--quick|--saturation] [--seed N] [--threads N] [--out DIR] \
-                     [--observe DIR] [--trace-out DIR] [--sample-every N] [--metrics] \
-                     [--cycle-budget N] [--wall-budget SECS] \
-                     [--resume JOURNAL] [--salvage] [--retries N] \
-                     [--point-deadline SECS] [--hedge-after SECS] [--quarantine-after N] \
-                     [--backend local|remote] [--worker HOST:PORT]";
-
-/// What one parsed command line asks for.
-enum Invocation {
-    Run(Box<FigureSpec>, Box<SweepOptions>),
-    Help,
+fn usage() -> String {
+    format!(
+        "usage: sweep [--algos A] [--traffic W] [--loads L] [--switching S] {}",
+        SweepOptions::USAGE
+    )
 }
 
-/// Parses the sweep command line (program name already stripped).
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Invocation, String> {
+/// Parses the sweep command line (program name already stripped): the
+/// sweep's own axis flags here, every harness flag through
+/// [`SweepOptions::apply_flag`].
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<Option<(FigureSpec, SweepOptions)>, String> {
     let mut spec = FigureSpec {
         id: "sweep".to_owned(),
         title: "Custom sweep".to_owned(),
@@ -72,97 +56,34 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Invocation, Stri
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
-            "--topo" => spec.topology = cli::parse_topology(&value("--topo")?)?,
             "--algos" => spec.algorithms = cli::parse_algorithms(&value("--algos")?)?,
             "--traffic" => spec.traffic = cli::parse_traffic(&value("--traffic")?)?,
             "--loads" => spec.loads = cli::parse_loads(&value("--loads")?)?,
             "--switching" => spec.switching = cli::parse_switching(&value("--switching")?)?,
-            "--quick" => options.schedule = MeasurementSchedule::quick(),
-            "--saturation" => options.schedule = MeasurementSchedule::saturation(),
-            "--seed" => options.seed = cli::parse_seed(&value("--seed")?)?,
-            "--threads" => options.threads = cli::parse_threads(&value("--threads")?)?,
-            "--out" => options.out_dir = value("--out")?,
-            "--observe" => options.observe_dir = Some(value("--observe")?),
-            "--trace-out" => options.trace_dir = Some(value("--trace-out")?),
-            "--sample-every" => {
-                options.sample_every = cli::parse_sample_every(&value("--sample-every")?)?;
+            "--help" | "-h" => return Ok(None),
+            flag => {
+                if !options.apply_flag(flag, &mut args)? {
+                    return Err(format!("unknown argument '{flag}'"));
+                }
             }
-            "--metrics" => options.metrics = true,
-            "--cycle-budget" => {
-                options.cycle_budget = Some(cli::parse_cycle_budget(&value("--cycle-budget")?)?);
-            }
-            "--wall-budget" => {
-                options.wall_budget_secs = Some(cli::parse_wall_budget(&value("--wall-budget")?)?);
-            }
-            "--resume" => options.resume = Some(value("--resume")?),
-            "--salvage" => options.salvage = true,
-            "--retries" => options.retries = cli::parse_retries(&value("--retries")?)?,
-            "--point-deadline" => {
-                options.point_deadline_secs = Some(cli::parse_supervise_secs(
-                    "--point-deadline",
-                    &value("--point-deadline")?,
-                )?);
-            }
-            "--hedge-after" => {
-                options.hedge_after_secs = Some(cli::parse_supervise_secs(
-                    "--hedge-after",
-                    &value("--hedge-after")?,
-                )?);
-            }
-            "--quarantine-after" => {
-                options.quarantine_after =
-                    cli::parse_quarantine_after(&value("--quarantine-after")?)?;
-            }
-            "--fail-after-points" => {
-                options.fail_after_points =
-                    Some(cli::parse_fail_after(&value("--fail-after-points")?)?);
-            }
-            "--backend" => options.set_backend(&value("--backend")?)?,
-            "--worker" => options.add_worker(value("--worker")?),
-            "--help" | "-h" => return Ok(Invocation::Help),
-            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if options.metrics && options.observe_dir.is_none() {
-        return Err("--metrics needs --observe DIR (metrics export to the observe dir)".into());
-    }
-    if options.salvage && options.resume.is_none() {
-        return Err(
-            "--salvage needs --resume JOURNAL (it relaxes how that journal is loaded)".into(),
-        );
-    }
-    options.validate_backend()?;
-    Ok(Invocation::Run(Box::new(spec), Box::new(options)))
+    options.finish()?;
+    spec.topology = options.topology_or_paper();
+    Ok(Some((spec, options)))
 }
 
 fn main() {
     let (mut spec, options) = match parse_args(std::env::args().skip(1)) {
-        Ok(Invocation::Run(spec, options)) => (*spec, *options),
-        Ok(Invocation::Help) => {
-            println!("{USAGE}");
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            println!("{}", usage());
             return;
         }
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
+        Err(message) => cli::usage_error(&message, &usage()),
     };
 
-    // Drop algorithms the chosen topology rejects (e.g. nhop on odd tori),
-    // reporting what was skipped rather than dying.
-    spec.algorithms
-        .retain(|kind| match kind.build(&spec.topology) {
-            Ok(_) => true,
-            Err(e) => {
-                eprintln!("skipping {kind}: {e}");
-                false
-            }
-        });
-    assert!(
-        !spec.algorithms.is_empty(),
-        "no runnable algorithms selected"
-    );
+    retain_runnable(&mut spec.algorithms, &spec.topology);
 
     spec.title = format!(
         "{} on {} under {} ({:?})",
@@ -178,10 +99,10 @@ fn main() {
 
     let points = spec.algorithms.len() * spec.loads.len();
     match &options.backend {
-        wormsim_bench::BackendChoice::Local => {
+        BackendChoice::Local => {
             eprintln!("running {points} points on {} threads...", options.threads);
         }
-        wormsim_bench::BackendChoice::Remote { workers } => {
+        BackendChoice::Remote { workers } => {
             eprintln!(
                 "running {points} points on {} remote worker(s)...",
                 workers.len()
@@ -200,67 +121,40 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Invocation, String> {
+    fn parse(args: &[&str]) -> Result<Option<(FigureSpec, SweepOptions)>, String> {
         parse_args(args.iter().map(|s| (*s).to_owned()))
     }
 
     #[test]
-    fn well_formed_args_parse() {
-        let Ok(Invocation::Run(spec, options)) =
-            parse(&["--topo", "mesh:8x8", "--seed", "11", "--threads", "2"])
-        else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(spec.topology, wormsim::topology::Topology::mesh(&[8, 8]));
-        assert_eq!(options.seed, 11);
-        assert_eq!(options.threads, 2);
-    }
-
-    #[test]
-    fn observability_flags_parse() {
-        let Ok(Invocation::Run(_, options)) = parse(&[
-            "--observe",
-            "obs",
-            "--trace-out",
-            "tr",
-            "--sample-every",
-            "500",
-            "--metrics",
+    fn axis_and_harness_flags_parse_together() {
+        let Ok(Some((spec, options))) = parse(&[
+            "--topo",
+            "mesh:8x8",
+            "--loads",
+            "0.1,0.2",
+            "--seed",
+            "11",
+            "--threads",
+            "2",
         ]) else {
             panic!("expected a run invocation");
         };
-        assert_eq!(options.observe_dir.as_deref(), Some("obs"));
-        assert_eq!(options.trace_dir.as_deref(), Some("tr"));
-        assert_eq!(options.sample_every, 500);
-        assert!(options.metrics);
-        assert!(parse(&["--metrics"]).is_err(), "--metrics needs --observe");
-    }
-
-    #[test]
-    fn zero_threads_is_a_usage_error() {
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--sample-every", "0"]).is_err());
-    }
-
-    #[test]
-    fn budget_flags_parse() {
-        let Ok(Invocation::Run(_, options)) =
-            parse(&["--cycle-budget", "5000", "--wall-budget", "1.5"])
-        else {
+        assert_eq!(spec.topology, wormsim::topology::Topology::mesh(&[8, 8]));
+        assert_eq!(spec.loads, vec![0.1, 0.2]);
+        assert_eq!(options.seed, 11);
+        assert_eq!(options.threads, 2);
+        let Ok(Some((spec, _))) = parse(&[]) else {
             panic!("expected a run invocation");
         };
-        assert_eq!(options.cycle_budget, Some(5_000));
-        assert_eq!(options.wall_budget_secs, Some(1.5));
-        assert!(parse(&["--cycle-budget", "0"]).is_err());
-        assert!(parse(&["--wall-budget", "-2"]).is_err());
+        assert_eq!(spec.topology, wormsim::presets::paper_topology());
     }
 
     #[test]
-    fn malformed_integers_are_usage_errors() {
-        assert!(parse(&["--threads", "two"]).is_err());
-        assert!(parse(&["--threads", "1.0"]).is_err());
-        assert!(parse(&["--seed", "12three"]).is_err());
-        assert!(parse(&["--seed", "-4"]).is_err());
+    fn harness_flag_errors_surface_through_the_delegation() {
+        assert!(parse(&["--threads", "0"]).is_err());
+        assert!(parse(&["--metrics"]).is_err(), "--metrics needs --observe");
+        assert!(parse(&["--salvage"]).is_err(), "--salvage needs --resume");
+        assert!(parse(&["--backend", "remote"]).is_err(), "needs --worker");
     }
 
     #[test]
@@ -271,55 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn robustness_flags_parse() {
-        let Ok(Invocation::Run(_, options)) = parse(&[
-            "--resume",
-            "results/sweep.journal.jsonl",
-            "--retries",
-            "0",
-            "--fail-after-points",
-            "3",
-        ]) else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(
-            options.resume.as_deref(),
-            Some("results/sweep.journal.jsonl")
-        );
-        assert_eq!(options.retries, 0);
-        assert_eq!(options.fail_after_points, Some(3));
-        assert!(parse(&["--resume"]).is_err());
-        assert!(parse(&["--retries", "-1"]).is_err());
-        assert!(parse(&["--fail-after-points", "0"]).is_err());
-    }
-
-    #[test]
-    fn supervision_flags_parse() {
-        let Ok(Invocation::Run(_, options)) = parse(&[
-            "--point-deadline",
-            "30",
-            "--hedge-after",
-            "5.5",
-            "--quarantine-after",
-            "2",
-            "--resume",
-            "results/sweep.journal.jsonl",
-            "--salvage",
-        ]) else {
-            panic!("expected a run invocation");
-        };
-        assert_eq!(options.point_deadline_secs, Some(30.0));
-        assert_eq!(options.hedge_after_secs, Some(5.5));
-        assert_eq!(options.quarantine_after, 2);
-        assert!(options.salvage);
-        assert!(parse(&["--point-deadline", "0"]).is_err());
-        assert!(parse(&["--hedge-after", "-1"]).is_err());
-        assert!(parse(&["--quarantine-after", "many"]).is_err());
-        assert!(parse(&["--salvage"]).is_err(), "--salvage needs --resume");
-    }
-
-    #[test]
     fn help_short_circuits() {
-        assert!(matches!(parse(&["--help"]), Ok(Invocation::Help)));
+        assert!(matches!(parse(&["--help"]), Ok(None)));
     }
 }

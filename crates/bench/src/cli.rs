@@ -13,6 +13,14 @@ use wormsim::routing::AlgorithmKind;
 use wormsim::topology::Topology;
 use wormsim::{Switching, TrafficConfig};
 
+/// Ends a binary on a malformed command line: prints the error and the
+/// usage line to stderr and exits with status 2.
+pub fn usage_error(message: &str, usage: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!("{usage}");
+    std::process::exit(2);
+}
+
 /// Parses `torus:16x16`, `mesh:4x4x4`, `16x16`, or the k-ary n-cube
 /// shorthand `k^n` (`8^3` is the paper literature's 8-ary 3-cube, i.e.
 /// `torus:8x8x8`).

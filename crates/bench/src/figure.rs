@@ -1,0 +1,368 @@
+//! Figure sweeps: a [`FigureSpec`] expanded to its `(algorithm, load)`
+//! points and run through [`run_sweep`].
+
+use crate::options::SweepOptions;
+use crate::supervisor::QuarantineRecord;
+use crate::sweep::{run_points_or_exit, run_sweep, HarnessError, SweepPlan};
+use std::path::PathBuf;
+use wormsim::presets::FigureSpec;
+use wormsim::topology::Topology;
+use wormsim::{AlgorithmKind, RunResult};
+
+/// How a figure sweep ended.
+#[derive(Debug)]
+pub enum FigureRun {
+    /// Every point ran (or was resumed); results in deterministic order
+    /// (algorithm-major, load-minor).
+    Complete(Vec<RunResult>),
+    /// Shutdown tripped mid-sweep. In-flight points were drained, every
+    /// completed point is journaled, and `partial` holds the completed
+    /// results in sweep order (missing points simply absent).
+    Interrupted {
+        /// Results of the points that completed before shutdown.
+        partial: Vec<RunResult>,
+        /// Completed (journaled) point count.
+        completed: usize,
+        /// Total points in the sweep.
+        total: usize,
+        /// The journal to pass back via `--resume`.
+        journal: PathBuf,
+    },
+    /// The sweep ran to the end, but the supervisor quarantined poison
+    /// points along the way: every other point is journaled and present
+    /// in `partial`, and the quarantined ones are documented rather than
+    /// silently missing. Binaries exit with a distinct status (4).
+    Quarantined {
+        /// Results of every non-quarantined point, in sweep order.
+        partial: Vec<RunResult>,
+        /// The points the sweep completed without.
+        quarantined: Vec<QuarantineRecord>,
+        /// Total points in the sweep.
+        total: usize,
+        /// The journal (its `.quarantine.jsonl` sidecar has the details).
+        journal: PathBuf,
+    },
+}
+
+/// Drops the algorithms `topology` rejects (e.g. the negative-hop schemes
+/// on odd-radix tori), reporting each skip on stderr rather than dying.
+///
+/// # Panics
+///
+/// Panics if no runnable algorithm is left.
+pub fn retain_runnable(algorithms: &mut Vec<AlgorithmKind>, topology: &Topology) {
+    algorithms.retain(|kind| match kind.build(topology) {
+        Ok(_) => true,
+        Err(e) => {
+            eprintln!("skipping {kind}: {e}");
+            false
+        }
+    });
+    assert!(
+        !algorithms.is_empty(),
+        "no selected algorithm supports {topology}"
+    );
+}
+
+/// Applies the `--topo` override (if any) to a figure spec: retargets the
+/// network, remaps topology-dependent traffic (see
+/// [`FigureSpec::with_topology`]), and drops algorithms the new topology
+/// rejects (see [`retain_runnable`]).
+///
+/// Without an override the spec is returned untouched, so the default 16×16
+/// figure outputs stay bit-identical.
+///
+/// # Panics
+///
+/// Panics if the override leaves no runnable algorithm.
+pub fn apply_topology_override(spec: FigureSpec, options: &SweepOptions) -> FigureSpec {
+    let Some(topo) = &options.topology else {
+        return spec;
+    };
+    let mut spec = spec.with_topology(topo.clone());
+    retain_runnable(&mut spec.algorithms, &spec.topology);
+    spec
+}
+
+/// The fail-fast plan of a figure's `(algorithm, load)` points, in
+/// deterministic order (algorithm-major, load-minor).
+pub fn figure_plan(spec: &FigureSpec, options: &SweepOptions) -> SweepPlan {
+    SweepPlan::named(
+        &spec.id,
+        wormsim::presets::experiments_for(spec, options.schedule, options.seed),
+        options,
+    )
+}
+
+/// Runs every `(algorithm, load)` experiment of a figure in parallel with
+/// the full robustness stack (see [`run_sweep`]) and returns results
+/// in deterministic order (algorithm-major, load-minor).
+///
+/// # Errors
+///
+/// The first failing experiment wins: its [`SweepError`] is returned and
+/// unclaimed points are cancelled (points already running finish but their
+/// results are dropped). Journal failures surface as
+/// [`HarnessError::Journal`]. Worker panics do not fail the sweep — they
+/// are recorded per point as [`wormsim::RunOutcome::Harness`].
+pub fn run_figure(spec: &FigureSpec, options: &SweepOptions) -> Result<FigureRun, HarnessError> {
+    let plan = figure_plan(spec, options);
+    let run = run_sweep(&plan, options)?;
+    if let Some(e) = run.first_config_error(&plan) {
+        return Err(e.into());
+    }
+    let total = run.outcomes.len();
+    let results: Vec<RunResult> = run
+        .outcomes
+        .into_iter()
+        .flatten()
+        .map(|r| r.expect("errors returned above"))
+        .collect();
+    if run.interrupted {
+        let completed = results.len();
+        return Ok(FigureRun::Interrupted {
+            partial: results,
+            completed,
+            total,
+            journal: run.journal,
+        });
+    }
+    if !run.quarantined.is_empty() {
+        return Ok(FigureRun::Quarantined {
+            partial: results,
+            quarantined: run.quarantined,
+            total,
+            journal: run.journal,
+        });
+    }
+    Ok(FigureRun::Complete(results))
+}
+
+/// Runs a figure for a binary through the shared exit path (see
+/// [`run_sweep_or_exit`]): an interrupted or quarantined sweep leaves
+/// `<id>.partial.csv` and exits 130 / 4, an error exits 1. Returns only
+/// when the sweep completed whole.
+pub fn run_figure_or_exit(spec: &FigureSpec, options: &SweepOptions) -> Vec<RunResult> {
+    run_points_or_exit(&figure_plan(spec, options), options)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::journal::Journal;
+    use crate::report::{latency_at, peak_utilization, write_csv};
+    use std::path::Path;
+    use wormsim::{format_sweep_csv, presets, MeasurementSchedule, RunOutcome};
+
+    fn parse(args: &[&str]) -> Result<SweepOptions, String> {
+        SweepOptions::parse(args.iter().map(|s| (*s).to_owned()))
+    }
+
+    #[test]
+    fn topology_override_rewrites_spec() {
+        let options = parse(&["--topo", "torus:8x8"]).unwrap();
+        let spec = apply_topology_override(presets::fig4(), &options);
+        assert_eq!(spec.topology, Topology::torus(&[8, 8]));
+        // The corner hotspot moved with the network.
+        match &spec.traffic {
+            wormsim::TrafficConfig::Hotspot { nodes, .. } => {
+                assert_eq!(nodes, &vec![vec![7, 7]]);
+            }
+            other => panic!("unexpected traffic {other:?}"),
+        }
+        // All six paper algorithms run on an even-radix torus.
+        assert_eq!(spec.algorithms.len(), 6);
+        // An odd-radix torus drops the bipartite-only schemes but keeps
+        // the rest runnable.
+        let odd = parse(&["--topo", "torus:9x9"]).unwrap();
+        let spec = apply_topology_override(presets::fig3(), &odd);
+        assert!(!spec.algorithms.is_empty());
+        assert!(spec.algorithms.len() < 6);
+        // No override: the spec is untouched.
+        let spec = apply_topology_override(presets::fig3(), &parse(&[]).unwrap());
+        assert_eq!(spec.topology, presets::paper_topology());
+    }
+
+    pub(crate) fn temp_out_dir(name: &str) -> String {
+        std::env::temp_dir()
+            .join(format!("wormsim-bench-{}-{name}", std::process::id()))
+            .display()
+            .to_string()
+    }
+
+    pub(crate) fn tiny_spec() -> FigureSpec {
+        let mut spec = presets::fig3();
+        spec.loads = vec![0.1, 0.3];
+        spec.algorithms = vec![
+            wormsim::AlgorithmKind::Ecube,
+            wormsim::AlgorithmKind::PositiveHop,
+        ];
+        spec
+    }
+
+    fn complete(run: FigureRun) -> Vec<RunResult> {
+        match run {
+            FigureRun::Complete(results) => results,
+            other => panic!("sweep unexpectedly did not complete: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn harness_runs_a_tiny_figure() {
+        // A reduced fig3: two algorithms, two loads, quick schedule.
+        let spec = tiny_spec();
+        let options = SweepOptions {
+            schedule: MeasurementSchedule::quick(),
+            seed: 5,
+            out_dir: temp_out_dir("tiny-figure"),
+            threads: 4,
+            ..SweepOptions::default()
+        };
+        let results = complete(run_figure(&spec, &options).expect("all points run"));
+        assert_eq!(results.len(), 4);
+        // Ordering: algorithm-major, load-minor.
+        assert_eq!(results[0].algorithm, "ecube");
+        assert!((results[0].offered_load - 0.1).abs() < 1e-12);
+        assert_eq!(results[3].algorithm, "phop");
+        assert!((results[3].offered_load - 0.3).abs() < 1e-12);
+        let path = write_csv("test", &results, &options.out_dir).unwrap();
+        let csv = std::fs::read_to_string(path).unwrap();
+        assert_eq!(csv.lines().count(), 5);
+        assert!(peak_utilization(&results, "phop") > 0.2);
+        assert!(latency_at(&results, "ecube", 0.1) > 15.0);
+        std::fs::remove_dir_all(&options.out_dir).ok();
+    }
+
+    #[test]
+    fn sweep_error_names_the_first_failing_point() {
+        // Load 9.0 is invalid, so the second point of each series fails.
+        // One worker thread makes "first error wins" exact: index 1.
+        let mut spec = tiny_spec();
+        spec.loads = vec![0.1, 9.0];
+        let options = SweepOptions {
+            schedule: MeasurementSchedule::quick(),
+            threads: 1,
+            out_dir: temp_out_dir("first-failure"),
+            ..SweepOptions::default()
+        };
+        let harness_error =
+            run_figure(&spec, &options).expect_err("invalid load must fail the sweep");
+        let HarnessError::Sweep(error) = harness_error else {
+            panic!("expected a sweep error, got: {harness_error}");
+        };
+        assert_eq!(error.index, 1);
+        assert_eq!(error.algorithm, "ecube");
+        assert!((error.offered_load - 9.0).abs() < 1e-12);
+        assert!(matches!(
+            error.source,
+            wormsim::ExperimentError::InvalidLoad { .. }
+        ));
+        let message = error.to_string();
+        assert!(message.contains("ecube"), "got: {message}");
+        assert!(message.contains('9'), "got: {message}");
+        use std::error::Error as _;
+        assert!(error.source().is_some());
+        std::fs::remove_dir_all(&options.out_dir).ok();
+    }
+
+    #[test]
+    fn injected_panic_is_isolated_and_recorded() {
+        // One point panics; the sweep must still complete, with the panic
+        // rendered as a Harness outcome rather than poisoning the pool.
+        // retries: 0 so the panic is recorded on the first attempt.
+        let spec = tiny_spec();
+        let options = SweepOptions {
+            schedule: MeasurementSchedule::quick(),
+            seed: 5,
+            out_dir: temp_out_dir("inject-panic"),
+            threads: 2,
+            retries: 0,
+            inject_panic: Some(2),
+            ..SweepOptions::default()
+        };
+        let results = complete(run_figure(&spec, &options).expect("panic must not fail sweep"));
+        assert_eq!(results.len(), 4);
+        let RunOutcome::Harness(info) = &results[2].outcome else {
+            panic!(
+                "expected a harness panic outcome, got {:?}",
+                results[2].outcome
+            );
+        };
+        assert!(info.message.contains("injected"), "got: {}", info.message);
+        assert_eq!(
+            results[2].samples, 0,
+            "panicked point carries no statistics"
+        );
+        for (i, r) in results.iter().enumerate() {
+            if i != 2 {
+                assert!(r.outcome.has_statistics(), "point {i} ran normally");
+            }
+        }
+        std::fs::remove_dir_all(&options.out_dir).ok();
+    }
+
+    #[test]
+    fn pre_tripped_shutdown_interrupts_before_dispatch() {
+        let spec = tiny_spec();
+        let options = SweepOptions {
+            schedule: MeasurementSchedule::quick(),
+            seed: 5,
+            out_dir: temp_out_dir("pre-tripped"),
+            threads: 2,
+            ..SweepOptions::default()
+        };
+        options.shutdown.cancel();
+        match run_figure(&spec, &options).expect("interruption is not an error") {
+            FigureRun::Interrupted {
+                partial,
+                completed,
+                total,
+                journal,
+            } => {
+                assert!(partial.is_empty());
+                assert_eq!(completed, 0);
+                assert_eq!(total, 4);
+                assert!(journal.exists(), "journal path must exist for the hint");
+            }
+            other => panic!("pre-tripped shutdown must interrupt, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&options.out_dir).ok();
+    }
+
+    #[test]
+    fn resume_skips_journaled_points_and_matches_clean_run() {
+        let spec = tiny_spec();
+        let out_dir = temp_out_dir("resume-unit");
+        let base = SweepOptions {
+            schedule: MeasurementSchedule::quick(),
+            seed: 5,
+            out_dir: out_dir.clone(),
+            threads: 1,
+            ..SweepOptions::default()
+        };
+        // Clean reference run.
+        let clean = complete(run_figure(&spec, &base).expect("clean run"));
+        let journal_path = Path::new(&out_dir).join("fig3.journal.jsonl");
+        assert!(journal_path.exists());
+
+        // Truncate the journal to its first two points (simulated crash),
+        // then resume: the two journaled points are spliced, two re-run.
+        let text = std::fs::read_to_string(&journal_path).unwrap();
+        let truncated: String = text.lines().take(2).map(|l| format!("{l}\n")).collect();
+        std::fs::write(&journal_path, truncated).unwrap();
+        let resumed_options = SweepOptions {
+            resume: Some(journal_path.display().to_string()),
+            ..base
+        };
+        let resumed = complete(run_figure(&spec, &resumed_options).expect("resumed run"));
+        assert_eq!(
+            format_sweep_csv(&clean),
+            format_sweep_csv(&resumed),
+            "resumed sweep must be byte-identical to the clean run"
+        );
+        // The journal is whole again after the resume.
+        let journal = Journal::load(&journal_path).unwrap();
+        assert_eq!(journal.len(), 4);
+        std::fs::remove_dir_all(&out_dir).ok();
+    }
+}

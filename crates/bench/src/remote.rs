@@ -148,6 +148,9 @@ impl RemoteBackend {
     pub fn connect(addrs: &[String]) -> Result<RemoteBackend, BackendError> {
         let digest = wire_digest();
         let mut workers = Vec::with_capacity(addrs.len());
+        // A long-lived worker remembers the job ids of earlier sweeps:
+        // number this sweep's jobs above every worker's highest.
+        let mut next_id = 0;
         for raw in addrs {
             let addr = http::normalize_addr(raw);
             let (status, body) = rpc(&addr, "GET", "/handshake", "")?;
@@ -180,6 +183,8 @@ impl RemoteBackend {
                 });
             }
             let slots = get_u64(&value, "threads", &addr)?.max(1) as usize;
+            let seen = value.get("next_job").and_then(json::Value::as_u64);
+            next_id = next_id.max(seen.unwrap_or(0));
             let draining = value
                 .get("draining")
                 .and_then(json::Value::as_bool)
@@ -201,7 +206,7 @@ impl RemoteBackend {
         Ok(RemoteBackend {
             workers,
             jobs: HashMap::new(),
-            next_id: 0,
+            next_id,
             digest,
         })
     }

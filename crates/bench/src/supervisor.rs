@@ -322,7 +322,7 @@ mod tests {
         next: u64,
         capacity: usize,
         submitted: Vec<u64>,
-        done: HashMap<u64, (Result<RunResult, ExperimentError>, u64, Option<String>)>,
+        done: HashMap<u64, (crate::PointOutcome, u64, Option<String>)>,
         beats: HashMap<u64, u64>,
         dispatches: HashMap<u64, (u64, Option<String>)>,
         written_off: Vec<u64>,

@@ -7,7 +7,8 @@
 //! `docs/DISTRIBUTION.md`) has four endpoints:
 //!
 //! * `GET /handshake` — wire protocol version, config digest, slot
-//!   count, draining flag.
+//!   count, draining flag, and the first job id this worker has not
+//!   seen (so one long-lived worker serves sweep after sweep).
 //! * `POST /submit` — enqueue a job (rejected with 409 on digest
 //!   mismatch, 400 on undecodable payloads, 503 while draining).
 //! * `GET /status?job=ID` — `pending` (with the job's simulation
@@ -422,6 +423,10 @@ fn handshake(shared: &Shared, draining: bool) -> (u16, String) {
     obj.field_str("digest", &shared.digest);
     obj.field_u64("threads", shared.threads as u64);
     obj.field_bool("draining", draining);
+    // Job ids are never forgotten, so a later sweep against this worker
+    // must number its jobs above every id an earlier sweep used.
+    let state = shared.state.lock().expect("no poisoned worker state");
+    obj.field_u64("next_job", state.jobs.keys().max().map_or(0, |id| id + 1));
     obj.finish();
     (200, out)
 }

@@ -4,13 +4,15 @@
 //! come out byte-identical to a serial run. Also drives the supervision
 //! CLI flags (`--point-deadline`, `--hedge-after`, `--quarantine-after`)
 //! through the `sweep` bin: a hedged straggler leaves a supervision
-//! manifest, and a poison point exits with the distinct quarantine code.
+//! manifest, and a poison point exits `sweep` and `faults_sweep` alike
+//! with the distinct quarantine code.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
+const FAULTS_SWEEP: &str = env!("CARGO_BIN_EXE_faults_sweep");
 const WORKER: &str = env!("CARGO_BIN_EXE_wormsim-worker");
 
 /// A worker subprocess that dies with the test, pass or fail.
@@ -227,59 +229,82 @@ fn hedged_straggler_is_rescued_and_recorded() {
     std::fs::remove_dir_all(&remote_dir).ok();
 }
 
-/// `--point-deadline` + `--quarantine-after` through the CLI: a point
-/// that hangs every worker it touches is quarantined, the sweep exits
-/// with the distinct quarantine code (4), and the poison point lands in
-/// the quarantine sidecar instead of the journal.
+/// `--point-deadline` + `--quarantine-after` through the CLI of both
+/// sweep binaries: a point that hangs every worker it touches is
+/// quarantined, the sweep exits with the distinct quarantine code (4),
+/// the poison point lands in the quarantine sidecar instead of the
+/// journal, and the point that did complete is flushed to the partial
+/// CSV.
+///
+/// Each worker stalls its first submit. Point 0 goes to the two-slot
+/// worker and hangs; point 1 takes that worker's second slot and
+/// completes long before the deadline. Writing the first worker off moves
+/// point 0 to the second worker, whose first submit hangs as well: two
+/// burned dispatches against a budget of one.
 #[test]
 fn poison_point_quarantines_with_distinct_exit_code() {
-    let staller_a = WorkerProc::spawn(1, Some("stall-submit=1"));
-    let staller_b = WorkerProc::spawn(1, Some("stall-submit=1"));
-    let out_dir = temp_dir("quarantine");
-    let output = Command::new(SWEEP)
-        .args([
-            "--topo",
-            "torus:6x6",
-            "--algos",
-            "ecube",
-            "--loads",
-            "0.1",
-            "--quick",
-            "--seed",
-            "1993",
-            "--out",
-        ])
-        .arg(&out_dir)
-        .args(["--backend", "remote"])
-        .args(["--worker", &staller_a.addr])
-        .args(["--worker", &staller_b.addr])
-        .args(["--point-deadline", "0.5"])
-        .args(["--quarantine-after", "1"])
-        .stderr(Stdio::piped())
-        .output()
-        .expect("spawn quarantine sweep");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(
-        output.status.code(),
-        Some(4),
-        "quarantine must exit with its own code; stderr was:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("quarantin"),
-        "quarantine must be announced; stderr was:\n{stderr}"
-    );
-    let sidecar = std::fs::read_to_string(out_dir.join("sweep.journal.quarantine.jsonl"))
-        .expect("quarantine sidecar");
-    assert!(
-        sidecar.contains("\"point_hash\""),
-        "sidecar must name the poison point: {sidecar}"
-    );
-    let journal =
-        std::fs::read_to_string(out_dir.join("sweep.journal.jsonl")).expect("journal exists");
-    assert!(
-        journal.is_empty(),
-        "the poison point must not reach the journal: {journal}"
-    );
+    let scenarios: [(&str, &str, &[&str]); 2] = [
+        (SWEEP, "sweep", &["--algos", "phop", "--loads", "0.1,0.2"]),
+        (
+            FAULTS_SWEEP,
+            "faults_sweep",
+            &["--algos", "phop", "--load", "0.1", "--max-faults", "1"],
+        ),
+    ];
+    for (bin, stem, axes) in scenarios {
+        let staller_a = WorkerProc::spawn(2, Some("stall-submit=1"));
+        let staller_b = WorkerProc::spawn(1, Some("stall-submit=1"));
+        let out_dir = temp_dir(&format!("quarantine-{stem}"));
+        let output = Command::new(bin)
+            .args(["--topo", "torus:4x4", "--quick", "--seed", "1993", "--out"])
+            .arg(&out_dir)
+            .args(axes)
+            .args(["--backend", "remote"])
+            .args(["--worker", &staller_a.addr])
+            .args(["--worker", &staller_b.addr])
+            .args(["--point-deadline", "0.5"])
+            .args(["--quarantine-after", "1"])
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn quarantine sweep");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(4),
+            "{stem}: quarantine must exit with its own code; stderr was:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("quarantin"),
+            "{stem}: quarantine must be announced; stderr was:\n{stderr}"
+        );
+        let sidecar =
+            std::fs::read_to_string(out_dir.join(format!("{stem}.journal.quarantine.jsonl")))
+                .expect("quarantine sidecar");
+        let poison_hash = sidecar
+            .split("\"point_hash\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .unwrap_or_else(|| panic!("{stem}: sidecar must name the poison point: {sidecar}"));
+        assert_eq!(sidecar.lines().count(), 1, "{stem}: one poison point");
+        let journal = std::fs::read_to_string(out_dir.join(format!("{stem}.journal.jsonl")))
+            .expect("journal exists");
+        assert_eq!(journal.lines().count(), 1, "{stem}: the healthy point");
+        assert!(
+            !journal.contains(poison_hash),
+            "{stem}: the poison point must not reach the journal: {journal}"
+        );
+        let partial = std::fs::read_to_string(out_dir.join(format!("{stem}.partial.csv")))
+            .expect("partial CSV");
+        assert_eq!(
+            partial.lines().count(),
+            2,
+            "{stem}: header plus the healthy point: {partial}"
+        );
+        assert!(
+            !out_dir.join(format!("{stem}.csv")).exists(),
+            "{stem}: an incomplete sweep must not pass for a whole one"
+        );
 
-    std::fs::remove_dir_all(&out_dir).ok();
+        std::fs::remove_dir_all(&out_dir).ok();
+    }
 }
