@@ -9,6 +9,9 @@
 //!              [--metrics] [--max-overhead-pct P]
 //! ```
 //!
+//! Each algorithm's line also prints the engine's route-phase work counters
+//! (`route_attempts`, `route_sleeps`; stdout only, not in the JSON).
+//!
 //! `--metrics` re-runs each algorithm with the deep-telemetry registry
 //! installed and prints latency percentiles plus the engine-phase
 //! breakdown; `--max-overhead-pct P` (implies the paired runs) fails the
@@ -18,12 +21,10 @@
 //! always records the metrics-disabled numbers, so the perf trajectory
 //! in `BENCH_engine.json` is comparable across PRs.
 
-use std::time::Instant;
 use wormsim::observe::{MetricsRegistry, PHASE_NAMES};
 use wormsim::routing::AlgorithmKind;
 use wormsim::topology::Topology;
-use wormsim::{ArrivalProcess, MessageLength, NetworkBuilder, TrafficConfig};
-use wormsim_bench::cli;
+use wormsim_bench::{cli, time_engine, EngineTiming};
 
 const USAGE: &str = "usage: engine_bench [--topo T] [--load F] [--cycles N] [--warmup N] \
                      [--seed N] [--out FILE] [--metrics] [--max-overhead-pct P]";
@@ -88,56 +89,28 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     Ok(options)
 }
 
-struct Measurement {
-    algorithm: &'static str,
-    steps_per_sec: f64,
-    flits_per_sec: f64,
-    wall_seconds: f64,
-    flit_hops: u64,
-    delivered: u64,
-    registry: Option<Box<MetricsRegistry>>,
-}
-
-fn measure(kind: AlgorithmKind, options: &Options, with_metrics: bool) -> Measurement {
-    let topo = options.topo.clone();
-    let pattern = TrafficConfig::Uniform.build(&topo).expect("uniform builds");
-    let rate = wormsim::stats::throughput::rate_for_utilization(
+fn measure(kind: AlgorithmKind, options: &Options, with_metrics: bool) -> EngineTiming {
+    time_engine(
+        &options.topo,
+        kind,
         options.load,
-        16.0,
-        pattern.mean_distance(&topo),
-        topo.num_dims(),
-    );
-    let mut net = NetworkBuilder::new(topo, kind)
-        .arrival(ArrivalProcess::geometric(rate).expect("valid rate"))
-        .message_length(MessageLength::fixed(16).expect("valid length"))
-        .seed(options.seed)
-        .build()
-        .expect("network builds");
-    net.run(options.warmup);
-    net.reset_metrics();
-    if with_metrics {
-        net.observer().metrics_on();
-    }
-    let start = Instant::now();
-    net.run(options.cycles);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let flit_hops = net.metrics().flit_hops;
-    Measurement {
-        algorithm: kind.name(),
-        steps_per_sec: options.cycles as f64 / wall_seconds,
-        flits_per_sec: flit_hops as f64 / wall_seconds,
-        wall_seconds,
-        flit_hops,
-        delivered: net.metrics().delivered,
-        registry: net.observer().metrics_off(),
-    }
+        options.seed,
+        options.warmup,
+        options.cycles,
+        with_metrics,
+    )
 }
 
 /// Best-of-N by wall clock. The simulation is deterministic — every repeat
 /// counts the same flit-hops — so the minimum wall time is the least-noisy
 /// throughput estimate on a shared machine, which the paired overhead
 /// comparison needs (single-shot short runs swing tens of percent).
-fn measure_best(kind: AlgorithmKind, options: &Options, with_metrics: bool, n: u32) -> Measurement {
+fn measure_best(
+    kind: AlgorithmKind,
+    options: &Options,
+    with_metrics: bool,
+    n: u32,
+) -> EngineTiming {
     let mut best = measure(kind, options, with_metrics);
     for _ in 1..n {
         let m = measure(kind, options, with_metrics);
@@ -165,7 +138,7 @@ fn print_telemetry(registry: &MetricsRegistry) {
     println!("          phase split: {}", split.join(", "));
 }
 
-fn json_report(options: &Options, results: &[Measurement]) -> String {
+fn json_report(options: &Options, results: &[EngineTiming]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
@@ -220,8 +193,15 @@ fn main() {
     for kind in AlgorithmKind::all() {
         let m = measure_best(kind, &options, false, repeats);
         println!(
-            "  {:>6}: {:>10.0} steps/s  {:>12.0} flits/s  ({} flit-hops, {} delivered)",
-            m.algorithm, m.steps_per_sec, m.flits_per_sec, m.flit_hops, m.delivered
+            "  {:>6}: {:>10.0} steps/s  {:>12.0} flits/s  ({} flit-hops, {} delivered, \
+             {} route attempts, {} route sleeps)",
+            m.algorithm,
+            m.steps_per_sec,
+            m.flits_per_sec,
+            m.flit_hops,
+            m.delivered,
+            m.route_attempts,
+            m.route_sleeps
         );
         if paired {
             let enabled = measure_best(kind, &options, true, repeats);

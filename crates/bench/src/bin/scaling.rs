@@ -14,12 +14,10 @@
 //! percentiles plus the engine-phase breakdown into the printed lines and
 //! the JSON report (at the cost of the instrumented hot path).
 
-use std::time::Instant;
-use wormsim::observe::{MetricsRegistry, PHASE_NAMES};
+use wormsim::observe::PHASE_NAMES;
 use wormsim::routing::AlgorithmKind;
 use wormsim::topology::Topology;
-use wormsim::{ArrivalProcess, MessageLength, NetworkBuilder, TrafficConfig};
-use wormsim_bench::cli;
+use wormsim_bench::{cli, time_engine, EngineTiming};
 
 const USAGE: &str = "usage: scaling [--load F] [--cycles N] [--warmup N] [--seed N] [--out FILE] \
                      [--smoke] [--metrics]";
@@ -99,51 +97,19 @@ fn sweep_sizes(options: &Options) -> Vec<Topology> {
     }
 }
 
-struct Measurement {
-    algorithm: &'static str,
-    steps_per_sec: f64,
-    flits_per_sec: f64,
-    wall_seconds: f64,
-    flit_hops: u64,
-    delivered: u64,
-    registry: Option<Box<MetricsRegistry>>,
-}
-
-fn measure(topo: &Topology, kind: AlgorithmKind, options: &Options) -> Measurement {
-    let pattern = TrafficConfig::Uniform.build(topo).expect("uniform builds");
-    let rate = wormsim::stats::throughput::rate_for_utilization(
+fn measure(topo: &Topology, kind: AlgorithmKind, options: &Options) -> EngineTiming {
+    time_engine(
+        topo,
+        kind,
         options.load,
-        16.0,
-        pattern.mean_distance(topo),
-        topo.num_dims(),
-    );
-    let mut net = NetworkBuilder::new(topo.clone(), kind)
-        .arrival(ArrivalProcess::geometric(rate).expect("valid rate"))
-        .message_length(MessageLength::fixed(16).expect("valid length"))
-        .seed(options.seed)
-        .build()
-        .expect("network builds");
-    net.run(options.warmup);
-    net.reset_metrics();
-    if options.metrics {
-        net.observer().metrics_on();
-    }
-    let start = Instant::now();
-    net.run(options.cycles);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let flit_hops = net.metrics().flit_hops;
-    Measurement {
-        algorithm: kind.name(),
-        steps_per_sec: options.cycles as f64 / wall_seconds,
-        flits_per_sec: flit_hops as f64 / wall_seconds,
-        wall_seconds,
-        flit_hops,
-        delivered: net.metrics().delivered,
-        registry: net.observer().metrics_off(),
-    }
+        options.seed,
+        options.warmup,
+        options.cycles,
+        options.metrics,
+    )
 }
 
-fn json_report(options: &Options, sizes: &[(Topology, Vec<Measurement>)]) -> String {
+fn json_report(options: &Options, sizes: &[(Topology, Vec<EngineTiming>)]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(

@@ -28,6 +28,7 @@ mod backend;
 mod chaos;
 pub mod cli;
 mod committer;
+mod engine_timing;
 mod figure;
 mod http;
 mod journal;
@@ -45,6 +46,7 @@ pub use backend::{
     WorkerBackend,
 };
 pub use chaos::{ChaosPlan, ChaosPlanError};
+pub use engine_timing::{time_engine, EngineTiming};
 pub use figure::{
     apply_topology_override, figure_plan, retain_runnable, run_figure, run_figure_or_exit,
     FigureRun,

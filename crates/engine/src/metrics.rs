@@ -47,6 +47,16 @@ pub struct Metrics {
     pub messages_aborted: u64,
     /// Flits discarded by fault aborts (buffered and still-queued flits).
     pub flits_dropped: u64,
+    /// Routing attempts that reached the routing function: one per pending
+    /// head per cycle, minus the ejecting, the store-and-forward heads still
+    /// waiting for their tail, and the `route_sleeps`. A deterministic work
+    /// counter, not a simulated quantity.
+    pub route_attempts: u64,
+    /// Pending heads the route phase skipped because no candidate channel
+    /// had released a VC since their last failed attempt. An engine that
+    /// retried every head every cycle would count
+    /// `route_attempts + route_sleeps` attempts.
+    pub route_sleeps: u64,
     /// Flit transfers per virtual-channel *class* (summed over channels),
     /// indexed by class. Shows the load-balancing behavior the paper
     /// discusses for nhop versus nbc.
@@ -79,6 +89,8 @@ impl Metrics {
         self.unroutable = 0;
         self.messages_aborted = 0;
         self.flits_dropped = 0;
+        self.route_attempts = 0;
+        self.route_sleeps = 0;
         self.class_flits.fill(0);
         if let Some(channels) = self.channel_flits.as_mut() {
             channels.fill(0);

@@ -230,6 +230,36 @@ struct OutputRequest {
     from_injection: bool,
 }
 
+/// An input VC whose front head still needs a route.
+///
+/// A head that failed VC allocation because every admissible output VC of
+/// every candidate was owned cannot succeed until one of those channels
+/// releases a VC, so it *sleeps*: `dirs` records the candidate directions
+/// of the failed attempt and [`Network::phase_route`] skips the entry —
+/// touching neither the buffer, the slab nor the routing function — until
+/// [`Network::ch_freed_at`] shows a release on one of them.
+#[derive(Clone, Copy, Debug)]
+struct PendingHead {
+    ivc: u32,
+    /// The node `ivc` belongs to, so the wake-up check needs no lookup.
+    node: u32,
+    /// Bit `d` set ⟺ direction `d` was a candidate of the attempt that
+    /// failed at `failed_at`. Zero means awake: retry next cycle.
+    dirs: u32,
+    /// Cycle of the failed attempt behind `dirs`.
+    failed_at: u64,
+}
+
+/// What [`Network::try_route`] did with a pending head.
+enum RouteOutcome {
+    /// The head has a route and leaves `pending_route`.
+    Routed,
+    /// The head stays pending. `dirs` is the candidate-direction mask when
+    /// the attempt failed on owned output VCs and the head may sleep (see
+    /// [`PendingHead`]), zero when it must simply retry next cycle.
+    Failed { dirs: u32 },
+}
+
 /// A fixed-size bitmap worklist. Iterating set bits visits indices in
 /// ascending order — for free, every cycle — which is what keeps the
 /// event-driven phases bit-identical to the full scans they replace.
@@ -318,8 +348,17 @@ pub struct Network {
     /// Round-robin pointer per output channel. Bounded by `vcs`, so it
     /// shares `request_len`'s `u8` range.
     out_rr: Vec<u8>,
-    /// Input VCs whose front head still needs a route.
-    pending_route: Vec<u32>,
+    /// Input VCs whose front head still needs a route, in arrival order
+    /// (the order fixes VC-allocation priority).
+    pending_route: Vec<PendingHead>,
+    /// Per output channel, the last cycle one of its VC reservations was
+    /// released (a tail crossed it). Sleeping heads wake on it.
+    ch_freed_at: Vec<u64>,
+    /// Test-only: no head ever sleeps, i.e. the route phase retries every
+    /// pending head every cycle. The reference the sleeping route phase is
+    /// property-tested against.
+    #[cfg(test)]
+    always_retry: bool,
     /// Input VCs currently delivering to the local node.
     ejecting: Vec<u32>,
     /// Pending traffic arrivals as `Reverse((cycle, node))`: a min-heap so
@@ -421,6 +460,12 @@ impl Network {
     /// [`RoutingAlgorithm`](wormsim_routing::RoutingAlgorithm) and hand it
     /// in (see the repository's `custom_algorithm` example).
     ///
+    /// The engine relies on the trait's purity clause: `candidates` must be
+    /// a function of `(topology, route state, node)` alone. A head that
+    /// finds every admissible output VC owned is not re-routed until one of
+    /// its candidate channels releases a VC, so an algorithm whose answer
+    /// drifts with time or hidden state would keep the stale one.
+    ///
     /// # Errors
     ///
     /// Returns an [`EngineError`] for invalid parameters.
@@ -489,6 +534,9 @@ impl Network {
             request_len: vec![0; n * dirs],
             out_rr: vec![0; n * dirs],
             pending_route: Vec::new(),
+            ch_freed_at: vec![0; n * dirs],
+            #[cfg(test)]
+            always_retry: false,
             ejecting: Vec::new(),
             arrival_heap: BinaryHeap::with_capacity(n),
             inj_dirty: BitSet::new(n),
@@ -1282,7 +1330,12 @@ impl Network {
     }
 
     fn enqueue_pending(&mut self, ivc: u32) {
-        self.pending_route.push(ivc);
+        self.pending_route.push(PendingHead {
+            ivc,
+            node: self.ivc_meta[ivc as usize].node,
+            dirs: 0,
+            failed_at: 0,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1291,19 +1344,70 @@ impl Network {
 
     fn phase_route(&mut self) {
         // In-place compaction: `try_route` never pushes to `pending_route`
-        // (failures stay, in order), so no take-and-reallocate is needed.
+        // (failures and sleepers stay, in order), so no take-and-reallocate
+        // is needed.
         let mut kept = 0;
         for i in 0..self.pending_route.len() {
-            let ivc = self.pending_route[i];
-            if !self.try_route(ivc) {
-                self.pending_route[kept] = ivc;
-                kept += 1;
+            let mut head = self.pending_route[i];
+            if head.dirs != 0 && !self.freed_since(head) {
+                // Asleep: the attempt would fail exactly as the last one
+                // did, drawing no random number, so skipping it changes
+                // nothing but the work done.
+                self.metrics.route_sleeps += 1;
+                if self.registry.is_some() {
+                    self.record_sleeper_alloc_failures(head);
+                }
+            } else {
+                match self.try_route(head.ivc) {
+                    RouteOutcome::Routed => continue,
+                    RouteOutcome::Failed { dirs } => {
+                        head.dirs = dirs;
+                        head.failed_at = self.cycle;
+                    }
+                }
             }
+            self.pending_route[kept] = head;
+            kept += 1;
         }
         self.pending_route.truncate(kept);
     }
 
-    fn try_route(&mut self, ivc: u32) -> bool {
+    /// Whether a candidate channel of the sleeping `head` released a VC
+    /// since its failed attempt. `>=`, not `>`: the route phase runs before
+    /// the link moves of its own cycle, so a release stamped `failed_at`
+    /// happened after the attempt looked.
+    #[inline]
+    fn freed_since(&self, head: PendingHead) -> bool {
+        let base = head.node as usize * self.dirs;
+        let mut dirs = head.dirs;
+        while dirs != 0 {
+            let dir = dirs.trailing_zeros() as usize;
+            dirs &= dirs - 1;
+            if self.ch_freed_at[base + dir] >= head.failed_at {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The candidate directions of the attempt that just failed on owned
+    /// output VCs (`scratch_candidates` still holds the set), or zero when
+    /// the head must not sleep: under a fault plan the candidate set
+    /// depends on the live mask and aborts release reservations without
+    /// stamping `ch_freed_at`, and a `u32` holds at most 32 directions.
+    fn sleep_mask(&self) -> u32 {
+        let may_sleep = self.faults.is_none() && self.dirs <= 32;
+        #[cfg(test)]
+        let may_sleep = may_sleep && !self.always_retry;
+        if !may_sleep {
+            return 0;
+        }
+        self.scratch_candidates
+            .iter()
+            .fold(0, |mask, c| mask | 1 << c.direction().index())
+    }
+
+    fn try_route(&mut self, ivc: u32) -> RouteOutcome {
         let (node, _port, _vc) = self.ivc_parts(ivc);
         let slot = &self.input_vcs[ivc as usize];
         let front = slot.front().expect("pending input VC holds its head");
@@ -1318,15 +1422,16 @@ impl Network {
             slot.route = Some(RouteTarget::Eject);
             slot.route_msg = Some(msg);
             self.ejecting.push(ivc);
-            return true;
+            return RouteOutcome::Routed;
         }
         // Store-and-forward: only route once the whole message is here.
         if matches!(self.cfg.switching, Switching::StoreAndForward)
             && !self.input_vcs[ivc as usize].front_message_complete()
         {
-            return false;
+            return RouteOutcome::Failed { dirs: 0 };
         }
 
+        self.metrics.route_attempts += 1;
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         candidates.clear();
         let fault_mode = self.faults.is_some();
@@ -1372,7 +1477,7 @@ impl Network {
             }
             if candidates.is_empty() {
                 self.scratch_candidates = candidates;
-                return false;
+                return RouteOutcome::Failed { dirs: 0 };
             }
         }
 
@@ -1411,7 +1516,9 @@ impl Network {
             if self.registry.is_some() {
                 self.record_alloc_failures(node);
             }
-            return false;
+            return RouteOutcome::Failed {
+                dirs: self.sleep_mask(),
+            };
         };
         self.out_owner[ovc] = Some(msg);
         {
@@ -1440,7 +1547,7 @@ impl Network {
             }
             self.active_inj_nodes.insert(node as usize);
         }
-        true
+        RouteOutcome::Routed
     }
 
     /// Charges one allocation failure per candidate channel of a head that
@@ -1456,6 +1563,25 @@ impl Network {
             }
         }
         self.scratch_candidates = candidates;
+    }
+
+    /// Charges a sleeping head the allocation failures its skipped attempt
+    /// would have recorded, so `alloc_fail` keeps meaning head-cycles spent
+    /// waiting on a channel. The candidate set is re-derived rather than
+    /// carried beside the entry: the routing function is pure and a blocked
+    /// head's route state does not change, so it is the set that failed.
+    /// Only runs with metrics on.
+    fn record_sleeper_alloc_failures(&mut self, head: PendingHead) {
+        let front = self.input_vcs[head.ivc as usize]
+            .front()
+            .expect("pending input VC holds its head");
+        let route = self.slab.get(front.msg).route;
+        let mut candidates = std::mem::take(&mut self.scratch_candidates);
+        candidates.clear();
+        self.algo
+            .candidates(&self.topo, &route, NodeId::new(head.node), &mut candidates);
+        self.scratch_candidates = candidates;
+        self.record_alloc_failures(head.node);
     }
 
     // ------------------------------------------------------------------
@@ -1799,13 +1925,14 @@ impl Network {
         // Channel bookkeeping.
         let ovc = self.ovc_index(node, mv.dir as usize, mv.vc as usize);
         self.out_credits[ovc] -= 1;
+        let ch = self.channel_index(node, mv.dir as usize);
         if flit.kind.is_tail() {
             self.out_owner[ovc] = None;
+            self.ch_freed_at[ch] = self.cycle;
         }
         self.metrics.flit_hops += 1;
         let class = self.vc_class[mv.vc as usize] as usize;
         self.metrics.class_flits[class] += 1;
-        let ch = self.channel_index(node, mv.dir as usize);
         if let Some(loads) = self.metrics.channel_flits.as_mut() {
             loads[ch] += 1;
         }
@@ -2150,8 +2277,8 @@ impl Network {
                 self.out_owner[ovc] = None;
             }
         }
-        self.pending_route.retain(|&p| {
-            let slot = &self.input_vcs[p as usize];
+        self.pending_route.retain(|p| {
+            let slot = &self.input_vcs[p.ivc as usize];
             slot.route.is_none() && slot.front().is_some_and(|f| f.kind.is_head())
         });
         for ivc in revealed {
@@ -2235,8 +2362,7 @@ impl Network {
 
         // Heads pending routing: blocked on VC allocation.
         let mut candidates: Vec<Candidate> = Vec::new();
-        for &ivc in &self.pending_route {
-            let (node, _, _) = self.ivc_parts(ivc);
+        for &PendingHead { ivc, node, .. } in &self.pending_route {
             let Some(front) = self.input_vcs[ivc as usize].front() else {
                 continue;
             };
@@ -2320,6 +2446,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::NetworkBuilder;
+    use proptest::prelude::*;
     use wormsim_routing::AlgorithmKind;
 
     fn tiny(algorithm: AlgorithmKind) -> Network {
@@ -2480,6 +2607,233 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    /// Which faults a differential case runs under.
+    #[derive(Clone, Copy, Debug)]
+    enum FaultCase {
+        Healthy,
+        /// `count` random links dead from cycle 0.
+        Static {
+            count: usize,
+            seed: u64,
+        },
+        /// One random link dead over `[fail_at, fail_at + lasts)`.
+        Transient {
+            seed: u64,
+            fail_at: u64,
+            lasts: u64,
+        },
+    }
+
+    impl FaultCase {
+        fn plan(self, topo: &Topology) -> Option<wormsim_faults::FaultPlan> {
+            use wormsim_faults::{FaultPlan, FaultRegion};
+            match self {
+                FaultCase::Healthy => None,
+                FaultCase::Static { count, seed } => Some(FaultPlan::random_links(
+                    topo,
+                    count,
+                    seed,
+                    &FaultRegion::Anywhere,
+                )),
+                FaultCase::Transient {
+                    seed,
+                    fail_at,
+                    lasts,
+                } => {
+                    let link = FaultPlan::random_links(topo, 1, seed, &FaultRegion::Anywhere);
+                    let mut plan = FaultPlan::new();
+                    plan.push(wormsim_faults::Fault {
+                        fail_at,
+                        repair_at: Some(fail_at + lasts),
+                        ..link.faults()[0]
+                    });
+                    Some(plan)
+                }
+            }
+        }
+    }
+
+    /// One randomized configuration of the differential test below.
+    #[derive(Clone, Debug)]
+    struct Differential {
+        topo: Topology,
+        algorithm: AlgorithmKind,
+        selection: SelectionPolicy,
+        switching: Switching,
+        replicas: u32,
+        load: f64,
+        faults: FaultCase,
+        seed: u64,
+        /// Cycles run before the registry is switched on, and after.
+        cycles: (u64, u64),
+    }
+
+    impl Differential {
+        fn build(&self, always_retry: bool) -> Option<Network> {
+            let length = 8;
+            let rate = self.load * 2.0 * self.topo.num_dims() as f64
+                / (f64::from(length) * self.topo.uniform_avg_distance());
+            let mut builder = NetworkBuilder::new(self.topo.clone(), self.algorithm)
+                .arrival(wormsim_traffic::ArrivalProcess::geometric(rate.min(1.0)).unwrap())
+                .message_length(wormsim_traffic::MessageLength::fixed(length).unwrap())
+                .selection(self.selection)
+                .switching(self.switching)
+                .vc_replicas(self.replicas)
+                .seed(self.seed);
+            if let Some(plan) = self.faults.plan(&self.topo) {
+                builder = builder.faults(plan);
+            }
+            // nhop/nbc reject non-bipartite tori; nlast rejects some shapes.
+            let mut net = builder.build().ok()?;
+            net.always_retry = always_retry;
+            Some(net)
+        }
+    }
+
+    fn arb_differential() -> impl Strategy<Value = Differential> {
+        let topo = prop_oneof![
+            Just(Topology::torus(&[4, 4])),
+            Just(Topology::torus(&[6, 4])),
+            Just(Topology::mesh(&[5, 5])),
+            Just(Topology::torus(&[4, 4, 4])),
+            Just(Topology::mesh(&[3, 3, 3])),
+        ];
+        let algorithm = prop_oneof![
+            Just(AlgorithmKind::Ecube),
+            Just(AlgorithmKind::NorthLast),
+            Just(AlgorithmKind::TwoPowerN),
+            Just(AlgorithmKind::PositiveHop),
+            Just(AlgorithmKind::NegativeHop),
+            Just(AlgorithmKind::NegativeHopBonusCards),
+        ];
+        let selection = prop_oneof![
+            Just(SelectionPolicy::MostCredits),
+            Just(SelectionPolicy::FirstFree),
+            Just(SelectionPolicy::Random),
+        ];
+        let switching = prop_oneof![
+            (1u32..=3).prop_map(|d| Switching::Wormhole { buffer_depth: d }),
+            Just(Switching::VirtualCutThrough),
+            Just(Switching::StoreAndForward),
+        ];
+        let faults = prop_oneof![
+            Just(FaultCase::Healthy),
+            Just(FaultCase::Healthy),
+            (1usize..=4, any::<u64>()).prop_map(|(count, seed)| FaultCase::Static { count, seed }),
+            (any::<u64>(), 50u64..300, 20u64..200).prop_map(|(seed, fail_at, lasts)| {
+                FaultCase::Transient {
+                    seed,
+                    fail_at,
+                    lasts,
+                }
+            }),
+        ];
+        (
+            topo,
+            algorithm,
+            selection,
+            switching,
+            1u32..=2,
+            0.3f64..1.0,
+            faults,
+            any::<u64>(),
+            (100u64..400, 100u64..400),
+        )
+            .prop_map(
+                |(topo, algorithm, selection, switching, replicas, load, faults, seed, cycles)| {
+                    Differential {
+                        topo,
+                        algorithm,
+                        selection,
+                        switching,
+                        replicas,
+                        load,
+                        faults,
+                        seed,
+                        cycles,
+                    }
+                },
+            )
+    }
+
+    /// Everything a run leaves behind that the sleeping route phase must
+    /// not move: the counters (work counters aside), the delivery records
+    /// and the registry's per-channel / per-class arrays.
+    fn observable(net: &mut Network) -> (String, Vec<DeliveredMessage>, [Vec<u64>; 6], u64) {
+        let mut metrics = net.metrics().clone();
+        metrics.route_attempts = 0;
+        metrics.route_sleeps = 0;
+        let reg = net.metrics_registry().expect("switched on mid-run");
+        let arrays = [
+            reg.channel_flits.clone(),
+            reg.channel_blocked.clone(),
+            reg.channel_alloc_fail.clone(),
+            reg.class_flits.clone(),
+            reg.class_blocked.clone(),
+            reg.class_alloc_fail.clone(),
+        ];
+        let latencies = reg.latency.count();
+        (
+            format!("{metrics:?} {:?}", net.deadlock_report()),
+            net.drain_delivered(),
+            arrays,
+            latencies,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The route phase with sleeping heads against the always-retry
+        /// reference: same simulation, same telemetry, and every skipped
+        /// entry is an attempt the reference made.
+        #[test]
+        fn sleeping_heads_match_the_always_retry_reference(case in arb_differential()) {
+            let (Some(mut net), Some(mut reference)) = (case.build(false), case.build(true))
+            else {
+                return Ok(());
+            };
+            for n in [&mut net, &mut reference] {
+                n.run(case.cycles.0);
+                n.observer().metrics_on();
+                n.run(case.cycles.1);
+            }
+            prop_assert_eq!(observable(&mut net), observable(&mut reference));
+            prop_assert_eq!(reference.metrics().route_sleeps, 0);
+            prop_assert_eq!(
+                reference.metrics().route_attempts,
+                net.metrics().route_attempts + net.metrics().route_sleeps
+            );
+            if !matches!(case.faults, FaultCase::Healthy) {
+                prop_assert_eq!(net.metrics().route_sleeps, 0, "heads never sleep under faults");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_heads_sleep_at_saturation() {
+        let case = Differential {
+            topo: Topology::torus(&[4, 4]),
+            algorithm: AlgorithmKind::Ecube,
+            selection: SelectionPolicy::MostCredits,
+            switching: Switching::wormhole(),
+            replicas: 1,
+            load: 0.9,
+            faults: FaultCase::Healthy,
+            seed: 1993,
+            cycles: (0, 1_000),
+        };
+        let mut net = case.build(false).unwrap();
+        net.run(1_000);
+        let m = net.metrics();
+        assert!(
+            m.route_sleeps > m.route_attempts,
+            "at saturation most pending heads are asleep: {} sleeps, {} attempts",
+            m.route_sleeps,
+            m.route_attempts
+        );
     }
 
     #[test]

@@ -69,8 +69,10 @@ impl fmt::Display for FaultTolerance {
 
 /// A minimal, deadlock-free wormhole routing algorithm.
 ///
-/// Implementations are *pure*: they never hold network state. The simulator
-/// calls [`candidates`](Self::candidates) when a head flit needs a next hop,
+/// Implementations are *pure*: they never hold network state, and
+/// [`candidates`](Self::candidates) returns the same set for the same
+/// arguments (the engine does not re-route a blocked head until one of its
+/// candidate channels frees a virtual channel). The simulator calls [`candidates`](Self::candidates) when a head flit needs a next hop,
 /// picks one of the returned options subject to resource availability, and
 /// then advances the message's [`MessageRouteState`] via
 /// [`MessageRouteState::advance`].

@@ -13,6 +13,7 @@
 //! semantic changes regenerate the goldens with
 //! `WORMSIM_UPDATE_GOLDEN=1 cargo test --test determinism`.
 
+use wormsim::engine::{SelectionPolicy, Switching};
 use wormsim::observe::JsonObject;
 use wormsim::presets;
 use wormsim::stats::throughput;
@@ -54,18 +55,23 @@ fn assert_matches_golden(name: &str, actual: &str) {
     );
 }
 
-/// Builds the fig3 network (16×16 torus, uniform 16-flit worms) at the
-/// golden load for one algorithm, exactly as `Experiment::run` would.
-fn fig3_network(algorithm: AlgorithmKind) -> wormsim::engine::Network {
-    let topo: Topology = presets::paper_topology();
-    let pattern = TrafficConfig::Uniform.build(&topo).expect("uniform builds");
+/// A builder for uniform 16-flit traffic on `topo` at offered `load` under
+/// the golden seed, with the arrival rate `Experiment::run` would derive.
+fn uniform_builder(topo: &Topology, algorithm: AlgorithmKind, load: f64) -> NetworkBuilder {
+    let pattern = TrafficConfig::Uniform.build(topo).expect("uniform builds");
     let rate =
-        throughput::rate_for_utilization(LOAD, 16.0, pattern.mean_distance(&topo), topo.num_dims());
-    NetworkBuilder::new(topo, algorithm)
+        throughput::rate_for_utilization(load, 16.0, pattern.mean_distance(topo), topo.num_dims());
+    NetworkBuilder::new(topo.clone(), algorithm)
         .traffic(TrafficConfig::Uniform)
         .arrival(ArrivalProcess::geometric(rate).expect("valid rate"))
         .message_length(MessageLength::fixed(16).expect("valid length"))
         .seed(SEED)
+}
+
+/// Builds the fig3 network (16×16 torus, uniform 16-flit worms) at the
+/// golden load for one algorithm, exactly as `Experiment::run` would.
+fn fig3_network(algorithm: AlgorithmKind) -> wormsim::engine::Network {
+    uniform_builder(&presets::paper_topology(), algorithm, LOAD)
         .build()
         .expect("network builds")
 }
@@ -168,6 +174,71 @@ fn fig3_metrics_match_golden_with_metrics_enabled() {
     assert_matches_golden("fig3_metrics_seed1993.jsonl", &snapshot);
 }
 
+/// Cycles per saturated configuration: long enough for every network to
+/// fill and block (the load-0.9 8×8 torus saturates within a few hundred
+/// cycles), short enough that 72 configurations stay in tier-1.
+const SATURATED_CYCLES: u64 = 1_200;
+
+/// The saturated grid: an 8×8 torus offered load 0.9 under every algorithm
+/// × selection policy × switching mode, plus two VC replicas under
+/// wormhole. Unlike the load-0.2 goldens above, most route attempts here
+/// fail, so this pins VC-allocation order among blocked heads (what the
+/// route phase's sleeping of blocked heads must not perturb).
+fn saturated_snapshot(metrics_on: bool) -> String {
+    let topo = Topology::torus(&[8, 8]);
+    let modes = [
+        ("wormhole", Switching::wormhole(), 1),
+        ("vct", Switching::VirtualCutThrough, 1),
+        ("saf", Switching::StoreAndForward, 1),
+        ("wormhole", Switching::wormhole(), 2),
+    ];
+    let mut snapshot = String::new();
+    for algorithm in presets::paper_algorithms() {
+        for selection in [
+            SelectionPolicy::FirstFree,
+            SelectionPolicy::MostCredits,
+            SelectionPolicy::Random,
+        ] {
+            for (mode, switching, replicas) in modes {
+                let mut net = uniform_builder(&topo, algorithm, 0.9)
+                    .selection(selection)
+                    .switching(switching)
+                    .vc_replicas(replicas)
+                    .build()
+                    .expect("network builds");
+                if metrics_on {
+                    net.observer().metrics_on();
+                }
+                net.run(SATURATED_CYCLES);
+                snapshot.push_str(&format!("{selection:?}/{mode}/r{replicas} "));
+                snapshot.push_str(&metrics_json(algorithm.name(), &net));
+                snapshot.push('\n');
+            }
+        }
+    }
+    snapshot
+}
+
+/// Raw engine counters at saturation, bit for bit (see
+/// [`saturated_snapshot`]).
+#[test]
+fn saturated_metrics_match_golden() {
+    assert_matches_golden(
+        "saturated_metrics_seed1993.jsonl",
+        &saturated_snapshot(false),
+    );
+}
+
+/// The registry's allocation-failure accounting takes a different path
+/// for blocked heads; it must still leave the simulation untouched.
+#[test]
+fn saturated_metrics_match_golden_with_metrics_enabled() {
+    assert_matches_golden(
+        "saturated_metrics_seed1993.jsonl",
+        &saturated_snapshot(true),
+    );
+}
+
 /// One quick point of each figure preset through the full `Experiment`
 /// pipeline: latency/throughput estimates must be bit-identical.
 #[test]
@@ -214,17 +285,7 @@ fn large_network_metrics_match_golden() {
             AlgorithmKind::TwoPowerN,
             AlgorithmKind::NorthLast,
         ] {
-            let pattern = TrafficConfig::Uniform.build(&topo).expect("uniform builds");
-            let rate = throughput::rate_for_utilization(
-                LOAD,
-                16.0,
-                pattern.mean_distance(&topo),
-                topo.num_dims(),
-            );
-            let mut net = NetworkBuilder::new(topo.clone(), algorithm)
-                .arrival(ArrivalProcess::geometric(rate).expect("valid rate"))
-                .message_length(MessageLength::fixed(16).expect("valid length"))
-                .seed(SEED)
+            let mut net = uniform_builder(&topo, algorithm, LOAD)
                 .build()
                 .expect("network builds");
             net.run(1_500);
