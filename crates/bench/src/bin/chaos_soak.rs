@@ -179,9 +179,8 @@ fn read_manifest(run: &ExperimentsRun) -> json::Value {
 
 fn manifest_count(manifest: &json::Value, key: &str) -> u64 {
     manifest
-        .get(key)
-        .and_then(json::Value::as_u64)
-        .unwrap_or_else(|| die(&format!("supervision manifest missing `{key}`")))
+        .field(key)
+        .unwrap_or_else(|e| die(&format!("supervision manifest: {e}")))
 }
 
 /// A stalled point hedges to spare capacity; the duplicate is discarded.

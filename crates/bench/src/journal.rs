@@ -19,8 +19,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use wormsim::observe::json::{self, Value};
-use wormsim::observe::{atomic_write, JsonObject, JsonRecord};
+use wormsim::observe::{atomic_write, json, json_record, JsonRecord};
 use wormsim::RunResult;
 
 /// One journaled point: where it sat in the sweep, how many attempts it
@@ -43,44 +42,15 @@ pub struct JournalEntry {
     pub result: RunResult,
 }
 
-impl JsonRecord for JournalEntry {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::begin(out);
-        obj.field_str("point_hash", &self.point_hash)
-            .field_u64("index", self.index as u64)
-            .field_u64("attempts", self.attempts);
-        if let Some(decision) = &self.retry_decision {
-            obj.field_str("retry_decision", decision);
-        }
-        obj.field_raw("result", &self.result.to_json());
-        obj.finish();
-    }
-}
-
-impl JournalEntry {
-    fn from_json(value: &Value) -> Result<JournalEntry, String> {
-        Ok(JournalEntry {
-            point_hash: value
-                .get("point_hash")
-                .and_then(Value::as_str)
-                .ok_or("missing field 'point_hash'")?
-                .to_owned(),
-            index: value
-                .get("index")
-                .and_then(Value::as_u64)
-                .ok_or("missing field 'index'")? as usize,
-            attempts: value
-                .get("attempts")
-                .and_then(Value::as_u64)
-                .ok_or("missing field 'attempts'")?,
-            retry_decision: value
-                .get("retry_decision")
-                .and_then(Value::as_str)
-                .map(str::to_owned),
-            result: RunResult::from_json(value.get("result").ok_or("missing field 'result'")?)?,
-        })
-    }
-}
+// `retry_decision` appears only when the policy engaged, so journals from
+// before the policy existed read the same way as points it never touched.
+json_record!(JournalEntry {
+    point_hash,
+    index,
+    attempts,
+    retry_decision?,
+    result,
+});
 
 /// Why a journal could not be opened or written.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -121,16 +121,6 @@ fn rpc(addr: &str, method: &str, target: &str, body: &str) -> Result<(u16, Strin
     })
 }
 
-fn get_u64(value: &json::Value, key: &str, addr: &str) -> Result<u64, BackendError> {
-    value
-        .get(key)
-        .and_then(json::Value::as_u64)
-        .ok_or_else(|| BackendError {
-            worker: addr.to_owned(),
-            message: format!("response missing integer field `{key}`"),
-        })
-}
-
 fn parse_body(body: &str, addr: &str) -> Result<json::Value, BackendError> {
     json::from_str(body).map_err(|err| BackendError {
         worker: addr.to_owned(),
@@ -161,8 +151,12 @@ impl RemoteBackend {
                 });
             }
             let value = parse_body(&body, &addr)?;
-            let wire = get_u64(&value, "wire", &addr)?;
-            if wire != u64::from(WIRE_PROTOCOL) {
+            let garbled = |message: String| BackendError {
+                worker: addr.clone(),
+                message: format!("handshake response: {message}"),
+            };
+            let wire: u32 = value.field("wire").map_err(garbled)?;
+            if wire != WIRE_PROTOCOL {
                 return Err(BackendError {
                     worker: addr,
                     message: format!(
@@ -170,10 +164,7 @@ impl RemoteBackend {
                     ),
                 });
             }
-            let theirs = value
-                .get("digest")
-                .and_then(|v| v.as_str())
-                .unwrap_or_default();
+            let theirs = value.field_or("digest", String::new()).map_err(garbled)?;
             if theirs != digest {
                 return Err(BackendError {
                     worker: addr,
@@ -182,13 +173,9 @@ impl RemoteBackend {
                     ),
                 });
             }
-            let slots = get_u64(&value, "threads", &addr)?.max(1) as usize;
-            let seen = value.get("next_job").and_then(json::Value::as_u64);
-            next_id = next_id.max(seen.unwrap_or(0));
-            let draining = value
-                .get("draining")
-                .and_then(json::Value::as_bool)
-                .unwrap_or(false);
+            let slots = value.field::<usize>("threads").map_err(garbled)?.max(1);
+            next_id = next_id.max(value.field_or("next_job", 0).map_err(garbled)?);
+            let draining = value.field_or("draining", false).map_err(garbled)?;
             workers.push(Worker {
                 addr,
                 slots,
@@ -269,14 +256,11 @@ impl RemoteBackend {
     fn send_job(&mut self, slot: usize, id: u64, job: &PointJob) -> Result<(), SendError> {
         let mut body = String::new();
         let mut obj = JsonObject::begin(&mut body);
-        obj.field_str("digest", &self.digest);
-        obj.field_u64("job", id);
-        obj.field_u64("retries", u64::from(job.retries));
-        match &job.resumed_from {
-            Some(journal) => obj.field_str("resumed_from", journal),
-            None => obj.field_raw("resumed_from", "null"),
-        };
-        obj.field_raw("experiment", &job.experiment.to_wire_json());
+        obj.field("digest", &self.digest)
+            .field("job", &id)
+            .field("retries", &job.retries)
+            .field("resumed_from", &job.resumed_from)
+            .field("experiment", &job.experiment);
         obj.finish();
         let addr = self.workers[slot].addr.clone();
         let (status, response) = rpc(&addr, "POST", "/submit", &body).map_err(SendError::Failed)?;
@@ -372,43 +356,19 @@ enum StatusBody {
 
 fn decode_status(body: &str) -> Result<StatusBody, String> {
     let value = json::from_str(body).map_err(|err| format!("unparseable response body: {err}"))?;
-    let state = value.get("state").and_then(|v| v.as_str()).unwrap_or("");
-    let attempts = || {
-        value
-            .get("attempts")
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| "status missing integer field `attempts`".to_owned())
-    };
-    match state {
-        "pending" => Ok(StatusBody::Pending {
-            heartbeat: value.get("heartbeat").and_then(json::Value::as_u64),
-            draining: value
-                .get("draining")
-                .and_then(json::Value::as_bool)
-                .unwrap_or(false),
+    match value.get("state").and_then(json::Value::as_str) {
+        Some("pending") => Ok(StatusBody::Pending {
+            heartbeat: value.field_or("heartbeat", None)?,
+            draining: value.field_or("draining", false)?,
         }),
-        "done" => {
-            let result_value = value
-                .get("result")
-                .ok_or_else(|| "done status missing `result`".to_owned())?;
-            let result = RunResult::from_json(result_value)
-                .map_err(|err| format!("undecodable result: {err}"))?;
-            Ok(StatusBody::Done {
-                result,
-                attempts: attempts()?,
-                retry_decision: value
-                    .get("retry_decision")
-                    .and_then(|v| v.as_str())
-                    .map(str::to_owned),
-            })
-        }
-        "failed" => Ok(StatusBody::Failed {
-            message: value
-                .get("error")
-                .and_then(|v| v.as_str())
-                .unwrap_or("unspecified worker failure")
-                .to_owned(),
-            attempts: attempts()?,
+        Some("done") => Ok(StatusBody::Done {
+            result: value.field("result")?,
+            attempts: value.field("attempts")?,
+            retry_decision: value.field_or("retry_decision", None)?,
+        }),
+        Some("failed") => Ok(StatusBody::Failed {
+            message: value.field_or("error", "unspecified worker failure".to_owned())?,
+            attempts: value.field("attempts")?,
         }),
         other => Err(format!("unknown job state {other:?} in: {body}")),
     }
@@ -638,6 +598,38 @@ mod tests {
                 } => return (result, attempts),
             }
         }
+    }
+
+    #[test]
+    fn malformed_submit_is_refused_and_the_worker_keeps_serving() {
+        let addr = spawn_local(1).to_string();
+        let mut plan = wormsim::FaultPlan::new();
+        plan.push_dead_link(
+            wormsim::NodeId::new(3),
+            wormsim::topology::Direction::from_index(2),
+        );
+        let experiment =
+            Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube).faults(plan);
+        let submit = |experiment: String| {
+            let body = format!(
+                "{{\"digest\":\"{}\",\"job\":0,\"experiment\":{experiment}}}",
+                wire_digest()
+            );
+            http::call(&addr, "POST", "/submit", &body, rpc_timeout()).expect("worker answers")
+        };
+        // A fault dimension no `Direction` can hold used to panic the
+        // accept thread, and a bracket bomb to overflow its stack.
+        let wire = experiment.to_wire_json();
+        for hostile in [
+            wire.replace("\"dim\":1", "\"dim\":300"),
+            "[".repeat(100_000),
+        ] {
+            let (status, response) = submit(hostile);
+            assert_eq!(status, 400, "{response}");
+            assert!(response.contains("submit body"), "{response}");
+        }
+        let (status, response) = submit(wire);
+        assert_eq!(status, 200, "{response}");
     }
 
     #[test]

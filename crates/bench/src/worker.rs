@@ -41,7 +41,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use wormsim::observe::{json, JsonObject, JsonRecord};
+use wormsim::observe::{json, JsonObject};
 use wormsim::{wire_digest, CancelToken, Experiment, ExperimentError, RunResult, WIRE_PROTOCOL};
 
 /// Configuration for [`serve`].
@@ -432,43 +432,31 @@ fn handshake(shared: &Shared, draining: bool) -> (u16, String) {
 }
 
 fn submit(body: &str, shared: &Shared) -> (u16, String) {
-    let value = match json::from_str(body) {
-        Ok(value) => value,
-        Err(err) => return (400, error_body(&format!("unparseable submit body: {err}"))),
-    };
-    let Some(digest) = value.get("digest").and_then(|v| v.as_str()) else {
-        return (400, error_body("submit body missing string field `digest`"));
-    };
+    match accept(body, shared) {
+        Ok(response) | Err(response) => response,
+    }
+}
+
+/// Decodes and enqueues one submitted job; `Err` is the refusal to send.
+fn accept(body: &str, shared: &Shared) -> Result<(u16, String), (u16, String)> {
+    let bad_request = |what: String| (400, error_body(&format!("submit body: {what}")));
+    let value = json::from_str(body).map_err(|err| bad_request(err.to_string()))?;
+    // The digest is checked before anything else is decoded: a worker
+    // built from other sources may not even read this experiment format.
+    let digest: String = value.field("digest").map_err(bad_request)?;
     if digest != shared.digest {
-        return (
+        return Err((
             409,
             error_body(&format!(
                 "wire digest mismatch: orchestrator {digest}, worker {} — rebuild both from the same source",
                 shared.digest
             )),
-        );
+        ));
     }
-    let Some(id) = value.get("job").and_then(json::Value::as_u64) else {
-        return (400, error_body("submit body missing integer field `job`"));
-    };
-    let retries = value
-        .get("retries")
-        .and_then(json::Value::as_u64)
-        .unwrap_or(0) as u32;
-    let resumed_from = value
-        .get("resumed_from")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned);
-    let Some(experiment_value) = value.get("experiment") else {
-        return (
-            400,
-            error_body("submit body missing object field `experiment`"),
-        );
-    };
-    let experiment = match Experiment::from_wire_json(experiment_value) {
-        Ok(experiment) => experiment,
-        Err(err) => return (400, error_body(&format!("undecodable experiment: {err}"))),
-    };
+    let id: u64 = value.field("job").map_err(bad_request)?;
+    let retries: u32 = value.field_or("retries", 0).map_err(bad_request)?;
+    let resumed_from = value.field_or("resumed_from", None).map_err(bad_request)?;
+    let experiment: Experiment = value.field("experiment").map_err(bad_request)?;
     let nth_submit = shared.submits.fetch_add(1, Ordering::SeqCst) + 1;
     if shared.chaos.crash_submit == Some(nth_submit) {
         // A poison pill: die hard before responding, exactly like a
@@ -480,7 +468,7 @@ fn submit(body: &str, shared: &Shared) -> (u16, String) {
     let point_hash = experiment.point_hash();
     let mut state = shared.state.lock().expect("no poisoned worker state");
     if state.jobs.contains_key(&id) {
-        return (400, error_body(&format!("duplicate job id {id}")));
+        return Err((400, error_body(&format!("duplicate job id {id}"))));
     }
     state.jobs.insert(
         id,
@@ -510,7 +498,7 @@ fn submit(body: &str, shared: &Shared) -> (u16, String) {
     let mut obj = JsonObject::begin(&mut out);
     obj.field_u64("job", id);
     obj.finish();
-    (200, out)
+    Ok((200, out))
 }
 
 fn job_status(query: &str, shared: &Shared, draining: bool) -> (u16, String) {
@@ -537,12 +525,10 @@ fn job_status(query: &str, shared: &Shared, draining: bool) -> (u16, String) {
             obj.field_bool("draining", draining);
         }
         JobPhase::Done(Ok(result), attempts, retry_decision) => {
-            obj.field_str("state", "done");
-            obj.field_u64("attempts", *attempts);
-            if let Some(decision) = retry_decision {
-                obj.field_str("retry_decision", decision);
-            }
-            obj.field_raw("result", &result.to_json());
+            obj.field_str("state", "done")
+                .field("attempts", attempts)
+                .field_some("retry_decision", retry_decision)
+                .field("result", result);
         }
         JobPhase::Done(Err(err), attempts, _) => {
             obj.field_str("state", "failed");

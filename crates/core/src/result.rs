@@ -1,19 +1,18 @@
 //! Results of measurement runs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wormsim_engine::{DeadlockReport, LivelockReport};
 use wormsim_observe::json::Value;
-use wormsim_observe::{JsonObject, JsonRecord};
+use wormsim_observe::{json_record, Json, JsonObject};
 use wormsim_stats::{ConfidenceInterval, ConvergenceStatus};
-use wormsim_verify::{TriageReport, TriageVerdict};
+use wormsim_verify::TriageReport;
 
 /// What a worker panic looked like from the orchestrator's side.
 ///
 /// Carried by [`RunOutcome::Harness`]: the experiment harness caught an
 /// unwinding panic with `catch_unwind` and converted it into a structured
 /// outcome so the surrounding sweep keeps running.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PanicInfo {
     /// The panic payload, rendered (`&str`/`String` payloads verbatim;
     /// anything else as a placeholder).
@@ -31,7 +30,7 @@ pub struct PanicInfo {
 /// Ordering of severity when several conditions hold at once:
 /// `Deadlocked` > `LiveLocked` > `Interrupted` > `BudgetExceeded` >
 /// `Completed`/`Saturated`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// The run converged under the measurement policy.
     Completed,
@@ -98,7 +97,7 @@ impl fmt::Display for RunOutcome {
 
 /// Latency summary of one hop class (messages travelling a given number of
 /// hops) — the strata of the paper's estimator, reported individually.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClassLatency {
     /// The hop count of this class.
     pub hops: u16,
@@ -108,8 +107,10 @@ pub struct ClassLatency {
     pub mean: f64,
 }
 
+json_record!(ClassLatency { hops, count, mean });
+
 /// The converged measurement of one `(configuration, offered load)` point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunResult {
     /// The routing algorithm's short name.
     pub algorithm: String,
@@ -155,163 +156,102 @@ pub struct RunResult {
     /// eviction or I/O failure); 0 for unobserved runs.
     pub dropped_events: u64,
     /// Set if the deadlock watchdog fired during the run.
-    #[serde(skip)]
     pub deadlock: Option<DeadlockReport>,
     /// Set if the livelock guard flagged messages over budget.
-    #[serde(skip)]
     pub livelock: Option<LivelockReport>,
     /// Refined stall verdict from `wormsim-verify`: present exactly when
     /// the outcome is `Deadlocked` or `LiveLocked`, distinguishing a
     /// validated circular wait (`confirmed_unsafe`) from a stall with no
     /// self-sustaining cycle (`budget_artifact`).
-    #[serde(skip)]
     pub triage: Option<TriageReport>,
 }
 
-/// Writes a float that must survive a JSON round-trip bit-exactly.
-///
-/// Finite values go through `{}` Display (Rust's shortest round-trip
-/// representation; the vendored parser reads numbers back with
-/// `f64::from_str`, which inverts it exactly). Non-finite values — which
-/// JSON numbers cannot express and [`JsonObject::field_f64`] would null
-/// out — are written as the strings `"inf"`, `"-inf"`, `"nan"`.
-fn field_f64_exact(obj: &mut JsonObject<'_>, key: &str, value: f64) {
-    if value.is_finite() {
-        obj.field_f64(key, value);
-    } else if value.is_nan() {
-        obj.field_str(key, "nan");
-    } else if value > 0.0 {
-        obj.field_str(key, "inf");
-    } else {
-        obj.field_str(key, "-inf");
-    }
-}
-
-/// Inverse of [`field_f64_exact`].
-fn get_f64_exact(value: &Value, key: &str) -> Result<f64, String> {
-    let v = value
-        .get(key)
-        .ok_or_else(|| format!("missing field '{key}'"))?;
-    if let Some(n) = v.as_f64() {
-        return Ok(n);
-    }
-    match v.as_str() {
-        Some("inf") => Ok(f64::INFINITY),
-        Some("-inf") => Ok(f64::NEG_INFINITY),
-        Some("nan") => Ok(f64::NAN),
-        _ => Err(format!("field '{key}' is not a number")),
-    }
-}
-
-fn get_u64(value: &Value, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn get_str<'v>(value: &'v Value, key: &str) -> Result<&'v str, String> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn convergence_tag(status: ConvergenceStatus) -> &'static str {
-    match status {
-        ConvergenceStatus::NeedMoreSamples => "need_more_samples",
-        ConvergenceStatus::Converged => "converged",
-        ConvergenceStatus::MaxSamplesReached => "max_samples_reached",
-    }
-}
-
-fn convergence_from_tag(tag: &str) -> Result<ConvergenceStatus, String> {
-    match tag {
-        "need_more_samples" => Ok(ConvergenceStatus::NeedMoreSamples),
-        "converged" => Ok(ConvergenceStatus::Converged),
-        "max_samples_reached" => Ok(ConvergenceStatus::MaxSamplesReached),
-        other => Err(format!("unknown convergence tag '{other}'")),
-    }
-}
-
-impl JsonRecord for RunResult {
-    /// Encodes the result for the run journal. Every field the CSV and
-    /// table renderers read is preserved exactly — including non-finite
-    /// floats and the deadlock/livelock reports — so a journal-replayed
-    /// result renders byte-identically to the original.
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::begin(out);
-        obj.field_str("algorithm", &self.algorithm)
-            .field_str("traffic", &self.traffic);
-        field_f64_exact(&mut obj, "offered_load", self.offered_load);
-        field_f64_exact(&mut obj, "injection_rate", self.injection_rate);
-        field_f64_exact(&mut obj, "latency_mean", self.latency.mean());
-        field_f64_exact(&mut obj, "latency_half_width", self.latency.half_width());
-        obj.field_u64_array("latency_percentiles", &self.latency_percentiles)
-            .field_u64("latency_max", self.latency_max);
-        let mut classes = String::from("[");
-        for (i, c) in self.class_latencies.iter().enumerate() {
-            if i > 0 {
-                classes.push(',');
-            }
-            let mut class_obj = JsonObject::begin(&mut classes);
-            class_obj
-                .field_u64("hops", u64::from(c.hops))
-                .field_u64("count", c.count);
-            field_f64_exact(&mut class_obj, "mean", c.mean);
-            class_obj.finish();
-        }
-        classes.push(']');
-        obj.field_raw("class_latencies", &classes);
-        field_f64_exact(&mut obj, "achieved_utilization", self.achieved_utilization);
-        field_f64_exact(&mut obj, "delivery_rate", self.delivery_rate);
-        field_f64_exact(&mut obj, "acceptance_rate", self.acceptance_rate);
-        field_f64_exact(&mut obj, "refused_fraction", self.refused_fraction);
-        obj.field_u64("messages_measured", self.messages_measured)
-            .field_str("convergence", convergence_tag(self.convergence))
-            .field_u64("samples", self.samples as u64)
-            .field_u64("cycles_simulated", self.cycles_simulated);
-        field_f64_exact(&mut obj, "wall_seconds", self.wall_seconds);
-        field_f64_exact(&mut obj, "cycles_per_sec", self.cycles_per_sec);
-        obj.field_str("outcome", self.outcome.tag());
+/// The journal and worker-wire form of a result. Every field the CSV and
+/// table renderers read is preserved exactly — including non-finite floats
+/// and the deadlock/livelock/triage reports — so a journal-replayed result
+/// renders byte-identically to the original. Two members are not their
+/// Rust shape, which is why this is not a `json_record!`: the latency
+/// interval is flattened to `latency_mean`/`latency_half_width`, and the
+/// outcome is its tag plus, for a harness panic, `panic_message`.
+impl Json for RunResult {
+    fn write(&self, out: &mut String) {
+        let mut object = JsonObject::begin(out);
+        object
+            .field("algorithm", &self.algorithm)
+            .field("traffic", &self.traffic)
+            .field("offered_load", &self.offered_load)
+            .field("injection_rate", &self.injection_rate)
+            .field("latency_mean", &self.latency.mean())
+            .field("latency_half_width", &self.latency.half_width())
+            .field("latency_percentiles", &self.latency_percentiles)
+            .field("latency_max", &self.latency_max)
+            .field("class_latencies", &self.class_latencies)
+            .field("achieved_utilization", &self.achieved_utilization)
+            .field("delivery_rate", &self.delivery_rate)
+            .field("acceptance_rate", &self.acceptance_rate)
+            .field("refused_fraction", &self.refused_fraction)
+            .field("messages_measured", &self.messages_measured)
+            .field("convergence", &self.convergence)
+            .field("samples", &self.samples)
+            .field("cycles_simulated", &self.cycles_simulated)
+            .field("wall_seconds", &self.wall_seconds)
+            .field("cycles_per_sec", &self.cycles_per_sec)
+            .field_str("outcome", self.outcome.tag());
         if let RunOutcome::Harness(info) = &self.outcome {
-            obj.field_str("panic_message", &info.message);
+            object.field("panic_message", &info.message);
         }
-        obj.field_u64("dropped_events", self.dropped_events);
-        if let Some(d) = &self.deadlock {
-            let mut nested = String::new();
-            let mut report = JsonObject::begin(&mut nested);
-            report
-                .field_u64("detected_at", d.detected_at)
-                .field_u64("last_progress", d.last_progress)
-                .field_u64("flits_in_flight", d.flits_in_flight)
-                .field_u64("live_messages", d.live_messages as u64);
-            report.finish();
-            obj.field_raw("deadlock", &nested);
-        }
-        if let Some(l) = &self.livelock {
-            let mut nested = String::new();
-            let mut report = JsonObject::begin(&mut nested);
-            report
-                .field_u64("detected_at", l.detected_at)
-                .field_u64("messages_over_budget", l.messages_over_budget as u64)
-                .field_u64("max_hops", u64::from(l.max_hops))
-                .field_u64("max_age", l.max_age);
-            report.finish();
-            obj.field_raw("livelock", &nested);
-        }
-        if let Some(t) = &self.triage {
-            let mut nested = String::new();
-            let mut report = JsonObject::begin(&mut nested);
-            report
-                .field_str("verdict", t.verdict.tag())
-                .field_u64("edges", t.edges as u64)
-                .field_u64_array("cycle_messages", &t.cycle_messages)
-                .field_u64_array("cycle_channels", &t.cycle_channels);
-            report.finish();
-            obj.field_raw("triage", &nested);
-        }
-        obj.finish();
+        object
+            .field("dropped_events", &self.dropped_events)
+            .field_some("deadlock", &self.deadlock)
+            .field_some("livelock", &self.livelock)
+            .field_some("triage", &self.triage);
+        object.finish();
+    }
+
+    fn read(value: &Value) -> Result<Self, String> {
+        let outcome = match value.get("outcome").and_then(Value::as_str) {
+            Some("completed") => RunOutcome::Completed,
+            Some("saturated") => RunOutcome::Saturated,
+            Some("deadlocked") => RunOutcome::Deadlocked,
+            Some("livelocked") => RunOutcome::LiveLocked,
+            Some("budget_exceeded") => RunOutcome::BudgetExceeded,
+            Some("unroutable") => RunOutcome::Unroutable,
+            Some("interrupted") => RunOutcome::Interrupted,
+            Some("harness_panic") => RunOutcome::Harness(PanicInfo {
+                message: value.field("panic_message")?,
+            }),
+            other => return Err(format!("unknown outcome tag {other:?}")),
+        };
+        Ok(RunResult {
+            algorithm: value.field("algorithm")?,
+            traffic: value.field("traffic")?,
+            offered_load: value.field("offered_load")?,
+            injection_rate: value.field("injection_rate")?,
+            latency: ConfidenceInterval::new(
+                value.field("latency_mean")?,
+                value.field("latency_half_width")?,
+            ),
+            latency_percentiles: value.field("latency_percentiles")?,
+            latency_max: value.field("latency_max")?,
+            class_latencies: value.field("class_latencies")?,
+            achieved_utilization: value.field("achieved_utilization")?,
+            delivery_rate: value.field("delivery_rate")?,
+            acceptance_rate: value.field("acceptance_rate")?,
+            refused_fraction: value.field("refused_fraction")?,
+            messages_measured: value.field("messages_measured")?,
+            convergence: value.field("convergence")?,
+            samples: value.field("samples")?,
+            cycles_simulated: value.field("cycles_simulated")?,
+            wall_seconds: value.field("wall_seconds")?,
+            cycles_per_sec: value.field("cycles_per_sec")?,
+            outcome,
+            dropped_events: value.field("dropped_events")?,
+            // The reports are written only when present, and journals
+            // from before runtime triage lack that key altogether.
+            deadlock: value.field_or("deadlock", None)?,
+            livelock: value.field_or("livelock", None)?,
+            triage: value.field_or("triage", None)?,
+        })
     }
 }
 
@@ -322,121 +262,18 @@ impl RunResult {
     }
 
     /// Decodes a journal record written by
-    /// [`write_json`](JsonRecord::write_json).
+    /// [`write_json`](wormsim_observe::JsonRecord::write_json).
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing or mistyped field.
     pub fn from_json(value: &Value) -> Result<RunResult, String> {
-        let percentiles = value
-            .get("latency_percentiles")
-            .and_then(Value::as_array)
-            .ok_or("missing field 'latency_percentiles'")?;
-        if percentiles.len() != 3 {
-            return Err(format!(
-                "expected 3 latency percentiles, got {}",
-                percentiles.len()
-            ));
-        }
-        let mut latency_percentiles = [0u64; 3];
-        for (slot, v) in latency_percentiles.iter_mut().zip(percentiles) {
-            *slot = v.as_u64().ok_or("non-integer latency percentile")?;
-        }
-        let mut class_latencies = Vec::new();
-        for c in value
-            .get("class_latencies")
-            .and_then(Value::as_array)
-            .ok_or("missing field 'class_latencies'")?
-        {
-            class_latencies.push(ClassLatency {
-                hops: u16::try_from(get_u64(c, "hops")?)
-                    .map_err(|_| "hop class out of range".to_string())?,
-                count: get_u64(c, "count")?,
-                mean: get_f64_exact(c, "mean")?,
-            });
-        }
-        let outcome = match get_str(value, "outcome")? {
-            "completed" => RunOutcome::Completed,
-            "saturated" => RunOutcome::Saturated,
-            "deadlocked" => RunOutcome::Deadlocked,
-            "livelocked" => RunOutcome::LiveLocked,
-            "budget_exceeded" => RunOutcome::BudgetExceeded,
-            "unroutable" => RunOutcome::Unroutable,
-            "interrupted" => RunOutcome::Interrupted,
-            "harness_panic" => RunOutcome::Harness(PanicInfo {
-                message: get_str(value, "panic_message")?.to_owned(),
-            }),
-            other => return Err(format!("unknown outcome tag '{other}'")),
-        };
-        let deadlock = match value.get("deadlock") {
-            Some(d) => Some(DeadlockReport {
-                detected_at: get_u64(d, "detected_at")?,
-                last_progress: get_u64(d, "last_progress")?,
-                flits_in_flight: get_u64(d, "flits_in_flight")?,
-                live_messages: get_u64(d, "live_messages")? as usize,
-            }),
-            None => None,
-        };
-        let livelock = match value.get("livelock") {
-            Some(l) => Some(LivelockReport {
-                detected_at: get_u64(l, "detected_at")?,
-                messages_over_budget: get_u64(l, "messages_over_budget")? as usize,
-                max_hops: u32::try_from(get_u64(l, "max_hops")?)
-                    .map_err(|_| "max_hops out of range".to_string())?,
-                max_age: get_u64(l, "max_age")?,
-            }),
-            None => None,
-        };
-        // Pre-verification journals simply lack the field: tolerate its
-        // absence instead of failing the resume.
-        let triage = match value.get("triage") {
-            Some(t) => {
-                let u64_array = |key: &str| -> Result<Vec<u64>, String> {
-                    t.get(key)
-                        .and_then(Value::as_array)
-                        .ok_or_else(|| format!("missing field 'triage.{key}'"))?
-                        .iter()
-                        .map(|v| v.as_u64().ok_or_else(|| format!("non-integer in '{key}'")))
-                        .collect()
-                };
-                Some(TriageReport {
-                    verdict: TriageVerdict::from_tag(get_str(t, "verdict")?)?,
-                    edges: get_u64(t, "edges")? as usize,
-                    cycle_messages: u64_array("cycle_messages")?,
-                    cycle_channels: u64_array("cycle_channels")?,
-                })
-            }
-            None => None,
-        };
-        Ok(RunResult {
-            algorithm: get_str(value, "algorithm")?.to_owned(),
-            traffic: get_str(value, "traffic")?.to_owned(),
-            offered_load: get_f64_exact(value, "offered_load")?,
-            injection_rate: get_f64_exact(value, "injection_rate")?,
-            latency: ConfidenceInterval::new(
-                get_f64_exact(value, "latency_mean")?,
-                get_f64_exact(value, "latency_half_width")?,
-            ),
-            latency_percentiles,
-            latency_max: get_u64(value, "latency_max")?,
-            class_latencies,
-            achieved_utilization: get_f64_exact(value, "achieved_utilization")?,
-            delivery_rate: get_f64_exact(value, "delivery_rate")?,
-            acceptance_rate: get_f64_exact(value, "acceptance_rate")?,
-            refused_fraction: get_f64_exact(value, "refused_fraction")?,
-            messages_measured: get_u64(value, "messages_measured")?,
-            convergence: convergence_from_tag(get_str(value, "convergence")?)?,
-            samples: get_u64(value, "samples")? as usize,
-            cycles_simulated: get_u64(value, "cycles_simulated")?,
-            wall_seconds: get_f64_exact(value, "wall_seconds")?,
-            cycles_per_sec: get_f64_exact(value, "cycles_per_sec")?,
-            outcome,
-            dropped_events: get_u64(value, "dropped_events")?,
-            deadlock,
-            livelock,
-            triage,
-        })
+        Self::read(value)
     }
 }
 
 /// One point of a load sweep: the result plus its position in the sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Index within the sweep.
     pub index: usize,
@@ -445,7 +282,7 @@ pub struct SweepPoint {
 }
 
 /// Summary statistics over a sweep (peak throughput and where it occurs).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SweepSummary {
     /// The highest achieved utilization across the sweep.
     pub peak_utilization: f64,
@@ -475,6 +312,8 @@ impl SweepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wormsim_observe::JsonRecord;
+    use wormsim_verify::TriageVerdict;
 
     fn result(offered: f64, util: f64) -> RunResult {
         RunResult {

@@ -8,10 +8,9 @@
 //! load.
 
 use crate::{Experiment, ExperimentError, RunResult};
-use serde::{Deserialize, Serialize};
 
 /// Where a configuration saturates.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SaturationPoint {
     /// Largest probed offered load that still tracked demand.
     pub below: f64,

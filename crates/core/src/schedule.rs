@@ -1,6 +1,5 @@
 //! The sampling schedule of a measurement run.
 
-use serde::{Deserialize, Serialize};
 use wormsim_stats::ConvergencePolicy;
 
 /// When to warm up, how long to sample, and when to stop — the paper's
@@ -22,7 +21,7 @@ use wormsim_stats::ConvergencePolicy;
 /// let quick = MeasurementSchedule::quick();
 /// assert!(quick.sample_cycles < default.sample_cycles);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MeasurementSchedule {
     /// Cycles simulated before any statistics are gathered.
     pub warmup_cycles: u64,

@@ -1,19 +1,19 @@
 //! The distributed-sweep wire format: a JSON codec for [`Experiment`].
 //!
 //! A `wormsim-worker` process receives one experiment per job over HTTP,
-//! runs it, and ships the [`RunResult`](crate::RunResult) back through the
-//! journal's existing [`JsonRecord`] encoding. This module provides the
-//! other half of that exchange: [`Experiment::to_wire_json`] /
-//! [`Experiment::from_wire_json`] serialize every field that determines
+//! runs it, and ships the [`RunResult`](crate::RunResult) back in its
+//! journal encoding. This module provides the other half of that
+//! exchange: [`Experiment`]'s [`Json`] form ([`Experiment::to_wire_json`] /
+//! [`Experiment::from_wire_json`]) serializes every field that determines
 //! the *simulation* — the exact set [`Experiment::point_hash`] digests —
 //! so a point decoded on a worker reproduces the orchestrator's results
 //! bit-identically. Orchestrator-local state (observability sinks, cancel
 //! tokens, retry provenance) deliberately never crosses the wire.
 //!
-//! Floats are encoded through the shortest-round-trip `Display` form (the
-//! same convention the journal uses), with non-finite values as the
-//! strings `"inf"`, `"-inf"`, `"nan"`, so `offered_load` and the
-//! convergence tolerance survive bit-exactly.
+//! Each member travels in the JSON form its own type declares (topology,
+//! the traffic/length/switching unions, the selection/ejection tags, the
+//! fault plan), and floats in the codec's one exact spelling, so
+//! `offered_load` and the convergence tolerance survive bit-exactly.
 //!
 //! # Versioning
 //!
@@ -26,18 +26,16 @@
 //! handshake instead of silently producing non-reproducible numbers.
 
 use crate::schedule::MeasurementSchedule;
-use crate::{Experiment, ExperimentError};
-use wormsim_engine::{EjectionModel, SelectionPolicy, Switching};
-use wormsim_faults::{Fault, FaultPlan, FaultTarget};
+use crate::Experiment;
 use wormsim_observe::json::Value;
-use wormsim_observe::{fnv1a_hex, JsonObject};
+use wormsim_observe::{fnv1a_hex, Json, JsonObject, JsonRecord};
 use wormsim_routing::AlgorithmKind;
 use wormsim_stats::ConvergencePolicy;
-use wormsim_topology::{Direction, NodeId, Sign, Topology, TopologyKind};
-use wormsim_traffic::{MessageLength, TrafficConfig};
+use wormsim_topology::Topology;
 
 /// Version of the worker wire format. Bump on any change to the JSON
-/// schema in this module or the worker's HTTP endpoints.
+/// form of [`Experiment`] or of any type it carries, or to the worker's
+/// HTTP endpoints.
 pub const WIRE_PROTOCOL: u32 = 1;
 
 /// The config-digest both sides exchange in the worker handshake.
@@ -57,441 +55,115 @@ pub fn wire_digest() -> String {
     ))
 }
 
-/// Writes a float that must survive the wire bit-exactly (the journal's
-/// convention: shortest `Display` for finite values, `"inf"`/`"-inf"`/
-/// `"nan"` strings otherwise).
-fn field_f64_exact(obj: &mut JsonObject<'_>, key: &str, value: f64) {
-    if value.is_finite() {
-        obj.field_f64(key, value);
-    } else if value.is_nan() {
-        obj.field_str(key, "nan");
-    } else if value > 0.0 {
-        obj.field_str(key, "inf");
-    } else {
-        obj.field_str(key, "-inf");
+/// The schedule's wire form flattens its convergence policy into the
+/// schedule object.
+impl Json for MeasurementSchedule {
+    fn write(&self, out: &mut String) {
+        let mut object = JsonObject::begin(out);
+        object
+            .field("warmup_cycles", &self.warmup_cycles)
+            .field("sample_cycles", &self.sample_cycles)
+            .field("gap_cycles", &self.gap_cycles)
+            .field("min_samples", &self.policy.min_samples)
+            .field("max_samples", &self.policy.max_samples)
+            .field("recent_window", &self.policy.recent_window)
+            .field("relative_tolerance", &self.policy.relative_tolerance);
+        object.finish();
     }
-}
 
-fn get_f64_exact(value: &Value, key: &str) -> Result<f64, String> {
-    let v = value
-        .get(key)
-        .ok_or_else(|| format!("missing field '{key}'"))?;
-    if let Some(n) = v.as_f64() {
-        return Ok(n);
-    }
-    match v.as_str() {
-        Some("inf") => Ok(f64::INFINITY),
-        Some("-inf") => Ok(f64::NEG_INFINITY),
-        Some("nan") => Ok(f64::NAN),
-        _ => Err(format!("field '{key}' is not a number")),
-    }
-}
-
-fn get_u64(value: &Value, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn get_u32(value: &Value, key: &str) -> Result<u32, String> {
-    u32::try_from(get_u64(value, key)?).map_err(|_| format!("field '{key}' out of u32 range"))
-}
-
-fn get_str<'v>(value: &'v Value, key: &str) -> Result<&'v str, String> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-/// `null` and absent both decode as `None`.
-fn get_opt_u64(value: &Value, key: &str) -> Result<Option<u64>, String> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) if v.is_null() => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' is not an integer")),
-    }
-}
-
-fn field_opt_u64(obj: &mut JsonObject<'_>, key: &str, value: Option<u64>) {
-    match value {
-        Some(v) => obj.field_u64(key, v),
-        None => obj.field_raw(key, "null"),
-    };
-}
-
-fn topology_json(out: &mut String, topo: &Topology) {
-    let mut obj = JsonObject::begin(out);
-    obj.field_str("kind", &topo.kind().to_string());
-    let dims: Vec<u64> = topo.dims().iter().map(|&d| u64::from(d)).collect();
-    obj.field_u64_array("dims", &dims);
-    obj.finish();
-}
-
-fn topology_from_json(value: &Value) -> Result<Topology, String> {
-    let kind = match get_str(value, "kind")? {
-        "torus" => TopologyKind::Torus,
-        "mesh" => TopologyKind::Mesh,
-        other => return Err(format!("unknown topology kind '{other}'")),
-    };
-    let dims: Vec<u16> = value
-        .get("dims")
-        .and_then(Value::as_array)
-        .ok_or("missing field 'dims'")?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|d| u16::try_from(d).ok())
-                .ok_or_else(|| "dimension radix out of u16 range".to_owned())
+    fn read(value: &Value) -> Result<Self, String> {
+        Ok(MeasurementSchedule {
+            warmup_cycles: value.field("warmup_cycles")?,
+            sample_cycles: value.field("sample_cycles")?,
+            gap_cycles: value.field("gap_cycles")?,
+            policy: ConvergencePolicy {
+                min_samples: value.field("min_samples")?,
+                max_samples: value.field("max_samples")?,
+                relative_tolerance: value.field("relative_tolerance")?,
+                recent_window: value.field("recent_window")?,
+            },
         })
-        .collect::<Result<_, _>>()?;
-    let build = match kind {
-        TopologyKind::Torus => Topology::try_torus(&dims),
-        TopologyKind::Mesh => Topology::try_mesh(&dims),
-    };
-    build.map_err(|e| format!("invalid topology: {e:?}"))
-}
-
-fn traffic_json(out: &mut String, traffic: &TrafficConfig) {
-    let mut obj = JsonObject::begin(out);
-    match traffic {
-        TrafficConfig::Uniform => {
-            obj.field_str("type", "uniform");
-        }
-        TrafficConfig::Hotspot { nodes, fraction } => {
-            obj.field_str("type", "hotspot");
-            let mut list = String::from("[");
-            for (i, coords) in nodes.iter().enumerate() {
-                if i > 0 {
-                    list.push(',');
-                }
-                list.push('[');
-                for (j, &c) in coords.iter().enumerate() {
-                    if j > 0 {
-                        list.push(',');
-                    }
-                    list.push_str(&c.to_string());
-                }
-                list.push(']');
-            }
-            list.push(']');
-            obj.field_raw("nodes", &list);
-            field_f64_exact(&mut obj, "fraction", *fraction);
-        }
-        TrafficConfig::Local { radius } => {
-            obj.field_str("type", "local")
-                .field_u64("radius", u64::from(*radius));
-        }
-        TrafficConfig::Transpose => {
-            obj.field_str("type", "transpose");
-        }
-        TrafficConfig::BitReversal => {
-            obj.field_str("type", "bit_reversal");
-        }
-        TrafficConfig::Complement => {
-            obj.field_str("type", "complement");
-        }
-    }
-    obj.finish();
-}
-
-fn traffic_from_json(value: &Value) -> Result<TrafficConfig, String> {
-    Ok(match get_str(value, "type")? {
-        "uniform" => TrafficConfig::Uniform,
-        "hotspot" => {
-            let nodes = value
-                .get("nodes")
-                .and_then(Value::as_array)
-                .ok_or("missing field 'nodes'")?
-                .iter()
-                .map(|coords| {
-                    coords
-                        .as_array()
-                        .ok_or_else(|| "hotspot node is not a coordinate array".to_owned())?
-                        .iter()
-                        .map(|c| {
-                            c.as_u64()
-                                .and_then(|v| u16::try_from(v).ok())
-                                .ok_or_else(|| "hotspot coordinate out of range".to_owned())
-                        })
-                        .collect::<Result<Vec<u16>, _>>()
-                })
-                .collect::<Result<Vec<Vec<u16>>, _>>()?;
-            TrafficConfig::Hotspot {
-                nodes,
-                fraction: get_f64_exact(value, "fraction")?,
-            }
-        }
-        "local" => TrafficConfig::Local {
-            radius: u16::try_from(get_u64(value, "radius")?)
-                .map_err(|_| "radius out of u16 range".to_owned())?,
-        },
-        "transpose" => TrafficConfig::Transpose,
-        "bit_reversal" => TrafficConfig::BitReversal,
-        "complement" => TrafficConfig::Complement,
-        other => return Err(format!("unknown traffic type '{other}'")),
-    })
-}
-
-fn length_json(out: &mut String, length: MessageLength) {
-    let mut obj = JsonObject::begin(out);
-    match length {
-        MessageLength::Fixed { flits } => {
-            obj.field_str("type", "fixed")
-                .field_u64("flits", u64::from(flits));
-        }
-        MessageLength::Uniform { min, max } => {
-            obj.field_str("type", "uniform")
-                .field_u64("min", u64::from(min))
-                .field_u64("max", u64::from(max));
-        }
-        MessageLength::Bimodal {
-            short,
-            long,
-            long_fraction,
-        } => {
-            obj.field_str("type", "bimodal")
-                .field_u64("short", u64::from(short))
-                .field_u64("long", u64::from(long));
-            field_f64_exact(&mut obj, "long_fraction", long_fraction);
-        }
-    }
-    obj.finish();
-}
-
-fn length_from_json(value: &Value) -> Result<MessageLength, String> {
-    Ok(match get_str(value, "type")? {
-        "fixed" => MessageLength::Fixed {
-            flits: get_u32(value, "flits")?,
-        },
-        "uniform" => MessageLength::Uniform {
-            min: get_u32(value, "min")?,
-            max: get_u32(value, "max")?,
-        },
-        "bimodal" => MessageLength::Bimodal {
-            short: get_u32(value, "short")?,
-            long: get_u32(value, "long")?,
-            long_fraction: get_f64_exact(value, "long_fraction")?,
-        },
-        other => return Err(format!("unknown message-length type '{other}'")),
-    })
-}
-
-fn switching_json(out: &mut String, switching: Switching) {
-    let mut obj = JsonObject::begin(out);
-    match switching {
-        Switching::Wormhole { buffer_depth } => {
-            obj.field_str("type", "wormhole")
-                .field_u64("buffer_depth", u64::from(buffer_depth));
-        }
-        Switching::VirtualCutThrough => {
-            obj.field_str("type", "vct");
-        }
-        Switching::StoreAndForward => {
-            obj.field_str("type", "saf");
-        }
-    }
-    obj.finish();
-}
-
-fn switching_from_json(value: &Value) -> Result<Switching, String> {
-    Ok(match get_str(value, "type")? {
-        "wormhole" => Switching::Wormhole {
-            buffer_depth: get_u32(value, "buffer_depth")?,
-        },
-        "vct" => Switching::VirtualCutThrough,
-        "saf" => Switching::StoreAndForward,
-        other => return Err(format!("unknown switching type '{other}'")),
-    })
-}
-
-fn selection_tag(selection: SelectionPolicy) -> &'static str {
-    match selection {
-        SelectionPolicy::MostCredits => "most_credits",
-        SelectionPolicy::FirstFree => "first_free",
-        SelectionPolicy::Random => "random",
     }
 }
 
-fn selection_from_tag(tag: &str) -> Result<SelectionPolicy, String> {
-    match tag {
-        "most_credits" => Ok(SelectionPolicy::MostCredits),
-        "first_free" => Ok(SelectionPolicy::FirstFree),
-        "random" => Ok(SelectionPolicy::Random),
-        other => Err(format!("unknown selection policy '{other}'")),
+/// The wire form of an experiment: exactly the
+/// [`point_hash`](Experiment::point_hash) field set, each member in the
+/// JSON form its own type declares. Observability, cancellation and
+/// provenance stay local. Two members are not their Rust shape: the
+/// algorithm travels as its short name, and the seed as a decimal string
+/// (JSON numbers here are `f64`, which would corrupt full-entropy 64-bit
+/// seeds above 2^53).
+impl Json for Experiment {
+    fn write(&self, out: &mut String) {
+        let mut object = JsonObject::begin(out);
+        object
+            .field("wire", &WIRE_PROTOCOL)
+            .field("topology", &self.topology)
+            .field_str("algorithm", self.algorithm.name())
+            .field("traffic", &self.traffic)
+            .field("length", &self.length)
+            .field("switching", &self.switching)
+            .field("selection", &self.selection)
+            .field("ejection", &self.ejection)
+            .field("vc_replicas", &self.vc_replicas)
+            .field("congestion_limit", &self.congestion_limit)
+            .field("injection_bandwidth", &self.injection_bandwidth)
+            .field("offered_load", &self.offered_load)
+            .field("schedule", &self.schedule)
+            .field("seed", &self.seed.to_string())
+            .field("faults", &self.faults)
+            .field("cycle_budget", &self.cycle_budget)
+            .field("wall_budget_secs", &self.wall_budget_secs)
+            .field("hop_budget", &self.hop_budget)
+            .field("age_budget", &self.age_budget)
+            .field("watchdog_cycles", &self.watchdog_cycles);
+        object.finish();
     }
-}
 
-fn ejection_tag(ejection: EjectionModel) -> &'static str {
-    match ejection {
-        EjectionModel::PerVc => "per_vc",
-        EjectionModel::SingleChannel => "single_channel",
-    }
-}
-
-fn ejection_from_tag(tag: &str) -> Result<EjectionModel, String> {
-    match tag {
-        "per_vc" => Ok(EjectionModel::PerVc),
-        "single_channel" => Ok(EjectionModel::SingleChannel),
-        other => Err(format!("unknown ejection model '{other}'")),
-    }
-}
-
-fn schedule_json(out: &mut String, schedule: &MeasurementSchedule) {
-    let mut obj = JsonObject::begin(out);
-    obj.field_u64("warmup_cycles", schedule.warmup_cycles)
-        .field_u64("sample_cycles", schedule.sample_cycles)
-        .field_u64("gap_cycles", schedule.gap_cycles)
-        .field_u64("min_samples", schedule.policy.min_samples as u64)
-        .field_u64("max_samples", schedule.policy.max_samples as u64)
-        .field_u64("recent_window", schedule.policy.recent_window as u64);
-    field_f64_exact(
-        &mut obj,
-        "relative_tolerance",
-        schedule.policy.relative_tolerance,
-    );
-    obj.finish();
-}
-
-fn schedule_from_json(value: &Value) -> Result<MeasurementSchedule, String> {
-    Ok(MeasurementSchedule {
-        warmup_cycles: get_u64(value, "warmup_cycles")?,
-        sample_cycles: get_u64(value, "sample_cycles")?,
-        gap_cycles: get_u64(value, "gap_cycles")?,
-        policy: ConvergencePolicy {
-            min_samples: get_u64(value, "min_samples")? as usize,
-            max_samples: get_u64(value, "max_samples")? as usize,
-            relative_tolerance: get_f64_exact(value, "relative_tolerance")?,
-            recent_window: get_u64(value, "recent_window")? as usize,
-        },
-    })
-}
-
-fn faults_json(out: &mut String, plan: &FaultPlan) {
-    out.push('[');
-    for (i, fault) in plan.faults().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    fn read(value: &Value) -> Result<Self, String> {
+        let wire: u32 = value.field("wire")?;
+        if wire != WIRE_PROTOCOL {
+            return Err(format!(
+                "wire protocol {wire} not supported (this binary speaks {WIRE_PROTOCOL})"
+            ));
         }
-        let mut obj = JsonObject::begin(out);
-        match fault.target {
-            FaultTarget::Link { node, direction } => {
-                obj.field_str("target", "link")
-                    .field_u64("node", u64::from(node.index()))
-                    .field_u64("dim", direction.dim() as u64)
-                    .field_str(
-                        "sign",
-                        match direction.sign() {
-                            Sign::Plus => "+",
-                            Sign::Minus => "-",
-                        },
-                    );
-            }
-            FaultTarget::Node { node } => {
-                obj.field_str("target", "node")
-                    .field_u64("node", u64::from(node.index()));
-            }
-        }
-        obj.field_u64("fail_at", fault.fail_at);
-        field_opt_u64(&mut obj, "repair_at", fault.repair_at);
-        obj.finish();
+        let topology = value.field("topology")?;
+        let algorithm: AlgorithmKind = value
+            .field::<String>("algorithm")?
+            .parse()
+            .map_err(|e| format!("field 'algorithm': {e:?}"))?;
+        let mut experiment = Experiment::new(topology, algorithm);
+        experiment.traffic = value.field("traffic")?;
+        experiment.length = value.field("length")?;
+        experiment.switching = value.field("switching")?;
+        experiment.selection = value.field("selection")?;
+        experiment.ejection = value.field("ejection")?;
+        experiment.vc_replicas = value.field("vc_replicas")?;
+        experiment.congestion_limit = value.field_or("congestion_limit", None)?;
+        experiment.injection_bandwidth = value.field("injection_bandwidth")?;
+        experiment.offered_load = value.field("offered_load")?;
+        experiment.schedule = value.field("schedule")?;
+        experiment.seed = value
+            .field::<String>("seed")?
+            .parse()
+            .map_err(|_| "field 'seed': not a u64 in decimal".to_owned())?;
+        experiment.faults = value.field_or("faults", None)?;
+        experiment.cycle_budget = value.field_or("cycle_budget", None)?;
+        experiment.wall_budget_secs = value.field_or("wall_budget_secs", None)?;
+        experiment.hop_budget = value.field_or("hop_budget", None)?;
+        experiment.age_budget = value.field_or("age_budget", None)?;
+        experiment.watchdog_cycles = value.field_or("watchdog_cycles", None)?;
+        Ok(experiment)
     }
-    out.push(']');
-}
-
-fn faults_from_json(value: &Value) -> Result<FaultPlan, String> {
-    let mut plan = FaultPlan::new();
-    for entry in value.as_array().ok_or("faults is not an array")? {
-        let node = NodeId::new(get_u32(entry, "node")?);
-        let target = match get_str(entry, "target")? {
-            "link" => {
-                let sign = match get_str(entry, "sign")? {
-                    "+" => Sign::Plus,
-                    "-" => Sign::Minus,
-                    other => return Err(format!("unknown sign '{other}'")),
-                };
-                FaultTarget::Link {
-                    node,
-                    direction: Direction::new(get_u64(entry, "dim")? as usize, sign),
-                }
-            }
-            "node" => FaultTarget::Node { node },
-            other => return Err(format!("unknown fault target '{other}'")),
-        };
-        plan.push(Fault {
-            target,
-            fail_at: get_u64(entry, "fail_at")?,
-            repair_at: get_opt_u64(entry, "repair_at")?,
-        });
-    }
-    Ok(plan)
 }
 
 impl Experiment {
     /// Encodes this experiment's full simulation configuration as one JSON
     /// object for the worker wire.
-    ///
-    /// Exactly the [`point_hash`](Experiment::point_hash) field set crosses
-    /// the wire; observability, cancellation, and provenance stay local.
     /// [`from_wire_json`](Experiment::from_wire_json) inverts it such that
     /// the decoded experiment has the identical point hash.
     pub fn to_wire_json(&self) -> String {
-        let mut out = String::new();
-        let mut obj = JsonObject::begin(&mut out);
-        obj.field_u64("wire", u64::from(WIRE_PROTOCOL));
-        let mut nested = String::new();
-        topology_json(&mut nested, &self.topology);
-        obj.field_raw("topology", &nested);
-        obj.field_str("algorithm", self.algorithm.name());
-        nested.clear();
-        traffic_json(&mut nested, &self.traffic);
-        obj.field_raw("traffic", &nested);
-        nested.clear();
-        length_json(&mut nested, self.length);
-        obj.field_raw("length", &nested);
-        nested.clear();
-        switching_json(&mut nested, self.switching);
-        obj.field_raw("switching", &nested);
-        obj.field_str("selection", selection_tag(self.selection))
-            .field_str("ejection", ejection_tag(self.ejection))
-            .field_u64("vc_replicas", u64::from(self.vc_replicas));
-        field_opt_u64(
-            &mut obj,
-            "congestion_limit",
-            self.congestion_limit.map(u64::from),
-        );
-        obj.field_u64("injection_bandwidth", u64::from(self.injection_bandwidth));
-        field_f64_exact(&mut obj, "offered_load", self.offered_load);
-        nested.clear();
-        schedule_json(&mut nested, &self.schedule);
-        obj.field_raw("schedule", &nested);
-        // As a decimal string, not a JSON number: the vendored JSON shim
-        // stores numbers as f64, which would corrupt full-entropy 64-bit
-        // seeds above 2^53.
-        obj.field_str("seed", &self.seed.to_string());
-        if let Some(plan) = &self.faults {
-            nested.clear();
-            faults_json(&mut nested, plan);
-            obj.field_raw("faults", &nested);
-        } else {
-            obj.field_raw("faults", "null");
-        }
-        field_opt_u64(&mut obj, "cycle_budget", self.cycle_budget);
-        match self.wall_budget_secs {
-            Some(secs) => field_f64_exact(&mut obj, "wall_budget_secs", secs),
-            None => {
-                obj.field_raw("wall_budget_secs", "null");
-            }
-        }
-        field_opt_u64(&mut obj, "hop_budget", self.hop_budget.map(u64::from));
-        field_opt_u64(&mut obj, "age_budget", self.age_budget);
-        field_opt_u64(&mut obj, "watchdog_cycles", self.watchdog_cycles);
-        obj.finish();
-        out
+        self.to_json()
     }
 
     /// Decodes an experiment from its wire form.
@@ -504,55 +176,7 @@ impl Experiment {
     /// [`validate`](Experiment::validate) (or just [`run`](Experiment::run))
     /// for semantic checks.
     pub fn from_wire_json(value: &Value) -> Result<Experiment, String> {
-        let wire = get_u64(value, "wire")?;
-        if wire != u64::from(WIRE_PROTOCOL) {
-            return Err(format!(
-                "wire protocol {wire} not supported (this binary speaks {WIRE_PROTOCOL})"
-            ));
-        }
-        let topology =
-            topology_from_json(value.get("topology").ok_or("missing field 'topology'")?)?;
-        let algorithm: AlgorithmKind = get_str(value, "algorithm")?
-            .parse()
-            .map_err(|e| format!("{e:?}"))?;
-        let faults = match value.get("faults") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => Some(faults_from_json(v)?),
-        };
-        let wall_budget_secs = match value.get("wall_budget_secs") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(_) => Some(get_f64_exact(value, "wall_budget_secs")?),
-        };
-        let mut experiment = Experiment::new(topology, algorithm);
-        experiment.traffic =
-            traffic_from_json(value.get("traffic").ok_or("missing field 'traffic'")?)?;
-        experiment.length = length_from_json(value.get("length").ok_or("missing field 'length'")?)?;
-        experiment.switching =
-            switching_from_json(value.get("switching").ok_or("missing field 'switching'")?)?;
-        experiment.selection = selection_from_tag(get_str(value, "selection")?)?;
-        experiment.ejection = ejection_from_tag(get_str(value, "ejection")?)?;
-        experiment.vc_replicas = get_u32(value, "vc_replicas")?;
-        experiment.congestion_limit = get_opt_u64(value, "congestion_limit")?
-            .map(|v| u32::try_from(v).map_err(|_| "congestion_limit out of u32 range".to_owned()))
-            .transpose()?;
-        experiment.injection_bandwidth = get_u32(value, "injection_bandwidth")?;
-        experiment.offered_load = get_f64_exact(value, "offered_load")?;
-        experiment.schedule =
-            schedule_from_json(value.get("schedule").ok_or("missing field 'schedule'")?)?;
-        experiment.seed = get_str(value, "seed")?
-            .parse()
-            .map_err(|_| "seed is not a u64".to_owned())?;
-        experiment.faults = faults;
-        experiment.cycle_budget = get_opt_u64(value, "cycle_budget")?;
-        experiment.wall_budget_secs = wall_budget_secs;
-        experiment.hop_budget = get_opt_u64(value, "hop_budget")?
-            .map(|v| u32::try_from(v).map_err(|_| "hop_budget out of u32 range".to_owned()))
-            .transpose()?;
-        experiment.age_budget = get_opt_u64(value, "age_budget")?;
-        experiment.watchdog_cycles = get_opt_u64(value, "watchdog_cycles")?;
-        Ok(experiment)
+        Self::read(value)
     }
 
     /// Convenience: parse a wire-encoded experiment from JSON text.
@@ -563,22 +187,17 @@ impl Experiment {
     /// [`from_wire_json`](Experiment::from_wire_json).
     pub fn from_wire_str(text: &str) -> Result<Experiment, String> {
         let value = wormsim_observe::json::from_str(text).map_err(|e| e.to_string())?;
-        Experiment::from_wire_json(&value)
+        Self::read(&value)
     }
-}
-
-/// A worker-side run failure, rendered for the wire. Configuration errors
-/// are deterministic, so the orchestrator re-derives the structured
-/// [`ExperimentError`] locally by re-validating its own copy of the
-/// experiment; the wire only needs the rendered message as a fallback.
-pub fn render_error(error: &ExperimentError) -> String {
-    error.to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormsim_faults::FaultRegion;
+    use wormsim_engine::{EjectionModel, SelectionPolicy, Switching};
+    use wormsim_faults::{Fault, FaultPlan, FaultRegion, FaultTarget};
+    use wormsim_topology::NodeId;
+    use wormsim_traffic::{MessageLength, TrafficConfig};
 
     fn roundtrip(e: &Experiment) -> Experiment {
         Experiment::from_wire_str(&e.to_wire_json()).expect("wire round-trip")
@@ -677,6 +296,22 @@ mod tests {
     fn digest_is_stable_within_a_build() {
         assert_eq!(wire_digest(), wire_digest());
         assert_eq!(wire_digest().len(), 16, "fnv1a_hex digest");
+    }
+
+    #[test]
+    fn out_of_range_fault_dimension_is_an_error_not_a_panic() {
+        let mut plan = FaultPlan::new();
+        plan.push_dead_link(NodeId::new(3), wormsim_topology::Direction::from_index(2));
+        let e = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube).faults(plan);
+        let text = e.to_wire_json();
+        assert!(text.contains("\"dim\":1"), "got: {text}");
+        // Used to reach `Direction::new(300, ..)`, which panics — on the
+        // worker's accept thread.
+        let err = Experiment::from_wire_str(&text.replace("\"dim\":1", "\"dim\":300")).unwrap_err();
+        assert!(
+            err.contains("'dim'") && err.contains("'faults'"),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Simulator configuration and the [`NetworkBuilder`].
 
 use crate::{EngineError, Network};
-use serde::{Deserialize, Serialize};
 use wormsim_faults::FaultPlan;
 use wormsim_routing::AlgorithmKind;
 use wormsim_topology::Topology;
 use wormsim_traffic::{ArrivalProcess, MessageLength, TrafficConfig};
 
 /// The switching discipline of the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Switching {
     /// Wormhole switching: per-VC buffers hold `buffer_depth` flits; a
     /// blocked message keeps its flits spread over the channels it holds.
@@ -27,6 +26,14 @@ pub enum Switching {
     StoreAndForward,
 }
 
+// The worker-wire form (`wormsim::wire`) of the three config enums below:
+// adding or renaming a tag or field is a wire-protocol change.
+wormsim_observe::json_union!(Switching, "type" {
+    Wormhole = "wormhole" { buffer_depth },
+    VirtualCutThrough = "vct",
+    StoreAndForward = "saf",
+});
+
 impl Switching {
     /// Conventional wormhole switching with 2-flit VC buffers.
     pub const fn wormhole() -> Self {
@@ -35,7 +42,7 @@ impl Switching {
 }
 
 /// How a routed head picks among several free, permitted virtual channels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SelectionPolicy {
     /// The free VC with the most downstream credits — "likely to choose the
     /// least congested one" (the paper's assumption for nbc).
@@ -46,8 +53,14 @@ pub enum SelectionPolicy {
     Random,
 }
 
+wormsim_observe::json_tags!(SelectionPolicy {
+    MostCredits = "most_credits",
+    FirstFree = "first_free",
+    Random = "random",
+});
+
 /// How arriving flits leave the network at their destination.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EjectionModel {
     /// Every input VC can deliver one flit per cycle (multiple delivery
     /// channels; the paper's hotspot throughputs imply this model).
@@ -56,8 +69,13 @@ pub enum EjectionModel {
     SingleChannel,
 }
 
+wormsim_observe::json_tags!(EjectionModel {
+    PerVc = "per_vc",
+    SingleChannel = "single_channel",
+});
+
 /// Full simulator configuration. Use [`NetworkBuilder`] to construct one.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     /// The network under test.
     pub topology: Topology,

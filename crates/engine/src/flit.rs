@@ -1,19 +1,31 @@
 //! Flits: the fixed-size units of wormhole switching.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use wormsim_observe::json::Value;
+use wormsim_observe::{json_tags, Json};
 
 /// A message identifier, valid while the message is in flight.
 ///
 /// Ids index a slab inside the [`Network`](crate::Network) and are recycled
 /// after delivery.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId(pub(crate) u32);
 
 impl MessageId {
     /// The raw slab index.
     pub const fn index(self) -> u32 {
         self.0
+    }
+}
+
+/// A message id's JSON form is its raw slab index.
+impl Json for MessageId {
+    fn write(&self, out: &mut String) {
+        self.0.write(out);
+    }
+
+    fn read(value: &Value) -> Result<Self, String> {
+        u32::read(value).map(MessageId)
     }
 }
 
@@ -24,7 +36,7 @@ impl fmt::Debug for MessageId {
 }
 
 /// The position of a flit within its message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit; carries the routing information.
     Head,
@@ -35,6 +47,13 @@ pub enum FlitKind {
     /// A single-flit message: head and tail at once.
     Single,
 }
+
+json_tags!(FlitKind {
+    Head = "head",
+    Body = "body",
+    Tail = "tail",
+    Single = "single",
+});
 
 impl FlitKind {
     /// Whether this flit carries the routing header.
@@ -49,7 +68,7 @@ impl FlitKind {
 }
 
 /// One flit in a buffer or on a wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Flit {
     /// The message this flit belongs to.
     pub msg: MessageId,

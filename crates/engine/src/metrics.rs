@@ -1,9 +1,7 @@
 //! Raw simulation counters and per-message delivery records.
 
-use serde::{Deserialize, Serialize};
-
 /// One delivered message, reported when its tail flit leaves the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeliveredMessage {
     /// The message's hop class: the minimal source–destination distance.
     pub hop_class: u16,
@@ -24,7 +22,7 @@ pub struct DeliveredMessage {
 /// messages whose tail left the network; `flit_hops` counts flit transfers
 /// over *network* physical channels (injection and ejection excluded), the
 /// numerator of measured channel utilization.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Messages accepted into source queues.
     pub generated: u64,
@@ -176,18 +174,5 @@ mod tests {
         m.cycles = 1000;
         assert!((m.delivery_rate(10) - 0.01).abs() < 1e-12);
         assert!((m.acceptance_rate(10) - 0.012).abs() < 1e-12);
-    }
-
-    /// The offline serde shim's derives must emit real marker-trait impls,
-    /// not just swallow the annotation, or bounds like `T: Serialize` stop
-    /// compiling for downstream consumers.
-    #[test]
-    fn derives_implement_marker_traits() {
-        fn serializable<T: serde::Serialize>() {}
-        fn deserializable<T: for<'de> serde::Deserialize<'de>>() {}
-        serializable::<Metrics>();
-        serializable::<DeliveredMessage>();
-        deserializable::<Metrics>();
-        deserializable::<DeliveredMessage>();
     }
 }

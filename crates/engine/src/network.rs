@@ -142,6 +142,13 @@ pub struct DeadlockReport {
     pub live_messages: usize,
 }
 
+wormsim_observe::json_record!(DeadlockReport {
+    detected_at,
+    last_progress,
+    flits_in_flight,
+    live_messages,
+});
+
 /// Reported when the livelock/starvation guard finds live messages over
 /// the configured hop or age budget. Advisory at the engine level: the
 /// simulation keeps running (higher layers decide whether to stop).
@@ -156,6 +163,13 @@ pub struct LivelockReport {
     /// Largest age in cycles among the offenders.
     pub max_age: u64,
 }
+
+wormsim_observe::json_record!(LivelockReport {
+    detected_at,
+    messages_over_budget,
+    max_hops,
+    max_age,
+});
 
 /// Cycles between livelock-guard scans of the live-message slab. The scan
 /// is O(live messages), so it is strided rather than per-cycle; budgets are

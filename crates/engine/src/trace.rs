@@ -20,13 +20,12 @@
 //! [`TraceEvent::from_json`].
 
 use crate::{FlitKind, MessageId};
-use serde::{Deserialize, Serialize};
 use wormsim_observe::json::Value;
-use wormsim_observe::{JsonObject, JsonRecord};
+use wormsim_observe::{json_union, Json};
 use wormsim_topology::{Direction, NodeId};
 
 /// One message milestone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A message was accepted into its source queue.
     Generated {
@@ -121,148 +120,26 @@ impl TraceEvent {
     ///
     /// # Errors
     ///
-    /// Reports an unknown event tag or a missing/mistyped field.
+    /// Reports an unknown event tag or a missing, mistyped or out-of-range
+    /// field.
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        let u64_field = |name: &str| -> Result<u64, String> {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("trace field '{name}' missing or not a u64"))
-        };
-        let u32_field = |name: &str| -> Result<u32, String> {
-            u32::try_from(u64_field(name)?)
-                .map_err(|_| format!("trace field '{name}' out of u32 range"))
-        };
-        let msg = || Ok::<_, String>(MessageId(u32_field("msg")?));
-        let node = |name: &str| Ok::<_, String>(NodeId::new(u32_field(name)?));
-        if value.get("type").and_then(Value::as_str) != Some("trace") {
-            return Err("record is not of type 'trace'".to_owned());
-        }
-        let cycle = u64_field("cycle")?;
-        match value.get("event").and_then(Value::as_str) {
-            Some("generated") => Ok(TraceEvent::Generated {
-                cycle,
-                msg: msg()?,
-                src: node("src")?,
-                dest: node("dest")?,
-                length: u32_field("length")?,
-            }),
-            Some("refused") => Ok(TraceEvent::Refused {
-                cycle,
-                src: node("src")?,
-                class: u32_field("class")?,
-            }),
-            Some("injection_started") => Ok(TraceEvent::InjectionStarted { cycle, msg: msg()? }),
-            Some("hop") => Ok(TraceEvent::HopTaken {
-                cycle,
-                msg: msg()?,
-                from: node("from")?,
-                direction: Direction::from_index(
-                    u64_field("direction")?
-                        .try_into()
-                        .map_err(|_| "direction out of range".to_owned())?,
-                ),
-                vc_class: u32_field("vc_class")?
-                    .try_into()
-                    .map_err(|_| "vc_class out of u8 range".to_owned())?,
-            }),
-            Some("flit_delivered") => Ok(TraceEvent::FlitDelivered {
-                cycle,
-                msg: msg()?,
-                kind: match value.get("kind").and_then(Value::as_str) {
-                    Some("head") => FlitKind::Head,
-                    Some("body") => FlitKind::Body,
-                    Some("tail") => FlitKind::Tail,
-                    Some("single") => FlitKind::Single,
-                    other => return Err(format!("unknown flit kind {other:?}")),
-                },
-            }),
-            Some("delivered") => Ok(TraceEvent::Delivered {
-                cycle,
-                msg: msg()?,
-                latency: u64_field("latency")?,
-            }),
-            other => Err(format!("unknown trace event tag {other:?}")),
-        }
+        Self::read(value)
     }
 }
 
-impl JsonRecord for TraceEvent {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::begin(out);
-        obj.field_str("type", "trace");
-        match *self {
-            TraceEvent::Generated {
-                cycle,
-                msg,
-                src,
-                dest,
-                length,
-            } => {
-                obj.field_str("event", "generated")
-                    .field_u64("cycle", cycle)
-                    .field_u64("msg", u64::from(msg.index()))
-                    .field_u64("src", u64::from(src.index()))
-                    .field_u64("dest", u64::from(dest.index()))
-                    .field_u64("length", u64::from(length));
-            }
-            TraceEvent::Refused { cycle, src, class } => {
-                obj.field_str("event", "refused")
-                    .field_u64("cycle", cycle)
-                    .field_u64("src", u64::from(src.index()))
-                    .field_u64("class", u64::from(class));
-            }
-            TraceEvent::InjectionStarted { cycle, msg } => {
-                obj.field_str("event", "injection_started")
-                    .field_u64("cycle", cycle)
-                    .field_u64("msg", u64::from(msg.index()));
-            }
-            TraceEvent::HopTaken {
-                cycle,
-                msg,
-                from,
-                direction,
-                vc_class,
-            } => {
-                obj.field_str("event", "hop")
-                    .field_u64("cycle", cycle)
-                    .field_u64("msg", u64::from(msg.index()))
-                    .field_u64("from", u64::from(from.index()))
-                    .field_u64("direction", direction.index() as u64)
-                    .field_u64("vc_class", u64::from(vc_class));
-            }
-            TraceEvent::FlitDelivered { cycle, msg, kind } => {
-                obj.field_str("event", "flit_delivered")
-                    .field_u64("cycle", cycle)
-                    .field_u64("msg", u64::from(msg.index()))
-                    .field_str(
-                        "kind",
-                        match kind {
-                            FlitKind::Head => "head",
-                            FlitKind::Body => "body",
-                            FlitKind::Tail => "tail",
-                            FlitKind::Single => "single",
-                        },
-                    );
-            }
-            TraceEvent::Delivered {
-                cycle,
-                msg,
-                latency,
-            } => {
-                obj.field_str("event", "delivered")
-                    .field_u64("cycle", cycle)
-                    .field_u64("msg", u64::from(msg.index()))
-                    .field_u64("latency", latency);
-            }
-        }
-        obj.finish();
-    }
-}
+json_union!(TraceEvent as "trace", "event" {
+    Generated = "generated" { cycle, msg, src, dest, length },
+    Refused = "refused" { cycle, src, class },
+    InjectionStarted = "injection_started" { cycle, msg },
+    HopTaken = "hop" { cycle, msg, from, direction, vc_class },
+    FlitDelivered = "flit_delivered" { cycle, msg, kind },
+    Delivered = "delivered" { cycle, msg, latency },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wormsim_observe::JsonRecord;
 
     #[test]
     fn accessors() {
@@ -333,5 +210,13 @@ mod tests {
         assert!(TraceEvent::from_json(&v).is_err());
         let v = wormsim_observe::json::from_str("{\"type\":\"sample\"}").unwrap();
         assert!(TraceEvent::from_json(&v).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_an_out_of_range_direction_instead_of_panicking() {
+        let line = r#"{"type":"trace","event":"hop","cycle":4,"msg":9,"from":3,"direction":1000,"vc_class":1}"#;
+        let err = TraceEvent::from_json(&wormsim_observe::json::from_str(line).unwrap())
+            .expect_err("direction 1000 is dimension 500");
+        assert!(err.contains("'direction'"), "{err}");
     }
 }

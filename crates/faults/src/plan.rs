@@ -1,13 +1,14 @@
 //! Declarative fault plans: what fails, and when.
 
 use crate::FaultRegion;
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use wormsim_observe::json::Value;
+use wormsim_observe::{Json, JsonObject};
 use wormsim_topology::{ChannelMask, Direction, NodeId, Topology};
 use wormsim_traffic::SimRng;
 
 /// What a single fault kills.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultTarget {
     /// One unidirectional physical channel: the link leaving `node` in
     /// `direction`. The reverse channel is a separate target.
@@ -39,7 +40,7 @@ impl fmt::Display for FaultTarget {
 ///
 /// The fault is in effect from `fail_at` (inclusive) until `repair_at`
 /// (exclusive); `repair_at: None` means the fault is permanent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fault {
     /// What fails.
     pub target: FaultTarget,
@@ -58,6 +59,51 @@ impl Fault {
     /// Whether this fault is static: dead from cycle 0, never repaired.
     pub fn is_static(&self) -> bool {
         self.fail_at == 0 && self.repair_at.is_none()
+    }
+}
+
+/// A fault's JSON form flattens its target into the fault object —
+/// `{"target":"link","node":50,"dim":1,"sign":"+","fail_at":0,"repair_at":null}`,
+/// or `"target":"node"` without `dim`/`sign`. This is the worker-wire form
+/// (`wormsim::wire`): changing it is a wire-protocol change.
+impl Json for Fault {
+    fn write(&self, out: &mut String) {
+        let mut object = JsonObject::begin(out);
+        match self.target {
+            FaultTarget::Link { node, direction } => object
+                .field_str("target", "link")
+                .field("node", &node)
+                .field("dim", &direction.dim())
+                .field("sign", &direction.sign()),
+            FaultTarget::Node { node } => object.field_str("target", "node").field("node", &node),
+        };
+        object
+            .field("fail_at", &self.fail_at)
+            .field("repair_at", &self.repair_at);
+        object.finish();
+    }
+
+    fn read(value: &Value) -> Result<Self, String> {
+        let node = value.field("node")?;
+        let target = match value.get("target").and_then(Value::as_str) {
+            // `dim` is read as the `u8` a `Direction` stores, so an
+            // out-of-range dimension is an error here, not a panic in
+            // `Direction::new`.
+            Some("link") => FaultTarget::Link {
+                node,
+                direction: Direction::new(
+                    usize::from(value.field::<u8>("dim")?),
+                    value.field("sign")?,
+                ),
+            },
+            Some("node") => FaultTarget::Node { node },
+            other => return Err(format!("unknown fault target {other:?}")),
+        };
+        Ok(Fault {
+            target,
+            fail_at: value.field("fail_at")?,
+            repair_at: value.field_or("repair_at", None)?,
+        })
     }
 }
 
@@ -156,9 +202,20 @@ impl std::error::Error for FaultPlanError {}
 /// assert_eq!(plan.mask_at(&topo, 150).dead_channel_count(), 1);
 /// assert!(plan.mask_at(&topo, 200).is_trivial());
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
+}
+
+/// A plan's JSON form is the array of its faults, in insertion order.
+impl Json for FaultPlan {
+    fn write(&self, out: &mut String) {
+        self.faults.write(out);
+    }
+
+    fn read(value: &Value) -> Result<Self, String> {
+        Vec::read(value).map(|faults| FaultPlan { faults })
+    }
 }
 
 impl FaultPlan {

@@ -1,6 +1,5 @@
 //! Spatial constraints for randomly sampled faults.
 
-use serde::{Deserialize, Serialize};
 use wormsim_topology::{NodeId, Topology};
 
 /// Where randomly sampled faults may land.
@@ -22,7 +21,7 @@ use wormsim_topology::{NodeId, Topology};
 /// assert!(!region.contains(&topo, topo.node_at(&[3, 3])));
 /// assert!(FaultRegion::Anywhere.contains(&topo, topo.node_at(&[3, 3])));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultRegion {
     /// No spatial constraint.
     Anywhere,

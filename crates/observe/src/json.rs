@@ -1,17 +1,12 @@
-//! Offline stand-in for the parts of `serde_json` wormsim uses.
+//! The JSON value tree and parser behind the [codec](crate::Json).
 //!
-//! The workspace builds in environments with no registry access (see the
-//! sibling `serde` shim), so this crate reimplements the small surface the
-//! observability layer needs: a [`Value`] tree, [`from_str`] /
-//! [`Value::to_string`], and a [`StreamDeserializer`] over line-delimited
-//! JSON. Numbers are kept as `f64` with a separate integer fast path via
-//! [`Value::as_u64`]/[`Value::as_i64`], which is exact for the counter
-//! magnitudes the simulator emits (< 2^53). Swap back to the crates.io
-//! release if the build environment ever regains network access; call
-//! sites use only the shared subset.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! A [`Value`] tree, [`from_str`] / [`Value::to_string`], and a
+//! [`StreamDeserializer`] over line-delimited JSON. Numbers are kept as
+//! `f64` with a separate integer fast path via [`Value::as_u64`] /
+//! [`Value::as_i64`], which is exact for the counter magnitudes the
+//! simulator emits (< 2^53). The parser is recursive, so nesting is capped
+//! at [`MAX_DEPTH`]: a body of 100 000 `[` is a parse error, not a stack
+//! overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -31,7 +26,7 @@ pub enum Value {
     /// An array.
     Array(Vec<Value>),
     /// An object; key order is normalized (sorted), which is fine for
-    /// round-trip equality but differs from insertion-ordered serde_json.
+    /// round-trip equality but is not the order the text had.
     Object(BTreeMap<String, Value>),
 }
 
@@ -147,21 +142,28 @@ impl fmt::Display for Value {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Writes `s` as a JSON string literal (quoted, escaped) — the one
+/// escaper, shared by [`Value`]'s `Display` and the codec's writers.
+pub(crate) fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    f.write_str("\"")
+    out.write_char('"')
 }
+
+/// Deepest array/object nesting [`from_str`] accepts. The deepest record
+/// the simulator writes nests three levels; the cap only has to keep the
+/// recursive parser inside its stack on hostile input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parse error with a byte-offset-free, human-readable message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -201,8 +203,7 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
     Ok(value)
 }
 
-/// Streaming deserializer over whitespace-separated JSON values — the shape
-/// of `serde_json::Deserializer::from_str(s).into_iter::<Value>()`, which is
+/// Streaming deserializer over whitespace-separated JSON values, which is
 /// what validates line-delimited JSON (JSONL) streams.
 pub struct StreamDeserializer<'a> {
     parser: Parser<'a>,
@@ -240,6 +241,8 @@ impl Iterator for StreamDeserializer<'_> {
 struct Parser<'a> {
     chars: Chars<'a>,
     lookahead: Option<char>,
+    /// Arrays and objects currently open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -247,6 +250,7 @@ impl<'a> Parser<'a> {
         Parser {
             chars: input.chars(),
             lookahead: None,
+            depth: 0,
         }
     }
 
@@ -279,8 +283,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_whitespace();
         match self.peek() {
-            Some('{') => self.parse_object(),
-            Some('[') => self.parse_array(),
+            Some('{') => self.nested(Self::parse_object),
+            Some('[') => self.nested(Self::parse_array),
             Some('"') => Ok(Value::String(self.parse_string()?)),
             Some('t') => self.parse_keyword("true", Value::Bool(true)),
             Some('f') => self.parse_keyword("false", Value::Bool(false)),
@@ -289,6 +293,16 @@ impl<'a> Parser<'a> {
             Some(c) => Err(Error::new(format!("unexpected character '{c}'"))),
             None => Err(Error::new("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
@@ -453,6 +467,22 @@ mod tests {
         assert!(from_str("\"unterminated").is_err());
         assert!(from_str("troo").is_err());
         assert!(from_str("1 2").is_err(), "trailing junk rejected");
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str(&nest(MAX_DEPTH)).is_ok());
+        assert!(from_str(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str(&objects).is_err());
+        // What the worker would have recursed 100 000 frames into.
+        let error = from_str(&"[".repeat(100_000)).unwrap_err();
+        assert!(error.to_string().contains("nesting"), "{error}");
+        assert!(StreamDeserializer::new(&"[".repeat(100_000))
+            .next()
+            .unwrap()
+            .is_err());
     }
 
     #[test]

@@ -25,9 +25,32 @@
 //!   `git describe`, cycle counts, and the simulator's own throughput in
 //!   cycles/sec and flits/sec.
 //!
-//! Everything serializes through the tiny [`JsonRecord`] trait (hand-rolled
-//! line JSON, no allocation beyond one reused line buffer) and parses back
-//! via the vendored `serde_json` shim re-exported as [`json`].
+//! # One codec
+//!
+//! Every record in the stack — samples, manifests, metrics, wait-for
+//! evidence here; trace events, run results, the worker wire and the run
+//! journal above — serializes through the one [`Json`] codec in this
+//! crate (no allocation beyond one reused line buffer) and parses back
+//! through [`json`]. A record is declared once:
+//!
+//! ```
+//! # struct Reading { cycle: u64, mean: f64, attempts: u64, note: Option<String> }
+//! wormsim_observe::json_record!(Reading as "reading" {
+//!     cycle,          // required
+//!     mean,           // f64: the one bit-exact spelling (below)
+//!     attempts = 1,   // always written; absent reads as the default
+//!     note?,          // Option written only when Some
+//! });
+//! ```
+//!
+//! and gets its writer ([`JsonRecord::write_json`]), its reader
+//! (`Reading::from_json`) and its nested form from that one field list.
+//! [`json_union!`] declares an internally tagged enum the same way,
+//! [`json_tags!`] a unit enum; shapes that are not their Rust shape build
+//! on [`JsonObject::field`] and [`json::Value::field`] by hand. Floats
+//! have one spelling — shortest round-trip text when finite, a quoted
+//! `inf`/`-inf`/`nan` otherwise — so every float is read back bit-exactly,
+//! and the parser refuses input nested deeper than [`json::MAX_DEPTH`].
 //!
 //! # Example
 //!
@@ -47,8 +70,9 @@
 #![warn(missing_docs)]
 
 mod atomic;
+mod codec;
 mod config;
-mod json_record;
+pub mod json;
 mod manifest;
 mod metrics;
 mod sample;
@@ -56,8 +80,8 @@ mod sink;
 mod span;
 
 pub use atomic::atomic_write;
+pub use codec::{Json, JsonObject, JsonRecord};
 pub use config::ObserveConfig;
-pub use json_record::{JsonObject, JsonRecord};
 pub use manifest::{fnv1a_hex, git_describe, PhaseRecord, RunManifest};
 pub use metrics::{
     heatmap_csv, HistogramRecord, MetricsRegistry, MetricsReport, Pow2Histogram, WaitForEdge,
@@ -67,8 +91,3 @@ pub use metrics::{
 pub use sample::Sample;
 pub use sink::{EventSink, JsonlSink, NullSink, RingSink};
 pub use span::{PhaseTimings, Stopwatch};
-
-/// The vendored mini `serde_json` (JSON values, parsing, and the
-/// [`StreamDeserializer`](json::StreamDeserializer) used to validate JSONL
-/// streams), re-exported so downstream crates need no extra dependency.
-pub use serde_json as json;

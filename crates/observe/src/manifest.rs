@@ -1,15 +1,13 @@
 //! Run manifests: a JSON sidecar recording what produced a result.
 
-use crate::json::Value;
-use crate::{JsonObject, JsonRecord};
-use serde::{Deserialize, Serialize};
+use crate::JsonRecord;
 use std::fs;
 use std::io;
 use std::path::Path;
 use std::process::Command;
 
 /// Wall-clock time spent in one named phase of a run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PhaseRecord {
     /// The phase name (`warmup`, `measure`, `gap`, `drain`, ...).
     pub name: String,
@@ -19,6 +17,12 @@ pub struct PhaseRecord {
     pub cycles: u64,
 }
 
+crate::json_record!(PhaseRecord {
+    name,
+    wall_seconds,
+    cycles
+});
+
 /// Everything needed to trace a result file back to the run that made it.
 ///
 /// Written next to the results (`<run_id>.manifest.json`) so a directory of
@@ -26,7 +30,7 @@ pub struct PhaseRecord {
 /// which configuration (`config_hash` plus the headline parameters), which
 /// randomness (`seed`), and how the simulator itself performed
 /// (`cycles_per_sec`, `flits_per_sec`).
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct RunManifest {
     /// Identifier shared by this manifest and its sample/trace streams.
     pub run_id: String,
@@ -109,149 +113,35 @@ impl RunManifest {
         let value = crate::json::from_str(&text).map_err(|e| e.to_string())?;
         Self::from_json(&value)
     }
-
-    /// Reconstructs a manifest from its parsed JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let str_field = |name: &str| -> Result<String, String> {
-            value
-                .get(name)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("manifest field '{name}' missing or not a string"))
-        };
-        let u64_field = |name: &str| -> Result<u64, String> {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("manifest field '{name}' missing or not a u64"))
-        };
-        let f64_field = |name: &str| -> Result<f64, String> {
-            value
-                .get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("manifest field '{name}' missing or not a number"))
-        };
-        let bool_field = |name: &str| -> Result<bool, String> {
-            value
-                .get(name)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| format!("manifest field '{name}' missing or not a bool"))
-        };
-        if value.get("type").and_then(Value::as_str) != Some("manifest") {
-            return Err("record is not of type 'manifest'".to_owned());
-        }
-        let phases = value
-            .get("phases")
-            .and_then(Value::as_array)
-            .ok_or("manifest field 'phases' missing or not an array")?
-            .iter()
-            .map(|p| {
-                Ok(PhaseRecord {
-                    name: p
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or("phase missing 'name'")?
-                        .to_owned(),
-                    wall_seconds: p
-                        .get("wall_seconds")
-                        .and_then(Value::as_f64)
-                        .ok_or("phase missing 'wall_seconds'")?,
-                    cycles: p
-                        .get("cycles")
-                        .and_then(Value::as_u64)
-                        .ok_or("phase missing 'cycles'")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(RunManifest {
-            run_id: str_field("run_id")?,
-            config_hash: str_field("config_hash")?,
-            git_describe: value
-                .get("git_describe")
-                .ok_or("manifest field 'git_describe' missing")?
-                .as_str()
-                .map(str::to_owned),
-            seed: u64_field("seed")?,
-            algorithm: str_field("algorithm")?,
-            traffic: str_field("traffic")?,
-            topology: str_field("topology")?,
-            offered_load: f64_field("offered_load")?,
-            injection_rate: f64_field("injection_rate")?,
-            cycles: u64_field("cycles")?,
-            warmup_cycles: u64_field("warmup_cycles")?,
-            samples: u64_field("samples")?,
-            converged: bool_field("converged")?,
-            deadlocked: bool_field("deadlocked")?,
-            outcome: str_field("outcome")?,
-            // Arrived with the verification layer; older manifests lack it.
-            triage: value
-                .get("triage")
-                .and_then(Value::as_str)
-                .map(str::to_owned),
-            wall_seconds: f64_field("wall_seconds")?,
-            cycles_per_sec: f64_field("cycles_per_sec")?,
-            flits_per_sec: f64_field("flits_per_sec")?,
-            dropped_events: u64_field("dropped_events")?,
-            // Provenance fields arrived after the first manifest format;
-            // older files simply lack them, so default instead of erroring.
-            attempts: value.get("attempts").and_then(Value::as_u64).unwrap_or(1),
-            resumed_from: value
-                .get("resumed_from")
-                .and_then(Value::as_str)
-                .map(str::to_owned),
-            phases,
-        })
-    }
 }
 
-impl JsonRecord for RunManifest {
-    fn write_json(&self, out: &mut String) {
-        let mut phases_json = String::new();
-        phases_json.push('[');
-        for (i, phase) in self.phases.iter().enumerate() {
-            if i > 0 {
-                phases_json.push(',');
-            }
-            let mut obj = JsonObject::begin(&mut phases_json);
-            obj.field_str("name", &phase.name)
-                .field_f64("wall_seconds", phase.wall_seconds)
-                .field_u64("cycles", phase.cycles);
-            obj.finish();
-        }
-        phases_json.push(']');
-
-        let mut obj = JsonObject::begin(out);
-        obj.field_str("type", "manifest")
-            .field_str("run_id", &self.run_id)
-            .field_str("config_hash", &self.config_hash)
-            .field_opt_str("git_describe", self.git_describe.as_deref())
-            .field_u64("seed", self.seed)
-            .field_str("algorithm", &self.algorithm)
-            .field_str("traffic", &self.traffic)
-            .field_str("topology", &self.topology)
-            .field_f64("offered_load", self.offered_load)
-            .field_f64("injection_rate", self.injection_rate)
-            .field_u64("cycles", self.cycles)
-            .field_u64("warmup_cycles", self.warmup_cycles)
-            .field_u64("samples", self.samples)
-            .field_bool("converged", self.converged)
-            .field_bool("deadlocked", self.deadlocked)
-            .field_str("outcome", &self.outcome)
-            .field_opt_str("triage", self.triage.as_deref())
-            .field_f64("wall_seconds", self.wall_seconds)
-            .field_f64("cycles_per_sec", self.cycles_per_sec)
-            .field_f64("flits_per_sec", self.flits_per_sec)
-            .field_u64("dropped_events", self.dropped_events)
-            .field_u64("attempts", self.attempts)
-            .field_opt_str("resumed_from", self.resumed_from.as_deref())
-            .field_raw("phases", &phases_json);
-        obj.finish();
-    }
-}
+// `triage`, `attempts` and `resumed_from` joined the format after the first
+// manifests were written; files that lack them still read.
+crate::json_record!(RunManifest as "manifest" {
+    run_id,
+    config_hash,
+    git_describe,
+    seed,
+    algorithm,
+    traffic,
+    topology,
+    offered_load,
+    injection_rate,
+    cycles,
+    warmup_cycles,
+    samples,
+    converged,
+    deadlocked,
+    outcome,
+    triage = None,
+    wall_seconds,
+    cycles_per_sec,
+    flits_per_sec,
+    dropped_events,
+    attempts = 1,
+    resumed_from = None,
+    phases,
+});
 
 /// FNV-1a (64-bit) of `s`, as 16 lowercase hex digits. Stable across runs
 /// and platforms, which is all a config fingerprint needs.

@@ -13,8 +13,7 @@
 //! [cycle detection](WaitForSnapshot::detect_cycle) distinguishing a real
 //! channel cycle (deadlock evidence) from mere congestion.
 
-use crate::json::Value;
-use crate::{JsonObject, JsonRecord, PhaseRecord};
+use crate::{JsonRecord, PhaseRecord};
 
 /// Engine phase index: arrivals + injection-VC assignment.
 pub const PHASE_INJECT: usize = 0;
@@ -178,81 +177,18 @@ impl HistogramRecord {
     pub fn mean(&self) -> f64 {
         self.sum as f64 / self.count as f64
     }
-
-    /// Reconstructs a record from its parsed JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        if value.get("type").and_then(Value::as_str) != Some("histogram") {
-            return Err("record is not of type 'histogram'".to_owned());
-        }
-        let u64_field = |name: &str| -> Result<u64, String> {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("histogram field '{name}' missing or not a u64"))
-        };
-        let buckets = value
-            .get("buckets")
-            .and_then(Value::as_array)
-            .ok_or("histogram field 'buckets' missing or not an array")?
-            .iter()
-            .map(|pair| {
-                let pair = pair
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or("histogram bucket is not a [bucket,count] pair")?;
-                let b = pair[0]
-                    .as_u64()
-                    .filter(|&b| b <= 64)
-                    .ok_or("histogram bucket index out of range")?;
-                let c = pair[1].as_u64().ok_or("histogram bucket count invalid")?;
-                Ok::<_, String>((b as u8, c))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(HistogramRecord {
-            name: value
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("histogram field 'name' missing or not a string")?
-                .to_owned(),
-            count: u64_field("count")?,
-            sum: u64_field("sum")?,
-            max: u64_field("max")?,
-            p50: u64_field("p50")?,
-            p95: u64_field("p95")?,
-            p99: u64_field("p99")?,
-            buckets,
-        })
-    }
 }
 
-impl JsonRecord for HistogramRecord {
-    fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let mut buckets = String::from("[");
-        for (i, (b, c)) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                buckets.push(',');
-            }
-            let _ = write!(buckets, "[{b},{c}]");
-        }
-        buckets.push(']');
-        let mut obj = JsonObject::begin(out);
-        obj.field_str("type", "histogram")
-            .field_str("name", &self.name)
-            .field_u64("count", self.count)
-            .field_u64("sum", self.sum)
-            .field_u64("max", self.max)
-            .field_u64("p50", self.p50)
-            .field_u64("p95", self.p95)
-            .field_u64("p99", self.p99)
-            .field_raw("buckets", &buckets);
-        obj.finish();
-    }
-}
+crate::json_record!(HistogramRecord as "histogram" {
+    name,
+    count,
+    sum,
+    max,
+    p50,
+    p95,
+    p99,
+    buckets,
+});
 
 /// Allocation-free hot-path instruments for one run.
 ///
@@ -414,50 +350,6 @@ pub struct MetricsReport {
     pub phases: Vec<PhaseRecord>,
 }
 
-/// Writes a float that survives a JSON round-trip even when non-finite:
-/// JSON numbers cannot express inf/NaN, so those become the strings
-/// `"inf"`, `"-inf"`, `"nan"` (the run-journal convention).
-fn field_f64_exact(obj: &mut JsonObject<'_>, key: &str, value: f64) {
-    if value.is_finite() {
-        obj.field_f64(key, value);
-    } else if value.is_nan() {
-        obj.field_str(key, "nan");
-    } else if value > 0.0 {
-        obj.field_str(key, "inf");
-    } else {
-        obj.field_str(key, "-inf");
-    }
-}
-
-/// Inverse of [`field_f64_exact`].
-fn get_f64_exact(value: &Value, key: &str) -> Result<f64, String> {
-    let v = value
-        .get(key)
-        .ok_or_else(|| format!("missing field '{key}'"))?;
-    if let Some(n) = v.as_f64() {
-        return Ok(n);
-    }
-    match v.as_str() {
-        Some("inf") => Ok(f64::INFINITY),
-        Some("-inf") => Ok(f64::NEG_INFINITY),
-        Some("nan") => Ok(f64::NAN),
-        _ => Err(format!("field '{key}' is not a number")),
-    }
-}
-
-fn get_u64_array(value: &Value, key: &str) -> Result<Vec<u64>, String> {
-    value
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("field '{key}' missing or not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("field '{key}' holds a non-u64 element"))
-        })
-        .collect()
-}
-
 impl MetricsReport {
     /// Reads a report back from `path`.
     ///
@@ -481,76 +373,27 @@ impl MetricsReport {
         text.push('\n');
         crate::atomic_write(path, text)
     }
-
-    /// Reconstructs a report from its parsed JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field. Float fields follow the
-    /// `"inf"`/`"-inf"`/`"nan"` non-finite convention bit-exactly.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        if value.get("type").and_then(Value::as_str) != Some("metrics") {
-            return Err("record is not of type 'metrics'".to_owned());
-        }
-        let str_field = |name: &str| -> Result<String, String> {
-            value
-                .get(name)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("metrics field '{name}' missing or not a string"))
-        };
-        let u64_field = |name: &str| -> Result<u64, String> {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("metrics field '{name}' missing or not a u64"))
-        };
-        let phases = value
-            .get("phases")
-            .and_then(Value::as_array)
-            .ok_or("metrics field 'phases' missing or not an array")?
-            .iter()
-            .map(|p| {
-                Ok(PhaseRecord {
-                    name: p
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or("phase missing 'name'")?
-                        .to_owned(),
-                    wall_seconds: p
-                        .get("wall_seconds")
-                        .and_then(Value::as_f64)
-                        .ok_or("phase missing 'wall_seconds'")?,
-                    cycles: p
-                        .get("cycles")
-                        .and_then(Value::as_u64)
-                        .ok_or("phase missing 'cycles'")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(MetricsReport {
-            run_id: str_field("run_id")?,
-            topology: str_field("topology")?,
-            dims: get_u64_array(value, "dims")?,
-            dirs: u64_field("dirs")?,
-            cycles: u64_field("cycles")?,
-            mean_channel_utilization: get_f64_exact(value, "mean_channel_utilization")?,
-            peak_channel_utilization: get_f64_exact(value, "peak_channel_utilization")?,
-            class_flits: get_u64_array(value, "class_flits")?,
-            class_blocked: get_u64_array(value, "class_blocked")?,
-            class_alloc_fail: get_u64_array(value, "class_alloc_fail")?,
-            channel_flits: get_u64_array(value, "channel_flits")?,
-            channel_blocked: get_u64_array(value, "channel_blocked")?,
-            channel_alloc_fail: get_u64_array(value, "channel_alloc_fail")?,
-            latency: HistogramRecord::from_json(
-                value
-                    .get("latency")
-                    .ok_or("metrics field 'latency' missing")?,
-            )?,
-            phases,
-        })
-    }
 }
+
+// The two utilizations are NaN/inf when no cycles ran; like every float
+// here they round-trip bit-exactly.
+crate::json_record!(MetricsReport as "metrics" {
+    run_id,
+    topology,
+    dims,
+    dirs,
+    cycles,
+    mean_channel_utilization,
+    peak_channel_utilization,
+    class_flits,
+    class_blocked,
+    class_alloc_fail,
+    channel_flits,
+    channel_blocked,
+    channel_alloc_fail,
+    latency,
+    phases,
+});
 
 impl PartialEq for MetricsRegistry {
     fn eq(&self, other: &Self) -> bool {
@@ -567,49 +410,6 @@ impl PartialEq for MetricsRegistry {
     }
 }
 
-impl JsonRecord for MetricsReport {
-    fn write_json(&self, out: &mut String) {
-        let mut phases_json = String::from("[");
-        for (i, phase) in self.phases.iter().enumerate() {
-            if i > 0 {
-                phases_json.push(',');
-            }
-            let mut obj = JsonObject::begin(&mut phases_json);
-            obj.field_str("name", &phase.name)
-                .field_f64("wall_seconds", phase.wall_seconds)
-                .field_u64("cycles", phase.cycles);
-            obj.finish();
-        }
-        phases_json.push(']');
-        let mut obj = JsonObject::begin(out);
-        obj.field_str("type", "metrics")
-            .field_str("run_id", &self.run_id)
-            .field_str("topology", &self.topology)
-            .field_u64_array("dims", &self.dims)
-            .field_u64("dirs", self.dirs)
-            .field_u64("cycles", self.cycles);
-        field_f64_exact(
-            &mut obj,
-            "mean_channel_utilization",
-            self.mean_channel_utilization,
-        );
-        field_f64_exact(
-            &mut obj,
-            "peak_channel_utilization",
-            self.peak_channel_utilization,
-        );
-        obj.field_u64_array("class_flits", &self.class_flits)
-            .field_u64_array("class_blocked", &self.class_blocked)
-            .field_u64_array("class_alloc_fail", &self.class_alloc_fail)
-            .field_u64_array("channel_flits", &self.channel_flits)
-            .field_u64_array("channel_blocked", &self.channel_blocked)
-            .field_u64_array("channel_alloc_fail", &self.channel_alloc_fail)
-            .field_raw("latency", &self.latency.to_json())
-            .field_raw("phases", &phases_json);
-        obj.finish();
-    }
-}
-
 /// Why a waiting worm cannot advance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WaitKind {
@@ -621,22 +421,10 @@ pub enum WaitKind {
     Credit,
 }
 
-impl WaitKind {
-    fn tag(self) -> &'static str {
-        match self {
-            WaitKind::Vc => "vc",
-            WaitKind::Credit => "credit",
-        }
-    }
-
-    fn from_tag(tag: &str) -> Result<Self, String> {
-        match tag {
-            "vc" => Ok(WaitKind::Vc),
-            "credit" => Ok(WaitKind::Credit),
-            other => Err(format!("unknown wait kind '{other}'")),
-        }
-    }
-}
+crate::json_tags!(WaitKind {
+    Vc = "vc",
+    Credit = "credit"
+});
 
 /// One edge of the wait-for graph: message `msg`, stalled at `node`, waits
 /// for a resource on `channel` that message `holder` occupies.
@@ -653,6 +441,14 @@ pub struct WaitForEdge {
     /// Which resource is contended.
     pub kind: WaitKind,
 }
+
+crate::json_record!(WaitForEdge {
+    msg,
+    node,
+    channel,
+    holder,
+    kind
+});
 
 /// The worm→channel wait-for graph at a watchdog trigger, written as one
 /// `{"type":"wait_for"}` JSONL record so `Deadlocked`/`LiveLocked`
@@ -750,95 +546,18 @@ impl WaitForSnapshot {
             }
         }
     }
-
-    /// Reconstructs a snapshot from its parsed JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        if value.get("type").and_then(Value::as_str) != Some("wait_for") {
-            return Err("record is not of type 'wait_for'".to_owned());
-        }
-        let u64_field = |name: &str| -> Result<u64, String> {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("wait_for field '{name}' missing or not a u64"))
-        };
-        let edges = value
-            .get("edges")
-            .and_then(Value::as_array)
-            .ok_or("wait_for field 'edges' missing or not an array")?
-            .iter()
-            .map(|e| {
-                let part = |name: &str| -> Result<u64, String> {
-                    e.get(name)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("wait_for edge field '{name}' invalid"))
-                };
-                Ok::<_, String>(WaitForEdge {
-                    msg: part("msg")?,
-                    node: part("node")?,
-                    channel: part("channel")?,
-                    holder: part("holder")?,
-                    kind: WaitKind::from_tag(
-                        e.get("kind")
-                            .and_then(Value::as_str)
-                            .ok_or("wait_for edge field 'kind' invalid")?,
-                    )?,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(WaitForSnapshot {
-            cycle: u64_field("cycle")?,
-            reason: value
-                .get("reason")
-                .and_then(Value::as_str)
-                .ok_or("wait_for field 'reason' missing or not a string")?
-                .to_owned(),
-            live_messages: u64_field("live_messages")?,
-            flits_in_flight: u64_field("flits_in_flight")?,
-            edges,
-            cycle_found: value
-                .get("cycle_found")
-                .and_then(Value::as_bool)
-                .ok_or("wait_for field 'cycle_found' missing or not a bool")?,
-            cycle_messages: get_u64_array(value, "cycle_messages")?,
-            cycle_channels: get_u64_array(value, "cycle_channels")?,
-        })
-    }
 }
 
-impl JsonRecord for WaitForSnapshot {
-    fn write_json(&self, out: &mut String) {
-        let mut edges_json = String::from("[");
-        for (i, e) in self.edges.iter().enumerate() {
-            if i > 0 {
-                edges_json.push(',');
-            }
-            let mut obj = JsonObject::begin(&mut edges_json);
-            obj.field_u64("msg", e.msg)
-                .field_u64("node", e.node)
-                .field_u64("channel", e.channel)
-                .field_u64("holder", e.holder)
-                .field_str("kind", e.kind.tag());
-            obj.finish();
-        }
-        edges_json.push(']');
-        let mut obj = JsonObject::begin(out);
-        obj.field_str("type", "wait_for")
-            .field_u64("cycle", self.cycle)
-            .field_str("reason", &self.reason)
-            .field_u64("live_messages", self.live_messages)
-            .field_u64("flits_in_flight", self.flits_in_flight)
-            .field_bool("cycle_found", self.cycle_found)
-            .field_u64_array("cycle_messages", &self.cycle_messages)
-            .field_u64_array("cycle_channels", &self.cycle_channels)
-            .field_raw("edges", &edges_json);
-        obj.finish();
-    }
-}
+crate::json_record!(WaitForSnapshot as "wait_for" {
+    cycle,
+    reason,
+    live_messages,
+    flits_in_flight,
+    cycle_found,
+    cycle_messages,
+    cycle_channels,
+    edges,
+});
 
 /// Renders per-channel flit counts into a node-grid utilization CSV.
 ///

@@ -1,9 +1,5 @@
 //! Typed time-series snapshots of network state.
 
-use crate::json::Value;
-use crate::{JsonObject, JsonRecord};
-use serde::{Deserialize, Serialize};
-
 /// One sampling-stride snapshot of the network: instantaneous occupancy
 /// plus the counter deltas accumulated over the window that ended at
 /// [`cycle`](Self::cycle).
@@ -13,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `channel_flits` is a channel-load heatmap frame, and
 /// [`mean_latency`](Self::mean_latency) against `cycle` is the
 /// latency-vs-time convergence curve.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Sample {
     /// The cycle at which the snapshot was taken (end of the window).
     pub cycle: u64,
@@ -64,79 +60,31 @@ impl Sample {
             self.delivered as f64 / self.window_cycles as f64
         }
     }
-
-    /// Reconstructs a sample from its parsed JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Names the first missing or mistyped field.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("sample field '{name}' missing or not a u64"))
-        };
-        let array = |name: &str| -> Result<Vec<u64>, String> {
-            value
-                .get(name)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("sample field '{name}' missing or not an array"))?
-                .iter()
-                .map(|v| v.as_u64().ok_or_else(|| format!("non-integer in '{name}'")))
-                .collect()
-        };
-        if value.get("type").and_then(Value::as_str) != Some("sample") {
-            return Err("record is not of type 'sample'".to_owned());
-        }
-        Ok(Sample {
-            cycle: field("cycle")?,
-            window_cycles: field("window_cycles")?,
-            generated: field("generated")?,
-            refused: field("refused")?,
-            delivered: field("delivered")?,
-            latency_sum: field("latency_sum")?,
-            flit_hops: field("flit_hops")?,
-            flits_injected: field("flits_injected")?,
-            flits_ejected: field("flits_ejected")?,
-            flits_in_flight: field("flits_in_flight")?,
-            live_messages: field("live_messages")?,
-            queued_messages: field("queued_messages")?,
-            max_queue_depth: field("max_queue_depth")?,
-            class_occupancy: array("class_occupancy")?,
-            class_flits: array("class_flits")?,
-            channel_flits: array("channel_flits")?,
-        })
-    }
 }
 
-impl JsonRecord for Sample {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::begin(out);
-        obj.field_str("type", "sample")
-            .field_u64("cycle", self.cycle)
-            .field_u64("window_cycles", self.window_cycles)
-            .field_u64("generated", self.generated)
-            .field_u64("refused", self.refused)
-            .field_u64("delivered", self.delivered)
-            .field_u64("latency_sum", self.latency_sum)
-            .field_u64("flit_hops", self.flit_hops)
-            .field_u64("flits_injected", self.flits_injected)
-            .field_u64("flits_ejected", self.flits_ejected)
-            .field_u64("flits_in_flight", self.flits_in_flight)
-            .field_u64("live_messages", self.live_messages)
-            .field_u64("queued_messages", self.queued_messages)
-            .field_u64("max_queue_depth", self.max_queue_depth)
-            .field_u64_array("class_occupancy", &self.class_occupancy)
-            .field_u64_array("class_flits", &self.class_flits)
-            .field_u64_array("channel_flits", &self.channel_flits);
-        obj.finish();
-    }
-}
+crate::json_record!(Sample as "sample" {
+    cycle,
+    window_cycles,
+    generated,
+    refused,
+    delivered,
+    latency_sum,
+    flit_hops,
+    flits_injected,
+    flits_ejected,
+    flits_in_flight,
+    live_messages,
+    queued_messages,
+    max_queue_depth,
+    class_occupancy,
+    class_flits,
+    channel_flits,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JsonRecord;
 
     #[test]
     fn accessors() {

@@ -181,14 +181,6 @@ impl<E: JsonRecord, W: Write + Send> EventSink<E> for JsonlSink<W> {
 mod tests {
     use super::*;
 
-    impl JsonRecord for u64 {
-        fn write_json(&self, out: &mut String) {
-            let mut obj = crate::JsonObject::begin(out);
-            obj.field_u64("v", *self);
-            obj.finish();
-        }
-    }
-
     #[test]
     fn null_sink_discards() {
         let mut sink = NullSink;
@@ -228,8 +220,8 @@ mod tests {
         let bytes = sink.into_inner().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(text.lines().count(), 5);
-        let values: Result<Vec<_>, _> = serde_json::StreamDeserializer::new(&text).collect();
+        let values: Result<Vec<_>, _> = crate::json::StreamDeserializer::new(&text).collect();
         let values = values.expect("every line is valid JSON");
-        assert_eq!(values[4].get("v").unwrap().as_u64(), Some(4));
+        assert_eq!(values[4].as_u64(), Some(4));
     }
 }

@@ -1,12 +1,11 @@
 //! The [`RoutingAlgorithm`] trait.
 
 use crate::{Candidate, MessageRouteState};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wormsim_topology::{ChannelMask, NodeId, Topology};
 
 /// How much freedom an algorithm has in choosing among minimal paths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Adaptivity {
     /// Exactly one path per source/destination pair (e-cube).
     NonAdaptive,
@@ -27,7 +26,7 @@ impl fmt::Display for Adaptivity {
 }
 
 /// How well an algorithm copes with a set of dead channels/nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultTolerance {
     /// The algorithm's normal candidate sets remain connected and acyclic
     /// under the mask (trivially true when nothing is dead).

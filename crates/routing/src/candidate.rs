@@ -1,6 +1,5 @@
 //! Routing candidates: the output of a routing function.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wormsim_topology::Direction;
 
@@ -11,7 +10,7 @@ use wormsim_topology::Direction;
 /// (`0..num_vc_classes`). The simulator may provision several physical VCs
 /// per class (virtual-channel flow control in Dally's sense); a candidate
 /// permits any of them.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Candidate {
     direction: Direction,
     vc_class: u8,

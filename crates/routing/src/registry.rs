@@ -4,7 +4,6 @@ use crate::{
     Ecube, NaiveMinimal, NegativeHop, NegativeHopBonusCards, NorthLast, PositiveHop,
     RoutingAlgorithm, RoutingError, TwoPowerN, WestFirst,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use wormsim_topology::Topology;
@@ -24,7 +23,7 @@ use wormsim_topology::Topology;
 /// }
 /// # Ok::<(), wormsim_routing::RoutingError>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
     /// Non-adaptive dimension-order routing ([`Ecube`]).
     Ecube,

@@ -1,7 +1,6 @@
 //! Per-message routing state carried by a message's head flit.
 
 use crate::Candidate;
-use serde::{Deserialize, Serialize};
 use wormsim_topology::{NodeId, Parity, Topology};
 
 /// The routing metadata a message carries through the network.
@@ -18,7 +17,7 @@ use wormsim_topology::{NodeId, Parity, Topology};
 ///
 /// The struct is `Hash`/`Eq` so that the deadlock checker can enumerate
 /// reachable states exactly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MessageRouteState {
     src: NodeId,
     dest: NodeId,

@@ -1,6 +1,5 @@
 //! Confidence intervals in the paper's `mean ± 2σ̂` form.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 95% confidence interval `(mean - 2σ̂, mean + 2σ̂)`.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(ci.high(), 104.0);
 /// assert!(ci.relative_error() <= 0.05); // within the paper's 5% criterion
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConfidenceInterval {
     mean: f64,
     half_width: f64,

@@ -1,13 +1,12 @@
 //! The paper's dual-criterion convergence controller.
 
 use crate::{ConfidenceInterval, SampleSummary, StratifiedEstimator, StreamingStats};
-use serde::{Deserialize, Serialize};
 
 /// Tunable knobs of the convergence procedure.
 ///
 /// Defaults match the paper: at least 3 samples, at most 15, and both error
 /// bounds within 5% of the respective averages.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConvergencePolicy {
     /// Minimum number of samples before convergence may be declared.
     pub min_samples: usize,
@@ -32,7 +31,7 @@ impl Default for ConvergencePolicy {
 }
 
 /// Where a measurement run stands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConvergenceStatus {
     /// Keep sampling.
     NeedMoreSamples,
@@ -41,6 +40,12 @@ pub enum ConvergenceStatus {
     /// The sample cap was reached without satisfying both criteria.
     MaxSamplesReached,
 }
+
+wormsim_observe::json_tags!(ConvergenceStatus {
+    NeedMoreSamples = "need_more_samples",
+    Converged = "converged",
+    MaxSamplesReached = "max_samples_reached",
+});
 
 impl ConvergenceStatus {
     /// Whether sampling may stop (converged or capped).

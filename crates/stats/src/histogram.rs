@@ -1,7 +1,5 @@
 //! Integer-valued histograms (latency distributions).
 
-use serde::{Deserialize, Serialize};
-
 /// A dense histogram over non-negative integer values (e.g. cycle counts),
 /// growing its bucket array on demand.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.percentile(0.5), 7);
 /// assert_eq!(h.max(), 100);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

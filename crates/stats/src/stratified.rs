@@ -1,14 +1,13 @@
 //! Stratified (hop-class) latency estimation.
 
 use crate::{ConfidenceInterval, StreamingStats};
-use serde::{Deserialize, Serialize};
 
 /// Accumulates per-stratum observations during one sampling period.
 ///
 /// Strata are the paper's *hop classes*: messages grouped by the number of
 /// hops they need. Index `h` holds the latencies of messages whose
 /// source–destination distance is `h`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SampleAccumulator {
     strata: Vec<StreamingStats>,
     all: StreamingStats,
@@ -53,7 +52,7 @@ impl SampleAccumulator {
 }
 
 /// The condensed result of one sampling period.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SampleSummary {
     strata: Vec<StreamingStats>,
     unweighted: StreamingStats,
@@ -106,7 +105,7 @@ impl SampleSummary {
 /// let ci = est.estimate(acc.summarize().strata()).unwrap();
 /// assert!((ci.mean() - 12.5).abs() < 1e-9);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StratifiedEstimator {
     weights: Vec<f64>,
 }

@@ -1,7 +1,5 @@
 //! Single-pass moment accumulation.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean/variance/extrema via Welford's algorithm.
 ///
 /// Numerically stable in a single pass, and mergeable (for combining
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StreamingStats {
     count: u64,
     mean: f64,

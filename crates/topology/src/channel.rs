@@ -1,7 +1,6 @@
 //! Physical-channel identifiers.
 
 use crate::{Direction, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A unidirectional physical channel, identified by its *source* node and
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(c.source(2), NodeId::new(5));
 /// assert_eq!(c.direction(2), Direction::new(1, Sign::Plus));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(u32);
 
 impl ChannelId {

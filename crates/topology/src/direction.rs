@@ -1,13 +1,14 @@
 //! Directions of travel along network dimensions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use wormsim_observe::json::Value;
+use wormsim_observe::{json_tags, Json};
 
 /// The sign of travel along a dimension.
 ///
 /// `Plus` increases the coordinate (modulo the radix on a torus); `Minus`
 /// decreases it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Sign {
     /// Travel towards increasing coordinates.
     Plus,
@@ -38,12 +39,14 @@ impl Sign {
     }
 }
 
+json_tags!(Sign {
+    Plus = "+",
+    Minus = "-"
+});
+
 impl fmt::Display for Sign {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Sign::Plus => write!(f, "+"),
-            Sign::Minus => write!(f, "-"),
-        }
+        f.write_str(self.tag())
     }
 }
 
@@ -63,7 +66,7 @@ impl fmt::Display for Sign {
 /// assert_eq!(Direction::from_index(3), d);
 /// assert_eq!(d.opposite(), Direction::new(1, Sign::Plus));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Direction {
     dim: u8,
     sign: Sign,
@@ -129,6 +132,23 @@ impl Direction {
     }
 }
 
+/// A direction's JSON form is its packed [`index`](Direction::index),
+/// range-checked on the way in: [`Direction::from_index`] panics past
+/// dimension 255, and trace files and worker requests are outside input.
+impl Json for Direction {
+    fn write(&self, out: &mut String) {
+        self.index().write(out);
+    }
+
+    fn read(value: &Value) -> Result<Self, String> {
+        let index = usize::read(value)?;
+        if index / 2 > usize::from(u8::MAX) {
+            return Err(format!("{index} is out of packed-direction range"));
+        }
+        Ok(Direction::from_index(index))
+    }
+}
+
 impl fmt::Debug for Direction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}{}", self.sign, self.dim)
@@ -169,6 +189,20 @@ mod tests {
         for (i, d) in dirs.iter().enumerate() {
             assert_eq!(d.index(), i);
         }
+    }
+
+    #[test]
+    fn json_form_is_the_checked_packed_index() {
+        use wormsim_observe::{json, JsonRecord};
+        let d = Direction::new(255, Sign::Minus);
+        assert_eq!(d.to_json(), "511");
+        assert_eq!(Direction::read(&json::from_str("511").unwrap()), Ok(d));
+        assert!(Direction::read(&json::from_str("512").unwrap()).is_err());
+        assert!(Direction::read(&json::from_str("1000").unwrap()).is_err());
+        assert_eq!(
+            Sign::read(&json::from_str("\"-\"").unwrap()),
+            Ok(Sign::Minus)
+        );
     }
 
     #[test]

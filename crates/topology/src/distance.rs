@@ -1,14 +1,13 @@
 //! Minimal-path structure and distance distributions.
 
 use crate::{Sign, Topology};
-use serde::{Deserialize, Serialize};
 
 /// The minimal movement a message must make in one dimension.
 ///
 /// On a torus, when the remaining offset in a dimension is exactly half the
 /// radix, *both* directions are minimal ([`DimStep::Both`]); routing
 /// algorithms may then pick either.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DimStep {
     /// The dimension is already corrected; no hops needed.
     Done,
@@ -118,7 +117,7 @@ impl MinimalSteps {
 /// // The paper quotes an average diameter of 8.03 for uniform traffic on 16^2.
 /// assert!((d.mean() - 8.031).abs() < 0.01);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DistanceDistribution {
     probs: Vec<f64>,
     mean: f64,

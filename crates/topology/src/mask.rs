@@ -30,14 +30,13 @@
 //! ```
 
 use crate::{ChannelId, Direction, NodeId, Topology};
-use serde::{Deserialize, Serialize};
 
 fn words_for(bits: u32) -> usize {
     (bits as usize).div_ceil(64)
 }
 
 /// A set of dead channels and dead nodes overlaid on a [`Topology`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChannelMask {
     dead_channels: Vec<u64>,
     dead_nodes: Vec<u64>,

@@ -1,7 +1,8 @@
 //! Node identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use wormsim_observe::json::Value;
+use wormsim_observe::Json;
 
 /// A node (router/processor) in the network, identified by a flat index.
 ///
@@ -19,7 +20,7 @@ use std::fmt;
 /// let n = NodeId::new(7);
 /// assert_eq!(t.coords(n), vec![3, 1]); // dimension 0 varies fastest
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -48,6 +49,17 @@ impl fmt::Debug for NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+/// A node's JSON form is its flat index.
+impl Json for NodeId {
+    fn write(&self, out: &mut String) {
+        self.0.write(out);
+    }
+
+    fn read(value: &Value) -> Result<Self, String> {
+        u32::read(value).map(NodeId)
     }
 }
 

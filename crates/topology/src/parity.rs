@@ -1,6 +1,5 @@
 //! Bipartite node coloring used by the negative-hop routing schemes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The parity (two-coloring class) of a node.
@@ -11,7 +10,7 @@ use std::fmt;
 /// parity, which is the graph coloring the negative-hop schemes of
 /// Gopal (1985) and Boppana & Chalasani rely on: a hop from an odd node to
 /// an even node is a *negative* hop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Parity {
     /// Coordinate sum is even (label 1 in the paper's coloring).
     Even,

@@ -2,11 +2,12 @@
 
 use crate::distance::{DimStep, MinimalSteps};
 use crate::{ChannelId, Direction, DistanceDistribution, NodeId, Parity, Sign};
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use wormsim_observe::json::Value;
+use wormsim_observe::{json_tags, Json, JsonObject};
 
 /// Which family of direct network a [`Topology`] belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// k-ary n-cube: every dimension wraps around.
     Torus,
@@ -14,12 +15,14 @@ pub enum TopologyKind {
     Mesh,
 }
 
+json_tags!(TopologyKind {
+    Torus = "torus",
+    Mesh = "mesh"
+});
+
 impl fmt::Display for TopologyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TopologyKind::Torus => write!(f, "torus"),
-            TopologyKind::Mesh => write!(f, "mesh"),
-        }
+        f.write_str(self.tag())
     }
 }
 
@@ -89,7 +92,7 @@ impl std::error::Error for TopologyError {}
 /// assert!(t.is_wraparound(a, dir));
 /// assert_eq!(t.parity(a), Parity::Even);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     kind: TopologyKind,
     dims: Vec<u16>,
@@ -505,6 +508,21 @@ impl Topology {
                 h
             }
         }
+    }
+}
+
+/// A topology's JSON form is `{"kind":"torus","dims":[8,8]}`; reading it
+/// runs the same validation as [`Topology::try_torus`].
+impl Json for Topology {
+    fn write(&self, out: &mut String) {
+        let mut object = JsonObject::begin(out);
+        object.field("kind", &self.kind).field("dims", &self.dims);
+        object.finish();
+    }
+
+    fn read(value: &Value) -> Result<Self, String> {
+        let dims: Vec<u16> = value.field("dims")?;
+        Self::build(value.field("kind")?, &dims).map_err(|e| format!("invalid topology: {e:?}"))
     }
 }
 

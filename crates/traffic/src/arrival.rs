@@ -1,7 +1,6 @@
 //! Message arrival processes.
 
 use crate::{SimRng, TrafficError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// When nodes generate new messages.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert!((arrivals.rate() - 0.02).abs() < 1e-12);
 /// # Ok::<(), wormsim_traffic::TrafficError>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ArrivalProcess {
     /// Geometric interarrival times with per-cycle probability `rate`.
     Geometric {

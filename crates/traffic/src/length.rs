@@ -1,7 +1,6 @@
 //! Message-length distributions.
 
 use crate::{SimRng, TrafficError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How many flits a new message contains.
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(len.max(), 16);
 /// # Ok::<(), wormsim_traffic::TrafficError>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MessageLength {
     /// Every message has exactly this many flits.
     Fixed {
@@ -48,6 +47,14 @@ pub enum MessageLength {
         long_fraction: f64,
     },
 }
+
+// The worker-wire form (`wormsim::wire`): adding or renaming a tag or
+// field here is a wire-protocol change.
+wormsim_observe::json_union!(MessageLength, "type" {
+    Fixed = "fixed" { flits },
+    Uniform = "uniform" { min, max },
+    Bimodal = "bimodal" { short, long, long_fraction },
+});
 
 impl MessageLength {
     /// Fixed-size messages.

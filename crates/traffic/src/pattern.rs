@@ -1,7 +1,6 @@
 //! The [`TrafficPattern`] trait and the [`TrafficConfig`] registry.
 
 use crate::{BitReversal, Complement, Hotspot, Local, SimRng, TrafficError, Transpose, Uniform};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wormsim_topology::{NodeId, Topology};
 
@@ -79,7 +78,7 @@ pub trait TrafficPattern: Send + Sync + fmt::Debug {
 /// assert_eq!(pattern.name(), "hotspot(4%x1)");
 /// # Ok::<(), wormsim_traffic::TrafficError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TrafficConfig {
     /// Uniform random traffic.
     Uniform,
@@ -103,6 +102,17 @@ pub enum TrafficConfig {
     /// Coordinate complement `c -> k-1-c` in every dimension.
     Complement,
 }
+
+// The worker-wire form (`wormsim::wire`): adding or renaming a tag or
+// field here is a wire-protocol change.
+wormsim_observe::json_union!(TrafficConfig, "type" {
+    Uniform = "uniform",
+    Hotspot = "hotspot" { nodes, fraction },
+    Local = "local" { radius },
+    Transpose = "transpose",
+    BitReversal = "bit_reversal",
+    Complement = "complement",
+});
 
 impl TrafficConfig {
     /// Builds the pattern for `topo`.

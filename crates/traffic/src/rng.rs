@@ -7,8 +7,6 @@
 //! odd increment, and identical output on every platform and toolchain —
 //! which `rand`'s `SmallRng` explicitly does not guarantee across versions.
 
-use serde::{Deserialize, Serialize};
-
 /// A PCG-XSH-RR 64/32 pseudo-random generator.
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let x = s.uniform_below(10);
 /// assert!(x < 10);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimRng {
     state: u64,
     inc: u64,

@@ -36,24 +36,10 @@ pub enum TriageVerdict {
     BudgetArtifact,
 }
 
-impl TriageVerdict {
-    /// Stable string tag for journals, CSVs, and manifests.
-    pub fn tag(self) -> &'static str {
-        match self {
-            TriageVerdict::ConfirmedUnsafe => "confirmed_unsafe",
-            TriageVerdict::BudgetArtifact => "budget_artifact",
-        }
-    }
-
-    /// Parses a [`tag`](Self::tag) back.
-    pub fn from_tag(tag: &str) -> Result<Self, String> {
-        match tag {
-            "confirmed_unsafe" => Ok(TriageVerdict::ConfirmedUnsafe),
-            "budget_artifact" => Ok(TriageVerdict::BudgetArtifact),
-            other => Err(format!("unknown triage verdict '{other}'")),
-        }
-    }
-}
+wormsim_observe::json_tags!(TriageVerdict {
+    ConfirmedUnsafe = "confirmed_unsafe",
+    BudgetArtifact = "budget_artifact",
+});
 
 /// The triage outcome plus the evidence it rests on.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,6 +54,13 @@ pub struct TriageReport {
     /// `cycle_messages[i]` waits on.
     pub cycle_channels: Vec<u64>,
 }
+
+wormsim_observe::json_record!(TriageReport {
+    verdict,
+    edges,
+    cycle_messages,
+    cycle_channels,
+});
 
 impl TriageReport {
     /// Whether the verdict is [`TriageVerdict::ConfirmedUnsafe`].
@@ -123,7 +116,7 @@ fn validate_cycle(snapshot: &WaitForSnapshot) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormsim_observe::{WaitForEdge, WaitKind};
+    use wormsim_observe::{json, Json, JsonRecord, WaitForEdge, WaitKind};
 
     fn edge(msg: u64, channel: u64, holder: u64) -> WaitForEdge {
         WaitForEdge {
@@ -189,8 +182,10 @@ mod tests {
             TriageVerdict::ConfirmedUnsafe,
             TriageVerdict::BudgetArtifact,
         ] {
-            assert_eq!(TriageVerdict::from_tag(v.tag()).unwrap(), v);
+            let parsed = json::from_str(&v.to_json()).unwrap();
+            assert_eq!(parsed.as_str(), Some(v.tag()));
+            assert_eq!(TriageVerdict::read(&parsed), Ok(v));
         }
-        assert!(TriageVerdict::from_tag("bogus").is_err());
+        assert!(TriageVerdict::read(&json::Value::String("bogus".into())).is_err());
     }
 }
