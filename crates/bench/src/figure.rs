@@ -1,48 +1,11 @@
 //! Figure sweeps: a [`FigureSpec`] expanded to its `(algorithm, load)`
-//! points and run through [`run_sweep`].
+//! points and run through [`run_sweep`](crate::run_sweep).
 
 use crate::options::SweepOptions;
-use crate::supervisor::QuarantineRecord;
-use crate::sweep::{run_points_or_exit, run_sweep, HarnessError, SweepPlan};
-use std::path::PathBuf;
+use crate::sweep::{run_points_or_exit, SweepPlan};
 use wormsim::presets::FigureSpec;
 use wormsim::topology::Topology;
 use wormsim::{AlgorithmKind, RunResult};
-
-/// How a figure sweep ended.
-#[derive(Debug)]
-pub enum FigureRun {
-    /// Every point ran (or was resumed); results in deterministic order
-    /// (algorithm-major, load-minor).
-    Complete(Vec<RunResult>),
-    /// Shutdown tripped mid-sweep. In-flight points were drained, every
-    /// completed point is journaled, and `partial` holds the completed
-    /// results in sweep order (missing points simply absent).
-    Interrupted {
-        /// Results of the points that completed before shutdown.
-        partial: Vec<RunResult>,
-        /// Completed (journaled) point count.
-        completed: usize,
-        /// Total points in the sweep.
-        total: usize,
-        /// The journal to pass back via `--resume`.
-        journal: PathBuf,
-    },
-    /// The sweep ran to the end, but the supervisor quarantined poison
-    /// points along the way: every other point is journaled and present
-    /// in `partial`, and the quarantined ones are documented rather than
-    /// silently missing. Binaries exit with a distinct status (4).
-    Quarantined {
-        /// Results of every non-quarantined point, in sweep order.
-        partial: Vec<RunResult>,
-        /// The points the sweep completed without.
-        quarantined: Vec<QuarantineRecord>,
-        /// Total points in the sweep.
-        total: usize,
-        /// The journal (its `.quarantine.jsonl` sidecar has the details).
-        journal: PathBuf,
-    },
-}
 
 /// Drops the algorithms `topology` rejects (e.g. the negative-hop schemes
 /// on odd-radix tori), reporting each skip on stderr rather than dying.
@@ -94,52 +57,8 @@ pub fn figure_plan(spec: &FigureSpec, options: &SweepOptions) -> SweepPlan {
     )
 }
 
-/// Runs every `(algorithm, load)` experiment of a figure in parallel with
-/// the full robustness stack (see [`run_sweep`]) and returns results
-/// in deterministic order (algorithm-major, load-minor).
-///
-/// # Errors
-///
-/// The first failing experiment wins: its [`SweepError`] is returned and
-/// unclaimed points are cancelled (points already running finish but their
-/// results are dropped). Journal failures surface as
-/// [`HarnessError::Journal`]. Worker panics do not fail the sweep — they
-/// are recorded per point as [`wormsim::RunOutcome::Harness`].
-pub fn run_figure(spec: &FigureSpec, options: &SweepOptions) -> Result<FigureRun, HarnessError> {
-    let plan = figure_plan(spec, options);
-    let run = run_sweep(&plan, options)?;
-    if let Some(e) = run.first_config_error(&plan) {
-        return Err(e.into());
-    }
-    let total = run.outcomes.len();
-    let results: Vec<RunResult> = run
-        .outcomes
-        .into_iter()
-        .flatten()
-        .map(|r| r.expect("errors returned above"))
-        .collect();
-    if run.interrupted {
-        let completed = results.len();
-        return Ok(FigureRun::Interrupted {
-            partial: results,
-            completed,
-            total,
-            journal: run.journal,
-        });
-    }
-    if !run.quarantined.is_empty() {
-        return Ok(FigureRun::Quarantined {
-            partial: results,
-            quarantined: run.quarantined,
-            total,
-            journal: run.journal,
-        });
-    }
-    Ok(FigureRun::Complete(results))
-}
-
 /// Runs a figure for a binary through the shared exit path (see
-/// [`run_sweep_or_exit`]): an interrupted or quarantined sweep leaves
+/// [`run_sweep_or_exit`](crate::run_sweep_or_exit)): an interrupted or quarantined sweep leaves
 /// `<id>.partial.csv` and exits 130 / 4, an error exits 1. Returns only
 /// when the sweep completed whole.
 pub fn run_figure_or_exit(spec: &FigureSpec, options: &SweepOptions) -> Vec<RunResult> {
@@ -151,6 +70,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::journal::Journal;
     use crate::report::{latency_at, peak_utilization, write_csv};
+    use crate::sweep::{run_sweep, ExperimentsRun};
     use std::path::Path;
     use wormsim::{format_sweep_csv, presets, MeasurementSchedule, RunOutcome};
 
@@ -200,11 +120,26 @@ pub(crate) mod tests {
         spec
     }
 
-    fn complete(run: FigureRun) -> Vec<RunResult> {
-        match run {
-            FigureRun::Complete(results) => results,
-            other => panic!("sweep unexpectedly did not complete: {other:?}"),
-        }
+    /// Runs the figure's plan the way the binaries do, short of exiting.
+    fn run(spec: &FigureSpec, options: &SweepOptions) -> (SweepPlan, ExperimentsRun) {
+        let plan = figure_plan(spec, options);
+        let run = run_sweep(&plan, options).expect("the harness itself does not fail");
+        (plan, run)
+    }
+
+    /// The results of a sweep that must have completed whole, in sweep
+    /// order (algorithm-major, load-minor).
+    fn complete(spec: &FigureSpec, options: &SweepOptions) -> Vec<RunResult> {
+        let (plan, run) = run(spec, options);
+        assert_eq!(run.first_config_error(&plan), None);
+        assert!(
+            !run.interrupted && run.quarantined.is_empty(),
+            "sweep unexpectedly did not complete: {run:?}"
+        );
+        run.outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("every point ran").expect("valid point"))
+            .collect()
     }
 
     #[test]
@@ -218,7 +153,7 @@ pub(crate) mod tests {
             threads: 4,
             ..SweepOptions::default()
         };
-        let results = complete(run_figure(&spec, &options).expect("all points run"));
+        let results = complete(&spec, &options);
         assert_eq!(results.len(), 4);
         // Ordering: algorithm-major, load-minor.
         assert_eq!(results[0].algorithm, "ecube");
@@ -245,11 +180,10 @@ pub(crate) mod tests {
             out_dir: temp_out_dir("first-failure"),
             ..SweepOptions::default()
         };
-        let harness_error =
-            run_figure(&spec, &options).expect_err("invalid load must fail the sweep");
-        let HarnessError::Sweep(error) = harness_error else {
-            panic!("expected a sweep error, got: {harness_error}");
-        };
+        let (plan, run) = run(&spec, &options);
+        let error = run
+            .first_config_error(&plan)
+            .expect("invalid load must fail the sweep");
         assert_eq!(error.index, 1);
         assert_eq!(error.algorithm, "ecube");
         assert!((error.offered_load - 9.0).abs() < 1e-12);
@@ -280,7 +214,7 @@ pub(crate) mod tests {
             inject_panic: Some(2),
             ..SweepOptions::default()
         };
-        let results = complete(run_figure(&spec, &options).expect("panic must not fail sweep"));
+        let results = complete(&spec, &options);
         assert_eq!(results.len(), 4);
         let RunOutcome::Harness(info) = &results[2].outcome else {
             panic!(
@@ -312,20 +246,12 @@ pub(crate) mod tests {
             ..SweepOptions::default()
         };
         options.shutdown.cancel();
-        match run_figure(&spec, &options).expect("interruption is not an error") {
-            FigureRun::Interrupted {
-                partial,
-                completed,
-                total,
-                journal,
-            } => {
-                assert!(partial.is_empty());
-                assert_eq!(completed, 0);
-                assert_eq!(total, 4);
-                assert!(journal.exists(), "journal path must exist for the hint");
-            }
-            other => panic!("pre-tripped shutdown must interrupt, got {other:?}"),
-        }
+        let (plan, run) = run(&spec, &options);
+        assert!(run.interrupted, "pre-tripped shutdown must interrupt");
+        assert_eq!(run.first_config_error(&plan), None);
+        assert_eq!(run.outcomes.len(), 4);
+        assert!(run.outcomes.iter().all(Option::is_none), "nothing ran");
+        assert!(run.journal.exists(), "journal path must exist for the hint");
         std::fs::remove_dir_all(&options.out_dir).ok();
     }
 
@@ -341,7 +267,7 @@ pub(crate) mod tests {
             ..SweepOptions::default()
         };
         // Clean reference run.
-        let clean = complete(run_figure(&spec, &base).expect("clean run"));
+        let clean = complete(&spec, &base);
         let journal_path = Path::new(&out_dir).join("fig3.journal.jsonl");
         assert!(journal_path.exists());
 
@@ -354,7 +280,7 @@ pub(crate) mod tests {
             resume: Some(journal_path.display().to_string()),
             ..base
         };
-        let resumed = complete(run_figure(&spec, &resumed_options).expect("resumed run"));
+        let resumed = complete(&spec, &resumed_options);
         assert_eq!(
             format_sweep_csv(&clean),
             format_sweep_csv(&resumed),

@@ -28,7 +28,6 @@ mod backend;
 mod chaos;
 pub mod cli;
 mod committer;
-mod engine_timing;
 mod figure;
 mod http;
 mod journal;
@@ -46,11 +45,7 @@ pub use backend::{
     WorkerBackend,
 };
 pub use chaos::{ChaosPlan, ChaosPlanError};
-pub use engine_timing::{time_engine, EngineTiming};
-pub use figure::{
-    apply_topology_override, figure_plan, retain_runnable, run_figure, run_figure_or_exit,
-    FigureRun,
-};
+pub use figure::{apply_topology_override, figure_plan, retain_runnable, run_figure_or_exit};
 pub use journal::{Journal, JournalEntry, JournalError, SalvagedLine};
 pub use options::SweepOptions;
 pub use reference::{paper_reference, PaperClaim};

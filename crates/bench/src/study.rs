@@ -19,8 +19,8 @@ use wormsim::AlgorithmKind::{
     self, Ecube, NegativeHopBonusCards, NorthLast, PositiveHop, TwoPowerN,
 };
 use wormsim::{
-    ArrivalProcess, Experiment, MeasurementSchedule, MessageLength, NetworkBuilder, RunResult,
-    SelectionPolicy, Switching, Topology, TrafficConfig,
+    Experiment, MeasurementSchedule, MessageLength, RunResult, SelectionPolicy, Switching,
+    Topology, TrafficConfig,
 };
 
 /// One reproducible study: a row of [`STUDIES`].
@@ -515,15 +515,15 @@ fn cov(counts: &[u64]) -> f64 {
 }
 
 /// Custom: the per-channel and per-class flit counts are raw engine
-/// metrics a [`RunResult`] does not carry, so each point is driven on a
-/// [`NetworkBuilder`] network directly. The points sit at a moderate 30%
+/// counters a [`RunResult`] does not carry, so each point's network
+/// ([`Experiment::build_network`]) is stepped directly with the telemetry
+/// registry counting flits per channel. The points sit at a moderate 30%
 /// load so nothing is saturated: imbalance is then a property of the
 /// algorithm, not of congestion.
 fn balance(options: &SweepOptions) -> Plan {
     let topo = options.topology_or_paper();
     let points = AlgorithmKind::all().map(|kind| uniform(&topo, kind, options).offered_load(0.3));
-    let seed = options.seed;
-    custom(points.to_vec(), move |points| {
+    custom(points.to_vec(), |points| {
         println!(
             "Channel- and class-load balance under uniform traffic at offered 0.3\n\
              (coefficient of variation; 0 = perfectly even):\n"
@@ -534,18 +534,14 @@ fn balance(options: &SweepOptions) -> Plan {
         );
         for point in points {
             let kind = point.algorithm_kind();
-            let rate = point.injection_rate().expect("valid point");
-            let mut net = NetworkBuilder::new(point.topology_ref().clone(), kind)
-                .traffic(point.traffic_config().clone())
-                .arrival(ArrivalProcess::geometric(rate).expect("valid rate"))
-                .message_length(point.length_config())
-                .track_channel_load(true)
-                .seed(seed)
-                .build()
-                .expect("network builds");
+            let mut net = point.build_network().expect("valid point");
+            net.observer().metrics_on();
             net.run(30_000);
             let m = net.metrics();
-            let channels = m.channel_flits.as_ref().expect("tracking enabled");
+            let channels = &net
+                .metrics_registry()
+                .expect("just installed")
+                .channel_flits;
             let mut sorted: Vec<u64> = channels.clone();
             sorted.sort_unstable();
             let median = sorted[sorted.len() / 2].max(1);

@@ -4,7 +4,7 @@
 use crate::{MeasurementSchedule, RunOutcome, RunResult};
 use std::fmt;
 use wormsim_engine::{
-    CancelToken, EjectionModel, EngineError, NetworkBuilder, SelectionPolicy, Switching,
+    CancelToken, EjectionModel, EngineError, Network, NetworkBuilder, SelectionPolicy, Switching,
 };
 use wormsim_faults::{FaultPlan, FaultPlanError, FaultTarget};
 use wormsim_observe::{
@@ -634,28 +634,20 @@ impl Experiment {
         Ok(rate)
     }
 
-    /// Runs the experiment to convergence (or its sample cap).
+    /// Builds the network this experiment simulates, at cycle 0: the
+    /// configuration is validated, the offered load becomes the arrival
+    /// rate of [`injection_rate`](Self::injection_rate), and a run under a
+    /// fault plan gets its default hop budget. [`run`](Self::run) drives
+    /// exactly this network; callers that want raw engine counters (a
+    /// fixed number of cycles, no convergence schedule) step it themselves.
     ///
     /// # Errors
     ///
-    /// Returns an error for invalid configurations. A *deadlock* during
-    /// simulation is not an `Err`: it is reported in
-    /// [`RunResult::deadlock`] so sweeps can record partial data.
-    pub fn run(&self) -> Result<RunResult, ExperimentError> {
-        self.validate()?;
+    /// Returns the same validation errors as [`run`](Self::run), and an
+    /// [`ExperimentError::Engine`] if the routing algorithm or traffic
+    /// pattern rejects the topology.
+    pub fn build_network(&self) -> Result<Network, ExperimentError> {
         let rate = self.injection_rate()?;
-        let pattern = self
-            .traffic
-            .build(&self.topology)
-            .map_err(EngineError::from)?;
-        let weights = pattern.hop_class_weights(&self.topology);
-        let io_err = |e: std::io::Error| ExperimentError::Io {
-            message: e.to_string(),
-        };
-
-        let total_watch = Stopwatch::start();
-        let mut timings = PhaseTimings::new();
-
         // Under a fault plan, misrouting must not livelock silently: give
         // the guard a generous default hop budget unless the caller set one.
         let hop_budget = self.hop_budget.or_else(|| {
@@ -687,6 +679,26 @@ impl Experiment {
         if let Some(token) = &self.cancel {
             net.set_cancel_token(token.clone());
         }
+        Ok(net)
+    }
+
+    /// Runs the experiment to convergence (or its sample cap).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for invalid configurations. A *deadlock* during
+    /// simulation is not an `Err`: it is reported in
+    /// [`RunResult::deadlock`] so sweeps can record partial data.
+    pub fn run(&self) -> Result<RunResult, ExperimentError> {
+        let total_watch = Stopwatch::start();
+        let mut timings = PhaseTimings::new();
+        let mut net = self.build_network()?;
+        let rate = net.config().arrival.rate();
+        let traffic = net.traffic_pattern().name();
+        let weights = net.traffic_pattern().hop_class_weights(&self.topology);
+        let io_err = |e: std::io::Error| ExperimentError::Io {
+            message: e.to_string(),
+        };
 
         // A plan that partitions every source from every destination has
         // nothing to measure: record the outcome instead of simulating a
@@ -694,7 +706,7 @@ impl Experiment {
         if net.routable_pairs() == 0 {
             return Ok(RunResult {
                 algorithm: self.algorithm.name().to_owned(),
-                traffic: pattern.name(),
+                traffic,
                 offered_load: self.offered_load,
                 injection_rate: rate,
                 latency: wormsim_stats::ConfidenceInterval::new(0.0, f64::INFINITY),
@@ -723,7 +735,7 @@ impl Experiment {
         let run_id = self.observe.as_ref().map(|observe| {
             observe.run_id(&[
                 self.algorithm.name(),
-                &pattern.name(),
+                &traffic,
                 &format!("l{:.2}", self.offered_load),
                 &format!("s{}", self.seed),
             ])
@@ -865,7 +877,7 @@ impl Experiment {
             .collect();
         let mut result = RunResult {
             algorithm: self.algorithm.name().to_owned(),
-            traffic: pattern.name(),
+            traffic,
             offered_load: self.offered_load,
             injection_rate: rate,
             latency,
@@ -1029,6 +1041,27 @@ mod tests {
         assert!(matches!(
             base().offered_load(7.0).injection_rate(),
             Err(ExperimentError::InvalidLoad { .. })
+        ));
+    }
+
+    #[test]
+    fn build_network_is_the_network_run_drives() {
+        let e = base().offered_load(0.4);
+        let net = e.build_network().unwrap();
+        assert_eq!(net.cycle(), 0);
+        assert_eq!(net.config().seed, 5);
+        assert_eq!(
+            net.config().arrival.rate().to_bits(),
+            e.injection_rate().unwrap().to_bits()
+        );
+        // Validation comes first, as in `run`.
+        assert!(matches!(
+            base().offered_load(0.0).build_network(),
+            Err(ExperimentError::InvalidLoad { .. })
+        ));
+        assert!(matches!(
+            base().vc_replicas(0).build_network(),
+            Err(ExperimentError::ZeroVcReplicas)
         ));
     }
 

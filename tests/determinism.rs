@@ -16,63 +16,26 @@
 use wormsim::engine::{SelectionPolicy, Switching};
 use wormsim::observe::JsonObject;
 use wormsim::presets;
-use wormsim::stats::throughput;
 use wormsim::topology::Topology;
-use wormsim::{
-    AlgorithmKind, ArrivalProcess, Experiment, MessageLength, NetworkBuilder, RunResult,
-    TrafficConfig,
-};
+use wormsim::{AlgorithmKind, Experiment, RunResult};
+use wormsim_suite::assert_matches_golden;
 
 const SEED: u64 = 1993;
 const LOAD: f64 = 0.2;
 
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// Compares `actual` against the committed golden, or rewrites the golden
-/// when `WORMSIM_UPDATE_GOLDEN=1`.
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("WORMSIM_UPDATE_GOLDEN").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-            .expect("golden dir creates");
-        std::fs::write(&path, actual).expect("golden writes");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with WORMSIM_UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected, actual,
-        "engine output diverged from the committed golden {name}; if the \
-         change is intentional, regenerate with WORMSIM_UPDATE_GOLDEN=1"
-    );
-}
-
-/// A builder for uniform 16-flit traffic on `topo` at offered `load` under
-/// the golden seed, with the arrival rate `Experiment::run` would derive.
-fn uniform_builder(topo: &Topology, algorithm: AlgorithmKind, load: f64) -> NetworkBuilder {
-    let pattern = TrafficConfig::Uniform.build(topo).expect("uniform builds");
-    let rate =
-        throughput::rate_for_utilization(load, 16.0, pattern.mean_distance(topo), topo.num_dims());
-    NetworkBuilder::new(topo.clone(), algorithm)
-        .traffic(TrafficConfig::Uniform)
-        .arrival(ArrivalProcess::geometric(rate).expect("valid rate"))
-        .message_length(MessageLength::fixed(16).expect("valid length"))
+/// Uniform 16-flit traffic on `topo` at offered `load` under the golden
+/// seed; `Experiment::build_network` gives the network `run` would drive.
+fn uniform(topo: &Topology, algorithm: AlgorithmKind, load: f64) -> Experiment {
+    Experiment::new(topo.clone(), algorithm)
+        .offered_load(load)
         .seed(SEED)
 }
 
 /// Builds the fig3 network (16×16 torus, uniform 16-flit worms) at the
-/// golden load for one algorithm, exactly as `Experiment::run` would.
+/// golden load for one algorithm.
 fn fig3_network(algorithm: AlgorithmKind) -> wormsim::engine::Network {
-    uniform_builder(&presets::paper_topology(), algorithm, LOAD)
-        .build()
+    uniform(&presets::paper_topology(), algorithm, LOAD)
+        .build_network()
         .expect("network builds")
 }
 
@@ -200,11 +163,11 @@ fn saturated_snapshot(metrics_on: bool) -> String {
             SelectionPolicy::Random,
         ] {
             for (mode, switching, replicas) in modes {
-                let mut net = uniform_builder(&topo, algorithm, 0.9)
+                let mut net = uniform(&topo, algorithm, 0.9)
                     .selection(selection)
                     .switching(switching)
                     .vc_replicas(replicas)
-                    .build()
+                    .build_network()
                     .expect("network builds");
                 if metrics_on {
                     net.observer().metrics_on();
@@ -285,8 +248,8 @@ fn large_network_metrics_match_golden() {
             AlgorithmKind::TwoPowerN,
             AlgorithmKind::NorthLast,
         ] {
-            let mut net = uniform_builder(&topo, algorithm, LOAD)
-                .build()
+            let mut net = uniform(&topo, algorithm, LOAD)
+                .build_network()
                 .expect("network builds");
             net.run(1_500);
             let mut line = String::new();

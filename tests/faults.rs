@@ -14,35 +14,9 @@ use wormsim::faults::{Fault, FaultPlan, FaultRegion, FaultTarget};
 use wormsim::observe::{json, JsonObject, ObserveConfig, WaitForSnapshot, WaitKind};
 use wormsim::topology::{Direction, Sign, Topology};
 use wormsim::{AlgorithmKind, Experiment, RunOutcome, RunResult};
+use wormsim_suite::assert_matches_golden;
 
 const SEED: u64 = 1993;
-
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("WORMSIM_UPDATE_GOLDEN").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-            .expect("golden dir creates");
-        std::fs::write(&path, actual).expect("golden writes");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with WORMSIM_UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected, actual,
-        "fault-mode output diverged from the committed golden {name}; if the \
-         change is intentional, regenerate with WORMSIM_UPDATE_GOLDEN=1"
-    );
-}
 
 fn fault_result_json(r: &RunResult) -> String {
     let mut out = String::new();
