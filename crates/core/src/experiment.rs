@@ -665,7 +665,6 @@ impl Experiment {
             .vc_replicas(self.vc_replicas)
             .congestion_limit(self.congestion_limit)
             .injection_bandwidth(self.injection_bandwidth)
-            .track_channel_load(self.observe.is_some())
             .hop_budget(hop_budget)
             .age_budget(self.age_budget)
             .seed(self.seed);

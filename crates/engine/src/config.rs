@@ -107,8 +107,6 @@ pub struct SimConfig {
     /// Cycles without forward progress (while flits are in flight) before
     /// the watchdog reports a deadlock.
     pub watchdog_cycles: u64,
-    /// Record per-physical-channel flit counts (for utilization maps).
-    pub track_channel_load: bool,
     /// Link/node failures injected into the run; `None` (or an empty plan)
     /// simulates a healthy network with zero overhead on the hot path.
     pub faults: Option<FaultPlan>,
@@ -167,7 +165,6 @@ impl NetworkBuilder {
                 injection_bandwidth: 1,
                 seed: 0,
                 watchdog_cycles: 20_000,
-                track_channel_load: false,
                 faults: None,
                 hop_budget: None,
                 age_budget: None,
@@ -239,12 +236,6 @@ impl NetworkBuilder {
     /// Sets the watchdog threshold in cycles.
     pub fn watchdog_cycles(mut self, cycles: u64) -> Self {
         self.config.watchdog_cycles = cycles;
-        self
-    }
-
-    /// Enables per-channel load recording.
-    pub fn track_channel_load(mut self, track: bool) -> Self {
-        self.config.track_channel_load = track;
         self
     }
 

@@ -18,10 +18,18 @@
 //!   generation is refused,
 //! * a **deadlock watchdog** that flags windows without forward progress.
 //!
-//! Each cycle proceeds in deterministic phases: arrivals → injection-VC
-//! assignment → routing & VC allocation → switch allocation → flit
-//! transfers/ejection. All transfer decisions read start-of-cycle state, so
-//! results do not depend on iteration order within a phase.
+//! Each cycle proceeds in deterministic phases, one file each under
+//! `src/network/`, run in this order by [`Network::step`] (`mod.rs`):
+//!
+//! * arrivals → injection-VC assignment: `inject.rs`
+//! * routing & VC allocation, blocked heads asleep: `route.rs`
+//! * switch allocation and the injection budget: `allocate.rs`
+//! * ejections, flit transfers, credits: `advance.rs`
+//! * fault transitions, livelock guard, wait-for forensics: `faults.rs`
+//!
+//! [`ObserverHandle`] (`observer.rs`) configures the trace, sample and
+//! metrics instruments. All transfer decisions read start-of-cycle state,
+//! so results do not depend on iteration order within a phase.
 //!
 //! # Example
 //!
@@ -64,8 +72,8 @@ pub use config::{EjectionModel, NetworkBuilder, SelectionPolicy, SimConfig, Swit
 pub use error::EngineError;
 pub use flit::{Flit, FlitKind, MessageId};
 pub use metrics::{DeliveredMessage, Metrics};
-pub use network::{DeadlockReport, LivelockReport, Network, DEFAULT_TRACE_CAPACITY};
-pub use observer::ObserverHandle;
+pub use network::{DeadlockReport, LivelockReport, Network};
+pub use observer::{ObserverHandle, DEFAULT_TRACE_CAPACITY};
 pub use trace::TraceEvent;
 
 /// The observability layer (sinks, samples, manifests), re-exported so

@@ -59,39 +59,50 @@ pub struct Metrics {
     /// indexed by class. Shows the load-balancing behavior the paper
     /// discusses for nhop versus nbc.
     pub class_flits: Vec<u64>,
-    /// Flit transfers per physical channel (only when
-    /// `track_channel_load` is set), indexed by channel id.
-    pub channel_flits: Option<Vec<u64>>,
 }
 
 impl Metrics {
-    pub(crate) fn new(num_classes: usize, track_channels: bool, num_channels: usize) -> Self {
+    pub(crate) fn new(num_classes: usize) -> Self {
         Metrics {
             class_flits: vec![0; num_classes],
-            channel_flits: track_channels.then(|| vec![0; num_channels]),
             ..Metrics::default()
         }
     }
 
     /// Zeroes every counter (buffer/network state is untouched). The
-    /// `class_flits`/`channel_flits` vectors are zeroed in place, so a
-    /// sweep's per-sample resets never reallocate.
+    /// `class_flits` vector is zeroed in place, so a sweep's per-sample
+    /// resets never reallocate.
     pub fn reset(&mut self) {
-        self.generated = 0;
-        self.refused = 0;
-        self.delivered = 0;
-        self.flit_hops = 0;
-        self.flits_injected = 0;
-        self.flits_ejected = 0;
-        self.cycles = 0;
-        self.unroutable = 0;
-        self.messages_aborted = 0;
-        self.flits_dropped = 0;
-        self.route_attempts = 0;
-        self.route_sleeps = 0;
-        self.class_flits.fill(0);
-        if let Some(channels) = self.channel_flits.as_mut() {
-            channels.fill(0);
+        let mut class_flits = std::mem::take(&mut self.class_flits);
+        class_flits.fill(0);
+        *self = Metrics {
+            class_flits,
+            ..Metrics::default()
+        };
+    }
+
+    /// Adds the counts `current` gained since `base` to `self`, field by
+    /// field: how the sampler accumulates one window across resets.
+    pub(crate) fn add_delta(&mut self, current: &Metrics, base: &Metrics) {
+        let delta = |cur: u64, base: u64| cur.saturating_sub(base);
+        self.generated += delta(current.generated, base.generated);
+        self.refused += delta(current.refused, base.refused);
+        self.delivered += delta(current.delivered, base.delivered);
+        self.flit_hops += delta(current.flit_hops, base.flit_hops);
+        self.flits_injected += delta(current.flits_injected, base.flits_injected);
+        self.flits_ejected += delta(current.flits_ejected, base.flits_ejected);
+        self.cycles += delta(current.cycles, base.cycles);
+        self.unroutable += delta(current.unroutable, base.unroutable);
+        self.messages_aborted += delta(current.messages_aborted, base.messages_aborted);
+        self.flits_dropped += delta(current.flits_dropped, base.flits_dropped);
+        self.route_attempts += delta(current.route_attempts, base.route_attempts);
+        self.route_sleeps += delta(current.route_sleeps, base.route_sleeps);
+        for (acc, (&cur, &b)) in self
+            .class_flits
+            .iter_mut()
+            .zip(current.class_flits.iter().zip(&base.class_flits))
+        {
+            *acc += delta(cur, b);
         }
     }
 
@@ -133,33 +144,28 @@ mod tests {
 
     #[test]
     fn reset_preserves_shapes() {
-        let mut m = Metrics::new(4, true, 64);
+        let mut m = Metrics::new(4);
         m.generated = 10;
         m.class_flits[2] = 5;
-        m.channel_flits.as_mut().unwrap()[3] = 7;
         m.cycles = 100;
         m.reset();
         assert_eq!(m.generated, 0);
         assert_eq!(m.class_flits, vec![0; 4]);
-        assert_eq!(m.channel_flits.as_ref().unwrap().len(), 64);
         assert_eq!(m.cycles, 0);
     }
 
     #[test]
     fn reset_reuses_allocations() {
-        let mut m = Metrics::new(4, true, 64);
+        let mut m = Metrics::new(4);
         let class_ptr = m.class_flits.as_ptr();
-        let channel_ptr = m.channel_flits.as_ref().unwrap().as_ptr();
         m.class_flits[1] = 9;
-        m.channel_flits.as_mut().unwrap()[5] = 3;
         m.reset();
         assert_eq!(m.class_flits.as_ptr(), class_ptr);
-        assert_eq!(m.channel_flits.as_ref().unwrap().as_ptr(), channel_ptr);
     }
 
     #[test]
     fn utilization_math() {
-        let mut m = Metrics::new(1, false, 0);
+        let mut m = Metrics::new(1);
         m.flit_hops = 500;
         m.cycles = 100;
         assert!((m.channel_utilization(10) - 0.5).abs() < 1e-12);
@@ -168,7 +174,7 @@ mod tests {
 
     #[test]
     fn rates() {
-        let mut m = Metrics::new(1, false, 0);
+        let mut m = Metrics::new(1);
         m.delivered = 100;
         m.generated = 120;
         m.cycles = 1000;

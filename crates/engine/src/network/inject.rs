@@ -1,0 +1,143 @@
+//! Phases 1 and 2: traffic arrivals, and queued messages moving into free
+//! injection VCs.
+
+use super::{Network, PendingHead};
+use crate::flit::{Flit, MessageId};
+use crate::message::MessageRec;
+use crate::TraceEvent;
+use std::cmp::Reverse;
+use wormsim_routing::MessageRouteState;
+use wormsim_topology::NodeId;
+
+impl Network {
+    pub(super) fn schedule_initial_arrivals(&mut self) {
+        for node in 0..self.nodes.len() as u32 {
+            if let Some(gap) = self.cfg.arrival.next_gap(&mut self.arrivals_rng) {
+                self.arrival_heap.push(Reverse((gap - 1, node)));
+            }
+        }
+    }
+
+    pub(super) fn phase_arrivals(&mut self) {
+        // Arrival gaps are ≥ 1, so every entry still queued is due at the
+        // current cycle or later; equal-cycle entries pop in ascending node
+        // order, matching the scan this replaces.
+        while let Some(&Reverse((when, node))) = self.arrival_heap.peek() {
+            debug_assert!(when >= self.cycle, "arrivals are drained every cycle");
+            if when != self.cycle {
+                break;
+            }
+            self.arrival_heap.pop();
+            if let Some(gap) = self.cfg.arrival.next_gap(&mut self.arrivals_rng) {
+                self.arrival_heap.push(Reverse((self.cycle + gap, node)));
+            }
+            let src = NodeId::new(node);
+            let dest = self.pattern.sample_dest(src, &mut self.dest_rng);
+            let length = self.cfg.length.sample(&mut self.length_rng);
+            // Faulted network: drop a would-be message whose source is dead
+            // or whose destination is unreachable over live channels. The
+            // destination and length are sampled first regardless, so the
+            // RNG streams stay aligned with a healthy run.
+            if let Some(fs) = &self.faults {
+                if !fs.reach.routable(src, dest) {
+                    self.metrics.unroutable += 1;
+                    continue;
+                }
+            }
+            // Congestion control: refuse if the class is at its limit.
+            if let Some(limit) = self.cfg.congestion_limit {
+                let mut route = MessageRouteState::new(src, dest);
+                self.algo.init_message(&self.topo, &mut route);
+                let class = self.algo.injection_class(&self.topo, &route);
+                let count = self.nodes[node as usize]
+                    .class_counts
+                    .get(&class)
+                    .copied()
+                    .unwrap_or(0);
+                if count >= limit {
+                    self.metrics.refused += 1;
+                    self.obs.trace(TraceEvent::Refused {
+                        cycle: self.cycle,
+                        src,
+                        class,
+                    });
+                    continue;
+                }
+            }
+            self.admit(src, dest, length);
+        }
+    }
+
+    pub(super) fn admit(&mut self, src: NodeId, dest: NodeId, length: u32) -> MessageId {
+        let mut route = MessageRouteState::new(src, dest);
+        self.algo.init_message(&self.topo, &mut route);
+        let injection_class = self.algo.injection_class(&self.topo, &route);
+        let id = self.slab.insert(MessageRec {
+            route,
+            length,
+            generated: self.cycle,
+            injected: None,
+            injection_class,
+            src,
+        });
+        let node = &mut self.nodes[src.as_usize()];
+        *node.class_counts.entry(injection_class).or_insert(0) += 1;
+        node.queue.push_back(id);
+        self.inj_dirty.insert(src.as_usize());
+        self.metrics.generated += 1;
+        self.flits_in_flight += length as u64;
+        self.obs.trace(TraceEvent::Generated {
+            cycle: self.cycle,
+            msg: id,
+            src,
+            dest,
+            length,
+        });
+        id
+    }
+
+    pub(super) fn phase_assign_injection(&mut self) {
+        // Set bits are visited in ascending node order, matching the full
+        // scan this replaces (the order fixes routing priority downstream
+        // via `pending_route`). Nodes still blocked on a free VC keep
+        // their bit.
+        let inj_port = self.injection_port();
+        let mut dirty = std::mem::take(&mut self.inj_dirty);
+        dirty.retain(|node| {
+            while !self.nodes[node].queue.is_empty() {
+                // Find a free injection VC (empty buffer, no route).
+                let Some(ivc) = (0..self.vcs)
+                    .map(|vc| self.ivc_index(node as u32, inj_port, vc))
+                    .find(|&ivc| {
+                        let slot = &self.input_vcs[ivc as usize];
+                        slot.buffer.is_empty() && slot.route.is_none()
+                    })
+                else {
+                    break;
+                };
+                let id = self.nodes[node].queue.pop_front().expect("non-empty");
+                let length = self.slab.get(id).length;
+                for flit in Flit::sequence(id, length) {
+                    self.input_vcs[ivc as usize].push(flit);
+                }
+                self.occ[ivc as usize] += length;
+                self.obs.trace(TraceEvent::InjectionStarted {
+                    cycle: self.cycle,
+                    msg: id,
+                });
+                self.enqueue_pending(ivc);
+            }
+            !self.nodes[node].queue.is_empty()
+        });
+        self.inj_dirty = dirty;
+    }
+
+    pub(super) fn enqueue_pending(&mut self, ivc: u32) {
+        self.pending_route.push(PendingHead {
+            ivc,
+            node: self.ivc_meta[ivc as usize].node,
+            dirs: 0,
+            failed_at: 0,
+        });
+    }
+}

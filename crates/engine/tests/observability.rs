@@ -23,7 +23,6 @@ fn busy_net(seed: u64) -> Network {
         .traffic(TrafficConfig::Uniform)
         .arrival(ArrivalProcess::geometric(0.02).unwrap())
         .message_length(MessageLength::fixed(8).unwrap())
-        .track_channel_load(true)
         .seed(seed)
         .build()
         .unwrap()
@@ -98,18 +97,27 @@ fn jsonl_event_sink_streams_parseable_trace() {
     assert_eq!(parsed, events, "JSONL round-trips the exact event stream");
 }
 
-#[test]
-fn sampler_emits_on_stride_with_consistent_windows() {
+/// The samples of a 2000-cycle run of `busy_net(4)` at stride 250, with
+/// `reset_metrics` called after each cycle count in `resets`.
+fn sampled_run(resets: &[u64]) -> Vec<Sample> {
     let (tx, rx) = std::sync::mpsc::channel();
     let mut net = busy_net(4);
     net.observer().sample(250, Box::new(CollectSink(tx)));
-    net.run(1_000);
-    net.reset_metrics(); // must not corrupt the in-progress window
-    net.run(1_000);
+    for &cycle in resets {
+        net.run(cycle - net.cycle());
+        net.reset_metrics();
+    }
+    net.run(2_000 - net.cycle());
     net.sample_now();
     net.sample_now(); // second call is a no-op: empty window
     drop(net);
-    let samples: Vec<Sample> = rx.try_iter().collect();
+    rx.try_iter().collect()
+}
+
+#[test]
+fn sampler_emits_on_stride_with_consistent_windows() {
+    // A reset mid-window (cycle 1130, stride 250) must not corrupt it.
+    let samples = sampled_run(&[1_130]);
     assert_eq!(
         samples.len(),
         8,
@@ -132,6 +140,9 @@ fn sampler_emits_on_stride_with_consistent_windows() {
     assert_eq!(generated, recount.metrics().generated);
     let hops: u64 = samples.iter().map(|s| s.flit_hops).sum();
     assert_eq!(hops, recount.metrics().flit_hops);
+    // The reset is invisible to the stream: every window, and so every
+    // per-field sum, equals that of the same run without it.
+    assert_eq!(samples, sampled_run(&[]));
 }
 
 #[test]

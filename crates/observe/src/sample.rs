@@ -41,8 +41,8 @@ pub struct Sample {
     pub class_occupancy: Vec<u64>,
     /// Flit transfers during the window, per VC class.
     pub class_flits: Vec<u64>,
-    /// Flit transfers during the window, per physical channel (empty
-    /// unless the network tracks channel load).
+    /// Flit transfers during the window, per output channel (`node × 2n +
+    /// direction`, mesh boundary slots included as zeros).
     pub channel_flits: Vec<u64>,
 }
 

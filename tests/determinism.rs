@@ -13,11 +13,12 @@
 //! semantic changes regenerate the goldens with
 //! `WORMSIM_UPDATE_GOLDEN=1 cargo test --test determinism`.
 
-use wormsim::engine::{SelectionPolicy, Switching};
-use wormsim::observe::JsonObject;
+use std::sync::{Arc, Mutex};
+use wormsim::engine::{NetworkBuilder, SelectionPolicy, Switching};
+use wormsim::observe::{EventSink, JsonObject, JsonRecord};
 use wormsim::presets;
 use wormsim::topology::Topology;
-use wormsim::{AlgorithmKind, Experiment, RunResult};
+use wormsim::{AlgorithmKind, ArrivalProcess, Experiment, ObserveConfig, RunResult, Sample};
 use wormsim_suite::assert_matches_golden;
 
 const SEED: u64 = 1993;
@@ -262,6 +263,69 @@ fn large_network_metrics_match_golden() {
     let mut snapshot = lines.join("\n");
     snapshot.push('\n');
     assert_matches_golden("scaling_metrics_seed1993.jsonl", &snapshot);
+}
+
+/// Appends each sample's JSONL line to a shared buffer.
+struct SampleLines(Arc<Mutex<String>>);
+
+impl EventSink<Sample> for SampleLines {
+    fn record(&mut self, sample: &Sample) {
+        let mut out = self.0.lock().expect("buffer lock");
+        out.push_str(&sample.to_json());
+        out.push('\n');
+    }
+}
+
+/// The sampler's stream, byte for byte, across everything that moves its
+/// window bookkeeping: on a raw 8×8 torus, metric resets that land
+/// mid-window (cycles 1130 and 2410 at stride 250), a replaced sampler and
+/// a partial closing window; then an observed quick `Experiment::run`,
+/// whose warm-up, sample and gap resets fall inside 700-cycle windows.
+#[test]
+fn sample_streams_match_golden() {
+    let lines = Arc::new(Mutex::new(String::new()));
+    let topo = Topology::torus(&[8, 8]);
+    let algorithm = AlgorithmKind::NegativeHopBonusCards;
+    let rate = uniform(&topo, algorithm, 0.5)
+        .injection_rate()
+        .expect("feasible load");
+    let mut net = NetworkBuilder::new(topo, algorithm)
+        .arrival(ArrivalProcess::geometric(rate).expect("valid rate"))
+        .seed(SEED)
+        .build()
+        .expect("network builds");
+    net.observer()
+        .sample(250, Box::new(SampleLines(Arc::clone(&lines))));
+    net.run(1_130);
+    net.reset_metrics();
+    net.run(2_410 - 1_130);
+    net.reset_metrics();
+    net.run(3_000 - 2_410);
+    net.observer()
+        .sample(250, Box::new(SampleLines(Arc::clone(&lines))));
+    net.run(870);
+    net.sample_now();
+    let mut snapshot = std::mem::take(&mut *lines.lock().expect("buffer lock"));
+
+    let dir = std::env::temp_dir().join(format!("wormsim-samples-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    Experiment::new(Topology::torus(&[6, 6]), algorithm)
+        .offered_load(0.4)
+        .quick()
+        .seed(SEED)
+        .observe(ObserveConfig {
+            out_dir: Some(dir.clone()),
+            trace_dir: None,
+            sample_every: 700,
+            prefix: "golden".to_owned(),
+            metrics: false,
+        })
+        .run()
+        .expect("observed quick point runs");
+    let stream = dir.join("golden-nbc-uniform-l0.40-s1993.samples.jsonl");
+    snapshot.push_str(&std::fs::read_to_string(&stream).expect("sample stream written"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_matches_golden("samples_seed1993.jsonl", &snapshot);
 }
 
 /// The same experiment run twice in-process gives identical results — the
