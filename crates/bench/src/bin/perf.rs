@@ -9,6 +9,7 @@
 //! perf --list
 //! perf <preset> [--topo T] [--load F] [--cycles N] [--warmup N] [--seed N] [--out FILE]
 //!               [--smoke] [--metrics] [--max-overhead-pct P]
+//! perf <preset> --check FILE
 //! ```
 //!
 //! A preset is a row of [`PRESETS`]: its networks, its default load and
@@ -23,12 +24,18 @@
 //! more than one mode every run is best-of-3 by wall clock; a plain
 //! trajectory run is single-shot, as every committed `BENCH_*.json` was.
 //!
-//! Exit status: 0 done, 1 error or failed guard, 2 usage.
+//! `--check FILE` re-runs the configuration a `--out` file of this preset
+//! records and fails unless every point's `flit_hops`, `delivered`,
+//! `route_attempts` and `route_sleeps` equal the recorded ones — the CI
+//! gate on the deterministic counters; wall-clock stays advisory. It takes
+//! no other flag.
+//!
+//! Exit status: 0 done, 1 error, failed guard or count mismatch, 2 usage.
 
 use std::path::Path;
 use std::time::Instant;
 use wormsim::observe::{
-    atomic_write, json_record, json_tags, JsonRecord, JsonlSink, MetricsRegistry, PHASE_NAMES,
+    atomic_write, json, json_record, json_tags, JsonRecord, JsonlSink, MetricsRegistry, PHASE_NAMES,
 };
 use wormsim::AlgorithmKind::{self, Ecube, NegativeHopBonusCards};
 use wormsim::{presets, Experiment, MeasurementSchedule, Switching, Topology};
@@ -36,7 +43,7 @@ use wormsim_bench::cli;
 
 const USAGE: &str = "usage: perf --list | perf <preset> [--topo T] [--load F] [--cycles N] \
                      [--warmup N] [--seed N] [--out FILE] [--smoke] [--metrics] \
-                     [--max-overhead-pct P]";
+                     [--max-overhead-pct P] | perf <preset> --check FILE";
 
 /// Cycles stepped between two collections of the delivery records. The
 /// engine keeps every record until it is taken, as a drive loop does once
@@ -167,6 +174,8 @@ struct Options {
     smoke: bool,
     metrics: bool,
     max_overhead_pct: Option<f64>,
+    /// A report whose counts this run must reproduce (`--check`).
+    check: Option<String>,
 }
 
 impl Options {
@@ -195,8 +204,11 @@ fn parse_args(preset: &Preset, mut args: impl Iterator<Item = String>) -> Result
         smoke: false,
         metrics: false,
         max_overhead_pct: None,
+        check: None,
     };
+    let mut flags = 0;
     while let Some(arg) = args.next() {
+        flags += 1;
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
             "--topo" if preset.pins_topology => {
@@ -234,8 +246,15 @@ fn parse_args(preset: &Preset, mut args: impl Iterator<Item = String>) -> Result
                         .ok_or_else(|| format!("bad percentage '{v}' (expected > 0)"))?,
                 );
             }
+            "--check" => options.check = Some(value("--check")?),
             other => return Err(format!("unknown argument '{other}'")),
         }
+    }
+    if options.check.is_some() && flags > 1 {
+        return Err(
+            "--check takes its configuration from the file; it combines with no other flag"
+                .to_owned(),
+        );
     }
     if options.smoke {
         options.warmup = options.warmup.min(SMOKE_WARMUP);
@@ -505,8 +524,103 @@ fn measure(
     Ok((Report { config, points }, overheads))
 }
 
+/// The options that reproduce `recorded`, a report of `preset`: its
+/// configuration, its network when the preset does not pin one, and the
+/// registry pairing when it holds metrics-on points.
+fn options_of(preset: &Preset, recorded: &Report) -> Result<Options, String> {
+    let config = &recorded.config;
+    if config.preset != preset.id {
+        return Err(format!(
+            "the file records preset '{}', not '{}'",
+            config.preset, preset.id
+        ));
+    }
+    let topo = match recorded.points.first() {
+        Some(point) if !preset.pins_topology => Some(cli::parse_topology(&point.topology)?),
+        _ => None,
+    };
+    Ok(Options {
+        topo,
+        load: config.offered_load,
+        cycles: config.timed_cycles,
+        warmup: config.warmup_cycles,
+        seed: config.seed,
+        out: None,
+        smoke: config.smoke,
+        metrics: recorded.points.iter().any(|p| p.mode == Mode::Metrics),
+        max_overhead_pct: None,
+        check: None,
+    })
+}
+
+/// Every way `fresh` fails to reproduce the deterministic columns of
+/// `recorded`, point by point; empty when it does.
+fn count_mismatches(recorded: &Report, fresh: &Report) -> Vec<String> {
+    if recorded.points.len() != fresh.points.len() {
+        return vec![format!(
+            "{} points recorded, {} measured",
+            recorded.points.len(),
+            fresh.points.len()
+        )];
+    }
+    let mut mismatches = Vec::new();
+    for (was, now) in recorded.points.iter().zip(&fresh.points) {
+        let name = format!("{} {} {}", was.topology, was.algorithm, was.mode.tag());
+        if (&was.topology, &was.algorithm, was.mode) != (&now.topology, &now.algorithm, now.mode) {
+            mismatches.push(format!(
+                "{name}: measured {} {} {} in its place",
+                now.topology,
+                now.algorithm,
+                now.mode.tag()
+            ));
+            continue;
+        }
+        let counts = [
+            ("flit_hops", was.flit_hops, now.flit_hops),
+            ("delivered", was.delivered, now.delivered),
+            ("route_attempts", was.route_attempts, now.route_attempts),
+            ("route_sleeps", was.route_sleeps, now.route_sleeps),
+        ];
+        for (field, recorded, measured) in counts {
+            if recorded != measured {
+                mismatches.push(format!("{name}: {field} {measured}, recorded {recorded}"));
+            }
+        }
+    }
+    mismatches
+}
+
+/// `--check`: re-runs the configuration `path` records and requires its
+/// deterministic counts back.
+fn check(preset: &Preset, path: &str, scratch: &Path) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
+    let recorded = json::from_str(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|value| Report::from_json(&value))
+        .map_err(|e| format!("{path} is not a perf report: {e}"))?;
+    let options = options_of(preset, &recorded).map_err(|e| format!("{path}: {e}"))?;
+    let (fresh, _) = measure(preset, &options, scratch)?;
+    let mismatches = count_mismatches(&recorded, &fresh);
+    if !mismatches.is_empty() {
+        return Err(format!(
+            "counts differ from {path}:\n  {}",
+            mismatches.join("\n  ")
+        ));
+    }
+    println!(
+        "counts match {path}: {} points of flit_hops, delivered, route_attempts, route_sleeps",
+        fresh.points.len()
+    );
+    Ok(())
+}
+
 fn run(preset: &Preset, options: &Options) -> Result<(), String> {
     let scratch = std::env::temp_dir().join(format!("wormsim-perf-{}", std::process::id()));
+    if let Some(path) = &options.check {
+        let checked = check(preset, path, &scratch);
+        let _ = std::fs::remove_dir_all(&scratch);
+        return checked;
+    }
     let measured = measure(preset, options, &scratch);
     let _ = std::fs::remove_dir_all(&scratch);
     let (report, overheads) = measured?;
@@ -580,6 +694,10 @@ mod tests {
             assert!(parse(id, &["--max-overhead-pct", "0"]).is_err());
             assert!(parse(id, &["--max-overhead-pct", "lots"]).is_err());
             assert!(parse(id, &["--smoke"]).is_ok());
+            assert!(parse(id, &["--check"]).is_err());
+            assert!(parse(id, &["--check", "BENCH.json", "--smoke"]).is_err());
+            assert!(parse(id, &["--seed", "7", "--check", "BENCH.json"]).is_err());
+            assert!(parse(id, &["--check", "BENCH.json"]).is_ok());
         }
     }
 
@@ -737,5 +855,36 @@ mod tests {
         let text = report.to_json();
         let back = Report::from_json(&json::from_str(&text).expect("valid JSON")).unwrap();
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn check_passes_on_its_own_report_and_fails_on_a_tampered_count() {
+        let options = parse(
+            "engine",
+            &["--topo", "torus:4x4", "--warmup", "50", "--cycles", "300"],
+        )
+        .unwrap();
+        let scratch =
+            std::env::temp_dir().join(format!("wormsim-perf-check-{}", std::process::id()));
+        std::fs::create_dir_all(&scratch).unwrap();
+        let (report, _) = measure(preset("engine"), &options, &scratch).unwrap();
+        let file = scratch.join("report.json");
+        let path = file.to_str().unwrap();
+        std::fs::write(&file, report.to_json()).unwrap();
+        assert_eq!(check(preset("engine"), path, &scratch), Ok(()));
+        let other = check(preset("scaling"), path, &scratch).unwrap_err();
+        assert!(other.contains("preset 'engine'"), "{other}");
+
+        let mut tampered = Report::from_json(&json::from_str(&report.to_json()).unwrap()).unwrap();
+        tampered.points[2].route_sleeps += 1;
+        std::fs::write(&file, tampered.to_json()).unwrap();
+        let error = check(preset("engine"), path, &scratch).unwrap_err();
+        let algorithm = &report.points[2].algorithm;
+        assert!(
+            error.contains(&format!("{algorithm} off: route_sleeps")),
+            "{error}"
+        );
+        assert_eq!(error.lines().count(), 2, "one mismatch: {error}");
+        std::fs::remove_dir_all(&scratch).unwrap();
     }
 }

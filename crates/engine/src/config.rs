@@ -293,6 +293,10 @@ impl SimConfig {
         if self.congestion_limit == Some(0) {
             return Err(EngineError::ZeroCongestionLimit);
         }
+        let flits = self.length.max().max(self.buffer_capacity());
+        if flits > u32::from(u16::MAX) {
+            return Err(EngineError::TooManyFlits(flits));
+        }
         if let Some(plan) = &self.faults {
             plan.validate(&self.topology)?;
         }
@@ -344,6 +348,20 @@ mod tests {
             base.clone().congestion_limit(Some(0)).build().unwrap_err(),
             EngineError::ZeroCongestionLimit
         );
+        let long = MessageLength::fixed(65_536).unwrap();
+        assert_eq!(
+            base.clone().message_length(long).build().unwrap_err(),
+            EngineError::TooManyFlits(65_536)
+        );
+        let deep = Switching::Wormhole {
+            buffer_depth: 70_000,
+        };
+        assert_eq!(
+            base.clone().switching(deep).build().unwrap_err(),
+            EngineError::TooManyFlits(70_000)
+        );
+        let longest = MessageLength::fixed(65_535).unwrap();
+        assert!(base.clone().message_length(longest).build().is_ok());
         assert!(base.build().is_ok());
     }
 

@@ -29,6 +29,9 @@ pub enum EngineError {
         /// The requested `classes * replicas` product.
         vcs: usize,
     },
+    /// The longest message or the VC buffer depth (given) exceeds 65 535
+    /// flits, the most a lane counts.
+    TooManyFlits(u32),
 }
 
 impl fmt::Display for EngineError {
@@ -52,6 +55,7 @@ impl fmt::Display for EngineError {
                      (reduce vc replicas or the network diameter)"
                 )
             }
+            EngineError::TooManyFlits(flits) => write!(f, "{flits} flits is over 65535"),
         }
     }
 }

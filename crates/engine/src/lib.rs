@@ -24,8 +24,9 @@
 //! * arrivals → injection-VC assignment: `inject.rs`
 //! * routing & VC allocation, blocked heads asleep: `route.rs`
 //! * switch allocation and the injection budget: `allocate.rs`
-//! * ejections, flit transfers, credits: `advance.rs`
+//! * ejections and flit transfers: `advance.rs`
 //! * fault transitions, livelock guard, wait-for forensics: `faults.rs`
+//! * the input VCs they share, sized by occupancy, not class count: `vc.rs`
 //!
 //! [`ObserverHandle`] (`observer.rs`) configures the trace, sample and
 //! metrics instruments. All transfer decisions read start-of-cycle state,

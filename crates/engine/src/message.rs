@@ -32,32 +32,34 @@ pub(crate) struct MessageSlab {
 impl MessageSlab {
     pub fn insert(&mut self, rec: MessageRec) -> MessageId {
         self.live += 1;
-        if let Some(idx) = self.free.pop() {
-            self.entries[idx as usize] = Some(rec);
-            MessageId(idx)
+        let index = if let Some(index) = self.free.pop() {
+            self.entries[index as usize] = Some(rec);
+            index
         } else {
             self.entries.push(Some(rec));
-            MessageId((self.entries.len() - 1) as u32)
-        }
+            (self.entries.len() - 1) as u32
+        };
+        assert!(index < 1 << 30, "a flit arena slot holds a 30-bit index");
+        MessageId::from_index(index).expect("an index below 2^30 is an id")
     }
 
     pub fn get(&self, id: MessageId) -> &MessageRec {
-        self.entries[id.0 as usize]
+        self.entries[id.index() as usize]
             .as_ref()
             .expect("message id refers to a live message")
     }
 
     pub fn get_mut(&mut self, id: MessageId) -> &mut MessageRec {
-        self.entries[id.0 as usize]
+        self.entries[id.index() as usize]
             .as_mut()
             .expect("message id refers to a live message")
     }
 
     pub fn remove(&mut self, id: MessageId) -> MessageRec {
-        let rec = self.entries[id.0 as usize]
+        let rec = self.entries[id.index() as usize]
             .take()
             .expect("message id refers to a live message");
-        self.free.push(id.0);
+        self.free.push(id.index());
         self.live -= 1;
         rec
     }
@@ -71,7 +73,7 @@ impl MessageSlab {
         self.entries
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|rec| (MessageId(i as u32), rec)))
+            .filter_map(|(i, slot)| Some((MessageId::from_index(i as u32)?, slot.as_ref()?)))
     }
 }
 

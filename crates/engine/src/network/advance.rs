@@ -1,4 +1,4 @@
-//! Phase 5: ejections and link transfers, with the credit, request-row and
+//! Phase 5: ejections and link transfers, with the request-row and
 //! congestion-slot bookkeeping a departing flit releases.
 
 use super::{LinkMove, Network};
@@ -11,19 +11,20 @@ use wormsim_topology::{Direction, NodeId};
 
 impl Network {
     pub(super) fn execute_ejections(&mut self) -> bool {
-        if self.ejecting.is_empty() {
-            return false;
+        // `(node, ivc)` of each ejecting VC with a flit. An ejection touches
+        // only its own lane, so readiness read up front holds at its turn.
+        let mut ready = std::mem::take(&mut self.scratch_eject);
+        ready.clear();
+        for &(ivc, node) in &self.ejecting {
+            if self.lanes.route(ivc) == Some(RouteTarget::Eject) && self.lanes.len(ivc) != 0 {
+                ready.push((node, ivc));
+            }
         }
-        let mut progressed = false;
+        let progressed = !ready.is_empty();
         match self.cfg.ejection {
             EjectionModel::PerVc => {
-                for i in 0..self.ejecting.len() {
-                    let ivc = self.ejecting[i];
-                    let slot = &self.input_vcs[ivc as usize];
-                    if slot.route == Some(RouteTarget::Eject) && !slot.buffer.is_empty() {
-                        self.eject_one(ivc);
-                        progressed = true;
-                    }
+                for &(node, ivc) in &ready {
+                    self.eject_one(ivc, node);
                 }
             }
             EjectionModel::SingleChannel => {
@@ -32,45 +33,24 @@ impl Network {
                 // not a hash map — so delivery order is deterministic; the
                 // stable sort keeps each node's VCs in `ejecting` order,
                 // which the round-robin pointer indexes into.
-                let mut ready = std::mem::take(&mut self.scratch_eject);
-                ready.clear();
-                for i in 0..self.ejecting.len() {
-                    let ivc = self.ejecting[i];
-                    let slot = &self.input_vcs[ivc as usize];
-                    if slot.route == Some(RouteTarget::Eject) && !slot.buffer.is_empty() {
-                        let (node, _, _) = self.ivc_parts(ivc);
-                        ready.push((node, ivc));
-                    }
-                }
                 ready.sort_by_key(|&(node, _)| node);
-                let mut i = 0;
-                while i < ready.len() {
-                    let node = ready[i].0;
-                    let mut j = i + 1;
-                    while j < ready.len() && ready[j].0 == node {
-                        j += 1;
-                    }
+                for group in ready.chunk_by(|a, b| a.0 == b.0) {
+                    let node = group[0].0;
                     let rr = self.nodes[node as usize].ej_rr;
-                    let ivc = ready[i + rr % (j - i)].1;
                     self.nodes[node as usize].ej_rr = rr.wrapping_add(1);
-                    self.eject_one(ivc);
-                    progressed = true;
-                    i = j;
+                    self.eject_one(group[rr % group.len()].1, node);
                 }
-                self.scratch_eject = ready;
             }
         }
+        self.scratch_eject = ready;
         // Keep VCs whose route is still Eject (their tail has not passed).
         self.ejecting
-            .retain(|&ivc| self.input_vcs[ivc as usize].route == Some(RouteTarget::Eject));
+            .retain(|&(ivc, _)| self.lanes.route(ivc) == Some(RouteTarget::Eject));
         progressed
     }
 
-    fn eject_one(&mut self, ivc: u32) {
-        let (node, port, _vc) = self.ivc_parts(ivc);
-        let flit = self.input_vcs[ivc as usize].pop();
-        self.occ[ivc as usize] -= 1;
-        self.return_credit(node, port, ivc);
+    fn eject_one(&mut self, ivc: u32, node: u32) {
+        let flit = self.lanes.pop(ivc);
         self.metrics.flits_ejected += 1;
         self.flits_in_flight -= 1;
         self.obs.trace(TraceEvent::FlitDelivered {
@@ -105,7 +85,7 @@ impl Network {
                 length: rec.length,
                 delivered_at: self.cycle,
             });
-            self.after_tail_pop(ivc);
+            self.after_tail_pop(ivc, node);
         }
     }
 
@@ -120,12 +100,11 @@ impl Network {
     }
 
     fn execute_link_move(&mut self, mv: LinkMove) {
-        let (node, port, in_vc) = self.ivc_parts(mv.ivc);
+        let LinkMove { ivc, node, .. } = mv;
         let ch = self.channel_index(node, mv.dir as usize);
-        let flit = self.input_vcs[mv.ivc as usize].pop();
-        self.occ[mv.ivc as usize] -= 1;
+        let flit = self.lanes.pop(ivc);
         let dir = Direction::from_index(mv.dir as usize);
-        let inj_port = self.injection_port();
+        let from_injection = self.lanes.is_injection(ivc);
 
         if flit.kind.is_head() {
             // The head leaving a node is the moment the hop is decided:
@@ -134,7 +113,7 @@ impl Network {
             let rec = self.slab.get_mut(flit.msg);
             rec.route
                 .advance(&self.topo, NodeId::new(node), Candidate::new(dir, class));
-            if port == inj_port {
+            if from_injection {
                 rec.injected = Some(self.cycle);
             }
             self.obs.trace(TraceEvent::HopTaken {
@@ -145,51 +124,40 @@ impl Network {
                 vc_class: class,
             });
         }
-        if port == inj_port {
+        if from_injection {
             self.metrics.flits_injected += 1;
             if flit.kind.is_tail() {
                 // The message has fully left its source: release the
                 // congestion-control slot and the streaming lane.
-                let (injection_class, src) = {
-                    let rec = self.slab.get(flit.msg);
-                    (rec.injection_class, rec.src)
-                };
-                self.release_class_slot(src, injection_class);
-                self.nodes[src.as_usize()]
+                let injection_class = self.slab.get(flit.msg).injection_class;
+                self.release_class_slot(NodeId::new(node), injection_class);
+                let in_vc = (ivc - self.inj_ivc(node, 0)) as u16;
+                self.nodes[node as usize]
                     .streaming_inj
-                    .retain(|&v| v as usize != in_vc);
+                    .retain(|&v| v != in_vc);
             }
-        } else {
-            self.return_credit(node, port, mv.ivc);
         }
 
         if flit.kind.is_tail() {
-            self.remove_request(ch, mv.ivc);
-            self.after_tail_pop(mv.ivc);
+            self.remove_request(ch, ivc);
+            self.after_tail_pop(ivc, node);
         }
 
-        // Deliver the flit into the neighbor's input buffer.
+        // Deliver the flit into the lane the output VC feeds.
         let neighbor = self.neighbor_of[ch];
         debug_assert!(
             neighbor != u32::MAX,
             "routed moves follow existing channels"
         );
-        let div = self.ivc_index(neighbor, dir.index(), mv.vc as usize);
-        let was_empty = self.input_vcs[div as usize].buffer.is_empty();
-        debug_assert!(
-            (self.input_vcs[div as usize].buffer.len() as u32) < self.capacity,
-            "credit flow control must prevent overflow"
-        );
-        self.input_vcs[div as usize].push(flit);
-        self.occ[div as usize] += 1;
+        let ovc = self.ovc_index(node, mv.dir as usize, mv.vc as usize);
+        let was_empty = self.lanes.len(ovc as u32) == 0;
+        self.lanes.push(ovc as u32, flit);
         if was_empty && flit.kind.is_head() {
-            debug_assert!(self.input_vcs[div as usize].route.is_none());
-            self.enqueue_pending(div);
+            debug_assert!(self.lanes.route(ovc as u32).is_none());
+            self.enqueue_pending(ovc as u32, neighbor);
         }
 
         // Channel bookkeeping.
-        let ovc = self.ovc_index(node, mv.dir as usize, mv.vc as usize);
-        self.out_credits[ovc] -= 1;
         if flit.kind.is_tail() {
             self.out_owner[ovc] = None;
             self.ch_freed_at[ch] = self.cycle;
@@ -216,41 +184,25 @@ impl Network {
         }
     }
 
-    /// After a tail leaves an input VC: if the next message's head is now
-    /// at the front, it needs routing.
-    fn after_tail_pop(&mut self, ivc: u32) {
-        if let Some(front) = self.input_vcs[ivc as usize].front() {
+    /// After a tail leaves input VC `ivc` of `node`: if the next message's
+    /// head is now at the front, it needs routing.
+    fn after_tail_pop(&mut self, ivc: u32, node: u32) {
+        if let Some(front) = self.lanes.front(ivc) {
             debug_assert!(
                 front.kind.is_head(),
                 "messages interleave only at message boundaries"
             );
-            self.enqueue_pending(ivc);
+            self.enqueue_pending(ivc, node);
         }
-    }
-
-    /// Returns one credit to the upstream output VC feeding `ivc` (no-op
-    /// for injection ports, whose buffers are node-internal).
-    pub(super) fn return_credit(&mut self, node: u32, port: usize, ivc: u32) {
-        if port >= self.dirs {
-            return;
-        }
-        let arrive_dir = Direction::from_index(port);
-        let upstream = self.neighbor_of[self.channel_index(node, arrive_dir.opposite().index())];
-        debug_assert!(upstream != u32::MAX, "flits arrive over existing channels");
-        let (_, _, vc) = self.ivc_parts(ivc);
-        let ovc = self.ovc_index(upstream, arrive_dir.index(), vc);
-        self.out_credits[ovc] += 1;
-        debug_assert!(self.out_credits[ovc] <= self.capacity);
     }
 
     /// Releases one congestion-control slot of `class` at `src`.
     pub(super) fn release_class_slot(&mut self, src: NodeId, class: u32) {
-        let state = &mut self.nodes[src.as_usize()];
-        if let Some(count) = state.class_counts.get_mut(&class) {
+        if let Some(count) = self.nodes[src.as_usize()]
+            .class_counts
+            .get_mut(class as usize)
+        {
             *count -= 1;
-            if *count == 0 {
-                state.class_counts.remove(&class);
-            }
         }
     }
 }

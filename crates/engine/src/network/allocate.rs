@@ -37,20 +37,22 @@ impl Network {
                 let req = self.requests[row + idx];
                 // The output-VC index is the channel's row base plus the
                 // granted VC (not stored in the request).
-                let granted = self.occ[req.ivc as usize] != 0
-                    && (!req.from_injection || self.marked_inj[self.marked_slot(node, req.ivc)])
-                    && self.out_credits[row + req.vc as usize] != 0;
+                let granted = self.lanes.len(req.ivc) != 0
+                    && (!self.lanes.is_injection(req.ivc)
+                        || self.marked_inj[self.marked_slot(req.ivc)])
+                    && self.credits(row + req.vc as usize) != 0;
                 idx += 1;
                 if idx == len {
                     idx = 0;
                 }
                 if granted {
                     debug_assert_eq!(
-                        self.input_vcs[req.ivc as usize].route,
+                        self.lanes.route(req.ivc),
                         Some(RouteTarget::Link { dir, vc: req.vc })
                     );
                     self.scratch_moves.push(LinkMove {
                         ivc: req.ivc,
+                        node,
                         dir,
                         vc: req.vc,
                     });
@@ -64,7 +66,7 @@ impl Network {
                 // worm-cycle on this channel.
                 for r in 0..len {
                     let req = self.requests[row + r];
-                    if winner != Some(req.ivc) && self.occ[req.ivc as usize] != 0 {
+                    if winner != Some(req.ivc) && self.lanes.len(req.ivc) != 0 {
                         reg.record_blocked(ch, self.vc_class[req.vc as usize] as usize);
                     }
                 }
@@ -87,7 +89,6 @@ impl Network {
         // touches per-node state only, so any visit order would do — the
         // bitmap's ascending order is simply free. Drained nodes are
         // dropped lazily.
-        let inj_port = self.injection_port();
         let budget = self.cfg.injection_bandwidth as usize;
         let mut active = std::mem::take(&mut self.active_inj_nodes);
         active.retain(|node| {
@@ -110,9 +111,9 @@ impl Network {
                 if idx == len {
                     idx = 0;
                 }
-                let ivc = self.ivc_index(node as u32, inj_port, vc);
-                if self.occ[ivc as usize] != 0 {
-                    let slot = self.marked_slot(node as u32, ivc);
+                let ivc = self.inj_ivc(node as u32, vc);
+                if self.lanes.len(ivc) != 0 {
+                    let slot = self.marked_slot(ivc);
                     self.marked_inj[slot] = true;
                     self.marked_list.push(slot);
                     marked += 1;

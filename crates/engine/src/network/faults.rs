@@ -24,7 +24,7 @@ impl Network {
         &self,
         here: NodeId,
         dest: NodeId,
-        in_port: usize,
+        ivc: u32,
         out: &mut Vec<Candidate>,
     ) {
         let fs = self
@@ -48,6 +48,7 @@ impl Network {
         if !out.is_empty() {
             return;
         }
+        let (_, in_port, _) = self.lane_parts(ivc);
         let back = (in_port < self.dirs).then(|| Direction::from_index(in_port).opposite());
         for dir in Direction::all(self.topo.num_dims()) {
             if Some(dir) != back && live(dir) {
@@ -106,29 +107,28 @@ impl Network {
             let fs = self.faults.as_ref().expect("sweep requires fault state");
             let mut head_at: HashMap<MessageId, u32> = HashMap::new();
             let mut has_flits: HashSet<MessageId> = HashSet::new();
-            for (i, slot) in self.input_vcs.iter().enumerate() {
-                if slot.buffer.is_empty() {
+            for ivc in 0..self.lanes.count() as u32 {
+                if self.lanes.len(ivc) == 0 {
                     continue;
                 }
-                let meta = self.ivc_meta[i];
-                let node = NodeId::new(meta.node);
-                let node_dead = !fs.mask.node_alive(node);
+                let (node, ..) = self.lane_parts(ivc);
+                let node_dead = !fs.mask.node_alive(NodeId::new(node));
                 // Flits buffered downstream of a dead channel are the
-                // channel's in-transit flits: the worm is severed.
-                let feed_dead = (meta.port as usize) < self.dirs && {
-                    let dir = Direction::from_index(meta.port as usize);
-                    match self.topo.neighbor(node, dir.opposite()) {
-                        Some(up) => !fs.mask.channel_alive(self.topo.channel(up, dir)),
-                        None => false,
-                    }
+                // channel's in-transit flits (a lane is indexed by its
+                // channel's output VC): the worm is severed.
+                let feed_dead = !self.lanes.is_injection(ivc) && {
+                    let (up, dir) = self.ch_owner[ivc as usize / self.vcs];
+                    let dir = Direction::from_index(dir as usize);
+                    !fs.mask
+                        .channel_alive(self.topo.channel(NodeId::new(up), dir))
                 };
-                for flit in &slot.buffer {
+                for flit in self.lanes.flits(ivc) {
                     has_flits.insert(flit.msg);
                     if node_dead || feed_dead {
                         doomed.insert(flit.msg);
                     }
                     if flit.kind.is_head() {
-                        head_at.insert(flit.msg, meta.node);
+                        head_at.insert(flit.msg, node);
                     }
                 }
             }
@@ -197,7 +197,7 @@ impl Network {
 
     /// Kills one live message wherever it is — source queue, parked list,
     /// or spread across input buffers — releasing every resource it holds
-    /// (buffer slots, credits, routes, output-VC reservations, its
+    /// (buffer slots and so credits, routes, output-VC reservations, its
     /// congestion-control slot) and dropping its flits.
     fn abort_message(&mut self, msg: MessageId) {
         let (length, src, injection_class) = {
@@ -231,37 +231,29 @@ impl Network {
         }
 
         // In the network: sweep every input VC for its flits and routes.
-        let inj_port = self.injection_port();
         let mut dropped = 0u64;
-        let mut revealed: Vec<u32> = Vec::new();
-        for ivc in 0..self.input_vcs.len() as u32 {
-            let owns_route = self.input_vcs[ivc as usize].route_msg == Some(msg);
+        let mut revealed = Vec::new();
+        for ivc in 0..self.lanes.count() as u32 {
+            let owns_route = self.lanes.owner(ivc) == Some(msg);
+            let (removed, front_was_msg) = self.lanes.purge_message(ivc, msg);
+            if !owns_route && removed == 0 {
+                continue;
+            }
+            let (node, port, vc) = self.lane_parts(ivc);
             if owns_route {
-                let (node, _, _) = self.ivc_parts(ivc);
-                match self.input_vcs[ivc as usize].route {
+                match self.lanes.route(ivc) {
                     Some(RouteTarget::Link { dir, .. }) => {
                         self.remove_request(self.channel_index(node, dir as usize), ivc);
                     }
                     Some(RouteTarget::Eject) => {
-                        self.ejecting.retain(|&e| e != ivc);
+                        self.ejecting.retain(|&(e, _)| e != ivc);
                     }
                     None => {}
                 }
-                let slot = &mut self.input_vcs[ivc as usize];
-                slot.route = None;
-                slot.route_msg = None;
+                self.lanes.set_route(ivc, None);
             }
-            if self.input_vcs[ivc as usize].buffer.is_empty() {
-                continue;
-            }
-            let (removed, front_was_msg) = self.input_vcs[ivc as usize].purge_message(msg);
-            if removed == 0 {
-                continue;
-            }
-            let (node, port, vc) = self.ivc_parts(ivc);
-            self.occ[ivc as usize] -= removed;
             dropped += u64::from(removed);
-            if port == inj_port {
+            if removed > 0 && self.lanes.is_injection(ivc) {
                 // An injection VC holds flits of at most one message, so it
                 // is now empty: the tail never left the source — release
                 // the streaming lane and the congestion slot.
@@ -269,36 +261,33 @@ impl Network {
                     .streaming_inj
                     .retain(|&v| v as usize != vc);
                 self.release_class_slot(NodeId::new(node), injection_class);
-            } else {
-                for _ in 0..removed {
-                    self.return_credit(node, port, ivc);
-                }
             }
             // The purge exposed a new front only when this VC's route
             // belonged to the dead message; an unrouted head at the front
             // means the VC is already in `pending_route` (kept or dropped
             // by the retain below).
-            if owns_route && front_was_msg && !self.input_vcs[ivc as usize].buffer.is_empty() {
-                revealed.push(ivc);
+            if owns_route && front_was_msg && self.lanes.len(ivc) != 0 {
+                revealed.push((node, port, vc, ivc));
             }
         }
+        // Heads re-enter `pending_route` node by node, port by port, VC by
+        // VC: the order that fixes their routing priority.
+        revealed.sort_unstable();
         for ovc in 0..self.out_owner.len() {
             if self.out_owner[ovc] == Some(msg) {
                 self.out_owner[ovc] = None;
             }
         }
         self.pending_route.retain(|p| {
-            let slot = &self.input_vcs[p.ivc as usize];
-            slot.route.is_none() && slot.front().is_some_and(|f| f.kind.is_head())
+            self.lanes.route(p.ivc).is_none()
+                && self.lanes.front(p.ivc).is_some_and(|f| f.kind.is_head())
         });
-        for ivc in revealed {
+        for (node, _, _, ivc) in revealed {
             debug_assert!(
-                self.input_vcs[ivc as usize]
-                    .front()
-                    .is_some_and(|f| f.kind.is_head()),
+                self.lanes.front(ivc).is_some_and(|f| f.kind.is_head()),
                 "messages interleave only at message boundaries"
             );
-            self.enqueue_pending(ivc);
+            self.enqueue_pending(ivc, node);
         }
         self.flits_in_flight -= dropped;
         self.metrics.messages_aborted += 1;
@@ -382,7 +371,7 @@ impl Network {
         // Heads pending routing: blocked on VC allocation.
         let mut candidates: Vec<Candidate> = Vec::new();
         for &PendingHead { ivc, node, .. } in &self.pending_route {
-            let Some(front) = self.input_vcs[ivc as usize].front() else {
+            let Some(front) = self.lanes.front(ivc) else {
                 continue;
             };
             let msg = front.msg;
@@ -404,29 +393,28 @@ impl Network {
         }
 
         // Routed worms with flits ready but no credits: blocked on the
-        // downstream buffer.
-        for ivc in 0..self.input_vcs.len() as u32 {
-            let slot = &self.input_vcs[ivc as usize];
-            let (Some(RouteTarget::Link { dir, vc }), Some(msg)) = (slot.route, slot.route_msg)
-            else {
-                continue;
-            };
-            if self.occ[ivc as usize] == 0 {
-                continue;
+        // downstream lane. Visited by (node, port, VC), as edges keep order.
+        let mut routed: Vec<_> = (0..self.lanes.count() as u32)
+            .filter(|&ivc| self.lanes.len(ivc) != 0)
+            .filter_map(|ivc| match (self.lanes.route(ivc), self.lanes.owner(ivc)) {
+                (Some(RouteTarget::Link { dir, vc }), Some(msg)) => {
+                    Some((self.lane_parts(ivc), dir as usize, vc as usize, msg))
+                }
+                _ => None,
+            })
+            .collect();
+        routed.sort_unstable_by_key(|&(parts, ..)| parts);
+        for ((node, _, _), dir, vc, msg) in routed {
+            let ovc = self.ovc_index(node, dir, vc);
+            if let (0, Some(front)) = (self.credits(ovc), self.lanes.front(ovc as u32)) {
+                wait(
+                    msg,
+                    node,
+                    self.channel_index(node, dir),
+                    front.msg,
+                    WaitKind::Credit,
+                );
             }
-            let (node, _, _) = self.ivc_parts(ivc);
-            let ovc = self.ovc_index(node, dir as usize, vc as usize);
-            if self.out_credits[ovc] != 0 {
-                continue;
-            }
-            let ch = self.channel_index(node, dir as usize);
-            let neighbor = self.neighbor_of[ch];
-            debug_assert!(neighbor != u32::MAX, "routes follow existing channels");
-            let div = self.ivc_index(neighbor, dir as usize, vc as usize);
-            let Some(front) = self.input_vcs[div as usize].front() else {
-                continue;
-            };
-            wait(msg, node, ch, front.msg, WaitKind::Credit);
         }
 
         snap.detect_cycle();

@@ -2,7 +2,7 @@
 //! injection VCs.
 
 use super::{Network, PendingHead};
-use crate::flit::{Flit, MessageId};
+use crate::flit::MessageId;
 use crate::message::MessageRec;
 use crate::TraceEvent;
 use std::cmp::Reverse;
@@ -49,11 +49,8 @@ impl Network {
                 let mut route = MessageRouteState::new(src, dest);
                 self.algo.init_message(&self.topo, &mut route);
                 let class = self.algo.injection_class(&self.topo, &route);
-                let count = self.nodes[node as usize]
-                    .class_counts
-                    .get(&class)
-                    .copied()
-                    .unwrap_or(0);
+                let counts = &self.nodes[node as usize].class_counts;
+                let count = counts.get(class as usize).copied().unwrap_or(0);
                 if count >= limit {
                     self.metrics.refused += 1;
                     self.obs.trace(TraceEvent::Refused {
@@ -81,7 +78,9 @@ impl Network {
             src,
         });
         let node = &mut self.nodes[src.as_usize()];
-        *node.class_counts.entry(injection_class).or_insert(0) += 1;
+        let (counts, class) = (&mut node.class_counts, injection_class as usize);
+        counts.resize(counts.len().max(class + 1), 0);
+        counts[class] += 1;
         node.queue.push_back(id);
         self.inj_dirty.insert(src.as_usize());
         self.metrics.generated += 1;
@@ -101,41 +100,34 @@ impl Network {
         // scan this replaces (the order fixes routing priority downstream
         // via `pending_route`). Nodes still blocked on a free VC keep
         // their bit.
-        let inj_port = self.injection_port();
         let mut dirty = std::mem::take(&mut self.inj_dirty);
         dirty.retain(|node| {
             while !self.nodes[node].queue.is_empty() {
-                // Find a free injection VC (empty buffer, no route).
                 let Some(ivc) = (0..self.vcs)
-                    .map(|vc| self.ivc_index(node as u32, inj_port, vc))
-                    .find(|&ivc| {
-                        let slot = &self.input_vcs[ivc as usize];
-                        slot.buffer.is_empty() && slot.route.is_none()
-                    })
+                    .map(|vc| self.inj_ivc(node as u32, vc))
+                    .find(|&ivc| self.lanes.len(ivc) == 0 && self.lanes.route(ivc).is_none())
                 else {
                     break;
                 };
                 let id = self.nodes[node].queue.pop_front().expect("non-empty");
-                let length = self.slab.get(id).length;
-                for flit in Flit::sequence(id, length) {
-                    self.input_vcs[ivc as usize].push(flit);
-                }
-                self.occ[ivc as usize] += length;
+                self.lanes.start_message(ivc, id, self.slab.get(id).length);
                 self.obs.trace(TraceEvent::InjectionStarted {
                     cycle: self.cycle,
                     msg: id,
                 });
-                self.enqueue_pending(ivc);
+                self.enqueue_pending(ivc, node as u32);
             }
             !self.nodes[node].queue.is_empty()
         });
         self.inj_dirty = dirty;
     }
 
-    pub(super) fn enqueue_pending(&mut self, ivc: u32) {
+    /// Queues input VC `ivc` of `node`, whose front is an unrouted head,
+    /// for the route phase.
+    pub(super) fn enqueue_pending(&mut self, ivc: u32, node: u32) {
         self.pending_route.push(PendingHead {
             ivc,
-            node: self.ivc_meta[ivc as usize].node,
+            node,
             dirs: 0,
             failed_at: 0,
         });

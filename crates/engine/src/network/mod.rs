@@ -8,10 +8,10 @@ use crate::flit::MessageId;
 use crate::message::MessageSlab;
 use crate::metrics::{DeliveredMessage, Metrics};
 use crate::observer::{ObserverHandle, Observers, TraceSink};
-use crate::vc::InputVc;
+use crate::vc::Lanes;
 use crate::{EngineError, TraceEvent};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use wormsim_faults::Reachability;
 use wormsim_observe::{
     EventSink, MetricsRegistry, Sample, PHASE_ADVANCE, PHASE_ALLOCATE, PHASE_DRAIN, PHASE_INJECT,
@@ -103,8 +103,8 @@ struct FaultState {
 struct NodeState {
     /// Messages accepted but not yet assigned to an injection VC.
     queue: VecDeque<MessageId>,
-    /// Congestion-control occupancy per message class.
-    class_counts: HashMap<u32, u32>,
+    /// Congestion-control occupancy per message class, grown on demand.
+    class_counts: Vec<u32>,
     /// Injection VCs currently streaming a message (VC indices).
     streaming_inj: Vec<u16>,
     /// Round-robin pointer over `streaming_inj` for the injection budget.
@@ -113,35 +113,26 @@ struct NodeState {
     ej_rr: usize,
 }
 
-/// A decided link transfer: input VC `ivc` sends one flit over the output
-/// channel of its node in packed direction `dir`, on physical VC `vc`.
+/// A decided link transfer: input VC `ivc` at `node` sends one flit over
+/// the node's output channel in packed direction `dir`, on physical VC `vc`.
 #[derive(Clone, Copy, Debug)]
 struct LinkMove {
     ivc: u32,
-    dir: u8,
-    vc: u16,
-}
-
-/// Decoded `(node, port, vc)` of an input VC index, precomputed so hot
-/// paths avoid the divisions of [`Network::ivc_parts`].
-#[derive(Clone, Copy, Debug)]
-struct IvcMeta {
     node: u32,
-    vc: u16,
-    port: u8,
+    dir: u8,
+    vc: u8,
 }
 
 /// A routed input VC waiting on an output channel. Everything the
 /// switch-allocation inner loop needs is precomputed at routing time so
-/// arbitration touches only this entry, the occupancy shadow, and the
-/// output VC's credits. Kept at 8 bytes (the output-VC index is derived
-/// from the channel's row base plus `vc`, not stored) so a channel's whole
-/// request row fits in one or two cache lines on large networks.
+/// arbitration touches only this entry and two lanes' occupancy (the
+/// requester's and the downstream one's). Kept at 8 bytes (the output-VC
+/// index is the channel's row base plus `vc`) so a channel's whole request
+/// row fits in one or two cache lines on large networks.
 #[derive(Clone, Copy, Debug, Default)]
 struct OutputRequest {
     ivc: u32,
-    vc: u16,
-    from_injection: bool,
+    vc: u8,
 }
 
 /// An input VC whose front head still needs a route.
@@ -242,19 +233,16 @@ pub struct Network {
     vcs: usize,
     /// Outgoing directions per node (`2n`).
     dirs: usize,
-    /// Input ports per node (`2n` links + 1 injection).
-    ports: usize,
     /// Per-VC input buffer capacity in flits.
     capacity: u32,
 
-    input_vcs: Vec<InputVc>,
+    /// Every input VC's flits, occupancy and route. A network lane has the
+    /// index of the output VC feeding it, so that VC's credits are the
+    /// lane's free slots ([`credits`](Self::credits)); the injection lanes
+    /// follow ([`inj_ivc`](Self::inj_ivc)).
+    lanes: Lanes,
     /// Reservation per output VC: the message currently holding it.
     out_owner: Vec<Option<MessageId>>,
-    /// Credits per output VC (free slots in the paired downstream input
-    /// buffer). Kept as a bare array — separate from `out_owner` — so the
-    /// switch-allocation credit checks stay in a compact, cache-friendly
-    /// range.
-    out_credits: Vec<u32>,
     /// Input VCs currently routed to each output channel, as a flat
     /// channel-major matrix with `vcs` slots per channel (a requester holds
     /// one of the channel's `vcs` output-VC reservations, so a row can
@@ -279,8 +267,8 @@ pub struct Network {
     /// property-tested against.
     #[cfg(test)]
     always_retry: bool,
-    /// Input VCs currently delivering to the local node.
-    ejecting: Vec<u32>,
+    /// Input VCs currently delivering to their node, as `(ivc, node)`.
+    ejecting: Vec<(u32, u32)>,
     /// Pending traffic arrivals as `Reverse((cycle, node))`: a min-heap so
     /// phase 1 only visits nodes that actually fire. Ties on the cycle pop
     /// in ascending node order, which preserves the RNG consumption order
@@ -299,21 +287,14 @@ pub struct Network {
     /// injection budget). Invariant: `streaming_inj` non-empty ⟹ bit set;
     /// drained nodes are dropped lazily.
     active_inj_nodes: BitSet,
-    /// Reused `(node, ivc)` buffer for single-channel ejection grouping.
+    /// Reused `(node, ivc)` buffer of the VCs ready to eject.
     scratch_eject: Vec<(u32, u32)>,
-    /// Decoded `(node, port, vc)` per input VC index.
-    ivc_meta: Vec<IvcMeta>,
     /// Neighbor node per output channel (`u32::MAX` at mesh boundaries).
     neighbor_of: Vec<u32>,
     /// Owning `(node, dir)` per output channel index.
     ch_owner: Vec<(u32, u8)>,
     /// Routing class per physical VC (`vc / replicas`).
     vc_class: Vec<u8>,
-    /// Buffer occupancy per input VC: a compact shadow of
-    /// `input_vcs[i].buffer.len()` so the switch-allocation and
-    /// injection-budget inner loops stay inside a few cache lines instead
-    /// of chasing into the full [`InputVc`] structs.
-    occ: Vec<u32>,
     nodes: Vec<NodeState>,
     slab: MessageSlab,
 
@@ -420,21 +401,8 @@ impl Network {
             return Err(EngineError::TooManyVcs { vcs });
         }
         let dirs = topo.num_dims() * 2;
-        let ports = dirs + 1;
         let n = topo.num_nodes() as usize;
         let capacity = cfg.buffer_capacity();
-
-        let ivc_meta = (0..n * ports * vcs)
-            .map(|i| {
-                let vc = (i % vcs) as u16;
-                let rest = i / vcs;
-                IvcMeta {
-                    node: (rest / ports) as u32,
-                    vc,
-                    port: (rest % ports) as u8,
-                }
-            })
-            .collect();
         let neighbor_of = (0..n * dirs)
             .map(|ch| {
                 let node = NodeId::new((ch / dirs) as u32);
@@ -448,9 +416,8 @@ impl Network {
             .collect();
 
         let mut net = Network {
-            input_vcs: (0..n * ports * vcs).map(|_| InputVc::default()).collect(),
+            lanes: Lanes::new(n * dirs * vcs, n * vcs, capacity),
             out_owner: vec![None; n * dirs * vcs],
-            out_credits: vec![capacity; n * dirs * vcs],
             requests: vec![OutputRequest::default(); n * dirs * vcs],
             request_len: vec![0; n * dirs],
             out_rr: vec![0; n * dirs],
@@ -464,11 +431,9 @@ impl Network {
             active_channels: BitSet::new(n * dirs),
             active_inj_nodes: BitSet::new(n),
             scratch_eject: Vec::new(),
-            ivc_meta,
             neighbor_of,
             ch_owner,
             vc_class,
-            occ: vec![0; n * ports * vcs],
             nodes: (0..n).map(|_| NodeState::default()).collect(),
             slab: MessageSlab::default(),
             metrics: Metrics::new(classes),
@@ -493,7 +458,6 @@ impl Network {
             replicas,
             vcs,
             dirs,
-            ports,
             capacity,
             topo,
             algo,
@@ -508,15 +472,29 @@ impl Network {
     // Indexing helpers.
     // ------------------------------------------------------------------
 
+    /// The injection lane `vc` of `node`: after every network lane.
     #[inline]
-    fn ivc_index(&self, node: u32, port: usize, vc: usize) -> u32 {
-        ((node as usize * self.ports + port) * self.vcs + vc) as u32
+    fn inj_ivc(&self, node: u32, vc: usize) -> u32 {
+        (self.out_owner.len() + node as usize * self.vcs + vc) as u32
     }
 
+    /// Decodes input VC `ivc` into `(node, port, vc)`; cold, as hot paths
+    /// carry the node. A mesh boundary's unused lanes decode to `u32::MAX`.
+    fn lane_parts(&self, ivc: u32) -> (u32, usize, usize) {
+        let ivc = ivc as usize;
+        match ivc.checked_sub(self.out_owner.len()) {
+            Some(k) => ((k / self.vcs) as u32, self.dirs, k % self.vcs),
+            None => {
+                let ch = ivc / self.vcs;
+                (self.neighbor_of[ch], ch % self.dirs, ivc % self.vcs)
+            }
+        }
+    }
+
+    /// Free slots in the input lane output VC `ovc` feeds.
     #[inline]
-    fn ivc_parts(&self, ivc: u32) -> (u32, usize, usize) {
-        let meta = self.ivc_meta[ivc as usize];
-        (meta.node, meta.port as usize, meta.vc as usize)
+    fn credits(&self, ovc: usize) -> u32 {
+        self.capacity - self.lanes.len(ovc as u32)
     }
 
     #[inline]
@@ -529,17 +507,10 @@ impl Network {
         node as usize * self.dirs + dir
     }
 
+    /// The `marked_inj` slot (`node * vcs + vc`) of injection lane `ivc`.
     #[inline]
-    fn injection_port(&self) -> usize {
-        self.dirs
-    }
-
-    /// The `marked_inj` slot (`node * vcs + vc`) of the injection input VC
-    /// `ivc` at `node`.
-    #[inline]
-    fn marked_slot(&self, node: u32, ivc: u32) -> usize {
-        let vc = ivc - self.ivc_index(node, self.injection_port(), 0);
-        node as usize * self.vcs + vc as usize
+    fn marked_slot(&self, ivc: u32) -> usize {
+        (ivc - self.inj_ivc(0, 0)) as usize
     }
 
     // ------------------------------------------------------------------
@@ -771,10 +742,9 @@ impl Network {
             return;
         };
         let mut class_occupancy = vec![0u64; self.classes];
-        for lane in self.occ.chunks_exact(self.vcs) {
-            for (vc, &flits) in lane.iter().enumerate() {
-                class_occupancy[self.vc_class[vc] as usize] += u64::from(flits);
-            }
+        for ivc in 0..self.lanes.count() {
+            let flits = self.lanes.len(ivc as u32);
+            class_occupancy[self.vc_class[ivc % self.vcs] as usize] += u64::from(flits);
         }
         let depths = || self.nodes.iter().map(|node| node.queue.len() as u64);
         let mut window = sampler.carry.clone();
@@ -900,13 +870,14 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `src == dest`, if `length` is zero, or if `length` exceeds
-    /// the per-VC buffer capacity under cut-through or store-and-forward
-    /// switching (those modes size buffers for the configured maximum
-    /// message length, and an oversized message could never be stored).
+    /// Panics if `src == dest`, if `length` is zero or above 65 535, or if
+    /// `length` exceeds the per-VC buffer capacity under cut-through or
+    /// store-and-forward switching (those modes size buffers for the
+    /// configured maximum message length, and an oversized message could
+    /// never be stored).
     pub fn inject(&mut self, src: NodeId, dest: NodeId, length: u32) -> MessageId {
         assert!(src != dest, "messages must leave their source");
-        assert!(length > 0, "messages have at least one flit");
+        assert!((1..=65_535).contains(&length), "1 to 65535 flits");
         if !matches!(self.cfg.switching, Switching::Wormhole { .. }) {
             assert!(
                 length <= self.capacity,

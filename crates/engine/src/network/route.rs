@@ -38,7 +38,7 @@ impl Network {
                     self.record_sleeper_alloc_failures(head);
                 }
             } else {
-                match self.try_route(head.ivc) {
+                match self.try_route(head.ivc, head.node) {
                     RouteOutcome::Routed => continue,
                     RouteOutcome::Failed { dirs } => {
                         head.dirs = dirs;
@@ -105,26 +105,25 @@ impl Network {
         }
     }
 
-    fn try_route(&mut self, ivc: u32) -> RouteOutcome {
-        let (node, port, in_vc) = self.ivc_parts(ivc);
-        let slot = &self.input_vcs[ivc as usize];
-        let front = slot.front().expect("pending input VC holds its head");
+    fn try_route(&mut self, ivc: u32, node: u32) -> RouteOutcome {
+        let front = self
+            .lanes
+            .front(ivc)
+            .expect("pending input VC holds its head");
         debug_assert!(front.kind.is_head(), "pending front must be a head flit");
-        debug_assert!(slot.route.is_none());
+        debug_assert!(self.lanes.route(ivc).is_none());
         let msg = front.msg;
         let rec_route = self.slab.get(msg).route;
         let here = NodeId::new(node);
 
         if rec_route.dest() == here {
-            let slot = &mut self.input_vcs[ivc as usize];
-            slot.route = Some(RouteTarget::Eject);
-            slot.route_msg = Some(msg);
-            self.ejecting.push(ivc);
+            self.lanes.set_route(ivc, Some((RouteTarget::Eject, msg)));
+            self.ejecting.push((ivc, node));
             return RouteOutcome::Routed;
         }
         // Store-and-forward: only route once the whole message is here.
         if matches!(self.cfg.switching, Switching::StoreAndForward)
-            && !self.input_vcs[ivc as usize].front_message_complete()
+            && !self.lanes.front_message_complete(ivc)
         {
             return RouteOutcome::Failed { dirs: 0 };
         }
@@ -137,7 +136,7 @@ impl Network {
             // Mis-routed past any minimal path: the algorithm's class
             // bookkeeping may have run off the end of its range, so route
             // greedily over live channels instead of consulting it.
-            self.fault_candidates(here, rec_route.dest(), port, &mut candidates);
+            self.fault_candidates(here, rec_route.dest(), ivc, &mut candidates);
         } else {
             self.live_candidates(&rec_route, here, &mut candidates);
             // Under faults the set may legitimately come back empty (2pn
@@ -152,7 +151,7 @@ impl Network {
                 && self.cfg.misroute_on_fault
                 && self.algo.adaptivity() != Adaptivity::NonAdaptive
             {
-                self.fault_candidates(here, rec_route.dest(), port, &mut candidates);
+                self.fault_candidates(here, rec_route.dest(), ivc, &mut candidates);
             }
         }
         if fault_mode {
@@ -172,7 +171,7 @@ impl Network {
         }
 
         // Gather the free physical VCs permitted by the candidate set.
-        let mut best: Option<(usize, u8, u16, u32)> = None; // (ovc, dir, vc, credits)
+        let mut best: Option<(usize, u8, u8, u32)> = None; // (ovc, dir, vc, credits)
         let mut free_seen = 0u32;
         for cand in &candidates {
             let dir = cand.direction().index();
@@ -183,7 +182,7 @@ impl Network {
                 if self.out_owner[ovc].is_some() {
                     continue;
                 }
-                let credits = self.out_credits[ovc];
+                let credits = self.credits(ovc);
                 free_seen += 1;
                 let take = match self.cfg.selection {
                     SelectionPolicy::FirstFree => best.is_none(),
@@ -194,7 +193,7 @@ impl Network {
                     }
                 };
                 if take {
-                    best = Some((ovc, dir as u8, vc as u16, credits));
+                    best = Some((ovc, dir as u8, vc as u8, credits));
                 }
             }
         }
@@ -211,28 +210,21 @@ impl Network {
             };
         };
         self.out_owner[ovc] = Some(msg);
-        {
-            let slot = &mut self.input_vcs[ivc as usize];
-            slot.route = Some(RouteTarget::Link { dir, vc });
-            slot.route_msg = Some(msg);
-        }
+        self.lanes
+            .set_route(ivc, Some((RouteTarget::Link { dir, vc }, msg)));
         let ch = self.channel_index(node, dir as usize);
-        let from_injection = port == self.injection_port();
         let len = self.request_len[ch] as usize;
         debug_assert!(len < self.vcs, "a channel has at most `vcs` requesters");
-        self.requests[ch * self.vcs + len] = OutputRequest {
-            ivc,
-            vc,
-            from_injection,
-        };
+        self.requests[ch * self.vcs + len] = OutputRequest { ivc, vc };
         self.request_len[ch] = (len + 1) as u8;
         self.active_channels.insert(ch);
         // An injection VC becomes a "streaming" lane once its head has a
         // route, making it eligible for the per-node injection budget.
-        if from_injection {
+        if self.lanes.is_injection(ivc) {
+            let in_vc = (ivc - self.inj_ivc(node, 0)) as u16;
             let state = &mut self.nodes[node as usize];
-            if !state.streaming_inj.contains(&(in_vc as u16)) {
-                state.streaming_inj.push(in_vc as u16);
+            if !state.streaming_inj.contains(&in_vc) {
+                state.streaming_inj.push(in_vc);
             }
             self.active_inj_nodes.insert(node as usize);
         }
@@ -260,8 +252,9 @@ impl Network {
     /// head's route state does not change, so it is the set that failed.
     /// Only runs with metrics on.
     fn record_sleeper_alloc_failures(&mut self, head: PendingHead) {
-        let front = self.input_vcs[head.ivc as usize]
-            .front()
+        let front = self
+            .lanes
+            .front(head.ivc)
             .expect("pending input VC holds its head");
         let route = self.slab.get(front.msg).route;
         let mut candidates = std::mem::take(&mut self.scratch_candidates);

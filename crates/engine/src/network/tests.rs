@@ -16,16 +16,29 @@ fn tiny(algorithm: AlgorithmKind) -> Network {
 }
 
 #[test]
-fn indexing_roundtrip() {
+fn every_lane_decodes_to_its_node_port_and_vc() {
     let net = tiny(AlgorithmKind::PositiveHop);
+    let mut seen = vec![false; net.lanes.count()];
     for node in 0..16u32 {
-        for port in 0..net.ports {
+        for port in 0..=net.dirs {
             for vc in 0..net.vcs {
-                let ivc = net.ivc_index(node, port, vc);
-                assert_eq!(net.ivc_parts(ivc), (node, port, vc));
+                let ivc = if port == net.dirs {
+                    net.inj_ivc(node, vc)
+                } else {
+                    // A network lane is numbered by the output VC feeding it.
+                    let dir = Direction::from_index(port);
+                    let up = net
+                        .topo
+                        .neighbor(NodeId::new(node), dir.opposite())
+                        .unwrap();
+                    net.ovc_index(up.index(), port, vc) as u32
+                };
+                assert_eq!(net.lane_parts(ivc), (node, port, vc));
+                assert!(!std::mem::replace(&mut seen[ivc as usize], true));
             }
         }
     }
+    assert!(seen.iter().all(|&s| s), "a torus uses every lane");
 }
 
 #[test]

@@ -141,6 +141,10 @@ mod tests {
     use super::*;
     use wormsim_observe::JsonRecord;
 
+    fn id(index: u32) -> MessageId {
+        MessageId::from_index(index).unwrap()
+    }
+
     #[test]
     fn accessors() {
         let e = TraceEvent::Refused {
@@ -152,11 +156,11 @@ mod tests {
         assert_eq!(e.msg(), None);
         let e = TraceEvent::Delivered {
             cycle: 9,
-            msg: MessageId(3),
+            msg: id(3),
             latency: 20,
         };
         assert_eq!(e.cycle(), 9);
-        assert_eq!(e.msg(), Some(MessageId(3)));
+        assert_eq!(e.msg(), Some(id(3)));
     }
 
     #[test]
@@ -164,7 +168,7 @@ mod tests {
         let events = [
             TraceEvent::Generated {
                 cycle: 1,
-                msg: MessageId(9),
+                msg: id(9),
                 src: NodeId::new(3),
                 dest: NodeId::new(12),
                 length: 16,
@@ -176,23 +180,23 @@ mod tests {
             },
             TraceEvent::InjectionStarted {
                 cycle: 3,
-                msg: MessageId(9),
+                msg: id(9),
             },
             TraceEvent::HopTaken {
                 cycle: 4,
-                msg: MessageId(9),
+                msg: id(9),
                 from: NodeId::new(3),
                 direction: Direction::from_index(2),
                 vc_class: 1,
             },
             TraceEvent::FlitDelivered {
                 cycle: 5,
-                msg: MessageId(9),
+                msg: id(9),
                 kind: FlitKind::Tail,
             },
             TraceEvent::Delivered {
                 cycle: 6,
-                msg: MessageId(9),
+                msg: id(9),
                 latency: 21,
             },
         ];

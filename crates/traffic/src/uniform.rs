@@ -52,6 +52,57 @@ impl TrafficPattern for Uniform {
         dist[src.as_usize()] = 0.0;
         dist
     }
+
+    /// The trait default's value bit for bit, in O(n·k²) instead of
+    /// O(N²): the default adds the same `1/(N-1)` into a bucket once per
+    /// ordered pair of distinct nodes at that distance, so a bucket is that
+    /// addend summed `count` times in a row, and only the counts need the
+    /// topology. (The closed form `DistanceDistribution::uniform` is not
+    /// bit-identical, and these weights set injection rates.)
+    fn hop_class_weights(&self, topo: &Topology) -> Vec<f64> {
+        let p = 1.0 / (self.num_nodes - 1) as f64;
+        let mut counts = pair_counts_by_distance(topo);
+        // A source is never its own destination.
+        counts[0] -= u64::from(topo.num_nodes());
+        counts
+            .into_iter()
+            .map(|count| {
+                let mut weight = 0.0;
+                for _ in 0..count {
+                    weight += p;
+                }
+                weight / f64::from(topo.num_nodes())
+            })
+            .collect()
+    }
+}
+
+/// Ordered node pairs, a node with itself included, per minimal distance:
+/// the per-dimension counts of coordinate pairs per ring (torus) or line
+/// (mesh) distance, convolved over the dimensions.
+fn pair_counts_by_distance(topo: &Topology) -> Vec<u64> {
+    let mut counts = vec![1u64];
+    for &k in topo.dims() {
+        let k = u64::from(k);
+        let per_dim: Vec<u64> = if topo.wraps() {
+            // Two coordinates at each ring distance, one at exactly k/2.
+            (0..=k / 2)
+                .map(|d| if d == 0 || 2 * d == k { k } else { 2 * k })
+                .collect()
+        } else {
+            (0..k)
+                .map(|d| if d == 0 { k } else { 2 * (k - d) })
+                .collect()
+        };
+        let mut next = vec![0; counts.len() + per_dim.len() - 1];
+        for (a, &pairs_a) in counts.iter().enumerate() {
+            for (b, &pairs_b) in per_dim.iter().enumerate() {
+                next[a + b] += pairs_a * pairs_b;
+            }
+        }
+        counts = next;
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -78,6 +129,53 @@ mod tests {
         let topo = Topology::torus(&[16, 16]);
         let uniform = Uniform::new(&topo);
         assert!((uniform.mean_distance(&topo) - topo.uniform_avg_distance()).abs() < 1e-9);
+    }
+
+    /// Uniform with the trait's O(N²) `hop_class_weights`.
+    #[derive(Debug)]
+    struct ByPairs(Uniform);
+
+    impl TrafficPattern for ByPairs {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn sample_dest(&self, src: NodeId, rng: &mut SimRng) -> NodeId {
+            self.0.sample_dest(src, rng)
+        }
+
+        fn dest_distribution(&self, src: NodeId) -> Vec<f64> {
+            self.0.dest_distribution(src)
+        }
+    }
+
+    #[test]
+    fn hop_class_weights_equal_the_pairwise_default_bit_for_bit() {
+        for topo in [
+            Topology::torus(&[4, 4]),
+            Topology::torus(&[8, 8]),
+            Topology::torus(&[16, 16]),
+            Topology::torus(&[32, 32]),
+            Topology::torus(&[64, 64]),
+            Topology::torus(&[6, 10]),
+            Topology::torus(&[8, 8, 8]),
+            Topology::torus(&[16, 16, 16]),
+            Topology::mesh(&[8, 8]),
+            Topology::mesh(&[16, 16]),
+        ] {
+            let uniform = Uniform::new(&topo);
+            let fast: Vec<u64> = uniform
+                .hop_class_weights(&topo)
+                .iter()
+                .map(|w| w.to_bits())
+                .collect();
+            let pairwise: Vec<u64> = ByPairs(uniform)
+                .hop_class_weights(&topo)
+                .iter()
+                .map(|w| w.to_bits())
+                .collect();
+            assert_eq!(fast, pairwise, "{topo}");
+        }
     }
 
     #[test]
