@@ -57,7 +57,14 @@ pub struct WorkHandle(pub(crate) u64);
 #[derive(Debug)]
 pub enum PointStatus {
     /// Still queued or running.
-    Pending,
+    Pending {
+        /// The last progress heartbeat of the executor (the engine's cycle
+        /// counter, offset by one), or `None` when the backend cannot
+        /// observe per-job progress (the local pool shares one token
+        /// across jobs). The supervisor uses a frozen heartbeat to tell a
+        /// *hung* executor from a slow one.
+        heartbeat: Option<u64>,
+    },
     /// Finished: the point's outcome and the attempts it consumed.
     Done {
         /// The run result, or the configuration error that rejected it.
@@ -69,6 +76,10 @@ pub enum PointStatus {
         /// journals identically on every backend.
         retry_decision: Option<String>,
     },
+    /// The dispatch is gone: its executor crashed, stopped answering or
+    /// stopped speaking the protocol. Consumed like `Done`; deciding
+    /// whether to dispatch the point again is the caller's business.
+    Lost(BackendError),
 }
 
 /// A backend infrastructure failure: the *machinery* (a worker process, a
@@ -102,8 +113,11 @@ pub enum BackendChoice {
     },
 }
 
-/// Where sweep points execute. Submit up to [`capacity`] jobs, poll their
-/// handles until every one reports [`PointStatus::Done`].
+/// Where sweep points execute: a transport that runs what it is given and
+/// reports what became of it. Submit up to [`capacity`] jobs, poll their
+/// handles until each one is `Done` or `Lost`. The backend never
+/// dispatches a job twice on its own; that decision belongs to the sweep's
+/// supervisor (`supervisor.rs`).
 ///
 /// [`capacity`]: WorkerBackend::capacity
 pub trait WorkerBackend {
@@ -111,18 +125,14 @@ pub trait WorkerBackend {
     ///
     /// # Errors
     ///
-    /// Backend infrastructure failures (e.g. a worker RPC that exhausted
-    /// its retries). Point-level failures are never `Err` here — they
-    /// surface through [`PointStatus::Done`].
+    /// Only when no executor is left to take the job (e.g. every worker
+    /// is dead or draining). Point-level failures are never `Err` here —
+    /// they surface through [`PointStatus::Done`].
     fn submit(&mut self, job: PointJob) -> Result<WorkHandle, BackendError>;
 
-    /// Reports the current status of a submitted job. A `Done` status is
-    /// consumed: polling the same handle again is unspecified.
-    ///
-    /// # Errors
-    ///
-    /// Backend infrastructure failures, as for [`submit`](Self::submit).
-    fn poll(&mut self, handle: WorkHandle) -> Result<PointStatus, BackendError>;
+    /// Reports the current status of a submitted job. `Done` and `Lost`
+    /// are consumed: polling the same handle again is unspecified.
+    fn poll(&mut self, handle: WorkHandle) -> PointStatus;
 
     /// How many jobs the backend can usefully hold in flight. The
     /// orchestrator keeps at most this many submitted-but-unfinished jobs.
@@ -138,36 +148,22 @@ pub trait WorkerBackend {
         Duration::from_millis(2)
     }
 
-    /// The last progress heartbeat observed for a pending job (the
-    /// engine's cycle counter, offset by one), or `None` when the backend
-    /// cannot observe per-job progress (the local pool shares one token
-    /// across jobs, so it reports nothing). The supervisor uses a frozen
-    /// heartbeat to tell a *hung* executor from a slow one.
-    fn heartbeat(&mut self, _handle: WorkHandle) -> Option<u64> {
-        None
+    /// Declares a pending job's executor dead (its heartbeat froze past
+    /// the supervisor's deadline) and drops the handle, returning the
+    /// loss as [`PointStatus::Lost`] would have reported it. A remote pool
+    /// sends the worker no further jobs; the default, for a pool whose
+    /// threads cannot be declared dead, only forgets the handle.
+    fn write_off(&mut self, handle: WorkHandle) -> BackendError {
+        self.forget(handle);
+        BackendError {
+            worker: "local".to_owned(),
+            message: "written off: simulation heartbeat frozen".to_owned(),
+        }
     }
-
-    /// How many executors this job has been dispatched to so far (1 for a
-    /// job still on its first executor), plus the most recent reason a
-    /// dispatch was lost. The supervisor quarantines a point whose
-    /// dispatch count keeps growing — a poison point that kills every
-    /// worker it lands on.
-    fn dispatch_history(&self, _handle: WorkHandle) -> (u64, Option<String>) {
-        (1, None)
-    }
-
-    /// Declares a pending job's current executor lost (typically: its
-    /// heartbeat froze past the supervisor's deadline). A remote pool
-    /// writes the worker off and re-dispatches the job to a survivor on
-    /// the next poll; the local pool cannot interrupt a hung thread and
-    /// ignores the call.
-    fn write_off(&mut self, _handle: WorkHandle) {}
 
     /// Abandons a job entirely: the backend forgets the handle and
     /// discards any result it may still produce. Used to drop the losing
-    /// duplicates of a hedged point and to stop re-dispatching a
-    /// quarantined one. Polling a forgotten handle reports `Pending`
-    /// forever.
+    /// duplicates of a hedged point.
     fn forget(&mut self, _handle: WorkHandle) {}
 }
 
@@ -431,15 +427,15 @@ impl WorkerBackend for LocalThreadBackend {
         Ok(WorkHandle(id))
     }
 
-    fn poll(&mut self, handle: WorkHandle) -> Result<PointStatus, BackendError> {
+    fn poll(&mut self, handle: WorkHandle) -> PointStatus {
         let mut state = self.shared.state.lock().expect("no poisoned backend state");
         match state.done.remove(&handle.0) {
-            Some((result, attempts, retry_decision)) => Ok(PointStatus::Done {
+            Some((result, attempts, retry_decision)) => PointStatus::Done {
                 result,
                 attempts,
                 retry_decision,
-            }),
-            None => Ok(PointStatus::Pending),
+            },
+            None => PointStatus::Pending { heartbeat: None },
         }
     }
 
@@ -515,23 +511,25 @@ mod tests {
         let mut pending: Vec<WorkHandle> = handles;
         while !pending.is_empty() {
             assert!(Instant::now() < deadline, "backend hung");
-            pending.retain(
-                |&h| match backend.poll(h).expect("local poll never errors") {
-                    PointStatus::Pending => true,
-                    PointStatus::Done {
-                        result,
-                        attempts,
-                        retry_decision,
-                    } => {
-                        assert_eq!(attempts, 1);
-                        assert_eq!(retry_decision, None);
-                        let r = result.expect("valid config");
-                        assert!(r.outcome.has_statistics());
-                        done += 1;
-                        false
-                    }
-                },
-            );
+            pending.retain(|&h| match backend.poll(h) {
+                PointStatus::Pending { heartbeat } => {
+                    assert_eq!(heartbeat, None, "the local pool reports no heartbeat");
+                    true
+                }
+                PointStatus::Done {
+                    result,
+                    attempts,
+                    retry_decision,
+                } => {
+                    assert_eq!(attempts, 1);
+                    assert_eq!(retry_decision, None);
+                    let r = result.expect("valid config");
+                    assert!(r.outcome.has_statistics());
+                    done += 1;
+                    false
+                }
+                PointStatus::Lost(err) => panic!("the local pool never loses a job: {err}"),
+            });
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(done, 3);
@@ -547,8 +545,9 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
             assert!(Instant::now() < deadline, "backend hung");
-            match backend.poll(handle).unwrap() {
-                PointStatus::Pending => std::thread::sleep(Duration::from_millis(5)),
+            match backend.poll(handle) {
+                PointStatus::Pending { .. } => std::thread::sleep(Duration::from_millis(5)),
+                PointStatus::Lost(err) => panic!("the local pool never loses a job: {err}"),
                 PointStatus::Done {
                     result, attempts, ..
                 } => {

@@ -240,7 +240,8 @@ fn scenario_write_off(experiments: &[Experiment], serial_out: &str) {
 }
 
 /// A worker crashes mid-sweep while another corrupts/delays responses;
-/// the survivors absorb everything without perturbing a byte.
+/// the survivors absorb everything without perturbing a byte, and the
+/// manifest records the re-dispatch.
 fn scenario_crash_corrupt(experiments: &[Experiment], serial_out: &str, chaos_seed: u64) {
     let crasher = WorkerProc::spawn(&["--threads", "2", "--chaos", "crash-submit=2"]);
     let garbler = WorkerProc::spawn(&[
@@ -256,11 +257,13 @@ fn scenario_crash_corrupt(experiments: &[Experiment], serial_out: &str, chaos_se
         &out,
         remote_options(&[&crasher, &garbler, &clean]),
     );
-    assert_identical(
-        &format!("crash+corrupt (seed {chaos_seed})"),
-        serial_out,
-        &out,
-        &run,
+    let scenario = format!("crash+corrupt (seed {chaos_seed})");
+    assert_identical(&scenario, serial_out, &out, &run);
+    // The crasher dies on its second submit while its first point is
+    // still in flight, so at least that point must run again.
+    expect(
+        manifest_count(&read_manifest(&run), "points_redispatched") >= 1,
+        &format!("{scenario}: manifest does not surface the re-dispatch"),
     );
     std::fs::remove_dir_all(&out).ok();
 }

@@ -9,17 +9,20 @@
 //! transient points, plus socket timeouts, so one dropped packet does not
 //! kill an overnight sweep.
 //!
-//! A worker that stays unreachable past those retries is treated as
-//! crashed: it is written off, its in-flight points are re-dispatched
-//! verbatim to the survivors, and the sweep continues at reduced
-//! capacity. Because results are bit-deterministic in the experiment
-//! config, a re-run point produces the identical bytes the lost worker
-//! would have — failover never perturbs the journal or the CSV. Only
-//! when *every* worker is gone does the failure surface as a
-//! [`BackendError`].
+//! The backend is a transport: it reports what became of a dispatch and
+//! never re-dispatches on its own. A worker that stays unreachable past
+//! those retries, answers with an error status, or sends
+//! [`GARBLE_STRIKES`] garbled bodies in a row is written off — it gets no
+//! further jobs and counts no capacity — and every point it held polls as
+//! [`PointStatus::Lost`]. Whether a lost point runs again, and where, is
+//! the supervisor's decision (`supervisor.rs`). [`submit`] fails only
+//! when no live worker is left.
+//!
+//! [`submit`]: WorkerBackend::submit
 
 use crate::backend::{backoff_ms, BackendError, PointJob, PointStatus, WorkHandle, WorkerBackend};
 use crate::http;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -64,22 +67,11 @@ struct Worker {
 
 struct InFlight {
     worker: usize,
-    /// The complete job, kept for two reasons: a worker-side
-    /// configuration failure is re-derived as a structured
-    /// [`ExperimentError`] locally (validation is deterministic in the
-    /// experiment alone), and a crashed worker's in-flight points are
-    /// re-dispatched verbatim to a survivor.
-    job: PointJob,
-    /// Times this job has been dispatched (1 = original submit; each
-    /// failover re-dispatch increments). The supervisor's poison-point
-    /// quarantine reads this via `dispatch_history`.
-    dispatches: u64,
-    /// The infrastructure error behind the latest re-dispatch.
-    last_error: Option<String>,
-    /// Simulation heartbeat last reported by a pending `/status` poll;
-    /// the supervisor compares successive values to detect hung workers.
-    beat: Option<u64>,
-    /// Consecutive garbled status bodies from the current worker.
+    /// Kept so a worker-side configuration failure can be re-derived as a
+    /// structured [`ExperimentError`] locally (validation is
+    /// deterministic in the experiment alone).
+    experiment: Experiment,
+    /// Consecutive garbled status bodies from the worker.
     garbles: u32,
 }
 
@@ -92,8 +84,8 @@ enum SendError {
 }
 
 /// A pool of `wormsim-worker` processes behind the [`WorkerBackend`]
-/// trait. Capacity is the sum of worker slot counts; jobs go to the first
-/// worker with a free slot.
+/// trait. Capacity is the sum of live worker slot counts; jobs go to the
+/// live worker with the most free slots.
 pub struct RemoteBackend {
     workers: Vec<Worker>,
     jobs: HashMap<u64, InFlight>,
@@ -212,14 +204,14 @@ impl RemoteBackend {
     }
 
     /// Writes a worker off (idempotent): no further jobs, no capacity.
-    /// Its in-flight accounting is zeroed — every point it was running is
-    /// re-dispatched as its handle gets polled.
+    /// Its in-flight accounting is zeroed — every point it was running
+    /// polls as lost.
     fn mark_dead(&mut self, slot: usize, cause: &BackendError) {
         if !self.workers[slot].dead {
             self.workers[slot].dead = true;
             self.workers[slot].in_flight = 0;
             eprintln!(
-                "worker {} lost ({}); re-dispatching its in-flight points to the survivors",
+                "worker {} lost ({}); sending it no further jobs",
                 self.workers[slot].addr, cause.message
             );
         }
@@ -228,27 +220,16 @@ impl RemoteBackend {
     /// The next submit target among live, non-draining workers: the one
     /// with the most free slots (ties go to the first index), so
     /// heterogeneous workers drain proportionally instead of the first
-    /// address soaking up every job. When `oversubscribe` (failover
-    /// re-dispatch, where the dead worker's points can exceed the
-    /// survivors' free slots), falls back to the least-loaded live
-    /// worker. `None` when every worker is dead or draining (or, strict
-    /// case, merely full).
-    fn pick_live(&self, oversubscribe: bool) -> Option<usize> {
-        let free = self
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !w.dead && !w.draining && w.in_flight < w.slots)
-            .max_by_key(|(i, w)| (w.slots - w.in_flight, self.workers.len() - i))
-            .map(|(i, _)| i);
-        if free.is_some() || !oversubscribe {
-            return free;
-        }
+    /// address soaking up every job. Free slots go negative once a lost
+    /// worker's points are re-dispatched onto full survivors, so the same
+    /// key picks the least oversubscribed one. `None` when every worker is
+    /// dead or draining.
+    fn pick_live(&self) -> Option<usize> {
         self.workers
             .iter()
             .enumerate()
             .filter(|(_, w)| !w.dead && !w.draining)
-            .min_by_key(|(_, w)| w.in_flight)
+            .max_by_key(|(i, w)| (w.slots as i128 - w.in_flight as i128, Reverse(*i)))
             .map(|(i, _)| i)
     }
 
@@ -267,7 +248,7 @@ impl RemoteBackend {
         if status == 503 {
             // The worker is shutting down gracefully: no new jobs, but
             // everything it already has will finish. Retire it from the
-            // pool without the failover fanfare.
+            // pool without writing it off.
             if !self.workers[slot].draining {
                 self.workers[slot].draining = true;
                 eprintln!(
@@ -287,51 +268,81 @@ impl RemoteBackend {
         Ok(())
     }
 
-    /// Re-dispatches one in-flight job after its worker failed: mark the
-    /// worker dead, resubmit the job verbatim to a survivor, report the
-    /// point as still pending. Only when *no* worker survives does the
-    /// infrastructure failure reach the orchestrator.
-    ///
-    /// If the "dead" worker was merely slow and finishes its copy anyway,
-    /// nothing diverges: results are bit-deterministic in the experiment,
-    /// so the copies are identical and only the re-dispatched one is ever
-    /// polled.
-    fn fail_over(&mut self, id: u64, mut cause: BackendError) -> Result<PointStatus, BackendError> {
-        let slot = self
-            .jobs
-            .get(&id)
-            .expect("caller verified the handle")
-            .worker;
-        self.mark_dead(slot, &cause);
-        let job = self
-            .jobs
-            .get(&id)
-            .expect("caller verified the handle")
-            .job
-            .clone();
-        loop {
-            let Some(target) = self.pick_live(true) else {
-                return Err(cause);
-            };
-            match self.send_job(target, id, &job) {
-                Ok(()) => {
-                    let in_flight = self.jobs.get_mut(&id).expect("caller verified the handle");
-                    in_flight.worker = target;
-                    in_flight.dispatches += 1;
-                    in_flight.last_error = Some(cause.message.clone());
-                    in_flight.beat = None;
-                    in_flight.garbles = 0;
-                    return Ok(PointStatus::Pending);
+    /// One `/status` round-trip for job `id` on worker `slot`. `Err` is
+    /// the verdict that the dispatch is lost; the caller writes the
+    /// worker off.
+    fn poll_worker(&mut self, id: u64, slot: usize) -> Result<PointStatus, BackendError> {
+        let addr = self.workers[slot].addr.clone();
+        let lost = |message: String| BackendError {
+            worker: addr.clone(),
+            message,
+        };
+        if self.workers[slot].dead {
+            // Written off by an earlier failure (its own RPC, another
+            // point's poll, or the supervisor): no doomed round-trip.
+            return Err(lost("worker is gone".to_owned()));
+        }
+        let (status, body) = rpc(&addr, "GET", &format!("/status?job={id}"), "")?;
+        if status != 200 {
+            return Err(lost(format!("status returned HTTP {status}: {body}")));
+        }
+        let in_flight = self.jobs.get_mut(&id).expect("caller checked the handle");
+        match decode_status(&body) {
+            Err(garble) => {
+                // The transport delivered bytes, but not the protocol's.
+                // Tolerate a few (a corrupted response costs nothing —
+                // the next poll asks again) before treating the worker
+                // as lost.
+                in_flight.garbles += 1;
+                if in_flight.garbles < GARBLE_STRIKES {
+                    return Ok(PointStatus::Pending { heartbeat: None });
                 }
-                Err(SendError::Draining) => {
-                    // Marked draining inside send_job; try the next one.
+                Err(lost(format!(
+                    "{GARBLE_STRIKES} garbled status responses; last: {garble}"
+                )))
+            }
+            Ok(StatusBody::Pending {
+                heartbeat,
+                draining,
+            }) => {
+                in_flight.garbles = 0;
+                if draining && !self.workers[slot].draining {
+                    self.workers[slot].draining = true;
+                    eprintln!("worker {addr} is draining; sending no further jobs");
                 }
-                Err(SendError::Failed(err)) => {
-                    self.mark_dead(target, &err);
-                    cause = err;
-                }
+                Ok(PointStatus::Pending { heartbeat })
+            }
+            Ok(StatusBody::Done {
+                result,
+                attempts,
+                retry_decision,
+            }) => {
+                let in_flight = self.jobs.remove(&id).expect("caller checked the handle");
+                self.workers[slot].in_flight = self.workers[slot].in_flight.saturating_sub(1);
+                let result = result.map_err(|message| {
+                    Self::rederive_error(&in_flight.experiment, &message, &addr)
+                });
+                Ok(PointStatus::Done {
+                    result,
+                    attempts,
+                    retry_decision,
+                })
             }
         }
+    }
+
+    /// Writes off the worker holding job `id` and drops the job.
+    fn lose(&mut self, id: u64, cause: &BackendError) {
+        if let Some(in_flight) = self.jobs.remove(&id) {
+            self.mark_dead(in_flight.worker, cause);
+        }
+    }
+}
+
+fn unknown_handle(handle: WorkHandle) -> BackendError {
+    BackendError {
+        worker: "<pool>".to_owned(),
+        message: format!("unknown handle {}", handle.0),
     }
 }
 
@@ -343,14 +354,11 @@ enum StatusBody {
         heartbeat: Option<u64>,
         draining: bool,
     },
+    /// Finished: the result, or the worker's rendered failure.
     Done {
-        result: RunResult,
+        result: Result<RunResult, String>,
         attempts: u64,
         retry_decision: Option<String>,
-    },
-    Failed {
-        message: String,
-        attempts: u64,
     },
 }
 
@@ -362,13 +370,14 @@ fn decode_status(body: &str) -> Result<StatusBody, String> {
             draining: value.field_or("draining", false)?,
         }),
         Some("done") => Ok(StatusBody::Done {
-            result: value.field("result")?,
+            result: Ok(value.field("result")?),
             attempts: value.field("attempts")?,
             retry_decision: value.field_or("retry_decision", None)?,
         }),
-        Some("failed") => Ok(StatusBody::Failed {
-            message: value.field_or("error", "unspecified worker failure".to_owned())?,
+        Some("failed") => Ok(StatusBody::Done {
+            result: Err(value.field_or("error", "unspecified worker failure".to_owned())?),
             attempts: value.field("attempts")?,
+            retry_decision: None,
         }),
         other => Err(format!("unknown job state {other:?} in: {body}")),
     }
@@ -378,29 +387,18 @@ impl WorkerBackend for RemoteBackend {
     fn submit(&mut self, job: PointJob) -> Result<WorkHandle, BackendError> {
         let id = self.next_id;
         self.next_id += 1;
-        // A fresh submit insists on a free slot (the orchestrator sized
-        // its in-flight window by `capacity`); but once a worker dies
-        // mid-submit the pool has shrunk under the orchestrator's feet,
-        // so the retries may oversubscribe a survivor.
-        let mut oversubscribe = false;
         let mut cause = BackendError {
             worker: "<pool>".to_owned(),
-            message: "submit called with every worker slot occupied".to_owned(),
+            message: "no live worker left".to_owned(),
         };
-        loop {
-            let Some(slot) = self.pick_live(oversubscribe) else {
-                return Err(cause);
-            };
+        while let Some(slot) = self.pick_live() {
             match self.send_job(slot, id, &job) {
                 Ok(()) => {
                     self.jobs.insert(
                         id,
                         InFlight {
                             worker: slot,
-                            job,
-                            dispatches: 1,
-                            last_error: None,
-                            beat: None,
+                            experiment: job.experiment,
                             garbles: 0,
                         },
                     );
@@ -413,103 +411,20 @@ impl WorkerBackend for RemoteBackend {
                 Err(SendError::Failed(err)) => {
                     self.mark_dead(slot, &err);
                     cause = err;
-                    oversubscribe = true;
                 }
             }
         }
+        Err(cause)
     }
 
-    fn poll(&mut self, handle: WorkHandle) -> Result<PointStatus, BackendError> {
-        let (slot, addr) = {
-            let in_flight = self.jobs.get(&handle.0).ok_or_else(|| BackendError {
-                worker: "<pool>".to_owned(),
-                message: format!("poll of unknown handle {}", handle.0),
-            })?;
-            (
-                in_flight.worker,
-                self.workers[in_flight.worker].addr.clone(),
-            )
+    fn poll(&mut self, handle: WorkHandle) -> PointStatus {
+        let Some(slot) = self.jobs.get(&handle.0).map(|j| j.worker) else {
+            return PointStatus::Lost(unknown_handle(handle));
         };
-        // The worker was already written off by an earlier failure (its
-        // own RPC, or another point's poll): re-dispatch without a doomed
-        // round-trip.
-        if self.workers[slot].dead {
-            let cause = BackendError {
-                worker: addr,
-                message: "worker is gone".to_owned(),
-            };
-            return self.fail_over(handle.0, cause);
-        }
-        let (status, body) = match rpc(&addr, "GET", &format!("/status?job={}", handle.0), "") {
-            Ok(response) => response,
-            Err(err) => return self.fail_over(handle.0, err),
-        };
-        if status != 200 {
-            let cause = BackendError {
-                worker: addr,
-                message: format!("status returned HTTP {status}: {body}"),
-            };
-            return self.fail_over(handle.0, cause);
-        }
-        match decode_status(&body) {
-            Err(garble) => {
-                // The transport delivered bytes, but not the protocol's.
-                // Tolerate a few (a corrupted response costs nothing —
-                // the next poll asks again) before treating the worker
-                // as lost.
-                let in_flight = self.jobs.get_mut(&handle.0).expect("handle checked above");
-                in_flight.garbles += 1;
-                if in_flight.garbles < GARBLE_STRIKES {
-                    return Ok(PointStatus::Pending);
-                }
-                let cause = BackendError {
-                    worker: addr,
-                    message: format!("{GARBLE_STRIKES} garbled status responses; last: {garble}"),
-                };
-                self.fail_over(handle.0, cause)
-            }
-            Ok(StatusBody::Pending {
-                heartbeat,
-                draining,
-            }) => {
-                let in_flight = self.jobs.get_mut(&handle.0).expect("handle checked above");
-                in_flight.garbles = 0;
-                if let Some(beat) = heartbeat {
-                    in_flight.beat = Some(beat);
-                }
-                if draining && !self.workers[slot].draining {
-                    self.workers[slot].draining = true;
-                    eprintln!("worker {addr} is draining; sending no further jobs");
-                }
-                Ok(PointStatus::Pending)
-            }
-            Ok(StatusBody::Done {
-                result,
-                attempts,
-                retry_decision,
-            }) => {
-                self.jobs.remove(&handle.0);
-                self.workers[slot].in_flight = self.workers[slot].in_flight.saturating_sub(1);
-                Ok(PointStatus::Done {
-                    result: Ok(result),
-                    attempts,
-                    retry_decision,
-                })
-            }
-            Ok(StatusBody::Failed { message, attempts }) => {
-                let in_flight = self.jobs.remove(&handle.0).expect("handle checked above");
-                self.workers[slot].in_flight = self.workers[slot].in_flight.saturating_sub(1);
-                Ok(PointStatus::Done {
-                    result: Err(Self::rederive_error(
-                        &in_flight.job.experiment,
-                        &message,
-                        &addr,
-                    )),
-                    attempts,
-                    retry_decision: None,
-                })
-            }
-        }
+        self.poll_worker(handle.0, slot).unwrap_or_else(|cause| {
+            self.lose(handle.0, &cause);
+            PointStatus::Lost(cause)
+        })
     }
 
     fn capacity(&self) -> usize {
@@ -534,25 +449,16 @@ impl WorkerBackend for RemoteBackend {
         Duration::from_millis(25)
     }
 
-    fn heartbeat(&mut self, handle: WorkHandle) -> Option<u64> {
-        self.jobs.get(&handle.0).and_then(|j| j.beat)
-    }
-
-    fn dispatch_history(&self, handle: WorkHandle) -> (u64, Option<String>) {
-        self.jobs
-            .get(&handle.0)
-            .map_or((1, None), |j| (j.dispatches, j.last_error.clone()))
-    }
-
-    fn write_off(&mut self, handle: WorkHandle) {
+    fn write_off(&mut self, handle: WorkHandle) -> BackendError {
         let Some(slot) = self.jobs.get(&handle.0).map(|j| j.worker) else {
-            return;
+            return unknown_handle(handle);
         };
         let cause = BackendError {
             worker: self.workers[slot].addr.clone(),
             message: "written off by the supervisor: simulation heartbeat frozen".to_owned(),
         };
-        self.mark_dead(slot, &cause);
+        self.lose(handle.0, &cause);
+        cause
     }
 
     fn forget(&mut self, handle: WorkHandle) {
@@ -568,6 +474,7 @@ impl WorkerBackend for RemoteBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::{Event, SupervisePolicy, Supervisor};
     use crate::worker::spawn_local;
     use std::time::Instant;
     use wormsim::topology::Topology;
@@ -584,18 +491,48 @@ mod tests {
         }
     }
 
+    /// Polls `handle` until it resolves, returning the `Done` or `Lost`.
+    fn wait(backend: &mut RemoteBackend, handle: WorkHandle) -> PointStatus {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            assert!(Instant::now() < deadline, "remote worker hung");
+            match backend.poll(handle) {
+                PointStatus::Pending { .. } => std::thread::sleep(Duration::from_millis(10)),
+                resolved => return resolved,
+            }
+        }
+    }
+
     fn wait_done(
         backend: &mut RemoteBackend,
         handle: WorkHandle,
     ) -> (Result<RunResult, ExperimentError>, u64) {
+        match wait(backend, handle) {
+            PointStatus::Done {
+                result, attempts, ..
+            } => (result, attempts),
+            other => panic!("expected the point to finish, got {other:?}"),
+        }
+    }
+
+    /// Drives `job` through a [`Supervisor`] over `backend` until the
+    /// point finishes.
+    fn supervise_done(backend: &mut RemoteBackend, job: PointJob) -> RunResult {
+        let mut supervisor = Supervisor::new(SupervisePolicy::default());
+        supervisor
+            .submit(backend, job)
+            .expect("a live worker takes the point");
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
-            assert!(Instant::now() < deadline, "remote worker hung");
-            match backend.poll(handle).expect("poll") {
-                PointStatus::Pending => std::thread::sleep(Duration::from_millis(10)),
-                PointStatus::Done {
-                    result, attempts, ..
-                } => return (result, attempts),
+            assert!(Instant::now() < deadline, "supervised point hung");
+            match supervisor
+                .tick(backend)
+                .expect("a live worker remains")
+                .pop()
+            {
+                Some(Event::Done { result, .. }) => return result.expect("the point runs"),
+                Some(Event::Quarantined(record)) => panic!("unexpected quarantine: {record:?}"),
+                None => std::thread::sleep(Duration::from_millis(10)),
             }
         }
     }
@@ -689,22 +626,28 @@ mod tests {
         let local = experiment.clone().run().expect("local reference run");
         // Submission goes to the first worker with a free slot — the
         // doomed one. Kill it mid-point; the next poll's RPC failure must
-        // re-dispatch the job to the survivor, not surface an error.
-        let handle = backend.submit(job_for(experiment, 0)).expect("submit");
+        // report the dispatch lost, not re-dispatch it behind our back.
+        let handle = backend
+            .submit(job_for(experiment.clone(), 0))
+            .expect("submit");
         doomed.kill();
-        let (result, _) = wait_done(&mut backend, handle);
-        let remote = result.expect("failover completes the point");
+        let PointStatus::Lost(cause) = wait(&mut backend, handle) else {
+            panic!("a killed worker's point must poll as lost");
+        };
+        assert_eq!(cause.worker, doomed.addr.to_string());
+        assert_eq!(
+            backend.capacity(),
+            1,
+            "the dead worker must drop out of the capacity count"
+        );
+        // The supervisor's dispatch lands on the survivor.
+        let remote = supervise_done(&mut backend, job_for(experiment, 0));
         assert_eq!(
             remote.latency.mean().to_bits(),
             local.latency.mean().to_bits(),
             "the re-dispatched point must reproduce the local result bit for bit"
         );
         assert_eq!(remote.cycles_simulated, local.cycles_simulated);
-        assert_eq!(
-            backend.capacity(),
-            1,
-            "the dead worker must drop out of the capacity count"
-        );
     }
 
     #[test]
@@ -723,18 +666,23 @@ mod tests {
             .quick()
             .seed(1993);
         let local = experiment.clone().run().expect("local reference run");
-        let handle = backend.submit(job_for(experiment, 0)).expect("submit");
-        let (result, _) = wait_done(&mut backend, handle);
-        let remote = result.expect("the point must land on the survivor");
-        assert_eq!(
-            remote.latency.mean().to_bits(),
-            local.latency.mean().to_bits(),
-            "the survivor must reproduce the local result bit for bit"
-        );
+        let handle = backend
+            .submit(job_for(experiment.clone(), 0))
+            .expect("submit");
+        let PointStatus::Lost(cause) = wait(&mut backend, handle) else {
+            panic!("a garbling worker's point must poll as lost");
+        };
+        assert!(cause.message.contains("garbled"), "got: {cause}");
         assert_eq!(
             backend.capacity(),
             1,
             "the garbling worker must be written off"
+        );
+        let remote = supervise_done(&mut backend, job_for(experiment, 0));
+        assert_eq!(
+            remote.latency.mean().to_bits(),
+            local.latency.mean().to_bits(),
+            "the survivor must reproduce the local result bit for bit"
         );
     }
 

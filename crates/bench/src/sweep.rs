@@ -14,7 +14,7 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use wormsim::observe::JsonObject;
+use wormsim::observe::{JsonObject, JsonRecord};
 use wormsim::{CancelToken, Experiment, ExperimentError, RunOutcome, RunResult};
 
 /// The token the installed SIGINT handler trips. Process-global because a
@@ -508,12 +508,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         let sidecar = Journal::quarantine_sidecar(&journal_path);
         let mut text = String::new();
         for record in &quarantined {
-            let mut object = JsonObject::begin(&mut text);
-            object.field_u64("index", record.index as u64);
-            object.field_str("point_hash", &record.point_hash);
-            object.field_u64("dispatches", record.dispatches);
-            object.field_str("last_error", &record.last_error);
-            object.finish();
+            record.write_json(&mut text);
             text.push('\n');
         }
         write_sidecar(&sidecar, &text)?;
@@ -533,6 +528,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         let mut text = String::new();
         let mut object = JsonObject::begin(&mut text);
         object.field_u64("workers_written_off", supervision.workers_written_off);
+        object.field_u64("points_redispatched", supervision.points_redispatched);
         object.field_u64("points_hedged", supervision.points_hedged);
         object.field_u64("duplicates_discarded", supervision.duplicates_discarded);
         object.field_u64("points_quarantined", quarantined.len() as u64);

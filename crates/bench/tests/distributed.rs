@@ -7,6 +7,7 @@
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use wormsim::observe::json;
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 const WORKER: &str = env!("CARGO_BIN_EXE_wormsim-worker");
@@ -18,11 +19,16 @@ struct WorkerProc {
 }
 
 impl WorkerProc {
-    /// Starts a worker on an ephemeral loopback port and reads the bound
-    /// address from its announcement line on stdout.
-    fn spawn(threads: usize) -> WorkerProc {
-        let mut child = Command::new(WORKER)
-            .args(["--listen", "127.0.0.1:0", "--threads", &threads.to_string()])
+    /// Starts a worker on an ephemeral loopback port, optionally chaos
+    /// armed, and reads the bound address from its announcement line on
+    /// stdout.
+    fn spawn(threads: usize, chaos: Option<&str>) -> WorkerProc {
+        let mut cmd = Command::new(WORKER);
+        cmd.args(["--listen", "127.0.0.1:0", "--threads", &threads.to_string()]);
+        if let Some(plan) = chaos {
+            cmd.args(["--chaos", plan]);
+        }
+        let mut child = cmd
             .stdout(Stdio::piped())
             .spawn()
             .expect("spawn wormsim-worker");
@@ -114,7 +120,7 @@ fn remote_sweep_is_byte_identical_to_local() {
         std::fs::read(local_dir.join("sweep.journal.jsonl")).expect("local journal");
 
     // 2. The same sweep sharded across two concurrent loopback workers.
-    let workers = [WorkerProc::spawn(2), WorkerProc::spawn(2)];
+    let workers = [WorkerProc::spawn(2, None), WorkerProc::spawn(2, None)];
     let remote_dir = temp_dir("remote");
     let status = Command::new(SWEEP)
         .args(sweep_args(&remote_dir))
@@ -156,11 +162,12 @@ fn worker_crash_mid_sweep_fails_over_and_stays_byte_identical() {
         std::fs::read(local_dir.join("sweep.journal.jsonl")).expect("local journal");
 
     // 2. The same sweep across two workers — and one of them is murdered
-    //    shortly after the sweep starts, with points in flight. The
-    //    backend must write it off, re-dispatch its points to the
-    //    survivor, and finish.
-    let doomed = WorkerProc::spawn(1);
-    let survivor = WorkerProc::spawn(2);
+    //    shortly after the sweep starts, with points in flight. Its first
+    //    point stalls until the kill, so the crash always strands work.
+    //    The backend must write it off, the supervisor re-dispatch its
+    //    point to the survivor, and the sweep finish.
+    let doomed = WorkerProc::spawn(1, Some("stall-submit=1"));
+    let survivor = WorkerProc::spawn(2, None);
     let remote_dir = temp_dir("failover-remote");
     let sweep = Command::new(SWEEP)
         .args(failover_sweep_args(&remote_dir))
@@ -194,6 +201,16 @@ fn worker_crash_mid_sweep_fails_over_and_stays_byte_identical() {
     assert_eq!(
         local_journal, remote_journal,
         "failover must reproduce the local journal byte for byte"
+    );
+    let manifest = std::fs::read_to_string(remote_dir.join("sweep.journal.supervision.json"))
+        .expect("a failover leaves a supervision manifest");
+    let redispatched: u64 = json::from_str(&manifest)
+        .unwrap_or_else(|e| panic!("supervision manifest {manifest}: {e}"))
+        .field("points_redispatched")
+        .unwrap_or_else(|e| panic!("supervision manifest {manifest}: {e}"));
+    assert!(
+        redispatched >= 1,
+        "the manifest must record the re-dispatch"
     );
 
     std::fs::remove_dir_all(&local_dir).ok();

@@ -10,6 +10,7 @@
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use wormsim::observe::json;
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 const FAULTS_SWEEP: &str = env!("CARGO_BIN_EXE_faults_sweep");
@@ -129,9 +130,22 @@ fn run_serial(args: &[String], out_dir: &Path) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
+/// The count `key` in the supervision manifest a sweep left in `out_dir`.
+fn manifest_count(out_dir: &Path, key: &str) -> u64 {
+    let path = out_dir.join("sweep.journal.supervision.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("supervision manifest {}: {e}", path.display()));
+    let manifest = json::from_str(&text).unwrap_or_else(|e| panic!("manifest {text}: {e}"));
+    manifest
+        .field(key)
+        .unwrap_or_else(|e| panic!("manifest {text}: {e}"))
+}
+
 /// The chaos gauntlet: four workers — one clean, one corrupting 20% of
 /// its response bodies, one killed 300 ms in, one frozen with SIGSTOP
 /// 300 ms in — and the sweep must finish with bytes identical to serial.
+/// The doomed and frozen workers each stall their first point, so both
+/// still hold work when the faults land.
 #[test]
 fn killed_hung_and_corrupting_workers_stay_byte_identical() {
     let local_dir = temp_dir("gauntlet-local");
@@ -140,8 +154,8 @@ fn killed_hung_and_corrupting_workers_stay_byte_identical() {
 
     let clean = WorkerProc::spawn(2, None);
     let garbler = WorkerProc::spawn(2, Some("corrupt=0.2,delay-ms=10@0.3"));
-    let doomed = WorkerProc::spawn(2, None);
-    let frozen = WorkerProc::spawn(2, None);
+    let doomed = WorkerProc::spawn(2, Some("stall-submit=1"));
+    let frozen = WorkerProc::spawn(2, Some("stall-submit=1"));
     let remote_dir = temp_dir("gauntlet-remote");
     let sweep = Command::new(SWEEP)
         .args(long_sweep_args(&remote_dir))
@@ -180,6 +194,10 @@ fn killed_hung_and_corrupting_workers_stay_byte_identical() {
     assert_eq!(
         local_journal, remote_journal,
         "the gauntlet must not perturb a byte of the journal"
+    );
+    assert!(
+        manifest_count(&remote_dir, "points_redispatched") >= 1,
+        "the manifest must record the re-dispatches"
     );
 
     std::fs::remove_dir_all(&local_dir).ok();
@@ -238,9 +256,9 @@ fn hedged_straggler_is_rescued_and_recorded() {
 ///
 /// Each worker stalls its first submit. Point 0 goes to the two-slot
 /// worker and hangs; point 1 takes that worker's second slot and
-/// completes long before the deadline. Writing the first worker off moves
-/// point 0 to the second worker, whose first submit hangs as well: two
-/// burned dispatches against a budget of one.
+/// completes long before the deadline. Writing the first worker off
+/// loses point 0's only dispatch, which spends its budget of one: it is
+/// quarantined at once, and the second worker is never touched.
 #[test]
 fn poison_point_quarantines_with_distinct_exit_code() {
     let scenarios: [(&str, &str, &[&str]); 2] = [
@@ -286,6 +304,10 @@ fn poison_point_quarantines_with_distinct_exit_code() {
             .and_then(|rest| rest.split('"').next())
             .unwrap_or_else(|| panic!("{stem}: sidecar must name the poison point: {sidecar}"));
         assert_eq!(sidecar.lines().count(), 1, "{stem}: one poison point");
+        assert!(
+            sidecar.contains("\"dispatches\":1"),
+            "{stem}: quarantine must fire on the first lost dispatch: {sidecar}"
+        );
         let journal = std::fs::read_to_string(out_dir.join(format!("{stem}.journal.jsonl")))
             .expect("journal exists");
         assert_eq!(journal.lines().count(), 1, "{stem}: the healthy point");
