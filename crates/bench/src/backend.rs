@@ -204,8 +204,8 @@ fn panic_result(experiment: &Experiment, payload: &(dyn std::any::Any + Send)) -
         "non-string panic payload".to_owned()
     };
     RunResult {
-        algorithm: experiment.algorithm_kind().name().to_owned(),
-        traffic: experiment.traffic_config().to_string(),
+        algorithm: experiment.sim().algorithm.name().to_owned(),
+        traffic: experiment.sim().traffic.to_string(),
         offered_load: experiment.offered_load_value(),
         injection_rate: 0.0,
         latency: ConfidenceInterval::new(0.0, f64::INFINITY),

@@ -348,8 +348,8 @@ fn timed_run(
     let mut net = experiment.build_network().map_err(|e| {
         format!(
             "{} on {}: {e}",
-            experiment.algorithm_kind(),
-            experiment.topology_ref()
+            experiment.sim().algorithm,
+            experiment.sim().topology
         )
     })?;
     net.run(options.warmup);
@@ -749,7 +749,7 @@ mod tests {
         let sizes = |options: &Options| -> Vec<Topology> {
             let mut sizes: Vec<Topology> = scaling(options)
                 .iter()
-                .map(|e| e.topology_ref().clone())
+                .map(|e| e.sim().topology.clone())
                 .collect();
             sizes.dedup();
             sizes
@@ -788,7 +788,7 @@ mod tests {
             assert!(!networks.is_empty(), "{id}");
             assert!(networks
                 .iter()
-                .all(|e| *e.topology_ref() == options.topology()));
+                .all(|e| e.sim().topology == options.topology()));
         }
         assert!(parse("engine", &["--topo", "ring:9"]).is_err());
     }

@@ -191,16 +191,18 @@ impl RemoteBackend {
     }
 
     /// A worker-side failure arrives as a rendered string; configuration
-    /// errors are deterministic in the experiment alone, so re-validating
-    /// locally recovers the structured variant. Anything else (which
-    /// should not happen) is preserved verbatim as an I/O error.
+    /// errors are deterministic in the experiment alone, so building the
+    /// network locally recovers the structured variant — validation and
+    /// the build-time rejections (a routing algorithm or traffic pattern
+    /// that does not fit the topology) alike. Anything else (which should
+    /// not happen) is preserved verbatim as an I/O error.
     fn rederive_error(experiment: &Experiment, message: &str, addr: &str) -> ExperimentError {
-        match experiment.validate() {
-            Err(err) => err,
-            Ok(()) => ExperimentError::Io {
+        experiment
+            .build_network()
+            .err()
+            .unwrap_or_else(|| ExperimentError::Io {
                 message: format!("worker {addr} reported: {message}"),
-            },
-        }
+            })
     }
 
     /// Writes a worker off (idempotent): no further jobs, no capacity.

@@ -418,7 +418,7 @@ fn saturation(options: &SweepOptions) -> Plan {
             ("nlast", "early"),
         ];
         for base in bases {
-            let name = base.algorithm_kind().name();
+            let name = base.sim().algorithm.name();
             let point = base.find_saturation(0.9, 4).expect("search runs");
             let note = paper_notes
                 .iter()
@@ -533,7 +533,7 @@ fn balance(options: &SweepOptions) -> Plan {
             "algo", "channel CoV", "class CoV", "busiest/median ch", "c0/cTop"
         );
         for point in points {
-            let kind = point.algorithm_kind();
+            let kind = point.sim().algorithm;
             let mut net = point.build_network().expect("valid point");
             net.observer().metrics_on();
             net.run(30_000);

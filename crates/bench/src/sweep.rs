@@ -600,7 +600,7 @@ impl ExperimentsRun {
             let experiment = &plan.experiments[i];
             Some(SweepError {
                 index: i,
-                algorithm: experiment.algorithm_kind().name().to_owned(),
+                algorithm: experiment.sim().algorithm.name().to_owned(),
                 offered_load: experiment.offered_load_value(),
                 source: e.clone(),
             })
@@ -801,6 +801,57 @@ mod tests {
             local_bytes, again_bytes,
             "a worker's second sweep must be as byte-identical as its first"
         );
+        std::fs::remove_dir_all(&local_dir).ok();
+        std::fs::remove_dir_all(&remote_dir).ok();
+    }
+
+    #[test]
+    fn local_and_remote_backends_name_the_same_build_time_rejection() {
+        // The configuration validates, but a radius-3 neighborhood does not
+        // fit radix 6: the traffic pattern rejects it when the network is
+        // built. A remote sweep must name that error, not an I/O failure.
+        use wormsim::engine::EngineError;
+        use wormsim::{AlgorithmKind, Topology, TrafficConfig};
+        let point = Experiment::new(Topology::torus(&[6, 6]), AlgorithmKind::Ecube)
+            .traffic(TrafficConfig::Local { radius: 3 })
+            .offered_load(0.1)
+            .quick();
+        assert!(point.validate().is_ok());
+        let plan = SweepPlan::new(vec![point]).fail_fast(true);
+        let local_dir = temp_out_dir("reject-local");
+        let remote_dir = temp_out_dir("reject-remote");
+        let local = SweepOptions {
+            schedule: MeasurementSchedule::quick(),
+            out_dir: local_dir.clone(),
+            threads: 1,
+            ..SweepOptions::default()
+        };
+        let worker = crate::worker::spawn_local(1);
+        let remote = SweepOptions {
+            schedule: MeasurementSchedule::quick(),
+            out_dir: remote_dir.clone(),
+            backend: BackendChoice::Remote {
+                workers: vec![worker.to_string()],
+            },
+            ..SweepOptions::default()
+        };
+        let local_error = run_sweep(&plan, &local)
+            .expect("local sweep")
+            .first_config_error(&plan);
+        let remote_error = run_sweep(&plan, &remote)
+            .expect("remote sweep")
+            .first_config_error(&plan);
+        assert!(
+            matches!(
+                &local_error,
+                Some(SweepError {
+                    source: ExperimentError::Engine(EngineError::Traffic(_)),
+                    ..
+                })
+            ),
+            "{local_error:?}"
+        );
+        assert_eq!(local_error, remote_error);
         std::fs::remove_dir_all(&local_dir).ok();
         std::fs::remove_dir_all(&remote_dir).ok();
     }

@@ -4,9 +4,10 @@
 use crate::{MeasurementSchedule, RunOutcome, RunResult};
 use std::fmt;
 use wormsim_engine::{
-    CancelToken, EjectionModel, EngineError, Network, NetworkBuilder, SelectionPolicy, Switching,
+    CancelToken, EjectionModel, EngineError, Network, NetworkBuilder, SelectionPolicy, SimConfig,
+    Switching,
 };
-use wormsim_faults::{FaultPlan, FaultPlanError, FaultTarget};
+use wormsim_faults::FaultPlan;
 use wormsim_observe::{
     atomic_write, fnv1a_hex, git_describe, heatmap_csv, JsonRecord, JsonlSink, ObserveConfig,
     PhaseTimings, RunManifest, Stopwatch,
@@ -19,7 +20,10 @@ use wormsim_traffic::{ArrivalProcess, MessageLength, TrafficConfig};
 /// Errors from configuring or running an experiment.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ExperimentError {
-    /// The underlying simulator rejected the configuration.
+    /// The simulator rejected the configuration: a degenerate network
+    /// parameter ([`SimConfig::validate`]), a fault plan that does not fit
+    /// the topology ([`EngineError::Faults`]), or a routing algorithm or
+    /// traffic pattern that rejects the topology.
     Engine(EngineError),
     /// The offered load must be in `(0, 1]`: it is a fraction of channel
     /// capacity, and beyond 1 the network is overloaded by construction.
@@ -38,121 +42,6 @@ pub enum ExperimentError {
         /// The rejected value.
         value: f64,
     },
-    /// `vc_replicas == 0`: every VC class needs at least one replica, or
-    /// the network has no virtual channels at all.
-    ///
-    /// ```
-    /// use wormsim::{AlgorithmKind, Experiment, ExperimentError};
-    /// use wormsim::topology::Topology;
-    ///
-    /// let error = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
-    ///     .vc_replicas(0)
-    ///     .validate()
-    ///     .unwrap_err();
-    /// assert_eq!(error, ExperimentError::ZeroVcReplicas);
-    /// ```
-    ZeroVcReplicas,
-    /// `congestion_limit == Some(0)`: a zero limit would refuse every
-    /// message at the source; use `None` to disable congestion control.
-    ///
-    /// ```
-    /// use wormsim::{AlgorithmKind, Experiment, ExperimentError};
-    /// use wormsim::topology::Topology;
-    ///
-    /// let error = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
-    ///     .congestion_limit(Some(0))
-    ///     .validate()
-    ///     .unwrap_err();
-    /// assert_eq!(error, ExperimentError::ZeroCongestionLimit);
-    /// ```
-    ZeroCongestionLimit,
-    /// The message-length distribution can produce zero-flit messages
-    /// (only possible by building a [`MessageLength`] variant by hand —
-    /// the constructors reject it).
-    ///
-    /// ```
-    /// use wormsim::{AlgorithmKind, Experiment, ExperimentError, MessageLength};
-    /// use wormsim::topology::Topology;
-    ///
-    /// let error = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
-    ///     .message_length(MessageLength::Uniform { min: 0, max: 8 })
-    ///     .validate()
-    ///     .unwrap_err();
-    /// assert_eq!(error, ExperimentError::ZeroLengthMessage);
-    /// ```
-    ZeroLengthMessage,
-    /// The fault plan names a channel or node the topology does not have
-    /// (a mesh-boundary channel slot, or a node index out of range, in
-    /// which case `direction` is `None`).
-    ///
-    /// ```
-    /// use wormsim::{AlgorithmKind, Experiment, ExperimentError, FaultPlan};
-    /// use wormsim::topology::{Direction, NodeId, Sign, Topology};
-    ///
-    /// let mut plan = FaultPlan::new();
-    /// // Node 0 sits on the mesh boundary: no link leaves it downward.
-    /// plan.push_dead_link(NodeId::new(0), Direction::new(0, Sign::Minus));
-    /// let error = Experiment::new(Topology::mesh(&[4, 4]), AlgorithmKind::Ecube)
-    ///     .faults(plan)
-    ///     .validate()
-    ///     .unwrap_err();
-    /// assert_eq!(error, ExperimentError::FaultOnNonexistentChannel {
-    ///     node: NodeId::new(0),
-    ///     direction: Some(Direction::new(0, Sign::Minus)),
-    /// });
-    /// ```
-    FaultOnNonexistentChannel {
-        /// The node the fault names.
-        node: wormsim_topology::NodeId,
-        /// The channel direction for link faults; `None` for a node fault
-        /// whose index is out of range.
-        direction: Option<wormsim_topology::Direction>,
-    },
-    /// A fault's repair cycle is not strictly after its failure cycle, so
-    /// the fault would never be in effect.
-    ///
-    /// ```
-    /// use wormsim::{AlgorithmKind, Experiment, ExperimentError, Fault, FaultPlan, FaultTarget};
-    /// use wormsim::topology::{NodeId, Topology};
-    ///
-    /// let target = FaultTarget::Node { node: NodeId::new(3) };
-    /// let mut plan = FaultPlan::new();
-    /// plan.push(Fault { target, fail_at: 10, repair_at: Some(10) });
-    /// let error = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
-    ///     .faults(plan)
-    ///     .validate()
-    ///     .unwrap_err();
-    /// assert_eq!(error, ExperimentError::FaultRepairBeforeFailure {
-    ///     target,
-    ///     fail_at: 10,
-    ///     repair_at: 10,
-    /// });
-    /// ```
-    FaultRepairBeforeFailure {
-        /// The offending fault's target.
-        target: FaultTarget,
-        /// Cycle the fault takes effect.
-        fail_at: u64,
-        /// The repair cycle that is not after `fail_at`.
-        repair_at: u64,
-    },
-    /// The fault plan statically kills every node: no traffic could ever
-    /// be generated or delivered.
-    ///
-    /// ```
-    /// use wormsim::{AlgorithmKind, Experiment, ExperimentError, FaultPlan};
-    /// use wormsim::topology::{NodeId, Topology};
-    ///
-    /// let mut plan = FaultPlan::new();
-    /// plan.push_dead_node(NodeId::new(0));
-    /// plan.push_dead_node(NodeId::new(1));
-    /// let error = Experiment::new(Topology::mesh(&[2]), AlgorithmKind::Ecube)
-    ///     .faults(plan)
-    ///     .validate()
-    ///     .unwrap_err();
-    /// assert_eq!(error, ExperimentError::AllNodesFaulted);
-    /// ```
-    AllNodesFaulted,
     /// The computed injection rate left `(0, 1]` — the topology/message
     /// combination cannot offer this load.
     RateOutOfRange {
@@ -174,43 +63,6 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Engine(e) => write!(f, "engine: {e}"),
             ExperimentError::InvalidLoad { value } => {
                 write!(f, "offered load {value} out of range (0, 1]")
-            }
-            ExperimentError::ZeroVcReplicas => {
-                write!(f, "vc_replicas must be at least 1")
-            }
-            ExperimentError::ZeroCongestionLimit => {
-                write!(
-                    f,
-                    "congestion limit 0 refuses every message; use None to disable"
-                )
-            }
-            ExperimentError::ZeroLengthMessage => {
-                write!(f, "message length distribution allows zero-flit messages")
-            }
-            ExperimentError::FaultOnNonexistentChannel { node, direction } => match direction {
-                Some(direction) => write!(
-                    f,
-                    "fault plan names nonexistent channel: node {} has no link in direction \
-                     {direction}",
-                    node.index()
-                ),
-                None => write!(
-                    f,
-                    "fault plan names node {} outside the topology",
-                    node.index()
-                ),
-            },
-            ExperimentError::FaultRepairBeforeFailure {
-                target,
-                fail_at,
-                repair_at,
-            } => write!(
-                f,
-                "fault on {target} repairs at cycle {repair_at}, not after its failure at \
-                 {fail_at}"
-            ),
-            ExperimentError::AllNodesFaulted => {
-                write!(f, "fault plan statically kills every node")
             }
             ExperimentError::RateOutOfRange { rate } => {
                 write!(f, "computed injection rate {rate} out of range")
@@ -240,6 +92,12 @@ impl From<EngineError> for ExperimentError {
 /// A self-contained simulation experiment: network configuration, offered
 /// load, and measurement schedule.
 ///
+/// The split follows the paper's: the network and its parameters (S5)
+/// are one engine [`SimConfig`], with its defaults and its validator, and
+/// the experiment (S7) owns only the offered load, the measurement
+/// schedule and the run budgets, plus local state that never changes the
+/// simulation (observability, cancellation, retry provenance).
+///
 /// Offered load is specified as *normalized channel utilization* (the
 /// paper's Equation 4); [`run`](Self::run) converts it to a per-node
 /// injection rate using the traffic pattern's exact mean distance, then
@@ -263,28 +121,14 @@ impl From<EngineError> for ExperimentError {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Experiment {
-    // `pub(crate)` rather than private: the wire codec (`crate::wire`)
-    // reads and reconstructs exactly this field set.
-    pub(crate) topology: Topology,
-    pub(crate) algorithm: AlgorithmKind,
-    pub(crate) traffic: TrafficConfig,
-    pub(crate) length: MessageLength,
-    pub(crate) switching: Switching,
-    pub(crate) selection: SelectionPolicy,
-    pub(crate) ejection: EjectionModel,
-    pub(crate) vc_replicas: u32,
-    pub(crate) congestion_limit: Option<u32>,
-    pub(crate) injection_bandwidth: u32,
+    /// The network under test; `arrival` stays `Off` until
+    /// [`build_network`](Self::build_network) derives it from the load.
+    pub(crate) sim: SimConfig,
     pub(crate) offered_load: f64,
     pub(crate) schedule: MeasurementSchedule,
-    pub(crate) seed: u64,
-    pub(crate) observe: Option<ObserveConfig>,
-    pub(crate) faults: Option<FaultPlan>,
     pub(crate) cycle_budget: Option<u64>,
     pub(crate) wall_budget_secs: Option<f64>,
-    pub(crate) hop_budget: Option<u32>,
-    pub(crate) age_budget: Option<u64>,
-    pub(crate) watchdog_cycles: Option<u64>,
+    pub(crate) observe: Option<ObserveConfig>,
     pub(crate) cancel: Option<CancelToken>,
     pub(crate) attempt: u32,
     pub(crate) resumed_from: Option<String>,
@@ -292,30 +136,17 @@ pub struct Experiment {
 
 impl Experiment {
     /// Starts an experiment on `topology` with `algorithm`, using the
-    /// paper's defaults: uniform traffic, 16-flit messages, wormhole
-    /// switching, congestion limit 1, offered load 0.2.
+    /// engine's defaults for the network (see [`NetworkBuilder`]: the
+    /// paper's uniform traffic, 16-flit messages, wormhole switching,
+    /// congestion limit 1) and offered load 0.2.
     pub fn new(topology: Topology, algorithm: AlgorithmKind) -> Self {
         Experiment {
-            topology,
-            algorithm,
-            traffic: TrafficConfig::Uniform,
-            length: MessageLength::Fixed { flits: 16 },
-            switching: Switching::wormhole(),
-            selection: SelectionPolicy::MostCredits,
-            ejection: EjectionModel::PerVc,
-            vc_replicas: 1,
-            congestion_limit: Some(1),
-            injection_bandwidth: 1,
+            sim: NetworkBuilder::new(topology, algorithm).into_config(),
             offered_load: 0.2,
             schedule: MeasurementSchedule::default(),
-            seed: 0,
-            observe: None,
-            faults: None,
             cycle_budget: None,
             wall_budget_secs: None,
-            hop_budget: None,
-            age_budget: None,
-            watchdog_cycles: None,
+            observe: None,
             cancel: None,
             attempt: 1,
             resumed_from: None,
@@ -324,49 +155,49 @@ impl Experiment {
 
     /// Sets the traffic pattern.
     pub fn traffic(mut self, traffic: TrafficConfig) -> Self {
-        self.traffic = traffic;
+        self.sim.traffic = traffic;
         self
     }
 
     /// Sets the message length distribution.
     pub fn message_length(mut self, length: MessageLength) -> Self {
-        self.length = length;
+        self.sim.length = length;
         self
     }
 
     /// Sets the switching discipline.
     pub fn switching(mut self, switching: Switching) -> Self {
-        self.switching = switching;
+        self.sim.switching = switching;
         self
     }
 
     /// Sets the VC selection policy.
     pub fn selection(mut self, selection: SelectionPolicy) -> Self {
-        self.selection = selection;
+        self.sim.selection = selection;
         self
     }
 
     /// Sets the ejection model.
     pub fn ejection(mut self, ejection: EjectionModel) -> Self {
-        self.ejection = ejection;
+        self.sim.ejection = ejection;
         self
     }
 
     /// Sets the number of physical VCs per routing class.
     pub fn vc_replicas(mut self, replicas: u32) -> Self {
-        self.vc_replicas = replicas;
+        self.sim.vc_replicas = replicas;
         self
     }
 
     /// Sets (or disables) the congestion-control limit.
     pub fn congestion_limit(mut self, limit: Option<u32>) -> Self {
-        self.congestion_limit = limit;
+        self.sim.congestion_limit = limit;
         self
     }
 
     /// Sets the injection bandwidth in flits per cycle.
     pub fn injection_bandwidth(mut self, flits: u32) -> Self {
-        self.injection_bandwidth = flits;
+        self.sim.injection_bandwidth = flits;
         self
     }
 
@@ -390,7 +221,7 @@ impl Experiment {
 
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.sim.seed = seed;
         self
     }
 
@@ -411,7 +242,7 @@ impl Experiment {
     /// default hop budget of `4 * diameter + 64` guards against silent
     /// livelock from misrouting.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.sim.faults = Some(plan);
         self
     }
 
@@ -434,19 +265,19 @@ impl Experiment {
     /// Sets the per-message hop budget for the livelock guard (see
     /// [`RunOutcome::LiveLocked`]). Overrides the fault-mode default.
     pub fn hop_budget(mut self, hops: Option<u32>) -> Self {
-        self.hop_budget = hops;
+        self.sim.hop_budget = hops;
         self
     }
 
     /// Sets the per-message age budget in cycles for the livelock guard.
     pub fn age_budget(mut self, cycles: Option<u64>) -> Self {
-        self.age_budget = cycles;
+        self.sim.age_budget = cycles;
         self
     }
 
     /// Overrides the deadlock watchdog's no-progress window.
     pub fn watchdog_cycles(mut self, cycles: u64) -> Self {
-        self.watchdog_cycles = Some(cycles);
+        self.sim.watchdog_cycles = Some(cycles);
         self
     }
 
@@ -489,53 +320,43 @@ impl Experiment {
     /// sweep skips exactly the points whose results would reproduce
     /// bit-identically and re-runs anything whose configuration changed.
     pub fn point_hash(&self) -> String {
+        // No `..`: a new engine knob fails to compile here until the hash
+        // (and the wire codec) decide how to carry it.
+        let SimConfig {
+            topology,
+            algorithm,
+            switching,
+            vc_replicas,
+            traffic,
+            arrival: _, // derived from `offered_load`
+            length,
+            congestion_limit,
+            selection,
+            ejection,
+            injection_bandwidth,
+            seed,
+            watchdog_cycles,
+            faults,
+            hop_budget,
+            age_budget,
+        } = &self.sim;
         let canonical = format!(
-            "topology={:?}|algorithm={:?}|traffic={:?}|length={:?}|switching={:?}\
-             |selection={:?}|ejection={:?}|vc_replicas={}|congestion_limit={:?}\
-             |injection_bandwidth={}|offered_load={}|schedule={:?}|seed={}\
-             |faults={:?}|cycle_budget={:?}|wall_budget_secs={:?}|hop_budget={:?}\
-             |age_budget={:?}|watchdog_cycles={:?}",
-            self.topology,
-            self.algorithm,
-            self.traffic,
-            self.length,
-            self.switching,
-            self.selection,
-            self.ejection,
-            self.vc_replicas,
-            self.congestion_limit,
-            self.injection_bandwidth,
-            self.offered_load,
-            self.schedule,
-            self.seed,
-            self.faults,
-            self.cycle_budget,
-            self.wall_budget_secs,
-            self.hop_budget,
-            self.age_budget,
-            self.watchdog_cycles,
+            "topology={topology:?}|algorithm={algorithm:?}|traffic={traffic:?}|length={length:?}\
+             |switching={switching:?}|selection={selection:?}|ejection={ejection:?}\
+             |vc_replicas={vc_replicas}|congestion_limit={congestion_limit:?}\
+             |injection_bandwidth={injection_bandwidth}|offered_load={}|schedule={:?}|seed={seed}\
+             |faults={faults:?}|cycle_budget={:?}|wall_budget_secs={:?}|hop_budget={hop_budget:?}\
+             |age_budget={age_budget:?}|watchdog_cycles={watchdog_cycles:?}",
+            self.offered_load, self.schedule, self.cycle_budget, self.wall_budget_secs,
         );
         fnv1a_hex(&canonical)
     }
 
-    /// The topology under test.
-    pub fn topology_ref(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The routing algorithm under test.
-    pub fn algorithm_kind(&self) -> AlgorithmKind {
-        self.algorithm
-    }
-
-    /// The configured traffic pattern.
-    pub fn traffic_config(&self) -> &TrafficConfig {
-        &self.traffic
-    }
-
-    /// The configured message-length distribution.
-    pub fn length_config(&self) -> MessageLength {
-        self.length
+    /// The network configuration under test. Its `arrival` is `Off`: the
+    /// offered load becomes the arrival process only when the network is
+    /// built.
+    pub fn sim(&self) -> &SimConfig {
+        &self.sim
     }
 
     /// The configured offered load.
@@ -551,62 +372,26 @@ impl Experiment {
     }
 
     /// Checks the configuration for nonsensical combinations without
-    /// building or running the simulator. [`run`](Self::run) calls this
-    /// first, so misconfiguration fails with a named error before any
+    /// building or running the simulator: the offered load here, and the
+    /// network through [`SimConfig::validate`]. [`run`](Self::run) calls
+    /// this first, so misconfiguration fails with a named error before any
     /// cycle is simulated; call it directly to vet configurations up
     /// front (e.g. when accepting CLI input).
     ///
     /// # Errors
     ///
     /// * [`ExperimentError::InvalidLoad`] — `offered_load` outside `(0, 1]`
-    /// * [`ExperimentError::ZeroVcReplicas`] — `vc_replicas == 0`
-    /// * [`ExperimentError::ZeroCongestionLimit`] — `congestion_limit == Some(0)`
-    /// * [`ExperimentError::ZeroLengthMessage`] — a zero-flit [`MessageLength`]
-    /// * [`ExperimentError::FaultOnNonexistentChannel`],
-    ///   [`ExperimentError::FaultRepairBeforeFailure`],
-    ///   [`ExperimentError::AllNodesFaulted`] — an ill-formed fault plan
+    /// * [`ExperimentError::Engine`] — whatever [`SimConfig::validate`]
+    ///   rejects: a zero VC replica count, congestion limit, message
+    ///   length, buffer depth or injection bandwidth, or an ill-formed
+    ///   fault plan
     pub fn validate(&self) -> Result<(), ExperimentError> {
         if !self.offered_load.is_finite() || self.offered_load <= 0.0 || self.offered_load > 1.0 {
             return Err(ExperimentError::InvalidLoad {
                 value: self.offered_load,
             });
         }
-        if self.vc_replicas == 0 {
-            return Err(ExperimentError::ZeroVcReplicas);
-        }
-        if self.congestion_limit == Some(0) {
-            return Err(ExperimentError::ZeroCongestionLimit);
-        }
-        if self.length.min() == 0 {
-            return Err(ExperimentError::ZeroLengthMessage);
-        }
-        if let Some(plan) = &self.faults {
-            plan.validate(&self.topology).map_err(|e| match e {
-                FaultPlanError::NonexistentChannel { node, direction } => {
-                    ExperimentError::FaultOnNonexistentChannel {
-                        node,
-                        direction: Some(direction),
-                    }
-                }
-                FaultPlanError::NodeOutOfRange { node, .. } => {
-                    ExperimentError::FaultOnNonexistentChannel {
-                        node,
-                        direction: None,
-                    }
-                }
-                FaultPlanError::RepairBeforeFailure {
-                    target,
-                    fail_at,
-                    repair_at,
-                } => ExperimentError::FaultRepairBeforeFailure {
-                    target,
-                    fail_at,
-                    repair_at,
-                },
-                FaultPlanError::AllNodesFaulted => ExperimentError::AllNodesFaulted,
-            })?;
-        }
-        Ok(())
+        Ok(self.sim.validate()?)
     }
 
     /// The per-node injection rate this experiment will use (Equation 4
@@ -617,16 +402,18 @@ impl Experiment {
     /// Returns the same validation errors as [`run`](Self::run).
     pub fn injection_rate(&self) -> Result<f64, ExperimentError> {
         self.validate()?;
-        let pattern = self
-            .traffic
-            .build(&self.topology)
-            .map_err(EngineError::from)?;
-        let mean_distance = pattern.mean_distance(&self.topology);
+        let SimConfig {
+            topology,
+            traffic,
+            length,
+            ..
+        } = &self.sim;
+        let pattern = traffic.build(topology).map_err(EngineError::from)?;
         let rate = throughput::rate_for_utilization(
             self.offered_load,
-            self.length.mean(),
-            mean_distance,
-            self.topology.num_dims(),
+            length.mean(),
+            pattern.mean_distance(topology),
+            topology.num_dims(),
         );
         if !(0.0..=1.0).contains(&rate) || rate == 0.0 {
             return Err(ExperimentError::RateOutOfRange { rate });
@@ -648,33 +435,14 @@ impl Experiment {
     /// pattern rejects the topology.
     pub fn build_network(&self) -> Result<Network, ExperimentError> {
         let rate = self.injection_rate()?;
+        let mut sim = self.sim.clone();
+        sim.arrival = ArrivalProcess::geometric(rate).map_err(EngineError::from)?;
         // Under a fault plan, misrouting must not livelock silently: give
         // the guard a generous default hop budget unless the caller set one.
-        let hop_budget = self.hop_budget.or_else(|| {
-            self.faults
-                .as_ref()
-                .map(|_| 4 * self.topology.diameter() + 64)
-        });
-        let mut builder = NetworkBuilder::new(self.topology.clone(), self.algorithm)
-            .traffic(self.traffic.clone())
-            .arrival(ArrivalProcess::geometric(rate).map_err(EngineError::from)?)
-            .message_length(self.length)
-            .switching(self.switching)
-            .selection(self.selection)
-            .ejection(self.ejection)
-            .vc_replicas(self.vc_replicas)
-            .congestion_limit(self.congestion_limit)
-            .injection_bandwidth(self.injection_bandwidth)
-            .hop_budget(hop_budget)
-            .age_budget(self.age_budget)
-            .seed(self.seed);
-        if let Some(plan) = &self.faults {
-            builder = builder.faults(plan.clone());
+        if sim.faults.is_some() && sim.hop_budget.is_none() {
+            sim.hop_budget = Some(4 * sim.topology.diameter() + 64);
         }
-        if let Some(cycles) = self.watchdog_cycles {
-            builder = builder.watchdog_cycles(cycles);
-        }
-        let mut net = builder.build()?;
+        let mut net = Network::new(sim)?;
         if let Some(token) = &self.cancel {
             net.set_cancel_token(token.clone());
         }
@@ -690,11 +458,12 @@ impl Experiment {
     /// [`RunResult::deadlock`] so sweeps can record partial data.
     pub fn run(&self) -> Result<RunResult, ExperimentError> {
         let total_watch = Stopwatch::start();
+        let topology = &self.sim.topology;
         let mut timings = PhaseTimings::new();
         let mut net = self.build_network()?;
         let rate = net.config().arrival.rate();
         let traffic = net.traffic_pattern().name();
-        let weights = net.traffic_pattern().hop_class_weights(&self.topology);
+        let weights = net.traffic_pattern().hop_class_weights(topology);
         let io_err = |e: std::io::Error| ExperimentError::Io {
             message: e.to_string(),
         };
@@ -704,7 +473,7 @@ impl Experiment {
         // network where no message can ever be generated.
         if net.routable_pairs() == 0 {
             return Ok(RunResult {
-                algorithm: self.algorithm.name().to_owned(),
+                algorithm: self.sim.algorithm.name().to_owned(),
                 traffic,
                 offered_load: self.offered_load,
                 injection_rate: rate,
@@ -733,10 +502,10 @@ impl Experiment {
         // Attach the sample and trace streams before the first cycle runs.
         let run_id = self.observe.as_ref().map(|observe| {
             observe.run_id(&[
-                self.algorithm.name(),
+                self.sim.algorithm.name(),
                 &traffic,
                 &format!("l{:.2}", self.offered_load),
-                &format!("s{}", self.seed),
+                &format!("s{}", self.sim.seed),
             ])
         });
         if let (Some(observe), Some(run_id)) = (self.observe.as_ref(), run_id.as_deref()) {
@@ -768,7 +537,7 @@ impl Experiment {
         net.reset_metrics();
 
         let channels = net.num_network_channels();
-        let nodes = self.topology.num_nodes() as u64;
+        let nodes = topology.num_nodes() as u64;
         let mut util_sum = 0.0;
         let mut delivery_sum = 0.0;
         let mut accept_sum = 0.0;
@@ -875,7 +644,7 @@ impl Experiment {
             })
             .collect();
         let mut result = RunResult {
-            algorithm: self.algorithm.name().to_owned(),
+            algorithm: self.sim.algorithm.name().to_owned(),
             traffic,
             offered_load: self.offered_load,
             injection_rate: rate,
@@ -937,10 +706,9 @@ impl Experiment {
                         .map_err(io_err)?;
                 }
                 if let Some(registry) = net.metrics_registry() {
-                    let dims: Vec<u64> =
-                        self.topology.dims().iter().map(|&d| u64::from(d)).collect();
-                    let dirs = (self.topology.num_dims() * 2) as u64;
-                    let mut report = registry.report(run_id, &self.topology.label(), &dims, dirs);
+                    let dims: Vec<u64> = topology.dims().iter().map(|&d| u64::from(d)).collect();
+                    let dirs = (topology.num_dims() * 2) as u64;
+                    let mut report = registry.report(run_id, &topology.label(), &dims, dirs);
                     // Engine phases from the registry, experiment spans
                     // (warmup/measure/gap/drain) from the run's timings:
                     // one self-contained phase breakdown.
@@ -956,10 +724,10 @@ impl Experiment {
                     run_id: run_id.clone(),
                     config_hash: fnv1a_hex(&format!("{:?}|{:?}", net.config(), self.schedule)),
                     git_describe: git_describe(),
-                    seed: self.seed,
+                    seed: self.sim.seed,
                     algorithm: result.algorithm.clone(),
                     traffic: result.traffic.clone(),
-                    topology: self.topology.label(),
+                    topology: topology.label(),
                     offered_load: self.offered_load,
                     injection_rate: rate,
                     cycles: net.cycle(),
@@ -1058,10 +826,109 @@ mod tests {
             base().offered_load(0.0).build_network(),
             Err(ExperimentError::InvalidLoad { .. })
         ));
-        assert!(matches!(
-            base().vc_replicas(0).build_network(),
-            Err(ExperimentError::ZeroVcReplicas)
-        ));
+        assert_eq!(
+            base().vc_replicas(0).build_network().unwrap_err(),
+            ExperimentError::Engine(EngineError::ZeroReplicas)
+        );
+    }
+
+    #[test]
+    fn validate_is_the_load_check_plus_the_engine_validator() {
+        use wormsim_faults::{Fault, FaultPlanError, FaultTarget};
+        use wormsim_topology::{Direction, NodeId, Sign};
+        let torus = || Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube);
+        let faulted = |topology: Topology, faults: &[Fault]| {
+            let mut plan = FaultPlan::new();
+            faults.iter().for_each(|&fault| plan.push(fault));
+            Experiment::new(topology, AlgorithmKind::Ecube).faults(plan)
+        };
+        let dead = |target| Fault {
+            target,
+            fail_at: 0,
+            repair_at: None,
+        };
+        let node = |index| FaultTarget::Node {
+            node: NodeId::new(index),
+        };
+        // Node 0 sits on the mesh boundary: no link leaves it downward.
+        let boundary = FaultTarget::Link {
+            node: NodeId::new(0),
+            direction: Direction::new(0, Sign::Minus),
+        };
+        let repaired_at_failure = Fault {
+            target: node(3),
+            fail_at: 10,
+            repair_at: Some(10),
+        };
+        let engine = ExperimentError::Engine;
+        let faults = |e| ExperimentError::Engine(EngineError::Faults(e));
+        let cases = [
+            (
+                "load 0",
+                torus().offered_load(0.0),
+                ExperimentError::InvalidLoad { value: 0.0 },
+            ),
+            (
+                "no VC replicas",
+                torus().vc_replicas(0),
+                engine(EngineError::ZeroReplicas),
+            ),
+            (
+                "congestion limit 0",
+                torus().congestion_limit(Some(0)),
+                engine(EngineError::ZeroCongestionLimit),
+            ),
+            (
+                "zero-flit messages",
+                torus().message_length(MessageLength::Uniform { min: 0, max: 8 }),
+                engine(EngineError::ZeroLengthMessage),
+            ),
+            (
+                "buffer depth 0",
+                torus().switching(Switching::Wormhole { buffer_depth: 0 }),
+                engine(EngineError::ZeroBufferDepth),
+            ),
+            (
+                "injection bandwidth 0",
+                torus().injection_bandwidth(0),
+                engine(EngineError::ZeroInjectionBandwidth),
+            ),
+            (
+                "mesh-boundary link fault",
+                faulted(Topology::mesh(&[4, 4]), &[dead(boundary)]),
+                faults(FaultPlanError::NonexistentChannel {
+                    node: NodeId::new(0),
+                    direction: Direction::new(0, Sign::Minus),
+                }),
+            ),
+            (
+                "node out of range",
+                faulted(Topology::torus(&[4, 4]), &[dead(node(16))]),
+                faults(FaultPlanError::NodeOutOfRange {
+                    node: NodeId::new(16),
+                    num_nodes: 16,
+                }),
+            ),
+            (
+                "repair not after failure",
+                faulted(Topology::torus(&[4, 4]), &[repaired_at_failure]),
+                faults(FaultPlanError::RepairBeforeFailure {
+                    target: node(3),
+                    fail_at: 10,
+                    repair_at: 10,
+                }),
+            ),
+            (
+                "every node dead",
+                faulted(Topology::mesh(&[2]), &[dead(node(0)), dead(node(1))]),
+                faults(FaultPlanError::AllNodesFaulted),
+            ),
+        ];
+        for (name, experiment, expected) in cases {
+            let error = experiment.validate().expect_err(name);
+            assert_eq!(error, expected, "{name}");
+            assert_eq!(experiment.build_network().unwrap_err(), error, "{name}");
+        }
     }
 
     #[test]

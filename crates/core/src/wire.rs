@@ -27,6 +27,7 @@
 
 use crate::schedule::MeasurementSchedule;
 use crate::Experiment;
+use wormsim_engine::SimConfig;
 use wormsim_observe::json::Value;
 use wormsim_observe::{fnv1a_hex, Json, JsonObject, JsonRecord};
 use wormsim_routing::AlgorithmKind;
@@ -95,28 +96,48 @@ impl Json for MeasurementSchedule {
 /// seeds above 2^53).
 impl Json for Experiment {
     fn write(&self, out: &mut String) {
+        // No `..`, as in `point_hash`: a new engine knob fails to compile
+        // here until the wire carries it.
+        let SimConfig {
+            topology,
+            algorithm,
+            switching,
+            vc_replicas,
+            traffic,
+            arrival: _, // derived from `offered_load` on the worker
+            length,
+            congestion_limit,
+            selection,
+            ejection,
+            injection_bandwidth,
+            seed,
+            watchdog_cycles,
+            faults,
+            hop_budget,
+            age_budget,
+        } = &self.sim;
         let mut object = JsonObject::begin(out);
         object
             .field("wire", &WIRE_PROTOCOL)
-            .field("topology", &self.topology)
-            .field_str("algorithm", self.algorithm.name())
-            .field("traffic", &self.traffic)
-            .field("length", &self.length)
-            .field("switching", &self.switching)
-            .field("selection", &self.selection)
-            .field("ejection", &self.ejection)
-            .field("vc_replicas", &self.vc_replicas)
-            .field("congestion_limit", &self.congestion_limit)
-            .field("injection_bandwidth", &self.injection_bandwidth)
+            .field("topology", topology)
+            .field_str("algorithm", algorithm.name())
+            .field("traffic", traffic)
+            .field("length", length)
+            .field("switching", switching)
+            .field("selection", selection)
+            .field("ejection", ejection)
+            .field("vc_replicas", vc_replicas)
+            .field("congestion_limit", congestion_limit)
+            .field("injection_bandwidth", injection_bandwidth)
             .field("offered_load", &self.offered_load)
             .field("schedule", &self.schedule)
-            .field("seed", &self.seed.to_string())
-            .field("faults", &self.faults)
+            .field("seed", &seed.to_string())
+            .field("faults", faults)
             .field("cycle_budget", &self.cycle_budget)
             .field("wall_budget_secs", &self.wall_budget_secs)
-            .field("hop_budget", &self.hop_budget)
-            .field("age_budget", &self.age_budget)
-            .field("watchdog_cycles", &self.watchdog_cycles);
+            .field("hop_budget", hop_budget)
+            .field("age_budget", age_budget)
+            .field("watchdog_cycles", watchdog_cycles);
         object.finish();
     }
 
@@ -133,26 +154,27 @@ impl Json for Experiment {
             .parse()
             .map_err(|e| format!("field 'algorithm': {e:?}"))?;
         let mut experiment = Experiment::new(topology, algorithm);
-        experiment.traffic = value.field("traffic")?;
-        experiment.length = value.field("length")?;
-        experiment.switching = value.field("switching")?;
-        experiment.selection = value.field("selection")?;
-        experiment.ejection = value.field("ejection")?;
-        experiment.vc_replicas = value.field("vc_replicas")?;
-        experiment.congestion_limit = value.field_or("congestion_limit", None)?;
-        experiment.injection_bandwidth = value.field("injection_bandwidth")?;
-        experiment.offered_load = value.field("offered_load")?;
-        experiment.schedule = value.field("schedule")?;
-        experiment.seed = value
+        let sim = &mut experiment.sim;
+        sim.traffic = value.field("traffic")?;
+        sim.length = value.field("length")?;
+        sim.switching = value.field("switching")?;
+        sim.selection = value.field("selection")?;
+        sim.ejection = value.field("ejection")?;
+        sim.vc_replicas = value.field("vc_replicas")?;
+        sim.congestion_limit = value.field_or("congestion_limit", None)?;
+        sim.injection_bandwidth = value.field("injection_bandwidth")?;
+        sim.seed = value
             .field::<String>("seed")?
             .parse()
             .map_err(|_| "field 'seed': not a u64 in decimal".to_owned())?;
-        experiment.faults = value.field_or("faults", None)?;
+        sim.faults = value.field_or("faults", None)?;
+        sim.hop_budget = value.field_or("hop_budget", None)?;
+        sim.age_budget = value.field_or("age_budget", None)?;
+        sim.watchdog_cycles = value.field_or("watchdog_cycles", None)?;
+        experiment.offered_load = value.field("offered_load")?;
+        experiment.schedule = value.field("schedule")?;
         experiment.cycle_budget = value.field_or("cycle_budget", None)?;
         experiment.wall_budget_secs = value.field_or("wall_budget_secs", None)?;
-        experiment.hop_budget = value.field_or("hop_budget", None)?;
-        experiment.age_budget = value.field_or("age_budget", None)?;
-        experiment.watchdog_cycles = value.field_or("watchdog_cycles", None)?;
         Ok(experiment)
     }
 }

@@ -74,7 +74,11 @@ wormsim_observe::json_tags!(EjectionModel {
     SingleChannel = "single_channel",
 });
 
-/// Full simulator configuration. Use [`NetworkBuilder`] to construct one.
+/// Full simulator configuration: every network parameter of the paper's
+/// simulator (S5) and its defaults. Use [`NetworkBuilder`] to construct
+/// one. The experiment layer (`wormsim::Experiment`, S7) carries one of
+/// these and adds only what it owns: the offered load, which becomes
+/// [`arrival`](Self::arrival) at build time, and the measurement schedule.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// The network under test.
@@ -105,8 +109,9 @@ pub struct SimConfig {
     /// RNG seed; equal seeds give bit-identical runs.
     pub seed: u64,
     /// Cycles without forward progress (while flits are in flight) before
-    /// the watchdog reports a deadlock.
-    pub watchdog_cycles: u64,
+    /// the watchdog reports a deadlock; `None` means the engine default of
+    /// 20 000.
+    pub watchdog_cycles: Option<u64>,
     /// Link/node failures injected into the run; `None` (or an empty plan)
     /// simulates a healthy network with zero overhead on the hot path.
     pub faults: Option<FaultPlan>,
@@ -116,11 +121,11 @@ pub struct SimConfig {
     /// Starvation guard: flag any live message older than this many cycles.
     /// `None` disables the age check.
     pub age_budget: Option<u64>,
-    /// When a fault leaves a message with no live minimal candidate,
-    /// adaptive algorithms may mis-route (take a non-minimal live hop)
-    /// instead of waiting forever. Non-adaptive algorithms never mis-route.
-    pub misroute_on_fault: bool,
 }
+
+/// The deadlock watchdog's no-progress window when
+/// [`SimConfig::watchdog_cycles`] is `None`.
+pub(crate) const DEFAULT_WATCHDOG_CYCLES: u64 = 20_000;
 
 /// Builder for [`Network`].
 ///
@@ -164,11 +169,10 @@ impl NetworkBuilder {
                 ejection: EjectionModel::PerVc,
                 injection_bandwidth: 1,
                 seed: 0,
-                watchdog_cycles: 20_000,
+                watchdog_cycles: None,
                 faults: None,
                 hop_budget: None,
                 age_budget: None,
-                misroute_on_fault: true,
             },
         }
     }
@@ -235,7 +239,7 @@ impl NetworkBuilder {
 
     /// Sets the watchdog threshold in cycles.
     pub fn watchdog_cycles(mut self, cycles: u64) -> Self {
-        self.config.watchdog_cycles = cycles;
+        self.config.watchdog_cycles = Some(cycles);
         self
     }
 
@@ -257,12 +261,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Enables or disables mis-routing around faults (default: enabled).
-    pub fn misroute_on_fault(mut self, misroute: bool) -> Self {
-        self.config.misroute_on_fault = misroute;
-        self
-    }
-
     /// Finishes the configuration.
     pub fn into_config(self) -> SimConfig {
         self.config
@@ -280,7 +278,15 @@ impl NetworkBuilder {
 }
 
 impl SimConfig {
-    pub(crate) fn validate(&self) -> Result<(), EngineError> {
+    /// Checks the parameters for degenerate values without building
+    /// anything; [`Network::new`] calls it first.
+    ///
+    /// # Errors
+    ///
+    /// The [`EngineError`] naming the first degenerate parameter, or
+    /// [`EngineError::Faults`] for a fault plan that does not fit the
+    /// topology.
+    pub fn validate(&self) -> Result<(), EngineError> {
         if let Switching::Wormhole { buffer_depth: 0 } = self.switching {
             return Err(EngineError::ZeroBufferDepth);
         }
@@ -292,6 +298,9 @@ impl SimConfig {
         }
         if self.congestion_limit == Some(0) {
             return Err(EngineError::ZeroCongestionLimit);
+        }
+        if self.length.min() == 0 {
+            return Err(EngineError::ZeroLengthMessage);
         }
         let flits = self.length.max().max(self.buffer_capacity());
         if flits > u32::from(u16::MAX) {
@@ -347,6 +356,13 @@ mod tests {
         assert_eq!(
             base.clone().congestion_limit(Some(0)).build().unwrap_err(),
             EngineError::ZeroCongestionLimit
+        );
+        // Only a hand-built variant can do this (the constructors refuse
+        // it); unchecked, the route phase panics on the first empty worm.
+        let empty = MessageLength::Uniform { min: 0, max: 4 };
+        assert_eq!(
+            base.clone().message_length(empty).build().unwrap_err(),
+            EngineError::ZeroLengthMessage
         );
         let long = MessageLength::fixed(65_536).unwrap();
         assert_eq!(

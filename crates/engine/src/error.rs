@@ -22,6 +22,10 @@ pub enum EngineError {
     ZeroInjectionBandwidth,
     /// The congestion-control limit must be at least 1 when present.
     ZeroCongestionLimit,
+    /// The message-length distribution can produce zero-flit messages
+    /// (only a hand-built `MessageLength` variant can: its constructors
+    /// refuse it).
+    ZeroLengthMessage,
     /// Too many physical VCs per channel: `classes * replicas` must fit the
     /// engine's `u8` per-channel bookkeeping (request-row occupancy and
     /// round-robin pointers).
@@ -47,6 +51,9 @@ impl fmt::Display for EngineError {
             }
             EngineError::ZeroCongestionLimit => {
                 write!(f, "congestion limit must be at least 1 when enabled")
+            }
+            EngineError::ZeroLengthMessage => {
+                write!(f, "message length distribution allows zero-flit messages")
             }
             EngineError::TooManyVcs { vcs } => {
                 write!(

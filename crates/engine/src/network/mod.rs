@@ -3,7 +3,7 @@
 //! ([`Network::step`]); each phase lives in its own submodule (see the
 //! crate docs for the map).
 
-use crate::config::{SimConfig, Switching};
+use crate::config::{SimConfig, Switching, DEFAULT_WATCHDOG_CYCLES};
 use crate::flit::MessageId;
 use crate::message::MessageSlab;
 use crate::metrics::{DeliveredMessage, Metrics};
@@ -303,6 +303,8 @@ pub struct Network {
     cycle: u64,
     flits_in_flight: u64,
     last_progress: u64,
+    /// The watchdog's no-progress window, resolved from the config once.
+    watchdog_cycles: u64,
     deadlock: Option<DeadlockReport>,
     faults: Option<FaultState>,
     livelock: Option<LivelockReport>,
@@ -441,6 +443,7 @@ impl Network {
             cycle: 0,
             flits_in_flight: 0,
             last_progress: 0,
+            watchdog_cycles: cfg.watchdog_cycles.unwrap_or(DEFAULT_WATCHDOG_CYCLES),
             deadlock: None,
             faults,
             livelock: None,
@@ -912,7 +915,7 @@ impl Network {
             self.last_progress = self.cycle;
         } else if self.active_flits() > 0
             && self.deadlock.is_none()
-            && self.cycle - self.last_progress >= self.cfg.watchdog_cycles
+            && self.cycle - self.last_progress >= self.watchdog_cycles
         {
             self.deadlock = Some(DeadlockReport {
                 detected_at: self.cycle,

@@ -148,7 +148,6 @@ impl Network {
             );
             if fault_mode
                 && candidates.is_empty()
-                && self.cfg.misroute_on_fault
                 && self.algo.adaptivity() != Adaptivity::NonAdaptive
             {
                 self.fault_candidates(here, rec_route.dest(), ivc, &mut candidates);

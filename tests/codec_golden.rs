@@ -24,6 +24,9 @@ use wormsim::{
 use wormsim_bench::JournalEntry;
 
 const GOLDEN: &str = include_str!("golden/codec_seed1993.jsonl");
+/// Written by the commit before `Experiment` carried the engine's
+/// `SimConfig`: the old field-by-field hash's bytes. Never regenerate it.
+const POINT_HASHES: &str = include_str!("golden/point_hash_seed1993.txt");
 const SEED: u64 = 1993;
 
 /// Every wire knob away from its default: hotspot traffic, bimodal
@@ -437,6 +440,34 @@ fn encoding_is_byte_identical_to_the_parent_commit() {
     for (i, (ours, theirs)) in encoded.iter().zip(golden).enumerate() {
         assert_eq!(ours, theirs, "golden line {}", i + 1);
     }
+}
+
+/// `wire_digest()`, then one `point_hash()` per wire fixture and per
+/// Figure 3 point (quick schedule, seed 1993), one `label hash` per line.
+fn point_hashes() -> Vec<String> {
+    let figure = wormsim::presets::experiments_for(
+        &wormsim::presets::fig3(),
+        MeasurementSchedule::quick(),
+        SEED,
+    );
+    let mut lines = vec![format!("wire_digest {}", wormsim::wire_digest())];
+    let wire = std::iter::once(every_knob_experiment()).chain(plain_experiments());
+    lines.extend(
+        wire.enumerate()
+            .map(|(i, e)| format!("wire[{i}] {}", e.point_hash())),
+    );
+    lines.extend(
+        figure
+            .iter()
+            .enumerate()
+            .map(|(i, e)| format!("fig3[{i}] {}", e.point_hash())),
+    );
+    lines
+}
+
+#[test]
+fn point_hashes_and_wire_digest_match_the_parent_commit() {
+    assert_eq!(point_hashes(), POINT_HASHES.lines().collect::<Vec<_>>());
 }
 
 #[test]
