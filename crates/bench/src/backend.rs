@@ -1,8 +1,8 @@
 //! The [`WorkerBackend`] abstraction: where sweep points actually run.
 //!
 //! The orchestrator ([`run_sweep`](crate::run_sweep)) is backend-agnostic:
-//! it submits [`PointJob`]s, polls their [`PointStatus`], and feeds
-//! completed points to the deterministic committer. Two backends exist:
+//! it submits [`PointJob`]s, polls their [`PointStatus`], and records
+//! completed points in the journal. Two backends exist:
 //!
 //! * [`LocalThreadBackend`] — the classic in-process pool, one OS thread
 //!   per slot. Behavior-preserving port of the old scoped-thread
@@ -14,8 +14,8 @@
 //!
 //! Both run the identical per-point retry loop ([`execute_point`]), so a
 //! point produces the same result and the same attempt count no matter
-//! where it runs — the property the committer turns into byte-identical
-//! journals.
+//! where it runs — the property that, with the journal's index order,
+//! makes journals byte-identical.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;

@@ -2,7 +2,7 @@
 //!
 //! A journal is a JSONL file with one record per *completed* sweep point,
 //! keyed by the point's [`Experiment::point_hash`] — a digest of everything
-//! that determines the simulation (config, seed, fault plan). Every append
+//! that determines the simulation (config, seed, fault plan). Every record
 //! rewrites the whole file through [`atomic_write`], so a crash at any
 //! instant leaves either the previous journal or the new one on disk,
 //! never a torn line. Sweeps resumed with `--resume <journal>` skip the
@@ -10,13 +10,19 @@
 //! record preserves every [`RunResult`] field exactly (including float bit
 //! patterns), the merged CSV is byte-identical to an uninterrupted run.
 //!
+//! The journal orders itself: its lines are kept sorted by
+//! [`JournalEntry::index`] (stable on ties), whatever order the points
+//! finish in. A sweep records each point the moment it finishes, so the
+//! file holds every finished point, and once the sweep is whole its bytes
+//! are the same whether it ran on one thread, many, or remote workers, in
+//! one go or across crashes and resumes.
+//!
 //! Journals are small — one line per sweep point, tens to a few hundred
-//! lines — so the rewrite-on-append costs microseconds and buys atomicity
+//! lines — so the rewrite-on-record costs microseconds and buys atomicity
 //! without platform-specific append/fsync reasoning.
 //!
 //! [`Experiment::point_hash`]: wormsim::Experiment::point_hash
 
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use wormsim::observe::{atomic_write, json, json_record, JsonRecord};
@@ -28,8 +34,9 @@ use wormsim::RunResult;
 pub struct JournalEntry {
     /// The point's stable configuration digest.
     pub point_hash: String,
-    /// Index in the sweep's deterministic order *when recorded* (advisory:
-    /// lookups go by hash, so a reordered sweep still resumes correctly).
+    /// Index in the sweep's deterministic order when recorded: the key the
+    /// journal sorts its lines by. Lookups go by hash, so a reordered sweep
+    /// still resumes correctly.
     pub index: usize,
     /// Attempts the point took (1 = first try).
     pub attempts: u64,
@@ -92,16 +99,17 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// An append-only (from the caller's view) record of completed sweep
-/// points, atomically persisted on every append.
+/// The completed points of a sweep, kept in schedule order and atomically
+/// persisted on every record.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    /// Serialized JSONL of every entry, in append order — rewritten to
-    /// disk wholesale so the on-disk file is always internally consistent.
-    text: String,
+    /// Every entry, sorted by index; ties keep record order.
     entries: Vec<JournalEntry>,
-    by_hash: HashMap<String, usize>,
+    /// Each entry's serialized line (newline included), parallel to
+    /// `entries` — concatenated and rewritten to disk wholesale so the
+    /// on-disk file is always internally consistent.
+    lines: Vec<String>,
     /// Whether [`Journal::load`] dropped a torn trailing line.
     recovered_truncation: bool,
 }
@@ -124,15 +132,16 @@ impl Journal {
         atomic_write(&path, "").map_err(io)?;
         Ok(Journal {
             path,
-            text: String::new(),
             entries: Vec::new(),
-            by_hash: HashMap::new(),
+            lines: Vec::new(),
             recovered_truncation: false,
         })
     }
 
-    /// Opens an existing journal, parsing every record. Later records win
-    /// on duplicate hashes (a retried resume may re-record a point).
+    /// Opens an existing journal, parsing every record. Later lines win on
+    /// duplicate hashes (a retried resume may re-record a point). Lines
+    /// out of index order, as older versions wrote after a crash, are
+    /// sorted in memory and written sorted on the next record.
     ///
     /// An unparseable *final* line is treated as a mid-append crash
     /// artifact: the valid prefix loads with a warning on stderr (and
@@ -177,9 +186,8 @@ impl Journal {
         })?;
         let mut journal = Journal {
             path: path.clone(),
-            text: String::new(),
             entries: Vec::new(),
-            by_hash: HashMap::new(),
+            lines: Vec::new(),
             recovered_truncation: false,
         };
         let mut salvaged = Vec::new();
@@ -201,8 +209,8 @@ impl Journal {
                 Ok(entry) => journal.push(entry),
                 Err(error) if salvage => salvaged.push(SalvagedLine {
                     line: number + 1,
-                    text: line.to_owned(),
                     error: error.to_string(),
+                    text: line.to_owned(),
                 }),
                 Err(error) if position + 1 == lines.len() => {
                     eprintln!(
@@ -240,30 +248,37 @@ impl Journal {
         sidecar_path(path, "supervision.json")
     }
 
+    /// Inserts `entry` after every entry whose index is not greater.
     fn push(&mut self, entry: JournalEntry) {
-        entry.write_json(&mut self.text);
-        self.text.push('\n');
-        self.by_hash
-            .insert(entry.point_hash.clone(), self.entries.len());
-        self.entries.push(entry);
+        let at = self.entries.partition_point(|e| e.index <= entry.index);
+        let mut line = entry.to_json();
+        line.push('\n');
+        self.lines.insert(at, line);
+        self.entries.insert(at, entry);
     }
 
-    /// Records a completed point and atomically persists the journal.
+    /// Records a completed point in its place by index and atomically
+    /// persists the journal: the point is on disk when this returns, even
+    /// while points before it are still running.
     ///
     /// # Errors
     ///
     /// Filesystem errors from the atomic rewrite.
     pub fn record(&mut self, entry: JournalEntry) -> Result<(), JournalError> {
         self.push(entry);
-        atomic_write(&self.path, &self.text).map_err(|e| JournalError::Io {
+        atomic_write(&self.path, self.lines.concat()).map_err(|e| JournalError::Io {
             path: self.path.display().to_string(),
             message: e.to_string(),
         })
     }
 
-    /// Looks up a completed point by its configuration digest.
+    /// Looks up a completed point by its configuration digest; the later
+    /// line wins when two share it.
     pub fn get(&self, point_hash: &str) -> Option<&JournalEntry> {
-        self.by_hash.get(point_hash).map(|&i| &self.entries[i])
+        self.entries
+            .iter()
+            .rev()
+            .find(|e| e.point_hash == point_hash)
     }
 
     /// Number of journaled points.
@@ -276,7 +291,7 @@ impl Journal {
         self.entries.is_empty()
     }
 
-    /// Every journaled point, in file (append) order.
+    /// Every journaled point, in file (index) order.
     pub fn entries(&self) -> &[JournalEntry] {
         &self.entries
     }
@@ -314,11 +329,13 @@ fn sidecar_path(path: &Path, suffix: &str) -> PathBuf {
 pub struct SalvagedLine {
     /// 1-based line number in the original journal.
     pub line: usize,
-    /// The raw line, verbatim.
-    pub text: String,
     /// Why it failed to parse.
     pub error: String,
+    /// The raw line, verbatim.
+    pub text: String,
 }
+
+json_record!(SalvagedLine { line, error, text });
 
 #[cfg(test)]
 mod tests {
@@ -474,6 +491,84 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
+    fn entry(hash: &str, index: usize, attempts: u64) -> JournalEntry {
+        JournalEntry {
+            point_hash: hash.into(),
+            index,
+            attempts,
+            retry_decision: None,
+            result: result(0.1 * (index as f64 + 1.0)),
+        }
+    }
+
+    fn indices_on_disk(path: &Path) -> Vec<usize> {
+        let loaded = Journal::load(path).unwrap();
+        loaded.entries().iter().map(|e| e.index).collect()
+    }
+
+    #[test]
+    fn out_of_order_records_are_on_disk_at_once_and_in_index_order() {
+        let path = temp_path("order");
+        let mut journal = Journal::create(&path).unwrap();
+        // Finish 3, 1, 0, 2: each point is on disk the moment it is
+        // recorded, even while a lower index is still missing.
+        journal.record(entry("hash3", 3, 1)).unwrap();
+        assert_eq!(indices_on_disk(&path), vec![3]);
+        journal.record(entry("hash1", 1, 1)).unwrap();
+        assert_eq!(indices_on_disk(&path), vec![1, 3]);
+        journal.record(entry("hash0", 0, 1)).unwrap();
+        assert_eq!(indices_on_disk(&path), vec![0, 1, 3]);
+        journal.record(entry("hash2", 2, 1)).unwrap();
+        assert_eq!(indices_on_disk(&path), vec![0, 1, 2, 3]);
+
+        // The bytes match a journal recorded in order.
+        let in_order_path = temp_path("order-in-order");
+        let mut in_order = Journal::create(&in_order_path).unwrap();
+        for i in 0..4 {
+            in_order.record(entry(&format!("hash{i}"), i, 1)).unwrap();
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&in_order_path).unwrap()
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        std::fs::remove_dir_all(in_order_path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn load_sorts_a_journal_written_out_of_order() {
+        let path = temp_path("unsorted");
+        let mut journal = Journal::create(&path).unwrap();
+        for i in 0..4 {
+            journal.record(entry(&format!("hash{i}"), i, 1)).unwrap();
+        }
+        let sorted = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = sorted.lines().collect();
+        let shuffled = format!("{}\n{}\n{}\n", lines[1], lines[3], lines[0]);
+        std::fs::write(&path, shuffled).unwrap();
+        let mut loaded = Journal::load(&path).unwrap();
+        let indices: Vec<usize> = loaded.entries().iter().map(|e| e.index).collect();
+        assert_eq!(indices, vec![0, 1, 3]);
+        loaded.record(entry("hash2", 2, 1)).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), sorted);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn the_later_of_two_entries_sharing_a_hash_wins() {
+        let path = temp_path("duplicate");
+        let mut journal = Journal::create(&path).unwrap();
+        journal.record(entry("dup", 1, 1)).unwrap();
+        journal.record(entry("other", 0, 1)).unwrap();
+        journal.record(entry("dup", 1, 2)).unwrap();
+        assert_eq!(journal.len(), 3);
+        assert_eq!(journal.get("dup").unwrap().attempts, 2);
+        let loaded = Journal::load(&path).unwrap();
+        assert_eq!(loaded.get("dup").unwrap().attempts, 2);
+        assert_eq!(loaded.get("other").unwrap().index, 0);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
     #[test]
     fn missing_journal_is_an_io_error() {
         let error = Journal::load("/nonexistent/nowhere.journal.jsonl").unwrap_err();
@@ -552,6 +647,16 @@ mod tests {
         assert_eq!(bad[0].line, 2);
         assert_eq!(bad[0].text, "garbage in the middle");
         assert!(!bad[0].error.is_empty());
+        // The `.corrupt.jsonl` sidecar line: line, error, text.
+        let sidecar_line = SalvagedLine {
+            line: 2,
+            error: "bad \"value\"".into(),
+            text: "garbage".into(),
+        };
+        assert_eq!(
+            sidecar_line.to_json(),
+            r#"{"line":2,"error":"bad \"value\"","text":"garbage"}"#
+        );
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

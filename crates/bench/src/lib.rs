@@ -14,10 +14,10 @@
 //! Execution is pluggable behind the [`WorkerBackend`] trait: the default
 //! [`LocalThreadBackend`] runs points on an in-process pool, while
 //! [`RemoteBackend`] shards them across `wormsim-worker` processes over
-//! HTTP. Either way the deterministic committer journals completed points
-//! strictly in schedule order, so the merged CSV and journal are
-//! byte-identical no matter how the sweep was sharded. See
-//! `docs/DISTRIBUTION.md`.
+//! HTTP. Either way each completed point is journaled as soon as it
+//! finishes, and the journal keeps its lines in schedule order, so the
+//! merged CSV and journal are byte-identical no matter how the sweep was
+//! sharded. See `docs/DISTRIBUTION.md`.
 
 // The status and event enums each carry a whole `RunResult` in their
 // "done" arm and live for one poll; boxing it would buy an allocation per
@@ -27,7 +27,6 @@
 mod backend;
 mod chaos;
 pub mod cli;
-mod committer;
 mod figure;
 mod http;
 mod journal;

@@ -21,7 +21,7 @@
 //! * **Stragglers.** With `hedge_after` set, the oldest in-flight point
 //!   is re-dispatched to spare capacity once it has been pending that
 //!   long. First completion wins; the loser is forgotten
-//!   ([`WorkerBackend::forget`]) before it can reach the committer, so
+//!   ([`WorkerBackend::forget`]) before it can reach the journal, so
 //!   hedging never perturbs the journal bytes (results are
 //!   bit-deterministic in the experiment anyway — the hedge only buys
 //!   wall-clock).
@@ -245,9 +245,9 @@ impl Supervisor {
                 let flight = self.flights.swap_remove(f);
                 for (d, copy) in flight.copies.iter().enumerate() {
                     if d != winner {
-                        // First commit wins: the losing copy's (identical)
-                        // result is discarded before the committer ever
-                        // sees it.
+                        // First completion wins: the losing copy's
+                        // (identical) result is discarded before the
+                        // journal ever sees it.
                         backend.forget(copy.handle);
                         self.report.duplicates_discarded += 1;
                     }
@@ -551,7 +551,7 @@ mod tests {
         assert!(supervisor.tick(&mut backend).unwrap().is_empty());
         assert_eq!(backend.submitted, vec![0, 1]);
         // The original finishes first; the hedge must be forgotten, and
-        // exactly one Done event reaches the committer.
+        // exactly one Done event reaches the journal.
         backend.finish(0);
         backend.finish(1);
         let events = supervisor.tick(&mut backend).unwrap();

@@ -3,7 +3,6 @@
 //! ([`run_sweep_or_exit`]) every sweep binary ends through.
 
 use crate::backend::{BackendChoice, BackendError, LocalThreadBackend, PointJob, WorkerBackend};
-use crate::committer::Committer;
 use crate::journal::{Journal, JournalEntry, JournalError, SalvagedLine};
 use crate::options::SweepOptions;
 use crate::remote::RemoteBackend;
@@ -38,8 +37,8 @@ extern "C" {
 }
 
 /// Routes SIGINT (Ctrl-C) to `token` instead of killing the process, so a
-/// sweep can stop dispatching, drain in-flight points, flush the journal
-/// and partial CSVs, and print a resume command. First caller wins: the
+/// sweep can stop dispatching, drain in-flight points, write partial
+/// CSVs, and print a resume command. First caller wins: the
 /// token registered first stays registered for the process lifetime.
 pub fn install_sigint_handler(token: &CancelToken) {
     let _ = SIGINT_TOKEN.set(token.clone());
@@ -257,10 +256,11 @@ impl SweepPlan {
 /// in-flight points.
 ///
 /// Points are submitted to the backend up to its capacity and polled to
-/// completion; the deterministic committer appends finished points to the
-/// journal strictly in schedule order, with the machine-dependent wall
-/// fields canonicalized to zero — so the journal bytes are identical
-/// whether the sweep ran on one thread, sixteen, or two remote workers.
+/// completion. Each finished point is recorded in the journal the moment
+/// it finishes, with the machine-dependent wall fields canonicalized to
+/// zero; the journal keeps its lines in schedule order, so its bytes are
+/// identical whether the sweep ran on one thread, sixteen, or two remote
+/// workers, in one go or across crashes and resumes.
 ///
 /// # Errors
 ///
@@ -274,7 +274,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         .map_err(|message| HarnessError::Plan { message })?;
     let experiments = plan.experiments();
     let mut salvaged_lines: Vec<SalvagedLine> = Vec::new();
-    let journal = match &options.resume {
+    let mut journal = match &options.resume {
         Some(path) if options.salvage => {
             let (journal, salvaged) = Journal::load_salvaging(path)?;
             salvaged_lines = salvaged;
@@ -286,16 +286,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
     let journal_path = journal.path().to_path_buf();
     if !salvaged_lines.is_empty() {
         let sidecar = Journal::salvage_sidecar(&journal_path);
-        let mut text = String::new();
-        for bad in &salvaged_lines {
-            let mut record = JsonObject::begin(&mut text);
-            record.field_u64("line", bad.line as u64);
-            record.field_str("error", &bad.error);
-            record.field_str("text", &bad.text);
-            record.finish();
-            text.push('\n');
-        }
-        write_sidecar(&sidecar, &text)?;
+        write_jsonl_sidecar(&sidecar, &salvaged_lines)?;
         eprintln!(
             "WARNING: salvage recovered {} valid point(s) around {} corrupted journal line(s); \
              bad lines quarantined to {} and their points re-run",
@@ -306,17 +297,16 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
     }
     let hashes: Vec<String> = experiments.iter().map(Experiment::point_hash).collect();
 
-    // One slot per point: the outcome plus the attempts it took.
-    type Slot = Option<(Result<RunResult, ExperimentError>, u64)>;
     let total = experiments.len();
-    let mut slots: Vec<Slot> = (0..total).map(|_| None).collect();
-    let mut resumed = 0usize;
+    let mut outcomes: Vec<Option<PointOutcome>> = (0..total).map(|_| None).collect();
+    let mut attempts = vec![0u64; total];
     for (i, hash) in hashes.iter().enumerate() {
         if let Some(entry) = journal.get(hash) {
-            slots[i] = Some((Ok(entry.result.clone()), entry.attempts));
-            resumed += 1;
+            outcomes[i] = Some(Ok(entry.result.clone()));
+            attempts[i] = entry.attempts;
         }
     }
+    let resumed = outcomes.iter().flatten().count();
     let recovered_truncation = journal.recovered_truncation();
     if resumed > 0 || recovered_truncation {
         let torn = if recovered_truncation {
@@ -330,7 +320,6 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         );
     }
 
-    let mut committer = Committer::new(journal, total, options.fail_after_points);
     let mut backend: Box<dyn WorkerBackend> = match &options.backend {
         BackendChoice::Local => Box::new(LocalThreadBackend::new(
             options.threads,
@@ -341,16 +330,8 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         }
     };
 
-    // Submission queue in schedule order; resumed points resolve as skips
-    // so they never block the committer's frontier.
-    let mut to_submit: VecDeque<usize> = VecDeque::new();
-    for (i, slot) in slots.iter().enumerate() {
-        if slot.is_some() {
-            committer.skip(i)?;
-        } else {
-            to_submit.push_back(i);
-        }
-    }
+    // Submission queue in schedule order: every point not resumed.
+    let mut to_submit: VecDeque<usize> = (0..total).filter(|&i| outcomes[i].is_none()).collect();
 
     let mut supervisor = Supervisor::new(SupervisePolicy {
         point_deadline: options
@@ -367,6 +348,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
     let mut aborted = false;
     let mut cancel_sent = false;
     let mut done = resumed;
+    let mut journaled = 0usize;
     let started = std::time::Instant::now();
 
     loop {
@@ -406,7 +388,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                 Event::Done {
                     index: i,
                     result,
-                    attempts,
+                    attempts: tries,
                     retry_decision,
                 } => {
                     match &result {
@@ -414,7 +396,6 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                             // Shutdown drained this point mid-run: its
                             // partial statistics are not data. Leave the
                             // slot empty so a resume re-runs it.
-                            committer.skip(i)?;
                             continue;
                         }
                         Ok(r) => {
@@ -427,25 +408,32 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                             if let Some(decision) = &retry_decision {
                                 *retry_decisions.entry(decision.clone()).or_insert(0) += 1;
                             }
-                            committer.complete(
-                                i,
-                                JournalEntry {
-                                    point_hash: hashes[i].clone(),
-                                    index: i,
-                                    attempts,
-                                    retry_decision,
-                                    result: recorded,
-                                },
-                            )?;
+                            journal.record(JournalEntry {
+                                point_hash: hashes[i].clone(),
+                                index: i,
+                                attempts: tries,
+                                retry_decision,
+                                result: recorded,
+                            })?;
+                            journaled += 1;
+                            if options
+                                .fail_after_points
+                                .is_some_and(|limit| journaled >= limit)
+                            {
+                                eprintln!(
+                                    "\nfail-after-points: simulating a crash after {journaled} journaled points"
+                                );
+                                std::process::exit(3);
+                            }
                         }
                         Err(_) => {
-                            committer.skip(i)?;
                             if plan.fail_fast {
                                 aborted = true;
                             }
                         }
                     }
-                    slots[i] = Some((result, attempts));
+                    outcomes[i] = Some(result);
+                    attempts[i] = tries;
                     done += 1;
                     let remaining = total - done;
                     if remaining == 0 {
@@ -460,9 +448,8 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                     let _ = std::io::stderr().flush();
                 }
                 Event::Quarantined(record) => {
-                    // The point is written off, not retried: unblock the
-                    // committer's frontier and carry on without it.
-                    committer.skip(record.index)?;
+                    // The point is written off, not retried: carry on
+                    // without it.
                     eprintln!(
                         "\nquarantining point {} after {} dispatches: {}",
                         record.index, record.dispatches, record.last_error
@@ -476,26 +463,8 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
             std::thread::sleep(backend.poll_interval());
         }
     }
-    // Abort/interrupt can leave completed entries held behind a gap;
-    // persist them (out of the strict order, which only covers complete
-    // runs) so a resume does not redo finished work.
-    committer.flush()?;
     eprintln!();
 
-    let mut outcomes = Vec::with_capacity(total);
-    let mut attempts = Vec::with_capacity(total);
-    for slot in slots {
-        match slot {
-            Some((result, n)) => {
-                outcomes.push(Some(result));
-                attempts.push(n);
-            }
-            None => {
-                outcomes.push(None);
-                attempts.push(0);
-            }
-        }
-    }
     // Quarantined points are deliberately absent, not pending: they must
     // not read as an interruption (which would promise a resume could
     // finish them).
@@ -506,12 +475,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         && !aborted;
     if !quarantined.is_empty() {
         let sidecar = Journal::quarantine_sidecar(&journal_path);
-        let mut text = String::new();
-        for record in &quarantined {
-            record.write_json(&mut text);
-            text.push('\n');
-        }
-        write_sidecar(&sidecar, &text)?;
+        write_jsonl_sidecar(&sidecar, &quarantined)?;
         eprintln!(
             "{} point(s) quarantined as poison; details in {}",
             quarantined.len(),
@@ -558,8 +522,19 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
     })
 }
 
-/// Writes a supervision sidecar (quarantine records, salvage captures,
-/// the manifest) atomically next to the journal.
+/// Writes `records` as a JSONL sidecar (quarantine records, salvage
+/// captures) atomically next to the journal.
+fn write_jsonl_sidecar(path: &Path, records: &[impl JsonRecord]) -> Result<(), HarnessError> {
+    let mut text = String::new();
+    for record in records {
+        record.write_json(&mut text);
+        text.push('\n');
+    }
+    write_sidecar(path, &text)
+}
+
+/// Writes a supervision sidecar (the JSONL ones, the manifest) atomically
+/// next to the journal.
 fn write_sidecar(path: &Path, text: &str) -> Result<(), HarnessError> {
     wormsim::observe::atomic_write(path, text).map_err(|e| {
         HarnessError::Journal(JournalError::Io {
