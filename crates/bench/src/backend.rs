@@ -2,27 +2,27 @@
 //!
 //! The orchestrator ([`run_sweep`](crate::run_sweep)) is backend-agnostic:
 //! it submits [`PointJob`]s, polls their [`PointStatus`], and records
-//! completed points in the journal. Two backends exist:
+//! completed points in the journal. There is one in-process pool and two
+//! front ends over it:
 //!
-//! * [`LocalThreadBackend`] — the classic in-process pool, one OS thread
-//!   per slot. Behavior-preserving port of the old scoped-thread
-//!   orchestrator: per-point panic isolation, bounded seed-jittered
-//!   retries, cooperative shutdown.
+//! * [`LocalThreadBackend`] — the pool itself, one OS thread per slot.
+//!   Every job runs under [`execute_point`] (per-point panic isolation,
+//!   bounded seed-jittered retries) with a cancellation token of its own,
+//!   so each job reports its own heartbeat and can be stopped alone.
 //! * [`RemoteBackend`](crate::remote::RemoteBackend) — HTTP submit/poll
-//!   against one or more `wormsim-worker` processes (see
-//!   [`worker`](crate::worker) and `docs/DISTRIBUTION.md`).
+//!   against one or more `wormsim-worker` processes, each of which is a
+//!   `LocalThreadBackend` behind HTTP (see [`worker`](crate::worker) and
+//!   `docs/DISTRIBUTION.md`).
 //!
-//! Both run the identical per-point retry loop ([`execute_point`]), so a
-//! point produces the same result and the same attempt count no matter
-//! where it runs — the property that, with the journal's index order,
-//! makes journals byte-identical.
+//! A point therefore produces the same result and the same attempt count
+//! no matter where it runs — the property that, with the journal's index
+//! order, makes journals byte-identical.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use wormsim::stats::{ConfidenceInterval, ConvergenceStatus};
 use wormsim::verify::TriageVerdict;
 use wormsim::{CancelToken, Experiment, ExperimentError, PanicInfo, RunOutcome, RunResult};
 
@@ -59,10 +59,10 @@ pub enum PointStatus {
     /// Still queued or running.
     Pending {
         /// The last progress heartbeat of the executor (the engine's cycle
-        /// counter, offset by one), or `None` when the backend cannot
-        /// observe per-job progress (the local pool shares one token
-        /// across jobs). The supervisor uses a frozen heartbeat to tell a
-        /// *hung* executor from a slow one.
+        /// counter, offset by one; `0` until the run starts), or `None`
+        /// when the backend cannot observe it (a garbled remote status).
+        /// The supervisor uses a frozen heartbeat to tell a *hung*
+        /// executor from a slow one.
         heartbeat: Option<u64>,
     },
     /// Finished: the point's outcome and the attempts it consumed.
@@ -152,7 +152,7 @@ pub trait WorkerBackend {
     /// the supervisor's deadline) and drops the handle, returning the
     /// loss as [`PointStatus::Lost`] would have reported it. A remote pool
     /// sends the worker no further jobs; the default, for a pool whose
-    /// threads cannot be declared dead, only forgets the handle.
+    /// threads cannot be declared dead, only forgets the job.
     fn write_off(&mut self, handle: WorkHandle) -> BackendError {
         self.forget(handle);
         BackendError {
@@ -165,6 +165,14 @@ pub trait WorkerBackend {
     /// discards any result it may still produce. Used to drop the losing
     /// duplicates of a hedged point.
     fn forget(&mut self, _handle: WorkHandle) {}
+}
+
+/// The loss reported for a handle the backend does not hold.
+pub(crate) fn unknown_handle(handle: WorkHandle) -> BackendError {
+    BackendError {
+        worker: "<pool>".to_owned(),
+        message: format!("unknown handle {}", handle.0),
+    }
 }
 
 /// Seed-jittered backoff before retry `attempt` of the point with digest
@@ -203,31 +211,12 @@ fn panic_result(experiment: &Experiment, payload: &(dyn std::any::Any + Send)) -
     } else {
         "non-string panic payload".to_owned()
     };
-    RunResult {
-        algorithm: experiment.sim().algorithm.name().to_owned(),
-        traffic: experiment.sim().traffic.to_string(),
-        offered_load: experiment.offered_load_value(),
-        injection_rate: 0.0,
-        latency: ConfidenceInterval::new(0.0, f64::INFINITY),
-        latency_percentiles: [0, 0, 0],
-        latency_max: 0,
-        class_latencies: Vec::new(),
-        achieved_utilization: 0.0,
-        delivery_rate: 0.0,
-        acceptance_rate: 0.0,
-        refused_fraction: 0.0,
-        messages_measured: 0,
-        convergence: ConvergenceStatus::NeedMoreSamples,
-        samples: 0,
-        cycles_simulated: 0,
-        wall_seconds: 0.0,
-        cycles_per_sec: 0.0,
-        outcome: RunOutcome::Harness(PanicInfo { message }),
-        dropped_events: 0,
-        deadlock: None,
-        livelock: None,
-        triage: None,
-    }
+    RunResult::unmeasured(
+        experiment.sim().algorithm.name(),
+        experiment.sim().traffic.to_string(),
+        experiment.offered_load_value(),
+        RunOutcome::Harness(PanicInfo { message }),
+    )
 }
 
 /// Budget multiplier for the final attempt of a `budget_artifact` retry
@@ -260,11 +249,11 @@ fn stall_verdict(result: &Result<RunResult, ExperimentError>) -> Option<TriageVe
 }
 
 /// Runs one point with panic isolation and bounded retries — the single
-/// executor both backends share. Panics become [`RunOutcome::Harness`]
-/// results; transient outcomes (budget trips, panics) retry up to
-/// `job.retries` extra times with seed-jittered, cancellation-aware
-/// backoff, reusing the identical simulation seed. Configuration errors
-/// never retry — they are deterministic.
+/// executor, run by every [`LocalThreadBackend`] thread. Panics become
+/// [`RunOutcome::Harness`] results; transient outcomes (budget trips,
+/// panics) retry up to `job.retries` extra times with seed-jittered,
+/// cancellation-aware backoff, reusing the identical simulation seed.
+/// Configuration errors never retry — they are deterministic.
 ///
 /// Stalled runs go through the triage-aware policy: a stall triaged
 /// `confirmed_unsafe` (a validated circular wait) is **never** retried —
@@ -279,7 +268,7 @@ fn stall_verdict(result: &Result<RunResult, ExperimentError>) -> Option<TriageVe
 ///
 /// Returns the final result, the attempts consumed, and the retry
 /// decision (when the stall policy engaged).
-pub(crate) fn execute_point(
+fn execute_point(
     job: &PointJob,
     cancel: &CancelToken,
 ) -> (Result<RunResult, ExperimentError>, u64, Option<String>) {
@@ -339,8 +328,11 @@ pub(crate) fn execute_point(
 type Finished = (Result<RunResult, ExperimentError>, u64, Option<String>);
 
 struct LocalState {
+    /// Jobs waiting for a thread, in submission order.
     queue: VecDeque<(u64, PointJob)>,
-    done: HashMap<u64, Finished>,
+    /// Every submitted job not yet consumed by `poll` or `forget`: its own
+    /// cancellation token, and its result once it finished.
+    jobs: HashMap<u64, (CancelToken, Option<Finished>)>,
     quit: bool,
 }
 
@@ -349,10 +341,18 @@ struct Shared {
     ready: Condvar,
 }
 
-/// The in-process backend: a fixed pool of OS threads draining a shared
-/// job queue. Jobs run under [`execute_point`] with the sweep's shutdown
-/// token attached, so SIGINT interrupts in-flight points at their next
-/// sampling boundary exactly as the pre-backend orchestrator did.
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, LocalState> {
+        self.state.lock().expect("no poisoned backend state")
+    }
+}
+
+/// The in-process pool: a fixed set of OS threads draining a shared job
+/// queue through [`execute_point`]. Each job runs under a child of the
+/// `shutdown` token given to [`new`](Self::new), so `poll` reports that
+/// job's own heartbeat, `cancel` and `forget` stop jobs without touching
+/// the pool's future, and tripping `shutdown` (SIGINT) interrupts every
+/// job at its next sampling boundary.
 pub struct LocalThreadBackend {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -367,7 +367,7 @@ impl LocalThreadBackend {
         let shared = Arc::new(Shared {
             state: Mutex::new(LocalState {
                 queue: VecDeque::new(),
-                done: HashMap::new(),
+                jobs: HashMap::new(),
                 quit: false,
             }),
             ready: Condvar::new(),
@@ -375,28 +375,26 @@ impl LocalThreadBackend {
         let workers = (0..threads.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let shutdown = shutdown.clone();
                 std::thread::spawn(move || loop {
-                    let job = {
-                        let mut state = shared.state.lock().expect("no poisoned backend state");
+                    let (id, job, cancel) = {
+                        let mut state = shared.lock();
                         loop {
                             if state.quit {
                                 return;
                             }
-                            if let Some(job) = state.queue.pop_front() {
-                                break job;
+                            if let Some((id, job)) = state.queue.pop_front() {
+                                let cancel = state.jobs[&id].0.clone();
+                                break (id, job, cancel);
                             }
                             state = shared.ready.wait(state).expect("no poisoned backend state");
                         }
                     };
-                    let (id, job) = job;
-                    let finished = execute_point(&job, &shutdown);
-                    shared
-                        .state
-                        .lock()
-                        .expect("no poisoned backend state")
-                        .done
-                        .insert(id, finished);
+                    let finished = execute_point(&job, &cancel);
+                    // A job forgotten while it ran has no entry left: its
+                    // late result is dropped here.
+                    if let Some(entry) = shared.lock().jobs.get_mut(&id) {
+                        entry.1 = Some(finished);
+                    }
                 })
             })
             .collect();
@@ -411,31 +409,34 @@ impl LocalThreadBackend {
 
 impl WorkerBackend for LocalThreadBackend {
     fn submit(&mut self, mut job: PointJob) -> Result<WorkHandle, BackendError> {
-        // Attach the sweep's shutdown token so an in-flight run stops at
-        // its next sampling boundary; an uncancelled token never perturbs
-        // the simulation.
-        job.experiment = job.experiment.cancel_token(self.shutdown.clone());
+        // An uncancelled token never perturbs the simulation.
+        let cancel = self.shutdown.child();
+        job.experiment = job.experiment.cancel_token(cancel.clone());
         let id = self.next_handle;
         self.next_handle += 1;
-        self.shared
-            .state
-            .lock()
-            .expect("no poisoned backend state")
-            .queue
-            .push_back((id, job));
+        let mut state = self.shared.lock();
+        state.jobs.insert(id, (cancel, None));
+        state.queue.push_back((id, job));
+        drop(state);
         self.shared.ready.notify_one();
         Ok(WorkHandle(id))
     }
 
     fn poll(&mut self, handle: WorkHandle) -> PointStatus {
-        let mut state = self.shared.state.lock().expect("no poisoned backend state");
-        match state.done.remove(&handle.0) {
-            Some((result, attempts, retry_decision)) => PointStatus::Done {
-                result,
-                attempts,
-                retry_decision,
-            },
-            None => PointStatus::Pending { heartbeat: None },
+        let mut state = self.shared.lock();
+        let Some((cancel, finished)) = state.jobs.get_mut(&handle.0) else {
+            return PointStatus::Lost(unknown_handle(handle));
+        };
+        let Some((result, attempts, retry_decision)) = finished.take() else {
+            return PointStatus::Pending {
+                heartbeat: Some(cancel.heartbeat()),
+            };
+        };
+        state.jobs.remove(&handle.0);
+        PointStatus::Done {
+            result,
+            attempts,
+            retry_decision,
         }
     }
 
@@ -444,37 +445,39 @@ impl WorkerBackend for LocalThreadBackend {
     }
 
     fn cancel(&mut self) {
-        // The shutdown token is shared with every job; tripping it (the
-        // orchestrator already has) is the whole mechanism.
-        self.shutdown.cancel();
+        // Only the jobs held now: the next one submitted runs normally.
+        for (cancel, _) in self.shared.lock().jobs.values() {
+            cancel.cancel();
+        }
     }
 
     fn forget(&mut self, handle: WorkHandle) {
-        // Drop the job if still queued and discard any finished result; a
-        // job already running simply completes into the void.
-        let mut state = self.shared.state.lock().expect("no poisoned backend state");
-        state.queue.retain(|(id, _)| *id != handle.0);
-        state.done.remove(&handle.0);
+        let mut state = self.shared.lock();
+        if let Some((cancel, _)) = state.jobs.remove(&handle.0) {
+            cancel.cancel();
+            state.queue.retain(|(id, _)| *id != handle.0);
+        }
     }
 }
 
 impl Drop for LocalThreadBackend {
     fn drop(&mut self) {
-        self.shared
+        // Drop must not panic; tripping tokens and setting `quit` are
+        // valid on any state a panicking thread could have left.
+        let mut state = self
+            .shared
             .state
             .lock()
-            .expect("no poisoned backend state")
-            .quit = true;
-        self.ready_all();
+            .unwrap_or_else(PoisonError::into_inner);
+        for (cancel, _) in state.jobs.values() {
+            cancel.cancel();
+        }
+        state.quit = true;
+        drop(state);
+        self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-    }
-}
-
-impl LocalThreadBackend {
-    fn ready_all(&self) {
-        self.shared.ready.notify_all();
     }
 }
 
@@ -482,7 +485,7 @@ impl LocalThreadBackend {
 mod tests {
     use super::*;
     use wormsim::topology::Topology;
-    use wormsim::AlgorithmKind;
+    use wormsim::{AlgorithmKind, MeasurementSchedule};
 
     fn tiny_job(index: usize) -> PointJob {
         let experiment = Experiment::new(Topology::torus(&[6, 6]), AlgorithmKind::Ecube)
@@ -499,40 +502,141 @@ mod tests {
         }
     }
 
+    /// A point whose warm-up alone would take days: it ends only when
+    /// stopped.
+    fn endless_job() -> PointJob {
+        let mut job = tiny_job(0);
+        job.experiment = job.experiment.schedule(MeasurementSchedule {
+            warmup_cycles: 1 << 40,
+            ..MeasurementSchedule::quick()
+        });
+        job.point_hash = job.experiment.point_hash();
+        job
+    }
+
+    fn deadline() -> Instant {
+        Instant::now() + Duration::from_secs(60)
+    }
+
+    /// Polls `handle` until it resolves.
+    fn wait(backend: &mut LocalThreadBackend, handle: WorkHandle) -> PointStatus {
+        let deadline = deadline();
+        loop {
+            assert!(Instant::now() < deadline, "backend hung");
+            match backend.poll(handle) {
+                PointStatus::Pending { .. } => std::thread::sleep(Duration::from_millis(2)),
+                resolved => return resolved,
+            }
+        }
+    }
+
+    /// Polls a pending `handle` until its heartbeat passes `above`.
+    fn beat_above(backend: &mut LocalThreadBackend, handle: WorkHandle, above: u64) -> u64 {
+        let deadline = deadline();
+        loop {
+            assert!(Instant::now() < deadline, "heartbeat never passed {above}");
+            match backend.poll(handle) {
+                PointStatus::Pending {
+                    heartbeat: Some(beat),
+                } if beat > above => return beat,
+                PointStatus::Pending { .. } => std::thread::sleep(Duration::from_millis(2)),
+                other => panic!("expected a running job, got {other:?}"),
+            }
+        }
+    }
+
+    fn outcome(status: PointStatus) -> RunOutcome {
+        match status {
+            PointStatus::Done { result, .. } => result.expect("valid config").outcome,
+            other => panic!("expected the job to finish, got {other:?}"),
+        }
+    }
+
     #[test]
     fn local_backend_runs_jobs_to_done() {
         let mut backend = LocalThreadBackend::new(2, CancelToken::new());
         assert_eq!(backend.capacity(), 2);
-        let handles: Vec<WorkHandle> = (0..3)
+        for handle in (0..3)
             .map(|i| backend.submit(tiny_job(i)).unwrap())
-            .collect();
-        let mut done = 0;
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let mut pending: Vec<WorkHandle> = handles;
-        while !pending.is_empty() {
-            assert!(Instant::now() < deadline, "backend hung");
-            pending.retain(|&h| match backend.poll(h) {
-                PointStatus::Pending { heartbeat } => {
-                    assert_eq!(heartbeat, None, "the local pool reports no heartbeat");
-                    true
-                }
-                PointStatus::Done {
-                    result,
-                    attempts,
-                    retry_decision,
-                } => {
-                    assert_eq!(attempts, 1);
-                    assert_eq!(retry_decision, None);
-                    let r = result.expect("valid config");
-                    assert!(r.outcome.has_statistics());
-                    done += 1;
-                    false
-                }
-                PointStatus::Lost(err) => panic!("the local pool never loses a job: {err}"),
-            });
-            std::thread::sleep(Duration::from_millis(2));
+            .collect::<Vec<_>>()
+        {
+            let PointStatus::Done {
+                result,
+                attempts,
+                retry_decision,
+            } = wait(&mut backend, handle)
+            else {
+                panic!("the local pool never loses a job");
+            };
+            assert_eq!(attempts, 1);
+            assert_eq!(retry_decision, None);
+            assert!(result.expect("valid config").outcome.has_statistics());
+            assert!(
+                matches!(backend.poll(handle), PointStatus::Lost(_)),
+                "a consumed handle is unknown"
+            );
         }
-        assert_eq!(done, 3);
+    }
+
+    #[test]
+    fn a_running_job_reports_its_own_advancing_heartbeat() {
+        let mut backend = LocalThreadBackend::new(1, CancelToken::new());
+        let running = backend.submit(endless_job()).unwrap();
+        let queued = backend.submit(endless_job()).unwrap();
+        let first = beat_above(&mut backend, running, 0);
+        assert!(
+            matches!(
+                backend.poll(queued),
+                PointStatus::Pending { heartbeat: Some(0) }
+            ),
+            "a queued job has not beaten yet"
+        );
+        beat_above(&mut backend, running, first);
+    }
+
+    #[test]
+    fn forget_stops_a_running_job_and_drops_its_result() {
+        let mut backend = LocalThreadBackend::new(1, CancelToken::new());
+        let forgotten = backend.submit(endless_job()).unwrap();
+        beat_above(&mut backend, forgotten, 0);
+        backend.forget(forgotten);
+        // The only thread is free again long before the forgotten run
+        // could have finished.
+        let next = backend.submit(tiny_job(1)).unwrap();
+        assert!(outcome(wait(&mut backend, next)).has_statistics());
+        assert!(
+            matches!(backend.poll(forgotten), PointStatus::Lost(_)),
+            "no late result for a forgotten job"
+        );
+    }
+
+    #[test]
+    fn cancel_interrupts_running_jobs_without_latching() {
+        let mut backend = LocalThreadBackend::new(1, CancelToken::new());
+        let running = backend.submit(endless_job()).unwrap();
+        beat_above(&mut backend, running, 0);
+        backend.cancel();
+        assert_eq!(
+            outcome(wait(&mut backend, running)),
+            RunOutcome::Interrupted
+        );
+        let after = backend.submit(tiny_job(1)).unwrap();
+        assert!(outcome(wait(&mut backend, after)).has_statistics());
+    }
+
+    #[test]
+    fn tripped_shutdown_interrupts_every_job() {
+        let shutdown = CancelToken::new();
+        let mut backend = LocalThreadBackend::new(1, shutdown.clone());
+        let running = backend.submit(endless_job()).unwrap();
+        let queued = backend.submit(endless_job()).unwrap();
+        beat_above(&mut backend, running, 0);
+        shutdown.cancel();
+        assert_eq!(
+            outcome(wait(&mut backend, running)),
+            RunOutcome::Interrupted
+        );
+        assert_eq!(outcome(wait(&mut backend, queued)), RunOutcome::Interrupted);
     }
 
     #[test]
@@ -542,25 +646,18 @@ mod tests {
         job.inject_panic = true;
         job.retries = 2;
         let handle = backend.submit(job).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            assert!(Instant::now() < deadline, "backend hung");
-            match backend.poll(handle) {
-                PointStatus::Pending { .. } => std::thread::sleep(Duration::from_millis(5)),
-                PointStatus::Lost(err) => panic!("the local pool never loses a job: {err}"),
-                PointStatus::Done {
-                    result, attempts, ..
-                } => {
-                    assert_eq!(attempts, 3, "1 try + 2 retries");
-                    let r = result.expect("panic becomes a Harness result");
-                    let RunOutcome::Harness(info) = &r.outcome else {
-                        panic!("expected Harness outcome, got {:?}", r.outcome);
-                    };
-                    assert!(info.message.contains("point 7"), "got: {}", info.message);
-                    break;
-                }
-            }
-        }
+        let PointStatus::Done {
+            result, attempts, ..
+        } = wait(&mut backend, handle)
+        else {
+            panic!("the local pool never loses a job");
+        };
+        assert_eq!(attempts, 3, "1 try + 2 retries");
+        let r = result.expect("panic becomes a Harness result");
+        let RunOutcome::Harness(info) = &r.outcome else {
+            panic!("expected Harness outcome, got {:?}", r.outcome);
+        };
+        assert!(info.message.contains("point 7"), "got: {}", info.message);
     }
 
     #[test]

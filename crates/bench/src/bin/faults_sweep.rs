@@ -76,9 +76,7 @@ fn parse_args(
                 }
                 spec.load = loads[0];
             }
-            "--max-faults" => {
-                spec.max_faults = cli::parse_cycle_budget(&value("--max-faults")?)? as usize;
-            }
+            "--max-faults" => spec.max_faults = cli::parse_count(&arg, &value("--max-faults")?)?,
             "--smoke" => {
                 options.topology = Some(Topology::torus(&[6, 6]));
                 spec.algorithms = cli::parse_algorithms("ecube,phop")?;
@@ -323,6 +321,16 @@ mod tests {
         // Later flags still override the preset.
         let (spec, _) = run(&["--smoke", "--topo", "torus:4x4"]);
         assert_eq!(spec.topology, Topology::torus(&[4, 4]));
+    }
+
+    #[test]
+    fn zero_max_faults_is_the_fault_free_baseline_alone() {
+        let (spec, _) = run(&["--max-faults", "0"]);
+        assert_eq!(spec.max_faults, 0);
+        let err = parse(&["--max-faults", "-3"])
+            .err()
+            .expect("negative count");
+        assert!(err.contains("--max-faults"), "got: {err}");
     }
 
     #[test]

@@ -74,21 +74,20 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Spec, String> {
                 algorithms = Some(cli::parse_algorithms(&next_value(&mut args, "--algos")?)?);
             }
             "--max-faults" => {
-                config.max_faults = parse_count(&next_value(&mut args, "--max-faults")?)?;
+                config.max_faults = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
             }
             "--node-faults" => config.node_faults = true,
             "--transient-plans" => {
-                config.transient_plans = parse_count(&next_value(&mut args, "--transient-plans")?)?;
+                config.transient_plans = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
             }
             "--transient-faults" => {
-                config.transient_faults =
-                    parse_count(&next_value(&mut args, "--transient-faults")?)?;
+                config.transient_faults = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
             }
             "--random-plans" => {
-                config.random_plans = parse_count(&next_value(&mut args, "--random-plans")?)?;
+                config.random_plans = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
             }
             "--random-faults" => {
-                config.random_faults = parse_count(&next_value(&mut args, "--random-faults")?)?;
+                config.random_faults = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
             }
             "--seed" => config.seed = cli::parse_seed(&next_value(&mut args, "--seed")?)?,
             "--out" => out = Some(PathBuf::from(next_value(&mut args, "--out")?)),
@@ -109,11 +108,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Spec, String> {
         config,
         out,
     })
-}
-
-fn parse_count(s: &str) -> Result<usize, String> {
-    s.parse::<usize>()
-        .map_err(|_| format!("bad count '{s}' (expected a non-negative integer)"))
 }
 
 /// Renders a node as `(x,y,...)` coordinates (dimension 0 fastest).

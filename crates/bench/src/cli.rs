@@ -227,6 +227,16 @@ pub fn parse_cycle_budget(s: &str) -> Result<u64, String> {
     Ok(budget)
 }
 
+/// Parses a count flag where `0` is meaningful (`--max-faults 0` is the
+/// fault-free baseline alone): a non-negative integer.
+///
+/// # Errors
+///
+/// Returns a usage message naming `flag` for non-integers.
+pub fn parse_count(flag: &str, s: &str) -> Result<usize, String> {
+    usize::from_str(s).map_err(|_| format!("bad {flag} '{s}' (expected a non-negative integer)"))
+}
+
 /// Parses a per-run wall-clock budget in seconds (`--wall-budget`): a
 /// positive number, fractions allowed.
 ///
@@ -402,6 +412,15 @@ mod tests {
         assert!(parse_seed("0x1f").is_err());
         assert!(parse_seed("-1").is_err());
         assert!(parse_seed("seed").is_err());
+    }
+
+    #[test]
+    fn counts() {
+        assert_eq!(parse_count("--max-faults", "0").unwrap(), 0);
+        assert_eq!(parse_count("--max-faults", "12").unwrap(), 12);
+        let err = parse_count("--max-faults", "lots").unwrap_err();
+        assert!(err.contains("--max-faults"), "got: {err}");
+        assert!(parse_count("--max-faults", "-1").is_err());
     }
 
     #[test]

@@ -282,8 +282,9 @@ impl SweepOptions {
     }
 
     /// Applies the per-run harness settings to one sweep point: the
-    /// budgets, the shutdown token and — with `--observe`/`--trace-out` —
-    /// telemetry whose run ids start with `prefix`.
+    /// budgets and — with `--observe`/`--trace-out` — telemetry whose run
+    /// ids start with `prefix`. The shutdown token is not attached here:
+    /// the backend runs each point under a token of its own.
     pub fn apply_to(&self, experiment: Experiment, prefix: &str) -> Experiment {
         experiment
             .observe(ObserveConfig {
@@ -295,7 +296,6 @@ impl SweepOptions {
             })
             .cycle_budget(self.cycle_budget)
             .wall_budget_secs(self.wall_budget_secs)
-            .cancel_token(self.shutdown.clone())
     }
 
     /// The `--topo` override, or the paper's default 16×16 torus.

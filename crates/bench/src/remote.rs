@@ -20,7 +20,9 @@
 //!
 //! [`submit`]: WorkerBackend::submit
 
-use crate::backend::{backoff_ms, BackendError, PointJob, PointStatus, WorkHandle, WorkerBackend};
+use crate::backend::{
+    backoff_ms, unknown_handle, BackendError, PointJob, PointStatus, WorkHandle, WorkerBackend,
+};
 use crate::http;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -341,13 +343,6 @@ impl RemoteBackend {
     }
 }
 
-fn unknown_handle(handle: WorkHandle) -> BackendError {
-    BackendError {
-        worker: "<pool>".to_owned(),
-        message: format!("unknown handle {}", handle.0),
-    }
-}
-
 /// A fully decoded `/status` body. Decoding is separated from transport
 /// so a *garbled* body (chaos corruption, a flaky link) can be treated as
 /// a strike against the worker rather than a fatal protocol error.
@@ -477,10 +472,14 @@ impl WorkerBackend for RemoteBackend {
 mod tests {
     use super::*;
     use crate::supervisor::{Event, SupervisePolicy, Supervisor};
-    use crate::worker::spawn_local;
+    use crate::worker::LoopbackWorker;
     use std::time::Instant;
     use wormsim::topology::Topology;
     use wormsim::AlgorithmKind;
+
+    fn loopback(threads: usize) -> std::net::SocketAddr {
+        LoopbackWorker::spawn(threads).expect("bind loopback").addr
+    }
 
     fn job_for(experiment: Experiment, index: usize) -> PointJob {
         PointJob {
@@ -541,7 +540,7 @@ mod tests {
 
     #[test]
     fn malformed_submit_is_refused_and_the_worker_keeps_serving() {
-        let addr = spawn_local(1).to_string();
+        let addr = loopback(1).to_string();
         let mut plan = wormsim::FaultPlan::new();
         plan.push_dead_link(
             wormsim::NodeId::new(3),
@@ -573,7 +572,7 @@ mod tests {
 
     #[test]
     fn remote_point_matches_local_run_exactly() {
-        let addr = spawn_local(2);
+        let addr = loopback(2);
         let mut backend =
             RemoteBackend::connect(&[addr.to_string()]).expect("handshake with loopback worker");
         assert_eq!(backend.capacity(), 2);
@@ -599,7 +598,7 @@ mod tests {
 
     #[test]
     fn worker_reports_configuration_errors_as_structured_failures() {
-        let addr = spawn_local(1);
+        let addr = loopback(1);
         let mut backend = RemoteBackend::connect(&[addr.to_string()]).expect("handshake");
         // offered_load of 0 is rejected by Experiment::validate.
         let experiment = Experiment::new(Topology::torus(&[6, 6]), AlgorithmKind::Ecube)
@@ -616,8 +615,8 @@ mod tests {
 
     #[test]
     fn poll_failure_fails_over_to_the_surviving_worker() {
-        let doomed = crate::worker::spawn_killable(1);
-        let survivor = spawn_local(1);
+        let doomed = LoopbackWorker::spawn(1).expect("bind loopback");
+        let survivor = loopback(1);
         let mut backend = RemoteBackend::connect(&[doomed.addr.to_string(), survivor.to_string()])
             .expect("handshake both workers");
         assert_eq!(backend.capacity(), 2);
@@ -658,8 +657,10 @@ mod tests {
         // corrupted: valid HTTP framing, broken JSON. The backend must
         // write the worker off instead of trusting a byte of it.
         let garbler =
-            crate::worker::spawn_chaotic(1, crate::chaos::ChaosPlan::parse("corrupt=1").unwrap());
-        let survivor = spawn_local(1);
+            LoopbackWorker::with_chaos(1, crate::chaos::ChaosPlan::parse("corrupt=1").unwrap())
+                .expect("bind loopback")
+                .addr;
+        let survivor = loopback(1);
         let mut backend = RemoteBackend::connect(&[garbler.to_string(), survivor.to_string()])
             .expect("handshake is exempt from response corruption");
         assert_eq!(backend.capacity(), 2);

@@ -15,9 +15,12 @@
 //! * **Hung workers.** A worker whose simulation thread is stuck
 //!   (livelocked host, SIGSTOP, a chaos stall) keeps answering `pending`
 //!   forever. The supervisor watches each dispatch's simulation
-//!   heartbeat (`PointStatus::Pending { heartbeat }`); a heartbeat frozen
-//!   past the point deadline gets the worker written off
-//!   ([`WorkerBackend::write_off`]), and the dispatch is lost on the spot.
+//!   heartbeat (`PointStatus::Pending { heartbeat }`), which both
+//!   backends report per job — they run points on the same pool. A
+//!   heartbeat frozen past the point deadline gets the executor written
+//!   off ([`WorkerBackend::write_off`]: a remote worker is dropped, a
+//!   local job is cancelled and forgotten), and the dispatch is lost on
+//!   the spot.
 //! * **Stragglers.** With `hedge_after` set, the oldest in-flight point
 //!   is re-dispatched to spare capacity once it has been pending that
 //!   long. First completion wins; the loser is forgotten

@@ -82,11 +82,12 @@ impl std::error::Error for SweepError {
 }
 
 /// Any failure of the sweep *machinery*, as opposed to the simulation: a
-/// failing point configuration or a journal that cannot be read/written.
+/// journal that cannot be read/written, a backend that cannot run points,
+/// or an inconsistent plan. A rejected point configuration is not one of
+/// them: [`run_sweep`] reports it per point
+/// ([`ExperimentsRun::first_config_error`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum HarnessError {
-    /// A point's configuration was rejected (see [`SweepError`]).
-    Sweep(SweepError),
     /// The run journal could not be loaded or persisted. Fatal by design:
     /// continuing without checkpoints would silently void the crash-safety
     /// contract.
@@ -105,7 +106,6 @@ pub enum HarnessError {
 impl fmt::Display for HarnessError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HarnessError::Sweep(e) => e.fmt(f),
             HarnessError::Journal(e) => e.fmt(f),
             HarnessError::Backend(e) => e.fmt(f),
             HarnessError::Plan { message } => write!(f, "invalid sweep plan: {message}"),
@@ -116,17 +116,10 @@ impl fmt::Display for HarnessError {
 impl std::error::Error for HarnessError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            HarnessError::Sweep(e) => Some(e),
             HarnessError::Journal(e) => Some(e),
             HarnessError::Backend(e) => Some(e),
             HarnessError::Plan { .. } => None,
         }
-    }
-}
-
-impl From<SweepError> for HarnessError {
-    fn from(e: SweepError) -> Self {
-        HarnessError::Sweep(e)
     }
 }
 
@@ -730,57 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn local_and_remote_backends_write_identical_journals() {
-        // The distributed byte-identity guarantee, in-process: the same
-        // plan through the local pool and through a loopback worker must
-        // leave byte-identical journal files.
-        let spec = tiny_spec();
-        let experiments =
-            wormsim::presets::experiments_for(&spec, MeasurementSchedule::quick(), 1993);
-        let local_dir = temp_out_dir("ident-local");
-        let remote_dir = temp_out_dir("ident-remote");
-        let plan = SweepPlan::new(experiments).fail_fast(true);
-        let local = SweepOptions {
-            schedule: MeasurementSchedule::quick(),
-            out_dir: local_dir.clone(),
-            threads: 2,
-            ..SweepOptions::default()
-        };
-        run_sweep(&plan, &local).expect("local sweep");
-        let worker = crate::worker::spawn_local(2);
-        let remote = SweepOptions {
-            schedule: MeasurementSchedule::quick(),
-            out_dir: remote_dir.clone(),
-            backend: BackendChoice::Remote {
-                workers: vec![worker.to_string()],
-            },
-            ..SweepOptions::default()
-        };
-        run_sweep(&plan, &remote).expect("remote sweep");
-        let local_bytes = std::fs::read(Path::new(&local_dir).join("sweep.journal.jsonl")).unwrap();
-        let remote_bytes =
-            std::fs::read(Path::new(&remote_dir).join("sweep.journal.jsonl")).unwrap();
-        assert!(!local_bytes.is_empty());
-        assert_eq!(
-            local_bytes, remote_bytes,
-            "journals must be byte-identical across backends"
-        );
-        // The worker is long-lived: a second sweep (what `study headline
-        // --backend remote` does per figure) must not collide with the
-        // job ids the first one left behind.
-        let again = plan.clone().journal_name("again.journal.jsonl");
-        run_sweep(&again, &remote).expect("second sweep against the same worker");
-        let again_bytes =
-            std::fs::read(Path::new(&remote_dir).join("again.journal.jsonl")).unwrap();
-        assert_eq!(
-            local_bytes, again_bytes,
-            "a worker's second sweep must be as byte-identical as its first"
-        );
-        std::fs::remove_dir_all(&local_dir).ok();
-        std::fs::remove_dir_all(&remote_dir).ok();
-    }
-
-    #[test]
     fn local_and_remote_backends_name_the_same_build_time_rejection() {
         // The configuration validates, but a radius-3 neighborhood does not
         // fit radix 6: the traffic pattern rejects it when the network is
@@ -801,7 +743,7 @@ mod tests {
             threads: 1,
             ..SweepOptions::default()
         };
-        let worker = crate::worker::spawn_local(1);
+        let worker = crate::worker::LoopbackWorker::spawn(1).unwrap().addr;
         let remote = SweepOptions {
             schedule: MeasurementSchedule::quick(),
             out_dir: remote_dir.clone(),

@@ -1,9 +1,11 @@
-//! The `wormsim-worker` server: runs sweep points submitted over HTTP.
+//! The `wormsim-worker` server: the local pool behind HTTP.
 //!
 //! A worker is a headless process that accepts serialized
-//! [`Experiment`]s, runs them through the same retrying executor the
-//! local backend uses ([`execute_point`](crate::backend::execute_point)),
-//! and serves results back as [`RunResult`] JSON. The protocol (see
+//! [`Experiment`]s and runs each accepted job on a [`LocalThreadBackend`]
+//! — the same pool, executor, heartbeat and cancellation a local sweep
+//! uses — and serves results back as [`RunResult`](wormsim::RunResult)
+//! JSON. This module only adds the HTTP protocol, chaos injection, the
+//! SIGTERM drain and a job table. The protocol (see
 //! `docs/DISTRIBUTION.md`) has four endpoints:
 //!
 //! * `GET /handshake` — wire protocol version, config digest, slot
@@ -15,7 +17,7 @@
 //!   heartbeat, so a supervisor can tell hung from slow), `done` (with
 //!   the result and any retry decision), or `failed` (with the
 //!   configuration error).
-//! * `POST /cancel` — trip every job's cancellation token.
+//! * `POST /cancel` — cancel every job the pool holds.
 //!
 //! Simulation results are bit-deterministic in the experiment config, so
 //! a worker on any machine produces byte-identical result JSON — the
@@ -33,16 +35,16 @@
 //!   delays/drops/corrupts/truncates responses — the adversarial rig the
 //!   sweep supervisor is validated against (`chaos_soak`).
 
-use crate::backend::{execute_point, PointJob};
+use crate::backend::{LocalThreadBackend, PointJob, PointStatus, WorkHandle, WorkerBackend};
 use crate::chaos::{salt, ChaosPlan};
 use crate::http;
-use std::collections::{HashMap, VecDeque};
-use std::net::{TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use wormsim::observe::{json, JsonObject};
-use wormsim::{wire_digest, CancelToken, Experiment, ExperimentError, RunResult, WIRE_PROTOCOL};
+use wormsim::{wire_digest, CancelToken, Experiment, WIRE_PROTOCOL};
 
 /// Configuration for [`serve`].
 pub struct WorkerConfig {
@@ -76,39 +78,69 @@ extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
 }
 
-enum JobPhase {
-    Queued,
+/// One accepted job.
+enum Job {
     /// Chaos-stalled: accepted, reported pending, never started — the
     /// simulation heartbeat stays frozen at zero forever.
     Stalled,
-    Running,
-    Done(Result<RunResult, ExperimentError>, u64, Option<String>),
+    Running(WorkHandle),
+    /// How the pool reported the job's end, kept so a status poll whose
+    /// response was lost can be answered again.
+    Done(PointStatus),
 }
 
-struct JobRecord {
-    experiment: Experiment,
-    point_hash: String,
-    retries: u32,
-    resumed_from: Option<String>,
-    cancel: CancelToken,
-    phase: JobPhase,
+impl Job {
+    /// `Ok(heartbeat)` while the job is pending, else how it ended. A
+    /// running job is polled on the pool, and its end recorded.
+    fn poll(&mut self, pool: &mut LocalThreadBackend) -> Result<u64, &PointStatus> {
+        if let Job::Running(handle) = *self {
+            match pool.poll(handle) {
+                PointStatus::Pending { heartbeat } => return Ok(heartbeat.unwrap_or(0)),
+                ended => *self = Job::Done(ended),
+            }
+        }
+        match self {
+            Job::Done(ended) => Err(ended),
+            // A stalled job's heartbeat stays frozen at zero.
+            _ => Ok(0),
+        }
+    }
 }
 
 struct WorkerState {
-    queue: VecDeque<u64>,
-    jobs: HashMap<u64, JobRecord>,
+    pool: LocalThreadBackend,
+    /// Every job ever accepted, by id. Ids are never forgotten, so a later
+    /// sweep against this worker numbers its jobs above them.
+    jobs: HashMap<u64, Job>,
 }
 
 struct Shared {
     state: Mutex<WorkerState>,
-    ready: Condvar,
     digest: String,
-    threads: usize,
     chaos: ChaosPlan,
     /// Accepted submits, for the crash/stall-on-Nth-submit injections.
     submits: AtomicU64,
     /// Responses written, indexing the seeded chaos decision streams.
     responses: AtomicU64,
+}
+
+impl Shared {
+    fn new(threads: usize, chaos: ChaosPlan) -> Shared {
+        Shared {
+            state: Mutex::new(WorkerState {
+                pool: LocalThreadBackend::new(threads, CancelToken::new()),
+                jobs: HashMap::new(),
+            }),
+            digest: wire_digest(),
+            chaos,
+            submits: AtomicU64::new(0),
+            responses: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, WorkerState> {
+        self.state.lock().expect("no poisoned worker state")
+    }
 }
 
 /// Binds the listen address, announces the bound port on stdout (so
@@ -130,60 +162,24 @@ pub fn serve(config: &WorkerConfig) -> std::io::Result<()> {
     unsafe {
         signal(SIGTERM, on_sigterm as *const () as usize);
     }
-    serve_until(
-        listener,
-        config.threads.max(1),
-        None,
-        config.chaos.clone(),
-        Some(config.drain_secs),
-    )
+    let shared = Arc::new(Shared::new(config.threads, config.chaos.clone()));
+    let drain_secs = config.drain_secs;
+    let drainer = Arc::clone(&shared);
+    std::thread::spawn(move || drain_watcher(&drainer, drain_secs));
+    serve_until(&listener, &shared, &AtomicBool::new(false));
+    Ok(())
 }
 
-#[cfg(test)]
-fn serve_on(listener: TcpListener, threads: usize) -> std::io::Result<()> {
-    serve_until(listener, threads, None, ChaosPlan::default(), None)
-}
-
-fn serve_until(
-    listener: TcpListener,
-    threads: usize,
-    stop: Option<Arc<AtomicBool>>,
-    chaos: ChaosPlan,
-    drain_secs: Option<u64>,
-) -> std::io::Result<()> {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(WorkerState {
-            queue: VecDeque::new(),
-            jobs: HashMap::new(),
-        }),
-        ready: Condvar::new(),
-        digest: wire_digest(),
-        threads,
-        chaos,
-        submits: AtomicU64::new(0),
-        responses: AtomicU64::new(0),
-    });
-    for _ in 0..threads {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || sim_loop(&shared));
-    }
-    if let Some(drain_secs) = drain_secs {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || drain_watcher(&shared, drain_secs));
-    }
+fn serve_until(listener: &TcpListener, shared: &Shared, stop: &AtomicBool) {
     for stream in listener.incoming() {
-        if stop
-            .as_ref()
-            .is_some_and(|f| f.load(std::sync::atomic::Ordering::SeqCst))
-        {
+        if stop.load(Ordering::SeqCst) {
             break;
         }
         match stream {
-            Ok(mut stream) => handle_connection(&mut stream, &shared),
+            Ok(mut stream) => handle_connection(&mut stream, shared),
             Err(err) => eprintln!("wormsim-worker: accept failed: {err}"),
         }
     }
-    Ok(())
 }
 
 /// Waits for SIGTERM, then drains: no new submits (the connection handler
@@ -197,25 +193,20 @@ fn drain_watcher(shared: &Shared, drain_secs: u64) {
     eprintln!("wormsim-worker: SIGTERM — draining in-flight runs (up to {drain_secs}s)");
     let deadline = Instant::now() + Duration::from_secs(drain_secs);
     loop {
-        let idle = {
-            let state = shared.state.lock().expect("no poisoned worker state");
-            state.queue.is_empty()
-                && state
-                    .jobs
-                    .values()
-                    .all(|r| matches!(r.phase, JobPhase::Done(..) | JobPhase::Stalled))
-        };
+        let mut state = shared.lock();
+        let WorkerState { pool, jobs } = &mut *state;
+        let idle = jobs
+            .values_mut()
+            .all(|job| matches!(job, Job::Stalled) || job.poll(pool).is_err());
         if idle {
             break;
         }
         if Instant::now() >= deadline {
             eprintln!("wormsim-worker: drain budget exhausted; cancelling in-flight runs");
-            let state = shared.state.lock().expect("no poisoned worker state");
-            for record in state.jobs.values() {
-                record.cancel.cancel();
-            }
+            pool.cancel();
             break;
         }
+        drop(state);
         std::thread::sleep(Duration::from_millis(50));
     }
     // Give the orchestrator one last polling window to read the final
@@ -225,96 +216,50 @@ fn drain_watcher(shared: &Shared, drain_secs: u64) {
     std::process::exit(0);
 }
 
-/// Test hook: serve on an ephemeral loopback port from a detached thread
-/// (dies with the test process) and return the bound address.
-#[cfg(test)]
-pub(crate) fn spawn_local(threads: usize) -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    std::thread::spawn(move || {
-        let _ = serve_on(listener, threads);
-    });
-    addr
-}
-
-/// Test hook: an in-process worker with a chaos plan. Crash injections
-/// would kill the test process, so callers stick to the response-level
-/// injections (delay/drop/corrupt/truncate) and stalls.
-#[cfg(test)]
-pub(crate) fn spawn_chaotic(threads: usize, chaos: ChaosPlan) -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    std::thread::spawn(move || {
-        let _ = serve_until(listener, threads, None, chaos, None);
-    });
-    addr
-}
-
-/// Test hook: a [`spawn_local`] worker with a kill switch. [`kill`]
-/// drops the listener, so from the orchestrator's point of view the
-/// worker process crashed — every subsequent RPC is refused — while any
-/// point already running keeps its (detached) simulation thread busy,
-/// exactly like a host that died mid-job.
-///
-/// [`kill`]: KillableWorker::kill
-#[cfg(test)]
-pub(crate) struct KillableWorker {
-    pub(crate) addr: std::net::SocketAddr,
+/// An in-process worker on an ephemeral loopback port, served from a
+/// detached thread: the `wormsim-worker` protocol without a process, for
+/// tests and tools. It has no SIGTERM drain, and a chaos plan's crash
+/// injections exit the whole process, so in-process callers stick to
+/// stalls and the response-level injections.
+pub struct LoopbackWorker {
+    /// The bound address, for `--worker` or
+    /// [`RemoteBackend::connect`](crate::RemoteBackend::connect).
+    pub addr: SocketAddr,
     stop: Arc<AtomicBool>,
 }
 
-#[cfg(test)]
-impl KillableWorker {
-    pub(crate) fn kill(&self) {
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+impl LoopbackWorker {
+    /// Starts a worker with `threads` simulation slots.
+    ///
+    /// # Errors
+    ///
+    /// When no loopback port can be bound.
+    pub fn spawn(threads: usize) -> std::io::Result<LoopbackWorker> {
+        LoopbackWorker::with_chaos(threads, ChaosPlan::default())
+    }
+
+    /// Starts a worker with `threads` slots, armed with `chaos`.
+    ///
+    /// # Errors
+    ///
+    /// When no loopback port can be bound.
+    pub fn with_chaos(threads: usize, chaos: ChaosPlan) -> std::io::Result<LoopbackWorker> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let shared = Shared::new(threads, chaos);
+        std::thread::spawn(move || serve_until(&listener, &shared, &flag));
+        Ok(LoopbackWorker { addr, stop })
+    }
+
+    /// Closes the listener and cancels the worker's jobs: to an
+    /// orchestrator the worker crashed, and every later RPC is refused.
+    pub fn kill(&self) {
+        self.stop.store(true, Ordering::SeqCst);
         // Poke the accept loop so it observes the flag and drops the
         // socket; the connection itself is never answered.
         let _ = TcpStream::connect(self.addr);
-    }
-}
-
-#[cfg(test)]
-pub(crate) fn spawn_killable(threads: usize) -> KillableWorker {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    std::thread::spawn(move || {
-        let _ = serve_until(listener, threads, Some(flag), ChaosPlan::default(), None);
-    });
-    KillableWorker { addr, stop }
-}
-
-fn sim_loop(shared: &Shared) {
-    loop {
-        let (id, job, cancel) = {
-            let mut state = shared.state.lock().expect("no poisoned worker state");
-            let id = loop {
-                if let Some(id) = state.queue.pop_front() {
-                    break id;
-                }
-                state = shared.ready.wait(state).expect("no poisoned worker state");
-            };
-            let record = state.jobs.get_mut(&id).expect("queued job has a record");
-            record.phase = JobPhase::Running;
-            let job = PointJob {
-                experiment: record
-                    .experiment
-                    .clone()
-                    .cancel_token(record.cancel.clone()),
-                index: id as usize,
-                point_hash: record.point_hash.clone(),
-                retries: record.retries,
-                inject_panic: false,
-                resumed_from: record.resumed_from.clone(),
-            };
-            (id, job, record.cancel.clone())
-        };
-        let (result, attempts, retry_decision) = execute_point(&job, &cancel);
-        let mut state = shared.state.lock().expect("no poisoned worker state");
-        if let Some(record) = state.jobs.get_mut(&id) {
-            record.phase = JobPhase::Done(result, attempts, retry_decision);
-        }
     }
 }
 
@@ -421,11 +366,9 @@ fn handshake(shared: &Shared, draining: bool) -> (u16, String) {
     let mut obj = JsonObject::begin(&mut out);
     obj.field_u64("wire", u64::from(WIRE_PROTOCOL));
     obj.field_str("digest", &shared.digest);
-    obj.field_u64("threads", shared.threads as u64);
+    let state = shared.lock();
+    obj.field_u64("threads", state.pool.capacity() as u64);
     obj.field_bool("draining", draining);
-    // Job ids are never forgotten, so a later sweep against this worker
-    // must number its jobs above every id an earlier sweep used.
-    let state = shared.state.lock().expect("no poisoned worker state");
     obj.field_u64("next_job", state.jobs.keys().max().map_or(0, |id| id + 1));
     obj.finish();
     (200, out)
@@ -466,34 +409,31 @@ fn accept(body: &str, shared: &Shared) -> Result<(u16, String), (u16, String)> {
     }
     let stalled = shared.chaos.stall_submit == Some(nth_submit);
     let point_hash = experiment.point_hash();
-    let mut state = shared.state.lock().expect("no poisoned worker state");
+    let mut state = shared.lock();
     if state.jobs.contains_key(&id) {
         return Err((400, error_body(&format!("duplicate job id {id}"))));
     }
-    state.jobs.insert(
-        id,
-        JobRecord {
-            experiment,
-            point_hash,
-            retries,
-            resumed_from,
-            cancel: CancelToken::new(),
-            phase: if stalled {
-                JobPhase::Stalled
-            } else {
-                JobPhase::Queued
-            },
-        },
-    );
-    if stalled {
+    let job = if stalled {
         // The job is accepted and will be reported pending forever, its
         // heartbeat frozen at zero: a hung worker, as seen from outside.
         eprintln!("wormsim-worker: chaos stall on submit #{nth_submit}");
+        Job::Stalled
     } else {
-        state.queue.push_back(id);
-    }
+        let handle = state
+            .pool
+            .submit(PointJob {
+                experiment,
+                index: id as usize,
+                point_hash,
+                retries,
+                inject_panic: false,
+                resumed_from,
+            })
+            .map_err(|err| (500, error_body(&err.to_string())))?;
+        Job::Running(handle)
+    };
+    state.jobs.insert(id, job);
     drop(state);
-    shared.ready.notify_one();
     let mut out = String::new();
     let mut obj = JsonObject::begin(&mut out);
     obj.field_u64("job", id);
@@ -508,45 +448,52 @@ fn job_status(query: &str, shared: &Shared, draining: bool) -> (u16, String) {
     else {
         return (400, error_body("status query must be ?job=ID"));
     };
-    let state = shared.state.lock().expect("no poisoned worker state");
-    let Some(record) = state.jobs.get(&id) else {
+    let mut state = shared.lock();
+    let WorkerState { pool, jobs } = &mut *state;
+    let Some(job) = jobs.get_mut(&id) else {
         return (404, error_body(&format!("unknown job {id}")));
     };
     let mut out = String::new();
     let mut obj = JsonObject::begin(&mut out);
-    match &record.phase {
-        JobPhase::Queued | JobPhase::Running | JobPhase::Stalled => {
+    match job.poll(pool) {
+        Ok(heartbeat) => {
             obj.field_str("state", "pending");
             // The engine's cycle heartbeat: 0 until the simulation
             // starts, then monotonically advancing. A supervisor that
             // sees the same value across its point deadline knows this
             // worker is hung, not slow.
-            obj.field_u64("heartbeat", record.cancel.heartbeat());
+            obj.field_u64("heartbeat", heartbeat);
             obj.field_bool("draining", draining);
         }
-        JobPhase::Done(Ok(result), attempts, retry_decision) => {
+        Err(PointStatus::Done {
+            result: Ok(result),
+            attempts,
+            retry_decision,
+        }) => {
             obj.field_str("state", "done")
                 .field("attempts", attempts)
                 .field_some("retry_decision", retry_decision)
                 .field("result", result);
         }
-        JobPhase::Done(Err(err), attempts, _) => {
+        Err(PointStatus::Done {
+            result: Err(err),
+            attempts,
+            ..
+        }) => {
             obj.field_str("state", "failed");
             obj.field_u64("attempts", *attempts);
             obj.field_str("error", &err.to_string());
         }
+        Err(lost) => return (500, error_body(&format!("job {id}: {lost:?}"))),
     }
     obj.finish();
     (200, out)
 }
 
 fn cancel_all(shared: &Shared) -> (u16, String) {
-    let state = shared.state.lock().expect("no poisoned worker state");
-    let mut cancelled = 0u64;
-    for record in state.jobs.values() {
-        record.cancel.cancel();
-        cancelled += 1;
-    }
+    let mut state = shared.lock();
+    state.pool.cancel();
+    let cancelled = state.jobs.len() as u64;
     drop(state);
     let mut out = String::new();
     let mut obj = JsonObject::begin(&mut out);

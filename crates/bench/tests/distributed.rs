@@ -2,12 +2,17 @@
 //! in-process thread pool and once sharded across two loopback
 //! `wormsim-worker` processes, and demand the merged CSV *and* the journal
 //! are byte-identical. Also covers torn-journal recovery: truncate a
-//! journal mid-record, resume, and get the same bytes back.
+//! journal mid-record, resume, and get the same bytes back, and the
+//! worker's SIGTERM drain.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use wormsim::observe::json;
+use std::time::{Duration, Instant};
+use wormsim::observe::{json, JsonRecord};
+use wormsim::{AlgorithmKind, Experiment, RunResult, Topology};
+use wormsim_bench::{PointJob, PointStatus, RemoteBackend, WorkerBackend};
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 const WORKER: &str = env!("CARGO_BIN_EXE_wormsim-worker");
@@ -19,16 +24,13 @@ struct WorkerProc {
 }
 
 impl WorkerProc {
-    /// Starts a worker on an ephemeral loopback port, optionally chaos
-    /// armed, and reads the bound address from its announcement line on
-    /// stdout.
-    fn spawn(threads: usize, chaos: Option<&str>) -> WorkerProc {
-        let mut cmd = Command::new(WORKER);
-        cmd.args(["--listen", "127.0.0.1:0", "--threads", &threads.to_string()]);
-        if let Some(plan) = chaos {
-            cmd.args(["--chaos", plan]);
-        }
-        let mut child = cmd
+    /// Starts a worker on an ephemeral loopback port with `extra` flags
+    /// (a chaos plan, a drain budget), and reads the bound address from
+    /// its announcement line on stdout.
+    fn spawn(threads: usize, extra: &[&str]) -> WorkerProc {
+        let mut child = Command::new(WORKER)
+            .args(["--listen", "127.0.0.1:0", "--threads", &threads.to_string()])
+            .args(extra)
             .stdout(Stdio::piped())
             .spawn()
             .expect("spawn wormsim-worker");
@@ -120,7 +122,7 @@ fn remote_sweep_is_byte_identical_to_local() {
         std::fs::read(local_dir.join("sweep.journal.jsonl")).expect("local journal");
 
     // 2. The same sweep sharded across two concurrent loopback workers.
-    let workers = [WorkerProc::spawn(2, None), WorkerProc::spawn(2, None)];
+    let workers = [WorkerProc::spawn(2, &[]), WorkerProc::spawn(2, &[])];
     let remote_dir = temp_dir("remote");
     let status = Command::new(SWEEP)
         .args(sweep_args(&remote_dir))
@@ -166,8 +168,8 @@ fn worker_crash_mid_sweep_fails_over_and_stays_byte_identical() {
     //    point stalls until the kill, so the crash always strands work.
     //    The backend must write it off, the supervisor re-dispatch its
     //    point to the survivor, and the sweep finish.
-    let doomed = WorkerProc::spawn(1, Some("stall-submit=1"));
-    let survivor = WorkerProc::spawn(2, None);
+    let doomed = WorkerProc::spawn(1, &["--chaos", "stall-submit=1"]);
+    let survivor = WorkerProc::spawn(2, &[]);
     let remote_dir = temp_dir("failover-remote");
     let sweep = Command::new(SWEEP)
         .args(failover_sweep_args(&remote_dir))
@@ -282,4 +284,104 @@ fn truncated_journal_recovers_and_resumes_to_identical_csv() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One raw HTTP exchange with a worker: the status code and the body.
+fn http(addr: &str, method: &str, target: &str, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect to worker");
+    write!(
+        stream,
+        "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    let status = response
+        .split(' ')
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {response:?}"));
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+    (status, body.to_owned())
+}
+
+/// A result's bytes without the machine-dependent wall fields.
+fn canonical(mut result: RunResult) -> String {
+    result.wall_seconds = 0.0;
+    result.cycles_per_sec = 0.0;
+    result.to_json()
+}
+
+#[test]
+fn sigterm_drains_the_in_flight_point_and_exits_zero() {
+    // Job 0 runs; job 1 is chaos-stalled, so one job is pending however
+    // fast job 0 finishes. A drain waits for running jobs, not stalled ones.
+    let mut worker = WorkerProc::spawn(1, &["--drain-secs", "10", "--chaos", "stall-submit=2"]);
+    let experiment = Experiment::new(Topology::torus(&[16, 16]), AlgorithmKind::PositiveHop)
+        .offered_load(0.2)
+        .quick()
+        .seed(1993);
+    let job = |index| PointJob {
+        point_hash: experiment.point_hash(),
+        experiment: experiment.clone(),
+        index,
+        retries: 1,
+        inject_panic: false,
+        resumed_from: None,
+    };
+    let mut backend = RemoteBackend::connect(&[worker.addr.clone()]).expect("handshake");
+    let running = backend.submit(job(0)).expect("submit the running point");
+    backend.submit(job(1)).expect("submit the stalled point");
+
+    let killed = Command::new("kill")
+        .args(["-TERM", &worker.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
+    // Delivery is asynchronous: wait until the worker refuses new work.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, body) = http(&worker.addr, "POST", "/submit", "{}");
+        if status == 503 {
+            assert!(body.contains("draining"), "{body}");
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "never refused a submit: {status} {body}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (status, body) = http(&worker.addr, "GET", "/status?job=1", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        body.contains("\"state\":\"pending\"") && body.contains("\"draining\":true"),
+        "{body}"
+    );
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let remote = loop {
+        assert!(
+            Instant::now() < deadline,
+            "the drained point never finished"
+        );
+        match backend.poll(running) {
+            PointStatus::Pending { .. } => std::thread::sleep(Duration::from_millis(10)),
+            PointStatus::Done { result, .. } => break result.expect("the point runs"),
+            PointStatus::Lost(err) => panic!("a draining worker is not dead: {err}"),
+        }
+    };
+    let local = experiment.run().expect("local run");
+    assert_eq!(canonical(remote), canonical(local));
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let exit = loop {
+        if let Some(exit) = worker.child.try_wait().expect("poll the worker") {
+            break exit;
+        }
+        assert!(Instant::now() < deadline, "the drained worker never exited");
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(exit.code(), Some(0), "{exit}");
 }

@@ -473,29 +473,14 @@ impl Experiment {
         // network where no message can ever be generated.
         if net.routable_pairs() == 0 {
             return Ok(RunResult {
-                algorithm: self.sim.algorithm.name().to_owned(),
-                traffic,
-                offered_load: self.offered_load,
                 injection_rate: rate,
-                latency: wormsim_stats::ConfidenceInterval::new(0.0, f64::INFINITY),
-                latency_percentiles: [0, 0, 0],
-                latency_max: 0,
-                class_latencies: Vec::new(),
-                achieved_utilization: 0.0,
-                delivery_rate: 0.0,
-                acceptance_rate: 0.0,
-                refused_fraction: 0.0,
-                messages_measured: 0,
-                convergence: wormsim_stats::ConvergenceStatus::NeedMoreSamples,
-                samples: 0,
-                cycles_simulated: 0,
                 wall_seconds: total_watch.elapsed_secs(),
-                cycles_per_sec: 0.0,
-                outcome: RunOutcome::Unroutable,
-                dropped_events: 0,
-                deadlock: None,
-                livelock: None,
-                triage: None,
+                ..RunResult::unmeasured(
+                    self.sim.algorithm.name(),
+                    traffic,
+                    self.offered_load,
+                    RunOutcome::Unroutable,
+                )
             });
         }
 

@@ -256,6 +256,42 @@ impl Json for RunResult {
 }
 
 impl RunResult {
+    /// A result without statistics, for a run that ended before measuring
+    /// anything (an unroutable fault plan, a harness panic): every
+    /// measurement is zero and the latency interval is `(0, ∞)`.
+    pub fn unmeasured(
+        algorithm: &str,
+        traffic: String,
+        offered_load: f64,
+        outcome: RunOutcome,
+    ) -> RunResult {
+        RunResult {
+            algorithm: algorithm.to_owned(),
+            traffic,
+            offered_load,
+            injection_rate: 0.0,
+            latency: ConfidenceInterval::new(0.0, f64::INFINITY),
+            latency_percentiles: [0, 0, 0],
+            latency_max: 0,
+            class_latencies: Vec::new(),
+            achieved_utilization: 0.0,
+            delivery_rate: 0.0,
+            acceptance_rate: 0.0,
+            refused_fraction: 0.0,
+            messages_measured: 0,
+            convergence: ConvergenceStatus::NeedMoreSamples,
+            samples: 0,
+            cycles_simulated: 0,
+            wall_seconds: 0.0,
+            cycles_per_sec: 0.0,
+            outcome,
+            dropped_events: 0,
+            deadlock: None,
+            livelock: None,
+            triage: None,
+        }
+    }
+
     /// Whether the run produced a trustworthy steady-state estimate.
     pub fn is_converged(&self) -> bool {
         self.convergence.is_converged() && self.outcome == RunOutcome::Completed

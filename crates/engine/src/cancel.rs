@@ -26,12 +26,18 @@ use std::sync::Arc;
 struct Flags {
     cancelled: AtomicBool,
     heartbeat: AtomicU64,
+    /// Set on a token made by [`CancelToken::child`].
+    parent: Option<CancelToken>,
 }
 
 /// A clonable, thread-safe cancellation flag with a progress heartbeat.
 ///
 /// Clones share the flag: cancelling any clone cancels them all. The token
-/// is latching — once cancelled it stays cancelled.
+/// is latching — once cancelled it stays cancelled. A [`child`] token has
+/// its own flag and heartbeat but also reads as cancelled once its parent
+/// is, so one shutdown token can stop many independently cancellable runs.
+///
+/// [`child`]: CancelToken::child
 ///
 /// # Example
 ///
@@ -58,9 +64,23 @@ impl CancelToken {
         self.0.cancelled.store(true, Ordering::Release);
     }
 
-    /// Whether the flag has been tripped.
+    /// Whether the flag, or a parent's, has been tripped.
     pub fn is_cancelled(&self) -> bool {
         self.0.cancelled.load(Ordering::Acquire)
+            || self
+                .0
+                .parent
+                .as_ref()
+                .is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// A fresh token with its own flag and heartbeat that also reads as
+    /// cancelled once `self` is. Cancelling the child leaves `self` alone.
+    pub fn child(&self) -> CancelToken {
+        CancelToken(Arc::new(Flags {
+            parent: Some(self.clone()),
+            ..Flags::default()
+        }))
     }
 
     /// Publishes simulation progress: monotone non-decreasing under the
@@ -97,6 +117,19 @@ mod tests {
         assert!(a.is_cancelled() && b.is_cancelled());
         // Latching: cancelling again changes nothing.
         a.cancel();
+        assert!(b.is_cancelled());
+    }
+
+    #[test]
+    fn a_child_sees_its_parent_but_not_the_other_way_round() {
+        let parent = CancelToken::new();
+        let (a, b) = (parent.child(), parent.child());
+        a.cancel();
+        assert!(a.is_cancelled());
+        assert!(!parent.is_cancelled() && !b.is_cancelled());
+        a.beat(9);
+        assert_eq!((a.heartbeat(), b.heartbeat()), (10, 0), "own heartbeat");
+        parent.cancel();
         assert!(b.is_cancelled());
     }
 
