@@ -2,7 +2,7 @@
 //! sweeps.
 //!
 //! Binds an HTTP listener, announces the bound port on stdout, and runs
-//! submitted sweep points until killed. Pair with a sweep bin's
+//! submitted sweep points until killed. Pair with `study <id>`'s
 //! `--backend remote --worker HOST:PORT` flags; see `docs/DISTRIBUTION.md`
 //! for the protocol and a two-terminal walkthrough.
 //!
@@ -17,7 +17,7 @@ use wormsim_bench::ChaosPlan;
 const USAGE: &str =
     "usage: wormsim-worker [--listen HOST:PORT] [--threads N] [--drain-secs S] [--chaos SPEC]
 
-Runs sweep points submitted over HTTP by a sweep bin using
+Runs sweep points submitted over HTTP by `study <id>` using
 --backend remote. Options:
 
   --listen HOST:PORT  bind address (default 127.0.0.1:0, an ephemeral

@@ -1,4 +1,4 @@
-//! Parsers for the `sweep` binary's compact command-line syntax.
+//! Parsers for the compact values of `study`'s axis and harness flags.
 //!
 //! * Topologies: `torus:16x16`, `mesh:8x8x8`, bare `16x16` (torus), or the
 //!   k-ary n-cube shorthand `8^3` / `torus:16^3` / `mesh:4^2`.
@@ -111,12 +111,18 @@ pub fn parse_traffic(s: &str) -> Result<TrafficConfig, String> {
     }
 }
 
+/// The most steps a `start:end:step` load range may span: the paper's
+/// sweeps have twelve loads, and a step too small to matter is a typo.
+pub const MAX_RANGE_STEPS: usize = 1000;
+
 /// Parses `0.1,0.3,0.5` or `start:end:step` (inclusive of `end` within a
 /// half-step tolerance).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for malformed or empty input.
+/// Returns a human-readable message for malformed or empty input, a
+/// non-finite bound, and a range spanning more than [`MAX_RANGE_STEPS`]
+/// steps.
 pub fn parse_loads(s: &str) -> Result<Vec<f64>, String> {
     let parts: Vec<&str> = s.split(':').collect();
     let loads = match parts.as_slice() {
@@ -128,12 +134,21 @@ pub fn parse_loads(s: &str) -> Result<Vec<f64>, String> {
             let start = f64::from_str(start).map_err(|_| format!("bad start '{start}'"))?;
             let end = f64::from_str(end).map_err(|_| format!("bad end '{end}'"))?;
             let step = f64::from_str(step).map_err(|_| format!("bad step '{step}'"))?;
-            if step <= 0.0 || end < start {
-                return Err(format!("empty range '{s}'"));
+            // The loop's bound is fixed before it starts: a step too small
+            // to move `x` must not spin it forever. NaN fails both tests.
+            let steps = (end - start) / step;
+            if !(step > 0.0 && (0.0..=MAX_RANGE_STEPS as f64).contains(&steps)) {
+                return Err(format!(
+                    "bad range '{s}' (needs start <= end, step > 0 and at most \
+                     {MAX_RANGE_STEPS} steps)"
+                ));
             }
             let mut loads = Vec::new();
             let mut x = start;
-            while x <= end + step / 2.0 {
+            for _ in 0..steps as usize + 2 {
+                if x > end + step / 2.0 {
+                    break;
+                }
                 loads.push((x * 1e9).round() / 1e9);
                 x += step;
             }
@@ -386,6 +401,40 @@ mod tests {
         assert!(parse_loads("0:1:0.1").is_err(), "zero load rejected");
         assert!(parse_loads("0.5:0.1:0.1").is_err());
         assert!(parse_loads("a,b").is_err());
+    }
+
+    #[test]
+    fn load_ranges_terminate_on_every_input() {
+        for s in [
+            "0.1:1:1e-300",
+            "0.1:1:1e-7",
+            "0.1:inf:0.1",
+            "nan:1:0.1",
+            "0.1:1:nan",
+            "-inf:1:0.1",
+            "-1e308:1e308:0.1",
+            "0.5:0.1:0.1",
+        ] {
+            let err = parse_loads(s).unwrap_err();
+            assert!(err.contains("at most 1000 steps"), "{s}: {err}");
+        }
+        // Steps that cannot move `x`, or jump straight to infinity, stop
+        // at the bound and then fail the (0, 1] check.
+        for s in ["1e300:1e300:1", "0.1:1:inf"] {
+            let err = parse_loads(s).unwrap_err();
+            assert!(err.contains("out of (0, 1]"), "{s}: {err}");
+        }
+        // The cap's edge: a range of MAX_RANGE_STEPS steps is accepted.
+        assert_eq!(parse_loads("0.001:1:0.001").unwrap().len(), 1000);
+        assert_eq!(parse_loads("0.1:1.0:0.1").unwrap().len(), 10);
+        assert_eq!(
+            parse_loads("0.05:0.2:0.05").unwrap(),
+            vec![0.05, 0.1, 0.15, 0.2]
+        );
+        // On a half-step boundary the accumulated `x` decides, as it
+        // always has.
+        assert_eq!(parse_loads("0.01:0.08:0.02").unwrap().len(), 4);
+        assert_eq!(parse_loads("0.01:0.26:0.1").unwrap().len(), 3);
     }
 
     #[test]

@@ -4,48 +4,7 @@
 use crate::options::SweepOptions;
 use crate::sweep::{run_points_or_exit, SweepPlan};
 use wormsim::presets::FigureSpec;
-use wormsim::topology::Topology;
-use wormsim::{AlgorithmKind, RunResult};
-
-/// Drops the algorithms `topology` rejects (e.g. the negative-hop schemes
-/// on odd-radix tori), reporting each skip on stderr rather than dying.
-///
-/// # Panics
-///
-/// Panics if no runnable algorithm is left.
-pub fn retain_runnable(algorithms: &mut Vec<AlgorithmKind>, topology: &Topology) {
-    algorithms.retain(|kind| match kind.build(topology) {
-        Ok(_) => true,
-        Err(e) => {
-            eprintln!("skipping {kind}: {e}");
-            false
-        }
-    });
-    assert!(
-        !algorithms.is_empty(),
-        "no selected algorithm supports {topology}"
-    );
-}
-
-/// Applies the `--topo` override (if any) to a figure spec: retargets the
-/// network, remaps topology-dependent traffic (see
-/// [`FigureSpec::with_topology`]), and drops algorithms the new topology
-/// rejects (see [`retain_runnable`]).
-///
-/// Without an override the spec is returned untouched, so the default 16×16
-/// figure outputs stay bit-identical.
-///
-/// # Panics
-///
-/// Panics if the override leaves no runnable algorithm.
-pub fn apply_topology_override(spec: FigureSpec, options: &SweepOptions) -> FigureSpec {
-    let Some(topo) = &options.topology else {
-        return spec;
-    };
-    let mut spec = spec.with_topology(topo.clone());
-    retain_runnable(&mut spec.algorithms, &spec.topology);
-    spec
-}
+use wormsim::RunResult;
 
 /// The fail-fast plan of a figure's `(algorithm, load)` points, in
 /// deterministic order (algorithm-major, load-minor).
@@ -73,35 +32,6 @@ pub(crate) mod tests {
     use crate::sweep::{run_sweep, ExperimentsRun};
     use std::path::Path;
     use wormsim::{format_sweep_csv, presets, MeasurementSchedule, RunOutcome};
-
-    fn parse(args: &[&str]) -> Result<SweepOptions, String> {
-        SweepOptions::parse(args.iter().map(|s| (*s).to_owned()))
-    }
-
-    #[test]
-    fn topology_override_rewrites_spec() {
-        let options = parse(&["--topo", "torus:8x8"]).unwrap();
-        let spec = apply_topology_override(presets::fig4(), &options);
-        assert_eq!(spec.topology, Topology::torus(&[8, 8]));
-        // The corner hotspot moved with the network.
-        match &spec.traffic {
-            wormsim::TrafficConfig::Hotspot { nodes, .. } => {
-                assert_eq!(nodes, &vec![vec![7, 7]]);
-            }
-            other => panic!("unexpected traffic {other:?}"),
-        }
-        // All six paper algorithms run on an even-radix torus.
-        assert_eq!(spec.algorithms.len(), 6);
-        // An odd-radix torus drops the bipartite-only schemes but keeps
-        // the rest runnable.
-        let odd = parse(&["--topo", "torus:9x9"]).unwrap();
-        let spec = apply_topology_override(presets::fig3(), &odd);
-        assert!(!spec.algorithms.is_empty());
-        assert!(spec.algorithms.len() < 6);
-        // No override: the spec is untouched.
-        let spec = apply_topology_override(presets::fig3(), &parse(&[]).unwrap());
-        assert_eq!(spec.topology, presets::paper_topology());
-    }
 
     pub(crate) fn temp_out_dir(name: &str) -> String {
         std::env::temp_dir()

@@ -44,7 +44,7 @@ pub use backend::{
     WorkerBackend,
 };
 pub use chaos::{ChaosPlan, ChaosPlanError};
-pub use figure::{apply_topology_override, figure_plan, retain_runnable, run_figure_or_exit};
+pub use figure::{figure_plan, run_figure_or_exit};
 pub use journal::{Journal, JournalEntry, JournalError, SalvagedLine};
 pub use options::SweepOptions;
 pub use reference::{paper_reference, PaperClaim};

@@ -1,13 +1,15 @@
-//! The harness flag grammar: the one parser of the flags every sweep
-//! binary shares (`study`, `sweep`, `faults_sweep`).
+//! The harness flag grammar: the flags every `study <id>` takes after its
+//! own axis flags (see `study::parse`), and the options the benchmark,
+//! `chaos_soak` and the tests build directly.
 
 use crate::backend::BackendChoice;
 use crate::cli;
 use wormsim::topology::Topology;
 use wormsim::{CancelToken, Experiment, MeasurementSchedule, ObserveConfig};
 
-/// The harness options every sweep binary (`study`, `sweep`,
-/// `faults_sweep`) shares.
+/// The harness options every study shares: how its points run, where
+/// they are journaled and what telemetry they write — never what the
+/// points are (that is the study's row and its axis flags).
 #[derive(Clone, Debug)]
 pub struct SweepOptions {
     /// Measurement schedule (`--quick` selects the short one).
@@ -110,7 +112,7 @@ impl Default for SweepOptions {
 }
 
 impl SweepOptions {
-    /// The harness flags, for a binary's usage line (after its own axis
+    /// The harness flags, for `study`'s usage line (after the axis
     /// flags).
     pub const USAGE: &'static str = "[--quick|--saturation] [--topo T] [--seed N] [--out DIR] \
          [--threads N] [--observe DIR] [--trace-out DIR] [--sample-every N] [--metrics] \
@@ -118,36 +120,11 @@ impl SweepOptions {
          [--point-deadline SECS] [--hedge-after SECS] [--quarantine-after N] \
          [--backend local|remote] [--worker HOST:PORT]...";
 
-    /// Parses the flags of [`SweepOptions::USAGE`] from `std::env::args`,
-    /// exiting with a usage message on stderr (status 2) for malformed
-    /// input.
-    pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
-            cli::usage_error(&message, &format!("usage: {}", Self::USAGE))
-        })
-    }
-
-    /// Parses an argument iterator (program name already stripped).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for unknown flags, missing values,
-    /// malformed integers, and the nonsensical `--threads 0`.
-    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut options = SweepOptions::default();
-        while let Some(arg) = args.next() {
-            if !options.apply_flag(&arg, &mut args)? {
-                return Err(format!("unknown argument '{arg}'"));
-            }
-        }
-        options.finish()?;
-        Ok(options)
-    }
-
     /// One step of the harness flag grammar: applies `flag` (pulling its
     /// value from `args` if it takes one) and returns `true`, or returns
-    /// `false` for a flag that is not a harness flag — binaries match
-    /// their own axis flags first and delegate everything else here.
+    /// `false` for a flag that is not a harness flag — `study::parse`
+    /// matches the study's axis flags first and delegates everything else
+    /// here.
     ///
     /// # Errors
     ///
@@ -310,11 +287,21 @@ impl SweepOptions {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<SweepOptions, String> {
-        SweepOptions::parse(args.iter().map(|s| (*s).to_owned()))
+    /// Parses harness flags alone, the way `study::parse` does after a
+    /// study's axis flags.
+    pub(crate) fn parse(args: &[&str]) -> Result<SweepOptions, String> {
+        let mut options = SweepOptions::default();
+        let mut args = args.iter().map(|s| (*s).to_owned());
+        while let Some(arg) = args.next() {
+            if !options.apply_flag(&arg, &mut args)? {
+                return Err(format!("unknown argument '{arg}'"));
+            }
+        }
+        options.finish()?;
+        Ok(options)
     }
 
     #[test]

@@ -1,26 +1,32 @@
-//! The study table: every figure, in-text reading and ablation this
-//! repository reproduces, as one row each behind `study <id>`.
+//! The study table: every figure, in-text reading, ablation and free-form
+//! sweep this repository runs, as one row each behind `study <id>`.
 //!
-//! A row expands, under the command line's [`SweepOptions`], to a list of
-//! [`Experiment`] points plus a reducer that prints the table
+//! [`parse`] is the one command-line grammar: a row's own axis flags
+//! ([`Axis`]: `--algos`, `--loads`, ...) first, then the harness flags of
+//! [`SweepOptions`]. A row expands, under the parsed options and axes, to
+//! a list of [`Experiment`] points plus a reducer that prints the table
 //! EXPERIMENTS.md records from their results. The points run through
 //! [`run_sweep`](crate::run_sweep), so every study gets threads, the
 //! journal, `--resume`, retries, budgets and `--backend remote`. Rows that
 //! are not one sweep named after the study keep a custom runner over the
-//! same points: the figures (one sweep per figure, under the figure's own
-//! journal and CSV name), an adaptive bisection, and a raw engine run.
+//! same points: the figures and `sweep` (one sweep per figure, under the
+//! figure's own journal and CSV name), `faults_sweep` (a sweep that keeps
+//! going past a rejected point), an adaptive bisection, and a raw engine
+//! run.
 
-use crate::figure::{apply_topology_override, run_figure_or_exit};
+use crate::cli;
+use crate::figure::run_figure_or_exit;
 use crate::options::SweepOptions;
 use crate::report::{peak_utilization, print_figure, print_paper_comparison, write_csv};
-use crate::sweep::{run_points_or_exit, SweepPlan};
+use crate::sweep::{run_points_or_exit, run_sweep_or_exit, PointOutcome, SweepPlan};
+use wormsim::faults::{FaultPlan, FaultRegion};
 use wormsim::presets::{self, FigureSpec};
 use wormsim::AlgorithmKind::{
     self, Ecube, NegativeHopBonusCards, NorthLast, PositiveHop, TwoPowerN,
 };
 use wormsim::{
-    Experiment, MeasurementSchedule, MessageLength, RunResult, SelectionPolicy, Switching,
-    Topology, TrafficConfig,
+    Experiment, MeasurementSchedule, MessageLength, RunOutcome, RunResult, SelectionPolicy,
+    Switching, Topology, TrafficConfig,
 };
 
 /// One reproducible study: a row of [`STUDIES`].
@@ -32,7 +38,80 @@ pub struct Study {
     /// Whether the study's points pin their own networks, which makes
     /// `--topo` a usage error rather than a silently ignored flag.
     pub pins_topology: bool,
-    plan: fn(&SweepOptions) -> Plan,
+    /// The axis flags the study takes; any other is a usage error.
+    pub axes: &'static [Axis],
+    plan: Expand,
+}
+
+/// A row's expansion of the parsed options and axes into its plan.
+type Expand = fn(&SweepOptions, &Axes) -> Result<Plan, String>;
+
+/// An axis flag: a value a study sweeps or fixes that the harness flags
+/// do not cover. Each row declares the ones it honours.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Axis {
+    /// `--algos all|phop,ecube,...` ([`cli::parse_algorithms`]).
+    Algos,
+    /// `--loads 0.1:1.0:0.1 | 0.1,0.5,0.9` ([`cli::parse_loads`]).
+    Loads,
+    /// `--traffic uniform|hotspot:15,15@0.04|...` ([`cli::parse_traffic`]).
+    Traffic,
+    /// `--switching wh|wh:4|vct|saf` ([`cli::parse_switching`]).
+    Switching,
+    /// `--max-faults N`: fault counts 0 to N ([`cli::parse_count`]).
+    MaxFaults,
+}
+
+impl Axis {
+    const ALL: [Axis; 5] = [
+        Axis::Algos,
+        Axis::Loads,
+        Axis::Traffic,
+        Axis::Switching,
+        Axis::MaxFaults,
+    ];
+
+    /// The flag on the command line.
+    pub const fn flag(self) -> &'static str {
+        match self {
+            Axis::Algos => "--algos",
+            Axis::Loads => "--loads",
+            Axis::Traffic => "--traffic",
+            Axis::Switching => "--switching",
+            Axis::MaxFaults => "--max-faults",
+        }
+    }
+}
+
+/// The axis values a command line gave; `None` keeps the study's default.
+#[derive(Default)]
+struct Axes {
+    algorithms: Option<Vec<AlgorithmKind>>,
+    loads: Option<Vec<f64>>,
+    traffic: Option<TrafficConfig>,
+    switching: Option<Switching>,
+    max_faults: Option<usize>,
+}
+
+impl Axes {
+    /// `--algos` (default: the paper's six), less those `topology` rejects.
+    fn runnable_algorithms(&self, topology: &Topology) -> Result<Vec<AlgorithmKind>, String> {
+        let all = || AlgorithmKind::all().to_vec();
+        let mut algorithms = self.algorithms.clone().unwrap_or_else(all);
+        retain_runnable(&mut algorithms, topology)?;
+        Ok(algorithms)
+    }
+
+    fn apply(&mut self, axis: Axis, value: &str) -> Result<(), String> {
+        match axis {
+            Axis::Algos => self.algorithms = Some(cli::parse_algorithms(value)?),
+            Axis::Loads => self.loads = Some(cli::parse_loads(value)?),
+            Axis::Traffic => self.traffic = Some(cli::parse_traffic(value)?),
+            Axis::Switching => self.switching = Some(cli::parse_switching(value)?),
+            Axis::MaxFaults => self.max_faults = Some(cli::parse_count(axis.flag(), value)?),
+        }
+        Ok(())
+    }
 }
 
 /// What a study expands to under one set of options.
@@ -53,18 +132,32 @@ enum Run {
     Custom(Box<Runner>),
 }
 
-const fn study(id: &'static str, about: &'static str, plan: fn(&SweepOptions) -> Plan) -> Study {
+/// A study that takes no axis flags.
+const fn study(id: &'static str, about: &'static str, plan: Expand) -> Study {
     Study {
         id,
         about,
         pins_topology: false,
+        axes: &[],
         plan,
     }
 }
 
-const fn pinned(id: &'static str, about: &'static str, plan: fn(&SweepOptions) -> Plan) -> Study {
+const fn pinned(id: &'static str, about: &'static str, plan: Expand) -> Study {
     Study {
         pins_topology: true,
+        ..study(id, about, plan)
+    }
+}
+
+const fn swept(
+    id: &'static str,
+    about: &'static str,
+    axes: &'static [Axis],
+    plan: Expand,
+) -> Study {
+    Study {
+        axes,
         ..study(id, about, plan)
     }
 }
@@ -72,28 +165,97 @@ const fn pinned(id: &'static str, about: &'static str, plan: fn(&SweepOptions) -
 /// Every study, in DESIGN.md §2 order.
 #[rustfmt::skip] // one row per line
 pub static STUDIES: &[Study] = &[
-    study("fig3", "Figure 3: uniform traffic of 16-flit worms", |o| figure(presets::fig3(), o)),
-    study("fig4", "Figure 4: 4% hotspot traffic at node (15,15)", |o| figure(presets::fig4(), o)),
-    study("fig5", "Figure 5: local traffic with 0.4 locality", |o| figure(presets::fig5(), o)),
-    study("vct", "Section 3.4: virtual cut-through", |o| figure(presets::vct_section_3_4(), o)),
-    study("headline", "all four figure families and the paper-vs-measured table", headline),
-    study("ablation_selection", "ablation: adaptive candidate-selection policy", selection),
-    study("ablation_vcs", "ablation: physical VCs per routing class (Dally 1992)", vcs),
-    study("ablation_congestion", "ablation: the input-buffer-limit congestion control", congestion),
-    study("ablation_buffers", "ablation: per-VC flit-buffer depth", buffers),
-    study("ablation_length", "ablation: message length 16/20/24 and the 15/31 mix", length),
-    study("saturation_study", "in-text saturation readings, by bisection on load", saturation),
-    study("transpose_check", "cross-check: nlast vs e-cube on three permutations", transpose),
-    pinned("hotspot_placement", "hotspot-placement sensitivity on the 16x16 torus", hotspot),
-    study("channel_balance", "channel and VC-class load balance at 0.3 (raw engine run)", balance),
-    pinned("multidim", "future work: six algorithms on an 8x8x8 torus and a 16x16 mesh", multidim),
-    study("switching_comparison", "wormhole vs cut-through vs store-and-forward", switching),
-    pinned("tune", "parameter matrix behind the defaults (16x16, quick, seed 42)", tune),
+    study("fig3", "Figure 3: uniform traffic of 16-flit worms", |o, _| figure(presets::fig3(), o)),
+    study("fig4", "Figure 4: 4% hotspot traffic at node (15,15)", |o, _| figure(presets::fig4(), o)),
+    study("fig5", "Figure 5: local traffic with 0.4 locality", |o, _| figure(presets::fig5(), o)),
+    study("vct", "Section 3.4: virtual cut-through", |o, _| figure(presets::vct_section_3_4(), o)),
+    study("headline", "all four figure families and the paper-vs-measured table", |o, _| headline(o)),
+    study("ablation_selection", "ablation: adaptive candidate-selection policy", |o, _| Ok(selection(o))),
+    study("ablation_vcs", "ablation: physical VCs per routing class (Dally 1992)", |o, _| Ok(vcs(o))),
+    study("ablation_congestion", "ablation: the input-buffer-limit congestion control", |o, _| Ok(congestion(o))),
+    study("ablation_buffers", "ablation: per-VC flit-buffer depth", |o, _| Ok(buffers(o))),
+    study("ablation_length", "ablation: message length 16/20/24 and the 15/31 mix", |o, _| Ok(length(o))),
+    study("saturation_study", "in-text saturation readings, by bisection on load", |o, _| Ok(saturation(o))),
+    study("transpose_check", "cross-check: nlast vs e-cube on three permutations", |o, _| Ok(transpose(o))),
+    pinned("hotspot_placement", "hotspot-placement sensitivity on the 16x16 torus", |o, _| Ok(hotspot(o))),
+    study("channel_balance", "channel and VC-class load balance at 0.3 (raw engine run)", |o, _| Ok(balance(o))),
+    pinned("multidim", "future work: six algorithms on an 8x8x8 torus and a 16x16 mesh", |o, _| Ok(multidim(o))),
+    study("switching_comparison", "wormhole vs cut-through vs store-and-forward", |o, _| Ok(switching(o))),
+    pinned("tune", "parameter matrix behind the defaults (16x16, quick, seed 42)", |o, _| Ok(tune(o))),
+    swept("sweep", "any algorithms x loads on any network, traffic and switching", &[Axis::Algos, Axis::Traffic, Axis::Loads, Axis::Switching], sweep),
+    swept("faults_sweep", "latency and delivery vs random dead links, at one load", &[Axis::Algos, Axis::Loads, Axis::MaxFaults], faults),
 ];
 
 /// Looks a study up by id.
 pub fn find(id: &str) -> Option<&'static Study> {
     STUDIES.iter().find(|study| study.id == id)
+}
+
+/// The usage line of `study`.
+pub fn usage() -> String {
+    format!(
+        "usage: study --list | study <id> [axis flags the study takes, see --list] {}",
+        SweepOptions::USAGE
+    )
+}
+
+/// What a `study` command line asks for.
+pub enum Command {
+    /// `--help` / `-h`: print [`usage`].
+    Help,
+    /// `--list`: print the table.
+    List,
+    /// Run a study.
+    Run(Invocation),
+}
+
+/// A study expanded under a parsed command line, ready to run.
+pub struct Invocation {
+    study: &'static Study,
+    options: SweepOptions,
+    plan: Plan,
+}
+
+/// Parses `study <id> …` (program name already stripped): the id, then
+/// each flag as one of the study's declared [`Axis`] flags or else a
+/// harness flag ([`SweepOptions::apply_flag`]), then the study's plan.
+///
+/// # Errors
+///
+/// A usage message for anything the study cannot run as asked, from an
+/// unknown flag to an algorithm set the network rejects.
+pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+    let mut args = args.into_iter();
+    let id = args.next().ok_or("no study named")?;
+    let study = match id.as_str() {
+        "--help" | "-h" => return Ok(Command::Help),
+        "--list" => return Ok(Command::List),
+        id => find(id).ok_or_else(|| format!("unknown study '{id}' (see --list)"))?,
+    };
+    let mut axes = Axes::default();
+    let mut options = SweepOptions::default();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Ok(Command::Help);
+        }
+        if let Some(&axis) = Axis::ALL.iter().find(|axis| axis.flag() == arg) {
+            if !study.axes.contains(&axis) {
+                return Err(format!("study {} takes no {arg}", study.id));
+            }
+            let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            axes.apply(axis, &value)?;
+        } else if !options.apply_flag(&arg, &mut args)? {
+            return Err(format!("unknown argument '{arg}'"));
+        }
+    }
+    options.finish()?;
+    study.check(&options)?;
+    let plan = (study.plan)(&options, &axes)?;
+    Ok(Command::Run(Invocation {
+        study,
+        options,
+        plan,
+    }))
 }
 
 impl Study {
@@ -113,22 +275,33 @@ impl Study {
         Ok(())
     }
 
-    /// The study's experiments, in schedule order.
-    pub fn points(&self, options: &SweepOptions) -> Vec<Experiment> {
-        (self.plan)(options).points
+    /// The study's experiments under `options` and its default axes, in
+    /// schedule order.
+    ///
+    /// # Errors
+    ///
+    /// A usage message when the options leave the study nothing to run.
+    pub fn points(&self, options: &SweepOptions) -> Result<Vec<Experiment>, String> {
+        (self.plan)(options, &Axes::default()).map(|plan| plan.points)
     }
+}
 
+impl Invocation {
     /// Runs the study for the `study` binary and prints its table,
     /// leaving through the shared exit path (see
     /// [`run_sweep_or_exit`](crate::run_sweep_or_exit)) when a sweep does
     /// not complete whole.
-    pub fn run(&self, options: &SweepOptions) {
-        let plan = (self.plan)(options);
+    pub fn run(self) {
+        let Invocation {
+            study,
+            options,
+            plan,
+        } = self;
         match plan.run {
             Run::Report(report) => {
-                eprintln!("running {} ({} points)...", self.id, plan.points.len());
-                let sweep = SweepPlan::named(self.id, plan.points, options);
-                report(&run_points_or_exit(&sweep, options));
+                eprintln!("running {} ({} points)...", study.id, plan.points.len());
+                let sweep = SweepPlan::named(study.id, plan.points, &options);
+                report(&run_points_or_exit(&sweep, &options));
             }
             Run::Custom(run) => run(&plan.points),
         }
@@ -231,8 +404,56 @@ fn regenerate(spec: &FigureSpec, options: &SweepOptions, print: impl Fn(&[RunRes
     }
 }
 
-fn figure(spec: FigureSpec, options: &SweepOptions) -> Plan {
-    let spec = apply_topology_override(spec, options);
+/// Drops the algorithms `topology` rejects (e.g. the negative-hop schemes
+/// on odd-radix tori), reporting each skip on stderr rather than dying.
+///
+/// # Errors
+///
+/// A usage message when no runnable algorithm is left.
+fn retain_runnable(algorithms: &mut Vec<AlgorithmKind>, topology: &Topology) -> Result<(), String> {
+    algorithms.retain(|kind| match kind.build(topology) {
+        Ok(_) => true,
+        Err(e) => {
+            eprintln!("skipping {kind}: {e}");
+            false
+        }
+    });
+    if algorithms.is_empty() {
+        return Err(format!("no selected algorithm supports {topology}"));
+    }
+    Ok(())
+}
+
+/// Applies the `--topo` override (if any) to a figure spec: retargets the
+/// network, remaps topology-dependent traffic (see
+/// [`FigureSpec::with_topology`]), and drops algorithms the new topology
+/// rejects (see [`retain_runnable`]).
+///
+/// Without an override the spec is returned untouched, so the default 16×16
+/// figure outputs stay bit-identical.
+///
+/// # Errors
+///
+/// A usage message when the override leaves no runnable algorithm.
+fn apply_topology_override(spec: FigureSpec, options: &SweepOptions) -> Result<FigureSpec, String> {
+    let Some(topo) = &options.topology else {
+        return Ok(spec);
+    };
+    let mut spec = spec.with_topology(topo.clone());
+    retain_runnable(&mut spec.algorithms, &spec.topology)?;
+    Ok(spec)
+}
+
+fn figure(spec: FigureSpec, options: &SweepOptions) -> Result<Plan, String> {
+    Ok(regenerated(
+        apply_topology_override(spec, options)?,
+        options,
+    ))
+}
+
+/// A figure spec run as one sweep under its own id and printed in the
+/// paper's two-panel form.
+fn regenerated(spec: FigureSpec, options: &SweepOptions) -> Plan {
     let options = options.clone();
     custom(figure_points(&spec, &options), move |_| {
         regenerate(&spec, &options, |results| print_figure(&spec, results));
@@ -240,17 +461,17 @@ fn figure(spec: FigureSpec, options: &SweepOptions) -> Plan {
 }
 
 /// The four figures back to back, each reduced to its peak list.
-fn headline(options: &SweepOptions) -> Plan {
-    let figures: Vec<FigureSpec> = presets::all_figures()
+fn headline(options: &SweepOptions) -> Result<Plan, String> {
+    let figures = presets::all_figures()
         .into_iter()
         .map(|spec| apply_topology_override(spec, options))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let points = figures
         .iter()
         .flat_map(|spec| figure_points(spec, options))
         .collect();
     let options = options.clone();
-    custom(points, move |_| {
+    Ok(custom(points, move |_| {
         for spec in &figures {
             regenerate(spec, &options, |results| {
                 println!("== {} ({}) ==", spec.title, spec.id);
@@ -262,7 +483,7 @@ fn headline(options: &SweepOptions) -> Plan {
                 println!();
             });
         }
-    })
+    }))
 }
 
 fn selection(options: &SweepOptions) -> Plan {
@@ -698,4 +919,444 @@ fn tune(_: &SweepOptions) -> Plan {
             .collect();
         peak_rows(results, loads.len(), &labels, 0, algos.len(), 8);
     })
+}
+
+/// The free-form sweep: any algorithms × loads under one topology,
+/// traffic and switching, printed and saved like a figure.
+fn sweep(options: &SweepOptions, axes: &Axes) -> Result<Plan, String> {
+    let topology = options.topology_or_paper();
+    let algorithms = axes.runnable_algorithms(&topology)?;
+    let traffic = axes.traffic.clone().unwrap_or(TrafficConfig::Uniform);
+    let switching = axes.switching.unwrap_or_else(Switching::wormhole);
+    let names: Vec<&str> = algorithms.iter().map(|a| a.name()).collect();
+    let spec = FigureSpec {
+        id: "sweep".to_owned(),
+        title: format!(
+            "{} on {topology} under {traffic} ({switching:?})",
+            names.join("/")
+        ),
+        topology,
+        traffic,
+        switching,
+        loads: axes.loads.clone().unwrap_or_else(presets::paper_loads),
+        algorithms,
+    };
+    Ok(regenerated(spec, options))
+}
+
+/// The fault sweep's axes: every algorithm at one load, against 0 to
+/// `--max-faults` random dead links.
+struct FaultSweep {
+    topology: Topology,
+    algorithms: Vec<AlgorithmKind>,
+    load: f64,
+}
+
+/// Latency and delivery vs fault count: the adaptivity payoff under
+/// damage. E-cube has one path per pair, so a single dead link strands
+/// traffic; the adaptive algorithms route around it. The sweep is not
+/// fail-fast: a point that deadlocks, livelocks, exhausts its budget or
+/// disconnects the network records its [`RunOutcome`] (or its rejection)
+/// and the sweep continues. `--topo` defaults to `torus:8x8`.
+fn faults(options: &SweepOptions, axes: &Axes) -> Result<Plan, String> {
+    let topology = options
+        .topology
+        .clone()
+        .unwrap_or_else(|| Topology::torus(&[8, 8]));
+    let algorithms = axes.runnable_algorithms(&topology)?;
+    let load = match axes.loads.as_deref() {
+        None => 0.2,
+        Some(&[load]) => load,
+        Some(_) => return Err("study faults_sweep takes a single --loads value".to_owned()),
+    };
+    let max_faults = axes.max_faults.unwrap_or(8);
+    let links = topology.num_physical_links() as usize;
+    if max_faults > links {
+        return Err(format!(
+            "--max-faults {max_faults} exceeds the {links} links of {topology}"
+        ));
+    }
+    let spec = FaultSweep {
+        topology,
+        algorithms,
+        load,
+    };
+    let mut points = Vec::new();
+    for count in 0..=max_faults {
+        for &algorithm in &spec.algorithms {
+            let mut e = uniform(&spec.topology, algorithm, options).offered_load(load);
+            if let Some(plan) = fault_plan(&spec.topology, options.seed, count) {
+                e = e.faults(plan);
+            }
+            // The fault count rides in the telemetry prefix: every
+            // (count, algo) point keeps a distinct run id and file set.
+            points.push(options.apply_to(e, &format!("faults{count}")));
+        }
+    }
+    let options = options.clone();
+    Ok(custom(points, move |points| {
+        spec.run(points, &options);
+    }))
+}
+
+/// The fault plan for one point: `count` seeded-random link kills. Each
+/// count perturbs the seed so plans differ, but the whole curve is
+/// reproducible from the base seed alone. Zero faults means *no* plan at
+/// all, keeping that point on the fault-free fast path as the baseline.
+fn fault_plan(topology: &Topology, seed: u64, count: usize) -> Option<FaultPlan> {
+    (count > 0).then(|| {
+        FaultPlan::random_links(
+            topology,
+            count,
+            seed ^ (count as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            &FaultRegion::Anywhere,
+        )
+    })
+}
+
+impl FaultSweep {
+    /// Runs the fault-count-major points through the journaled
+    /// orchestrator without fail-fast, prints both panels, and saves
+    /// `faults_sweep.csv`. An interrupted or quarantined sweep leaves
+    /// `faults_sweep.partial.csv` and exits through the shared path.
+    fn run(&self, points: &[Experiment], options: &SweepOptions) {
+        eprintln!("running faults_sweep ({} points)...", points.len());
+        let plan = SweepPlan::new(points.to_vec()).journal_name("faults_sweep.journal.jsonl");
+        let outcomes = run_sweep_or_exit(&plan, options, |partial| {
+            self.write_csv(
+                &options.out_dir,
+                partial.iter().map(Option::as_ref),
+                "faults_sweep.partial",
+            )
+        });
+        println!(
+            "== Latency vs fault count on {} at load {:.2} (seed {}) ==",
+            self.topology, self.load, options.seed
+        );
+        println!("\nMean latency (cycles); non-numeric cells name the run outcome:");
+        // Mean latency when the run produced statistics, the outcome tag
+        // in upper case when it did not.
+        self.print_panel(&outcomes, |outcome| match outcome {
+            Ok(r) if r.outcome.has_statistics() => format!("{:.1}", r.latency.mean()),
+            Ok(r) => r.outcome.tag().to_uppercase(),
+            Err(_) => "INVALID".to_owned(),
+        });
+        println!("\nDelivered messages per node per cycle:");
+        self.print_panel(&outcomes, |outcome| match outcome {
+            Ok(r) => format!("{:.3}", r.delivery_rate),
+            Err(_) => "-".to_owned(),
+        });
+        // The graceful-degradation contract fails loudly: the zero-fault
+        // baseline must actually complete.
+        for (algo, baseline) in self.algorithms.iter().zip(&outcomes) {
+            match baseline {
+                Ok(r) => assert!(
+                    r.outcome == RunOutcome::Completed || r.outcome == RunOutcome::Saturated,
+                    "zero-fault baseline for {algo} ended {}",
+                    r.outcome
+                ),
+                Err(e) => panic!("zero-fault baseline for {algo} invalid: {e}"),
+            }
+        }
+        match self.write_csv(&options.out_dir, outcomes.iter().map(Some), "faults_sweep") {
+            Ok(path) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("could not write CSV: {e}"),
+        }
+    }
+
+    /// Prints one panel: a row per fault count (a chunk of the
+    /// fault-count-major outcomes), a column per algorithm.
+    fn print_panel(&self, outcomes: &[PointOutcome], cell: impl Fn(&PointOutcome) -> String) {
+        print!("{:>7}", "faults");
+        for algo in &self.algorithms {
+            print!("{:>12}", algo.name());
+        }
+        println!();
+        for (count, row) in outcomes.chunks(self.algorithms.len()).enumerate() {
+            print!("{count:>7}");
+            for outcome in row {
+                print!("{:>12}", cell(outcome));
+            }
+            println!();
+        }
+    }
+
+    /// Writes the CSV of the points that ran; `outcomes` is index-aligned
+    /// with the fault-count-major plan (`None` = the point never ran).
+    fn write_csv<'a>(
+        &self,
+        out_dir: &str,
+        outcomes: impl Iterator<Item = Option<&'a PointOutcome>>,
+        name: &str,
+    ) -> std::io::Result<String> {
+        std::fs::create_dir_all(out_dir)?;
+        let path = format!("{out_dir}/{name}.csv");
+        let mut out = String::from(
+            "algorithm,fault_count,offered_load,outcome,latency_mean,achieved_utilization,\
+             delivery_rate,messages_measured,cycles_simulated,dropped_events\n",
+        );
+        for (i, outcome) in outcomes.enumerate() {
+            let algorithm = self.algorithms[i % self.algorithms.len()].name();
+            let fault_count = i / self.algorithms.len();
+            match outcome {
+                Some(Ok(r)) => {
+                    out.push_str(&format!(
+                        "{},{},{},{},{:.4},{:.6},{:.6},{},{},{}\n",
+                        algorithm,
+                        fault_count,
+                        self.load,
+                        r.outcome,
+                        r.latency.mean(),
+                        r.achieved_utilization,
+                        r.delivery_rate,
+                        r.messages_measured,
+                        r.cycles_simulated,
+                        r.dropped_events,
+                    ));
+                }
+                Some(Err(e)) => eprintln!("point {algorithm} @ {fault_count} faults invalid: {e}"),
+                None => {}
+            }
+        }
+        wormsim::observe::atomic_write(std::path::Path::new(&path), &out)?;
+        Ok(path)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::tests::parse as parse_options;
+
+    fn parse_study(id: &str, args: &[&str]) -> Result<Command, String> {
+        parse(
+            std::iter::once(id)
+                .chain(args.iter().copied())
+                .map(str::to_owned),
+        )
+    }
+
+    fn run(id: &str, args: &[&str]) -> Invocation {
+        match parse_study(id, args) {
+            Ok(Command::Run(invocation)) => invocation,
+            Ok(_) => panic!("{id} {args:?}: expected a run invocation"),
+            Err(e) => panic!("{id} {args:?}: {e}"),
+        }
+    }
+
+    fn error(id: &str, args: &[&str]) -> String {
+        match parse_study(id, args) {
+            Err(message) => message,
+            Ok(_) => panic!("{id} {args:?}: expected a usage error"),
+        }
+    }
+
+    fn fault_counts(invocation: &Invocation) -> Vec<usize> {
+        invocation
+            .plan
+            .points
+            .iter()
+            .map(|p| {
+                p.sim()
+                    .faults
+                    .as_ref()
+                    .map_or(0, |plan| plan.faults().len())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sweep_axis_and_harness_flags_parse_together() {
+        let invocation = run(
+            "sweep",
+            &[
+                "--topo",
+                "mesh:8x8",
+                "--loads",
+                "0.1,0.2",
+                "--seed",
+                "11",
+                "--threads",
+                "2",
+            ],
+        );
+        let points = &invocation.plan.points;
+        assert_eq!(points.len(), 6 * 2, "six algorithms x two loads");
+        assert!(points
+            .iter()
+            .all(|p| p.sim().topology == Topology::mesh(&[8, 8])));
+        let loads: Vec<f64> = points[..2].iter().map(|p| p.offered_load_value()).collect();
+        assert_eq!(loads, vec![0.1, 0.2]);
+        assert_eq!(invocation.options.seed, 11);
+        assert_eq!(invocation.options.threads, 2);
+        let defaults = run("sweep", &[]);
+        assert_eq!(
+            defaults.plan.points[0].sim().topology,
+            presets::paper_topology()
+        );
+        assert_eq!(defaults.plan.points.len(), 6 * presets::paper_loads().len());
+    }
+
+    #[test]
+    fn harness_flag_errors_surface_through_the_delegation() {
+        for id in ["sweep", "faults_sweep"] {
+            error(id, &["--threads", "0"]);
+            assert!(error(id, &["--metrics"]).contains("--observe"));
+            assert!(error(id, &["--salvage"]).contains("--resume"));
+            assert!(error(id, &["--backend", "remote"]).contains("--worker"));
+            assert!(error(id, &["--cycle-budget", "0"]).contains("cycle budget"));
+        }
+    }
+
+    #[test]
+    fn missing_values_and_unknown_flags_are_usage_errors() {
+        assert!(error("sweep", &["--seed"]).contains("--seed"));
+        assert!(error("sweep", &["--loads"]).contains("--loads needs a value"));
+        assert!(error("sweep", &["--hyperdrive"]).contains("unknown argument"));
+        assert!(error("faults_sweep", &["--max-faults", "lots"]).contains("--max-faults"));
+        assert!(error("faults_sweep", &["--hyperdrive"]).contains("unknown argument"));
+    }
+
+    #[test]
+    fn axis_flags_a_study_does_not_declare_are_usage_errors() {
+        assert_eq!(
+            error("fig3", &["--algos", "ecube"]),
+            "study fig3 takes no --algos"
+        );
+        assert!(error("faults_sweep", &["--traffic", "uniform"]).contains("--traffic"));
+        assert!(error("sweep", &["--max-faults", "1"]).contains("--max-faults"));
+        // The value is not consumed as a flag of its own first.
+        assert!(error("tune", &["--loads", "--quick"]).contains("takes no --loads"));
+    }
+
+    #[test]
+    fn help_short_circuits() {
+        for id in ["sweep", "faults_sweep", "--help", "-h"] {
+            assert!(matches!(parse_study(id, &["--help"]), Ok(Command::Help)));
+        }
+        assert!(matches!(parse_study("--list", &[]), Ok(Command::List)));
+        assert!(matches!(parse(Vec::new()), Err(message) if message == "no study named"));
+    }
+
+    #[test]
+    fn faults_sweep_axis_and_harness_flags_parse_together() {
+        let invocation = run(
+            "faults_sweep",
+            &[
+                "--topo",
+                "mesh:8x8",
+                "--loads",
+                "0.3",
+                "--max-faults",
+                "4",
+                "--seed",
+                "7",
+                "--cycle-budget",
+                "50000",
+            ],
+        );
+        let points = &invocation.plan.points;
+        assert_eq!(points.len(), 5 * 6, "fault counts 0..=4 x six algorithms");
+        assert!(points.iter().all(|p| {
+            p.sim().topology == Topology::mesh(&[8, 8])
+                && (p.offered_load_value() - 0.3).abs() < 1e-12
+        }));
+        assert_eq!(
+            fault_counts(&invocation),
+            (0..=4).flat_map(|count| [count; 6]).collect::<Vec<_>>(),
+            "fault-count-major"
+        );
+        assert_eq!(invocation.options.seed, 7);
+        assert_eq!(invocation.options.cycle_budget, Some(50_000));
+        assert_eq!(points[0].cycle_budget_value(), Some(50_000));
+        let defaults = run("faults_sweep", &[]);
+        assert_eq!(
+            defaults.plan.points[0].sim().topology,
+            Topology::torus(&[8, 8])
+        );
+        assert_eq!(defaults.plan.points.len(), 9 * 6, "fault counts 0..=8");
+        assert!((defaults.plan.points[0].offered_load_value() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_max_faults_is_the_fault_free_baseline_alone() {
+        let invocation = run("faults_sweep", &["--max-faults", "0"]);
+        assert_eq!(fault_counts(&invocation), vec![0; 6]);
+        assert!(error("faults_sweep", &["--max-faults", "-3"]).contains("--max-faults"));
+        // More faults than links would repeat the all-links plan.
+        let err = error(
+            "faults_sweep",
+            &["--topo", "torus:4x4", "--max-faults", "65"],
+        );
+        assert!(err.contains("64 links"), "got: {err}");
+        let err = error("faults_sweep", &["--max-faults", "18446744073709551615"]);
+        assert!(err.contains("256 links"), "got: {err}");
+    }
+
+    #[test]
+    fn load_must_be_single_valued() {
+        assert!(error("faults_sweep", &["--loads", "0.1,0.5"]).contains("single --loads"));
+        assert!(error("faults_sweep", &["--loads", "0.1:0.3:0.1"]).contains("single --loads"));
+        assert!(error("faults_sweep", &["--loads", "0"]).contains("(0, 1]"));
+        // The removed spellings are unknown flags now.
+        assert!(error("faults_sweep", &["--load", "0.1"]).contains("unknown argument"));
+        assert!(error("faults_sweep", &["--smoke"]).contains("unknown argument"));
+    }
+
+    #[test]
+    fn fault_plans_differ_by_count_and_reproduce_by_seed() {
+        let topology = Topology::torus(&[8, 8]);
+        let plan = |count| fault_plan(&topology, 1993, count);
+        assert!(plan(0).is_none(), "baseline stays fault-free");
+        let a = plan(3).expect("plan exists");
+        let b = plan(3).expect("plan exists");
+        assert_eq!(a.faults(), b.faults(), "same seed, same plan");
+        assert_eq!(a.faults().len(), 3);
+        assert_ne!(plan(2).expect("plan exists").faults(), &a.faults()[..2]);
+    }
+
+    #[test]
+    fn unrunnable_algorithm_sets_are_usage_errors() {
+        for id in ["sweep", "faults_sweep"] {
+            let err = error(id, &["--topo", "torus:9x9", "--algos", "nhop,nbc"]);
+            assert_eq!(err, "no selected algorithm supports 9x9 torus");
+        }
+        // Some runnable algorithms left: the rest are skipped.
+        let invocation = run("sweep", &["--topo", "torus:9x9", "--algos", "nhop,ecube"]);
+        assert!(invocation
+            .plan
+            .points
+            .iter()
+            .all(|p| p.sim().algorithm == Ecube));
+    }
+
+    #[test]
+    fn topology_override_rewrites_spec() {
+        let options = parse_options(&["--topo", "torus:8x8"]).unwrap();
+        let spec = apply_topology_override(presets::fig4(), &options).unwrap();
+        assert_eq!(spec.topology, Topology::torus(&[8, 8]));
+        // The corner hotspot moved with the network.
+        match &spec.traffic {
+            TrafficConfig::Hotspot { nodes, .. } => {
+                assert_eq!(nodes, &vec![vec![7, 7]]);
+            }
+            other => panic!("unexpected traffic {other:?}"),
+        }
+        // All six paper algorithms run on an even-radix torus.
+        assert_eq!(spec.algorithms.len(), 6);
+        // An odd-radix torus drops the bipartite-only schemes but keeps
+        // the rest runnable.
+        let odd = parse_options(&["--topo", "torus:9x9"]).unwrap();
+        let spec = apply_topology_override(presets::fig3(), &odd).unwrap();
+        assert!(!spec.algorithms.is_empty());
+        assert!(spec.algorithms.len() < 6);
+        // No override: the spec is untouched.
+        let spec = apply_topology_override(presets::fig3(), &parse_options(&[]).unwrap()).unwrap();
+        assert_eq!(spec.topology, presets::paper_topology());
+        // No runnable algorithm left is an error, not a panic.
+        let mut bipartite_only = presets::fig3();
+        bipartite_only.algorithms = vec![AlgorithmKind::NegativeHop, NegativeHopBonusCards];
+        let err = apply_topology_override(bipartite_only, &odd).unwrap_err();
+        assert!(err.contains("9x9"), "got: {err}");
+    }
 }

@@ -1,6 +1,6 @@
 //! The sweep orchestrator: a validated [`SweepPlan`] run on the configured
 //! backend by [`run_sweep`], and the one exit path
-//! ([`run_sweep_or_exit`]) every sweep binary ends through.
+//! ([`run_sweep_or_exit`]) every `study` run ends through.
 
 use crate::backend::{BackendChoice, BackendError, LocalThreadBackend, PointJob, WorkerBackend};
 use crate::journal::{Journal, JournalEntry, JournalError, SalvagedLine};
@@ -577,7 +577,7 @@ impl ExperimentsRun {
 }
 
 /// Runs a plan for a binary and ends it through the one exit path every
-/// sweep binary shares: installs the SIGINT handler; on interruption
+/// study shares: installs the SIGINT handler; on interruption
 /// flushes the completed points through `write_partial`, prints the
 /// resume command, and exits 130; when the supervisor quarantined poison
 /// points it flushes the same partial file and exits 4 (distinct from

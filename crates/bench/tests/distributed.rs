@@ -14,7 +14,7 @@ use wormsim::observe::{json, JsonRecord};
 use wormsim::{AlgorithmKind, Experiment, RunResult, Topology};
 use wormsim_bench::{PointJob, PointStatus, RemoteBackend, WorkerBackend};
 
-const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
+const STUDY: &str = env!("CARGO_BIN_EXE_study");
 const WORKER: &str = env!("CARGO_BIN_EXE_wormsim-worker");
 
 /// A worker subprocess that dies with the test, pass or fail.
@@ -59,6 +59,7 @@ impl Drop for WorkerProc {
 /// (six points) that two workers genuinely interleave.
 fn sweep_args(out_dir: &Path) -> Vec<String> {
     [
+        "sweep",
         "--topo",
         "torus:6x6",
         "--algos",
@@ -83,6 +84,7 @@ fn sweep_args(out_dir: &Path) -> Vec<String> {
 /// path genuinely re-dispatches in-flight work.
 fn failover_sweep_args(out_dir: &Path) -> Vec<String> {
     [
+        "sweep",
         "--topo",
         "torus:8x8",
         "--algos",
@@ -112,7 +114,7 @@ fn temp_dir(name: &str) -> PathBuf {
 fn remote_sweep_is_byte_identical_to_local() {
     // 1. The reference: the ordinary in-process sweep.
     let local_dir = temp_dir("local");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(sweep_args(&local_dir))
         .status()
         .expect("spawn local sweep");
@@ -124,7 +126,7 @@ fn remote_sweep_is_byte_identical_to_local() {
     // 2. The same sweep sharded across two concurrent loopback workers.
     let workers = [WorkerProc::spawn(2, &[]), WorkerProc::spawn(2, &[])];
     let remote_dir = temp_dir("remote");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(sweep_args(&remote_dir))
         .args(["--backend", "remote"])
         .args(["--worker", &workers[0].addr])
@@ -154,7 +156,7 @@ fn remote_sweep_is_byte_identical_to_local() {
 fn worker_crash_mid_sweep_fails_over_and_stays_byte_identical() {
     // 1. The reference: the ordinary in-process sweep.
     let local_dir = temp_dir("failover-local");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(failover_sweep_args(&local_dir))
         .status()
         .expect("spawn local sweep");
@@ -171,7 +173,7 @@ fn worker_crash_mid_sweep_fails_over_and_stays_byte_identical() {
     let doomed = WorkerProc::spawn(1, &["--chaos", "stall-submit=1"]);
     let survivor = WorkerProc::spawn(2, &[]);
     let remote_dir = temp_dir("failover-remote");
-    let sweep = Command::new(SWEEP)
+    let sweep = Command::new(STUDY)
         .args(failover_sweep_args(&remote_dir))
         .args(["--backend", "remote"])
         .args(["--worker", &doomed.addr])
@@ -222,7 +224,7 @@ fn worker_crash_mid_sweep_fails_over_and_stays_byte_identical() {
 #[test]
 fn remote_sweep_without_reachable_workers_is_a_clean_error() {
     let dir = temp_dir("deadworker");
-    let output = Command::new(SWEEP)
+    let output = Command::new(STUDY)
         .args(sweep_args(&dir))
         .args(["--backend", "remote", "--worker", "127.0.0.1:1"])
         .output()
@@ -240,7 +242,7 @@ fn remote_sweep_without_reachable_workers_is_a_clean_error() {
 fn truncated_journal_recovers_and_resumes_to_identical_csv() {
     // 1. A complete sweep: CSV plus a six-line journal.
     let dir = temp_dir("torn");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(sweep_args(&dir))
         .status()
         .expect("spawn sweep");
@@ -255,7 +257,7 @@ fn truncated_journal_recovers_and_resumes_to_identical_csv() {
     std::fs::write(&journal, &text[..keep]).expect("truncate journal");
 
     // 3. Resume: the valid prefix splices, the torn point re-runs.
-    let output = Command::new(SWEEP)
+    let output = Command::new(STUDY)
         .args(sweep_args(&dir))
         .args(["--resume", &journal.display().to_string()])
         .output()

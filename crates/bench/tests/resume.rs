@@ -1,4 +1,4 @@
-//! End-to-end crash/resume determinism: kill the `sweep` binary partway
+//! End-to-end crash/resume determinism: kill `study sweep` partway
 //! through (via the test-only `--fail-after-points` crash hook), resume
 //! from its journal, and demand the merged CSV is byte-identical to an
 //! uninterrupted run with the same seed.
@@ -6,13 +6,14 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
+const STUDY: &str = env!("CARGO_BIN_EXE_study");
 
 /// The shared sweep shape: small torus, two algorithms, three loads,
 /// quick schedule, fixed seed — big enough for a mid-sweep crash, small
 /// enough to finish in seconds.
 fn sweep_args(out_dir: &Path) -> Vec<String> {
     [
+        "sweep",
         "--topo",
         "torus:6x6",
         "--algos",
@@ -42,7 +43,7 @@ fn temp_dir(name: &str) -> PathBuf {
 fn crashed_sweep_resumes_to_byte_identical_csv() {
     // 1. The reference: an uninterrupted sweep.
     let clean_dir = temp_dir("clean");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(sweep_args(&clean_dir))
         .status()
         .expect("spawn sweep");
@@ -51,7 +52,7 @@ fn crashed_sweep_resumes_to_byte_identical_csv() {
 
     // 2. The crash: the same sweep dies hard after 2 journaled points.
     let crash_dir = temp_dir("crash");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(sweep_args(&crash_dir))
         .args(["--fail-after-points", "2"])
         .status()
@@ -70,7 +71,7 @@ fn crashed_sweep_resumes_to_byte_identical_csv() {
     );
 
     // 3. The resume: skip the journaled points, run the rest.
-    let output = Command::new(SWEEP)
+    let output = Command::new(STUDY)
         .args(sweep_args(&crash_dir))
         .args(["--resume", &journal.display().to_string()])
         .output()
@@ -99,7 +100,7 @@ fn crashed_sweep_resumes_to_byte_identical_csv() {
 #[test]
 fn resume_with_a_complete_journal_runs_nothing_new() {
     let dir = temp_dir("noop");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(sweep_args(&dir))
         .status()
         .expect("spawn sweep");
@@ -107,7 +108,7 @@ fn resume_with_a_complete_journal_runs_nothing_new() {
     let csv = std::fs::read(dir.join("sweep.csv")).expect("CSV written");
     let journal = dir.join("sweep.journal.jsonl");
 
-    let output = Command::new(SWEEP)
+    let output = Command::new(STUDY)
         .args(sweep_args(&dir))
         .args(["--resume", &journal.display().to_string()])
         .output()
@@ -133,7 +134,7 @@ fn resume_from_a_torn_journal_reports_the_recovery_and_still_matches() {
     // say so out loud (so a crashed fleet run is auditable), drop the torn
     // point, re-run it, and still converge to the byte-identical CSV.
     let clean_dir = temp_dir("torn-clean");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(sweep_args(&clean_dir))
         .status()
         .expect("spawn sweep");
@@ -141,7 +142,7 @@ fn resume_from_a_torn_journal_reports_the_recovery_and_still_matches() {
     let clean_csv = std::fs::read(clean_dir.join("sweep.csv")).expect("clean CSV written");
 
     let torn_dir = temp_dir("torn");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(sweep_args(&torn_dir))
         .status()
         .expect("spawn sweep");
@@ -152,7 +153,7 @@ fn resume_from_a_torn_journal_reports_the_recovery_and_still_matches() {
     bytes.truncate(keep);
     std::fs::write(&journal, bytes).expect("write torn journal");
 
-    let output = Command::new(SWEEP)
+    let output = Command::new(STUDY)
         .args(sweep_args(&torn_dir))
         .args(["--resume", &journal.display().to_string()])
         .output()
@@ -177,7 +178,7 @@ fn resume_from_a_torn_journal_reports_the_recovery_and_still_matches() {
 #[test]
 fn resume_from_a_missing_journal_is_a_clean_error() {
     let dir = temp_dir("missing");
-    let output = Command::new(SWEEP)
+    let output = Command::new(STUDY)
         .args(sweep_args(&dir))
         .args(["--resume", "/nonexistent/sweep.journal.jsonl"])
         .output()

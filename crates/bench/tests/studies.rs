@@ -1,8 +1,8 @@
-//! The `study` bin against the seventeen binaries it replaced: every
-//! `study <id>` must print, byte for byte, what the deleted `<id>` bin
-//! printed at `--quick --seed 1993` (goldens captured from those bins at
-//! the commit that removed them), and the four figure ids must also write
-//! the same CSV and journal bytes.
+//! The `study` bin against the binaries it replaced: every `study <id>`
+//! must print, byte for byte, what the deleted `<id>` bin printed at
+//! `--quick --seed 1993` (goldens captured from those bins at the commit
+//! that removed them), and the figure ids, `sweep` and `faults_sweep`
+//! must also write the same CSV and journal bytes.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -25,7 +25,7 @@ fn temp_dir(name: &str) -> PathBuf {
 /// (the smallest even radix Figure 5's radius-3 neighbourhoods fit), so
 /// only the three pinned studies pay for their full-size networks.
 #[test]
-#[ignore = "runs all seventeen studies at --quick; run with --release -- --ignored"]
+#[ignore = "runs every study at --quick; run with --release -- --ignored"]
 fn every_study_reproduces_the_bin_it_replaced() {
     let figure_files = std::fs::read_to_string(golden_dir().join("figure_files.fnv1a"))
         .expect("figure file digests");
@@ -53,7 +53,8 @@ fn every_study_reproduces_the_bin_it_replaced() {
             study.id,
             String::from_utf8_lossy(&output.stdout)
         );
-        // Figures: the CSV and journal the parent bin wrote, by digest.
+        // Figures and sweeps: the CSV and journal the parent bin wrote, by
+        // digest.
         let stem = if study.id == "vct" { "vct34" } else { study.id };
         for line in figure_files
             .lines()
@@ -108,5 +109,31 @@ fn flags_a_study_cannot_honour_are_usage_errors() {
     }
     assert!(usage_error(&["fig9"]).contains("unknown study"));
     assert!(usage_error(&["fig3", "--algos", "ecube"]).contains("--algos"));
+    assert!(usage_error(&["tune", "--max-faults", "2"]).contains("--max-faults"));
+    let stderr = usage_error(&["faults_sweep", "--loads", "0.1,0.2"]);
+    assert!(stderr.contains("single --loads"), "{stderr}");
+    // Removed flags stay removed.
+    usage_error(&["faults_sweep", "--load", "0.1"]);
+    usage_error(&["faults_sweep", "--smoke"]);
     usage_error(&[]);
+}
+
+/// An algorithm set the network cannot run is a usage error that names
+/// the network, not a panic (exit 101) once the points are planned.
+#[test]
+fn unrunnable_algorithm_sets_are_usage_errors() {
+    for id in ["sweep", "faults_sweep"] {
+        let output = Command::new(STUDY)
+            .args([id, "--topo", "torus:9x9", "--algos", "nhop,nbc", "--quick"])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{id}: {stderr}");
+        assert!(output.stdout.is_empty(), "{id}: nothing ran");
+        assert!(
+            stderr.contains("error: no selected algorithm supports 9x9 torus"),
+            "{id}: {stderr}"
+        );
+        assert!(stderr.contains("usage: study"), "{id}: {stderr}");
+    }
 }

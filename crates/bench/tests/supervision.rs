@@ -3,17 +3,16 @@
 //! their responses mid-sweep — and the merged CSV *and* journal must still
 //! come out byte-identical to a serial run. Also drives the supervision
 //! CLI flags (`--point-deadline`, `--hedge-after`, `--quarantine-after`)
-//! through the `sweep` bin: a hedged straggler leaves a supervision
-//! manifest, and a poison point exits `sweep` and `faults_sweep` alike
-//! with the distinct quarantine code.
+//! through `study sweep`: a hedged straggler leaves a supervision
+//! manifest, and a poison point exits `study sweep` and
+//! `study faults_sweep` alike with the distinct quarantine code.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use wormsim::observe::json;
 
-const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
-const FAULTS_SWEEP: &str = env!("CARGO_BIN_EXE_faults_sweep");
+const STUDY: &str = env!("CARGO_BIN_EXE_study");
 const WORKER: &str = env!("CARGO_BIN_EXE_wormsim-worker");
 
 /// A worker subprocess that dies with the test, pass or fail.
@@ -77,6 +76,7 @@ fn temp_dir(name: &str) -> PathBuf {
 /// genuinely hit in-flight work.
 fn long_sweep_args(out_dir: &Path) -> Vec<String> {
     [
+        "sweep",
         "--topo",
         "torus:8x8",
         "--algos",
@@ -99,6 +99,7 @@ fn long_sweep_args(out_dir: &Path) -> Vec<String> {
 /// A six-point 6×6 sweep for the cheaper CLI-flag scenarios.
 fn short_sweep_args(out_dir: &Path) -> Vec<String> {
     [
+        "sweep",
         "--topo",
         "torus:6x6",
         "--algos",
@@ -119,7 +120,7 @@ fn short_sweep_args(out_dir: &Path) -> Vec<String> {
 }
 
 fn run_serial(args: &[String], out_dir: &Path) -> (Vec<u8>, Vec<u8>) {
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(args)
         .status()
         .expect("spawn local sweep");
@@ -157,7 +158,7 @@ fn killed_hung_and_corrupting_workers_stay_byte_identical() {
     let doomed = WorkerProc::spawn(2, Some("stall-submit=1"));
     let frozen = WorkerProc::spawn(2, Some("stall-submit=1"));
     let remote_dir = temp_dir("gauntlet-remote");
-    let sweep = Command::new(SWEEP)
+    let sweep = Command::new(STUDY)
         .args(long_sweep_args(&remote_dir))
         .args(["--backend", "remote"])
         .args(["--worker", &clean.addr])
@@ -217,7 +218,7 @@ fn hedged_straggler_is_rescued_and_recorded() {
     let staller = WorkerProc::spawn(2, Some("stall-submit=1"));
     let clean = WorkerProc::spawn(2, None);
     let remote_dir = temp_dir("hedge-remote");
-    let status = Command::new(SWEEP)
+    let status = Command::new(STUDY)
         .args(short_sweep_args(&remote_dir))
         .args(["--backend", "remote"])
         .args(["--worker", &staller.addr])
@@ -248,7 +249,7 @@ fn hedged_straggler_is_rescued_and_recorded() {
 }
 
 /// `--point-deadline` + `--quarantine-after` through the CLI of both
-/// sweep binaries: a point that hangs every worker it touches is
+/// sweep studies: a point that hangs every worker it touches is
 /// quarantined, the sweep exits with the distinct quarantine code (4),
 /// the poison point lands in the quarantine sidecar instead of the
 /// journal, and the point that did complete is flushed to the partial
@@ -261,19 +262,19 @@ fn hedged_straggler_is_rescued_and_recorded() {
 /// quarantined at once, and the second worker is never touched.
 #[test]
 fn poison_point_quarantines_with_distinct_exit_code() {
-    let scenarios: [(&str, &str, &[&str]); 2] = [
-        (SWEEP, "sweep", &["--algos", "phop", "--loads", "0.1,0.2"]),
+    let scenarios: [(&str, &[&str]); 2] = [
+        ("sweep", &["--algos", "phop", "--loads", "0.1,0.2"]),
         (
-            FAULTS_SWEEP,
             "faults_sweep",
-            &["--algos", "phop", "--load", "0.1", "--max-faults", "1"],
+            &["--algos", "phop", "--loads", "0.1", "--max-faults", "1"],
         ),
     ];
-    for (bin, stem, axes) in scenarios {
+    for (stem, axes) in scenarios {
         let staller_a = WorkerProc::spawn(2, Some("stall-submit=1"));
         let staller_b = WorkerProc::spawn(1, Some("stall-submit=1"));
         let out_dir = temp_dir(&format!("quarantine-{stem}"));
-        let output = Command::new(bin)
+        let output = Command::new(STUDY)
+            .arg(stem)
             .args(["--topo", "torus:4x4", "--quick", "--seed", "1993", "--out"])
             .arg(&out_dir)
             .args(axes)

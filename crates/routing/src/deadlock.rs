@@ -427,6 +427,14 @@ mod tests {
     }
 
     #[test]
+    fn north_last_is_acyclic_on_torus() {
+        for dims in [[4, 4], [6, 6]] {
+            let topo = Topology::torus(&dims);
+            assert!(report_for(AlgorithmKind::NorthLast, &topo).is_acyclic());
+        }
+    }
+
+    #[test]
     fn hop_schemes_are_acyclic_on_torus() {
         let topo = Topology::torus(&[4, 4]);
         for kind in [

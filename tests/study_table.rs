@@ -10,7 +10,9 @@ use wormsim_bench::SweepOptions;
 fn every_study_expands_to_a_valid_plan_and_matches_the_design_index() {
     let options = SweepOptions::default();
     for study in STUDIES {
-        let points = study.points(&options);
+        let points = study
+            .points(&options)
+            .unwrap_or_else(|e| panic!("study {}: {e}", study.id));
         assert!(!points.is_empty(), "study {} has no points", study.id);
         let mut hashes = BTreeSet::new();
         for (i, point) in points.iter().enumerate() {
