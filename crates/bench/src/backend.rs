@@ -6,24 +6,25 @@
 //! front ends over it:
 //!
 //! * [`LocalThreadBackend`] — the pool itself, one OS thread per slot.
-//!   Every job runs under [`execute_point`] (per-point panic isolation,
-//!   bounded seed-jittered retries) with a cancellation token of its own,
-//!   so each job reports its own heartbeat and can be stopped alone.
+//!   Every job runs one attempt under [`execute_point`] (per-point panic
+//!   isolation) with a cancellation token of its own, so each job reports
+//!   its own heartbeat and can be stopped alone.
 //! * [`RemoteBackend`](crate::remote::RemoteBackend) — HTTP submit/poll
 //!   against one or more `wormsim-worker` processes, each of which is a
 //!   `LocalThreadBackend` behind HTTP (see [`worker`](crate::worker) and
 //!   `docs/DISTRIBUTION.md`).
 //!
-//! A point therefore produces the same result and the same attempt count
-//! no matter where it runs — the property that, with the journal's index
-//! order, makes journals byte-identical.
+//! A dispatch therefore produces the same result no matter where it runs.
+//! Whether a point runs again (a transient outcome, a stall blamed on a
+//! tight budget) is decided once, by the sweep's supervisor, so attempt
+//! counts and retry decisions are backend-independent too — the property
+//! that, with the journal's index order, makes journals byte-identical.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
-use wormsim::verify::TriageVerdict;
+use std::time::Duration;
 use wormsim::{CancelToken, Experiment, ExperimentError, PanicInfo, RunOutcome, RunResult};
 
 /// One schedulable sweep point: the experiment plus the orchestration
@@ -39,13 +40,8 @@ pub struct PointJob {
     /// The point's stable configuration digest
     /// ([`Experiment::point_hash`]).
     pub point_hash: String,
-    /// Extra attempts for transient outcomes (budget trips, panics).
-    pub retries: u32,
     /// Test hook: panic inside the executor on every attempt.
     pub inject_panic: bool,
-    /// Journal path this sweep resumed from, if any (provenance, surfaced
-    /// in run manifests).
-    pub resumed_from: Option<String>,
 }
 
 /// A backend's receipt for a submitted job; pass it back to
@@ -65,16 +61,10 @@ pub enum PointStatus {
         /// executor from a slow one.
         heartbeat: Option<u64>,
     },
-    /// Finished: the point's outcome and the attempts it consumed.
+    /// Finished: the outcome of the one attempt this dispatch ran.
     Done {
         /// The run result, or the configuration error that rejected it.
         result: Result<RunResult, ExperimentError>,
-        /// Attempts consumed (1 = first try).
-        attempts: u64,
-        /// What the triage-aware retry policy decided for this point, if
-        /// it engaged at all (see [`execute_point`]). Deterministic, so it
-        /// journals identically on every backend.
-        retry_decision: Option<String>,
     },
     /// The dispatch is gone: its executor crashed, stopped answering or
     /// stopped speaking the protocol. Consumed like `Done`; deciding
@@ -175,31 +165,6 @@ pub(crate) fn unknown_handle(handle: WorkHandle) -> BackendError {
     }
 }
 
-/// Seed-jittered backoff before retry `attempt` of the point with digest
-/// `point_hash`: exponential base so repeated transients spread out, plus
-/// a per-point jitter so a thundering herd of failed points does not
-/// retry in lockstep. Deterministic in (hash, attempt) — no wall clock,
-/// no global RNG.
-pub(crate) fn backoff_ms(point_hash: &str, attempt: u64) -> u64 {
-    let digest = wormsim::observe::fnv1a_hex(&format!("{point_hash}:retry:{attempt}"));
-    let jitter = u64::from_str_radix(&digest[..4], 16).unwrap_or(0) % 64;
-    (25u64 << attempt.min(5)) + jitter
-}
-
-/// Sleeps up to `ms` milliseconds, returning early (within ~10ms) once
-/// `cancel` trips — so a SIGINT during retry backoff stops the worker at
-/// once instead of waiting out the full exponential delay.
-pub(crate) fn cancellable_sleep(ms: u64, cancel: &CancelToken) {
-    let deadline = Instant::now() + Duration::from_millis(ms);
-    while !cancel.is_cancelled() {
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
-    }
-}
-
 /// Renders a worker panic into a placeholder [`RunResult`] carrying
 /// [`RunOutcome::Harness`], so the surrounding sweep records the failure
 /// and keeps running instead of poisoning the pool.
@@ -219,120 +184,27 @@ fn panic_result(experiment: &Experiment, payload: &(dyn std::any::Any + Send)) -
     )
 }
 
-/// Budget multiplier for the final attempt of a `budget_artifact` retry
-/// chain: the re-run gets this many times the configured cycle budget, so
-/// a stall the triage blamed on a tight budget has real headroom to
-/// finish instead of deterministically reproducing itself.
-pub(crate) const RAISED_BUDGET_FACTOR: u64 = 4;
-
-/// Retry decision recorded when a stalled point was triaged
-/// `confirmed_unsafe`: the stall is a validated circular wait, retrying
-/// is deterministic futility, the result journals as-is.
-pub(crate) const DECISION_CONFIRMED_UNSAFE: &str = "confirmed_unsafe_no_retry";
-/// Retry decision recorded when a `budget_artifact` stall triggered a
-/// retry (the final attempt ran with [`RAISED_BUDGET_FACTOR`]× budget).
-pub(crate) const DECISION_BUDGET_RETRIED: &str = "budget_artifact_retried";
-/// Retry decision recorded when a `budget_artifact` stall could not be
-/// retried: either the retry budget was already spent or the experiment
-/// has no cycle budget to raise (re-running the identical configuration
-/// would reproduce the identical stall).
-pub(crate) const DECISION_BUDGET_NO_RETRY: &str = "budget_artifact_not_retried";
-
-/// The stall triage of a run result, when the run stalled at all.
-fn stall_verdict(result: &Result<RunResult, ExperimentError>) -> Option<TriageVerdict> {
-    match result {
-        Ok(r) if matches!(r.outcome, RunOutcome::Deadlocked | RunOutcome::LiveLocked) => {
-            r.triage.as_ref().map(|t| t.verdict)
+/// Runs one attempt of one point with panic isolation — the single
+/// executor, run by every [`LocalThreadBackend`] thread. A panic becomes
+/// a [`RunOutcome::Harness`] result instead of poisoning the pool.
+/// Whether the point runs again is the supervisor's decision
+/// (`supervisor.rs`), made from the result this returns.
+fn execute_point(job: &PointJob) -> Result<RunResult, ExperimentError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if job.inject_panic {
+            panic!("injected harness panic at point {}", job.index);
         }
-        _ => None,
-    }
+        job.experiment.run()
+    }))
+    .unwrap_or_else(|payload| Ok(panic_result(&job.experiment, payload.as_ref())))
 }
-
-/// Runs one point with panic isolation and bounded retries — the single
-/// executor, run by every [`LocalThreadBackend`] thread. Panics become
-/// [`RunOutcome::Harness`] results; transient outcomes (budget trips,
-/// panics) retry up to `job.retries` extra times with seed-jittered,
-/// cancellation-aware backoff, reusing the identical simulation seed.
-/// Configuration errors never retry — they are deterministic.
-///
-/// Stalled runs go through the triage-aware policy: a stall triaged
-/// `confirmed_unsafe` (a validated circular wait) is **never** retried —
-/// it is deterministic, and re-running it would only burn budget to
-/// reproduce the same deadlock. A stall triaged `budget_artifact` *is*
-/// retry-eligible when the experiment has a cycle budget to raise: the
-/// final attempt of such a chain runs with [`RAISED_BUDGET_FACTOR`]× the
-/// configured budget, giving a congestion-starved run real headroom.
-/// The decision taken is returned alongside the result so the journal
-/// records it; everything here is deterministic in the job alone, so
-/// local and remote executions decide (and journal) identically.
-///
-/// Returns the final result, the attempts consumed, and the retry
-/// decision (when the stall policy engaged).
-fn execute_point(
-    job: &PointJob,
-    cancel: &CancelToken,
-) -> (Result<RunResult, ExperimentError>, u64, Option<String>) {
-    let max_attempts = u64::from(job.retries).saturating_add(1);
-    let raisable_budget = job.experiment.cycle_budget_value();
-    let mut attempt = 1u64;
-    let mut budget_retry_engaged = false;
-    loop {
-        let mut attempt_experiment = job
-            .experiment
-            .clone()
-            .attempt(attempt as u32)
-            .resumed_from(job.resumed_from.clone());
-        if budget_retry_engaged && attempt == max_attempts {
-            if let Some(budget) = raisable_budget {
-                attempt_experiment = attempt_experiment
-                    .cycle_budget(Some(budget.saturating_mul(RAISED_BUDGET_FACTOR)));
-            }
-        }
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if job.inject_panic {
-                panic!("injected harness panic at point {}", job.index);
-            }
-            attempt_experiment.run()
-        }));
-        let result = match run {
-            Ok(inner) => inner,
-            Err(payload) => Ok(panic_result(&job.experiment, payload.as_ref())),
-        };
-        let transient = matches!(&result, Ok(r) if r.outcome.is_transient());
-        let stall = stall_verdict(&result);
-        // Only a budget-artifact stall with a budget to raise is worth a
-        // deterministic re-run; confirmed-unsafe stalls never retry.
-        let stall_retryable =
-            stall == Some(TriageVerdict::BudgetArtifact) && raisable_budget.is_some();
-        if (transient || stall_retryable) && attempt < max_attempts && !cancel.is_cancelled() {
-            if stall_retryable {
-                budget_retry_engaged = true;
-            }
-            cancellable_sleep(backoff_ms(&job.point_hash, attempt), cancel);
-            attempt += 1;
-            continue;
-        }
-        let decision = match stall {
-            Some(TriageVerdict::ConfirmedUnsafe) => Some(DECISION_CONFIRMED_UNSAFE.to_owned()),
-            Some(TriageVerdict::BudgetArtifact) if budget_retry_engaged => {
-                Some(DECISION_BUDGET_RETRIED.to_owned())
-            }
-            Some(TriageVerdict::BudgetArtifact) => Some(DECISION_BUDGET_NO_RETRY.to_owned()),
-            None if budget_retry_engaged => Some(DECISION_BUDGET_RETRIED.to_owned()),
-            None => None,
-        };
-        return (result, attempt, decision);
-    }
-}
-
-type Finished = (Result<RunResult, ExperimentError>, u64, Option<String>);
 
 struct LocalState {
     /// Jobs waiting for a thread, in submission order.
     queue: VecDeque<(u64, PointJob)>,
     /// Every submitted job not yet consumed by `poll` or `forget`: its own
     /// cancellation token, and its result once it finished.
-    jobs: HashMap<u64, (CancelToken, Option<Finished>)>,
+    jobs: HashMap<u64, (CancelToken, Option<Result<RunResult, ExperimentError>>)>,
     quit: bool,
 }
 
@@ -376,20 +248,19 @@ impl LocalThreadBackend {
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || loop {
-                    let (id, job, cancel) = {
+                    let (id, job) = {
                         let mut state = shared.lock();
                         loop {
                             if state.quit {
                                 return;
                             }
-                            if let Some((id, job)) = state.queue.pop_front() {
-                                let cancel = state.jobs[&id].0.clone();
-                                break (id, job, cancel);
+                            if let Some(next) = state.queue.pop_front() {
+                                break next;
                             }
                             state = shared.ready.wait(state).expect("no poisoned backend state");
                         }
                     };
-                    let finished = execute_point(&job, &cancel);
+                    let finished = execute_point(&job);
                     // A job forgotten while it ran has no entry left: its
                     // late result is dropped here.
                     if let Some(entry) = shared.lock().jobs.get_mut(&id) {
@@ -427,17 +298,13 @@ impl WorkerBackend for LocalThreadBackend {
         let Some((cancel, finished)) = state.jobs.get_mut(&handle.0) else {
             return PointStatus::Lost(unknown_handle(handle));
         };
-        let Some((result, attempts, retry_decision)) = finished.take() else {
+        let Some(result) = finished.take() else {
             return PointStatus::Pending {
                 heartbeat: Some(cancel.heartbeat()),
             };
         };
         state.jobs.remove(&handle.0);
-        PointStatus::Done {
-            result,
-            attempts,
-            retry_decision,
-        }
+        PointStatus::Done { result }
     }
 
     fn capacity(&self) -> usize {
@@ -484,6 +351,7 @@ impl Drop for LocalThreadBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
     use wormsim::topology::Topology;
     use wormsim::{AlgorithmKind, MeasurementSchedule};
 
@@ -496,9 +364,7 @@ mod tests {
             point_hash: experiment.point_hash(),
             experiment,
             index,
-            retries: 0,
             inject_panic: false,
-            resumed_from: None,
         }
     }
 
@@ -547,7 +413,7 @@ mod tests {
 
     fn outcome(status: PointStatus) -> RunOutcome {
         match status {
-            PointStatus::Done { result, .. } => result.expect("valid config").outcome,
+            PointStatus::Done { result } => result.expect("valid config").outcome,
             other => panic!("expected the job to finish, got {other:?}"),
         }
     }
@@ -560,17 +426,7 @@ mod tests {
             .map(|i| backend.submit(tiny_job(i)).unwrap())
             .collect::<Vec<_>>()
         {
-            let PointStatus::Done {
-                result,
-                attempts,
-                retry_decision,
-            } = wait(&mut backend, handle)
-            else {
-                panic!("the local pool never loses a job");
-            };
-            assert_eq!(attempts, 1);
-            assert_eq!(retry_decision, None);
-            assert!(result.expect("valid config").outcome.has_statistics());
+            assert!(outcome(wait(&mut backend, handle)).has_statistics());
             assert!(
                 matches!(backend.poll(handle), PointStatus::Lost(_)),
                 "a consumed handle is unknown"
@@ -640,55 +496,17 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_is_contained_and_retried() {
+    fn an_injected_panic_is_contained_in_one_attempt() {
         let mut backend = LocalThreadBackend::new(1, CancelToken::new());
         let mut job = tiny_job(7);
         job.inject_panic = true;
-        job.retries = 2;
         let handle = backend.submit(job).unwrap();
-        let PointStatus::Done {
-            result, attempts, ..
-        } = wait(&mut backend, handle)
-        else {
-            panic!("the local pool never loses a job");
-        };
-        assert_eq!(attempts, 3, "1 try + 2 retries");
-        let r = result.expect("panic becomes a Harness result");
-        let RunOutcome::Harness(info) = &r.outcome else {
-            panic!("expected Harness outcome, got {:?}", r.outcome);
+        let RunOutcome::Harness(info) = outcome(wait(&mut backend, handle)) else {
+            panic!("a panic becomes a Harness result");
         };
         assert!(info.message.contains("point 7"), "got: {}", info.message);
-    }
-
-    #[test]
-    fn backoff_sleep_returns_early_on_cancel() {
-        let token = CancelToken::new();
-        let tripper = token.clone();
-        let start = Instant::now();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            tripper.cancel();
-        });
-        cancellable_sleep(10_000, &token);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "sleep must not wait out the full 10s backoff"
-        );
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let a = backoff_ms("abc123", 1);
-        assert_eq!(a, backoff_ms("abc123", 1), "same inputs, same backoff");
-        assert_ne!(
-            backoff_ms("abc123", 1),
-            backoff_ms("def456", 1),
-            "different points jitter differently"
-        );
-        for attempt in 1..=10 {
-            let ms = backoff_ms("abc123", attempt);
-            assert!((25..=25 * 32 + 63).contains(&(ms as usize)), "got {ms}");
-        }
+        // The thread survived the panic.
+        let next = backend.submit(tiny_job(8)).unwrap();
+        assert!(outcome(wait(&mut backend, next)).has_statistics());
     }
 }

@@ -187,6 +187,72 @@ pub(crate) mod salt {
     pub const CORRUPT: u64 = 4;
 }
 
+/// Seeded garbage-in for the protocol and journal decoders: every damage
+/// is a hash of (seed, salt, counter) through [`ChaosPlan::coin`], so an
+/// input that breaks a decoder replays exactly.
+#[cfg(test)]
+pub(crate) struct Corruptor(ChaosPlan);
+
+#[cfg(test)]
+impl Corruptor {
+    pub(crate) fn new(seed: u64) -> Corruptor {
+        Corruptor(ChaosPlan {
+            seed,
+            ..ChaosPlan::default()
+        })
+    }
+
+    fn pick(&self, salt: u64, counter: u64, below: usize) -> usize {
+        (self.0.coin(salt, counter) * below as f64) as usize % below.max(1)
+    }
+
+    /// Three damaged copies of the ASCII JSON `line`: truncated, with one
+    /// byte flipped, and with one node of its value tree swapped for a
+    /// value of another type.
+    pub(crate) fn corrupt(&self, line: &str, counter: u64) -> [String; 3] {
+        use wormsim::observe::json::{self, Value};
+        fn nodes(value: &Value) -> usize {
+            1 + match value {
+                Value::Array(items) => items.iter().map(nodes).sum(),
+                Value::Object(map) => map.values().map(nodes).sum(),
+                _ => 0,
+            }
+        }
+        fn replace(value: &mut Value, nth: &mut usize, with: &Value) {
+            if *nth == 0 {
+                *value = with.clone();
+            }
+            *nth = nth.wrapping_sub(1);
+            match value {
+                Value::Array(items) => items.iter_mut().for_each(|v| replace(v, nth, with)),
+                Value::Object(map) => map.values_mut().for_each(|v| replace(v, nth, with)),
+                _ => {}
+            }
+        }
+        let truncated = line[..self.pick(1, counter, line.len())].to_owned();
+        let mut bytes = line.as_bytes().to_vec();
+        let at = self.pick(2, counter, bytes.len());
+        bytes[at] = b' ' + self.pick(3, counter, 95) as u8;
+        let flipped = String::from_utf8(bytes).expect("ASCII in, ASCII out");
+        let replacements = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Number(-1.5),
+            Value::Number(300.0),
+            Value::Number(1e300),
+            Value::String("nan".into()),
+            Value::String("x".into()),
+            Value::Array(vec![Value::Number(1.0)]),
+            Value::Object(Default::default()),
+        ];
+        let mut value = json::from_str(line).expect("a valid line to corrupt");
+        let mut nth = self.pick(4, counter, nodes(&value));
+        let with = &replacements[self.pick(5, counter, replacements.len())];
+        replace(&mut value, &mut nth, with);
+        [truncated, flipped, value.to_string()]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,10 +9,16 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest header block we accept (per request/response).
 const MAX_HEAD: usize = 64 * 1024;
+/// How long the server side waits for any one read of a request, and for
+/// the whole request. The worker serves connections one at a time, so a
+/// client that connects and goes silent holds up everyone queued behind
+/// it; this bounds that to twice this deadline, well below the 10 s an
+/// orchestrator waits for a response before it retries.
+pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 /// Largest body we accept; experiments and results are a few KB.
 const MAX_BODY: usize = 16 * 1024 * 1024;
 
@@ -28,10 +34,7 @@ pub(crate) struct Request {
 /// (head, leftover-bytes-already-read-past-it). `deadline` bounds the
 /// whole read, not just each chunk: a peer dribbling one byte per read
 /// timeout (a slow loris) would otherwise hold the exchange open forever.
-fn read_head(
-    stream: &mut TcpStream,
-    deadline: Option<std::time::Instant>,
-) -> std::io::Result<(String, Vec<u8>)> {
+fn read_head(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<(String, Vec<u8>)> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     loop {
@@ -57,8 +60,8 @@ fn read_head(
     }
 }
 
-fn check_deadline(deadline: Option<std::time::Instant>) -> std::io::Result<()> {
-    if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+fn check_deadline(deadline: Instant) -> std::io::Result<()> {
+    if Instant::now() >= deadline {
         return Err(std::io::Error::new(
             std::io::ErrorKind::TimedOut,
             "exchange deadline exceeded (peer is dribbling bytes)",
@@ -98,7 +101,7 @@ fn read_body(
     stream: &mut TcpStream,
     mut already: Vec<u8>,
     length: usize,
-    deadline: Option<std::time::Instant>,
+    deadline: Instant,
 ) -> std::io::Result<String> {
     let mut chunk = [0u8; 4096];
     while already.len() < length {
@@ -117,9 +120,12 @@ fn read_body(
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "http body is not utf-8"))
 }
 
-/// Server side: reads one request off an accepted connection.
+/// Server side: reads one request off an accepted connection within
+/// [`REQUEST_DEADLINE`].
 pub(crate) fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
-    let (head, leftover) = read_head(stream, None)?;
+    stream.set_read_timeout(Some(REQUEST_DEADLINE))?;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let (head, leftover) = read_head(stream, deadline)?;
     let request_line = head.lines().next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_owned();
@@ -130,7 +136,7 @@ pub(crate) fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
             "malformed http request line",
         ));
     }
-    let body = read_body(stream, leftover, content_length(&head)?, None)?;
+    let body = read_body(stream, leftover, content_length(&head)?, deadline)?;
     Ok(Request {
         method,
         target,
@@ -207,7 +213,7 @@ pub(crate) fn call(
         .set_read_timeout(Some(timeout))
         .and_then(|()| stream.set_write_timeout(Some(timeout)))
         .map_err(|e| format!("cannot set socket timeouts: {e}"))?;
-    let deadline = Some(std::time::Instant::now() + timeout * 4);
+    let deadline = Instant::now() + timeout * 4;
     let request = format!(
         "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()

@@ -501,6 +501,48 @@ mod tests {
         }
     }
 
+    #[test]
+    fn corrupted_journal_lines_load_to_ok_or_err_and_never_panic() {
+        const ROUNDS: u64 = 20;
+        let mut triaged = entry("triaged", 1, 2);
+        triaged.retry_decision = Some("budget_artifact_retried".into());
+        let lines: Vec<String> = [entry("a", 0, 1), triaged, entry("c", 2, 1)]
+            .iter()
+            .map(JsonRecord::to_json)
+            .collect();
+        let path = temp_path("garbage");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let corruptor = crate::chaos::Corruptor::new(1993);
+        let (mut loaded, mut refused) = (0, 0);
+        for (i, line) in lines.iter().enumerate() {
+            for round in 0..ROUNDS {
+                for corrupted in corruptor.corrupt(line, i as u64 * ROUNDS + round) {
+                    let mut text = String::new();
+                    for (j, original) in lines.iter().enumerate() {
+                        text.push_str(if i == j { &corrupted } else { original });
+                        text.push('\n');
+                    }
+                    std::fs::write(&path, &text).unwrap();
+                    let outcome =
+                        std::panic::catch_unwind(|| Journal::load(&path)).unwrap_or_else(|_| {
+                            panic!("Journal::load panicked on line {i}: {corrupted}")
+                        });
+                    match outcome {
+                        Ok(_) => loaded += 1,
+                        Err(JournalError::Parse { line, .. }) => {
+                            assert_eq!(line, i + 1, "{corrupted}");
+                            refused += 1;
+                        }
+                        Err(other) => panic!("not a parse error: {other:?}"),
+                    }
+                }
+            }
+        }
+        assert!(refused > 50, "{refused} refused");
+        assert!(loaded > 0, "{loaded} loaded");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
     fn indices_on_disk(path: &Path) -> Vec<usize> {
         let loaded = Journal::load(path).unwrap();
         loaded.entries().iter().map(|e| e.index).collect()

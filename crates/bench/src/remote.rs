@@ -4,10 +4,9 @@
 //! [`RemoteBackend::connect`] handshakes every worker up front and
 //! refuses any whose wire protocol or config digest disagrees with this
 //! binary — a mismatched worker would run the *wrong interpretation* of
-//! the same bytes, which is worse than a refusal. Each RPC gets the same
-//! bounded, seed-jittered retry treatment the simulator applies to
-//! transient points, plus socket timeouts, so one dropped packet does not
-//! kill an overnight sweep.
+//! the same bytes, which is worse than a refusal. Each RPC gets bounded,
+//! jittered transport retries plus socket timeouts, so one dropped packet
+//! does not kill an overnight sweep.
 //!
 //! The backend is a transport: it reports what became of a dispatch and
 //! never re-dispatches on its own. A worker that stays unreachable past
@@ -21,7 +20,7 @@
 //! [`submit`]: WorkerBackend::submit
 
 use crate::backend::{
-    backoff_ms, unknown_handle, BackendError, PointJob, PointStatus, WorkHandle, WorkerBackend,
+    unknown_handle, BackendError, PointJob, PointStatus, WorkHandle, WorkerBackend,
 };
 use crate::http;
 use std::cmp::Reverse;
@@ -95,9 +94,20 @@ pub struct RemoteBackend {
     digest: String,
 }
 
+/// Backoff before transport retry `attempt` of an RPC to `addr`: an
+/// exponential base so repeated failures spread out, plus a per-address
+/// jitter so many orchestrators hitting one flaky worker do not retry in
+/// lockstep. Deterministic in (addr, attempt) — no wall clock, no global
+/// RNG.
+fn backoff_ms(addr: &str, attempt: u64) -> u64 {
+    let digest = wormsim::observe::fnv1a_hex(&format!("{addr}:retry:{attempt}"));
+    let jitter = u64::from_str_radix(&digest[..4], 16).unwrap_or(0) % 64;
+    (25u64 << attempt.min(5)) + jitter
+}
+
 /// One RPC with transport-level retries: transient socket failures back
-/// off (seed-jittered, like point retries) and try again; an HTTP-level
-/// error response is returned to the caller for protocol handling.
+/// off and try again; an HTTP-level error response is returned to the
+/// caller for protocol handling.
 fn rpc(addr: &str, method: &str, target: &str, body: &str) -> Result<(u16, String), BackendError> {
     let mut last = String::new();
     for attempt in 1..=RPC_ATTEMPTS {
@@ -239,14 +249,7 @@ impl RemoteBackend {
 
     /// POSTs one job to one worker; counts it in flight on success.
     fn send_job(&mut self, slot: usize, id: u64, job: &PointJob) -> Result<(), SendError> {
-        let mut body = String::new();
-        let mut obj = JsonObject::begin(&mut body);
-        obj.field("digest", &self.digest)
-            .field("job", &id)
-            .field("retries", &job.retries)
-            .field("resumed_from", &job.resumed_from)
-            .field("experiment", &job.experiment);
-        obj.finish();
+        let body = submit_body(&self.digest, id, &job.experiment);
         let addr = self.workers[slot].addr.clone();
         let (status, response) = rpc(&addr, "POST", "/submit", &body).map_err(SendError::Failed)?;
         if status == 503 {
@@ -316,21 +319,13 @@ impl RemoteBackend {
                 }
                 Ok(PointStatus::Pending { heartbeat })
             }
-            Ok(StatusBody::Done {
-                result,
-                attempts,
-                retry_decision,
-            }) => {
+            Ok(StatusBody::Done { result }) => {
                 let in_flight = self.jobs.remove(&id).expect("caller checked the handle");
                 self.workers[slot].in_flight = self.workers[slot].in_flight.saturating_sub(1);
                 let result = result.map_err(|message| {
                     Self::rederive_error(&in_flight.experiment, &message, &addr)
                 });
-                Ok(PointStatus::Done {
-                    result,
-                    attempts,
-                    retry_decision,
-                })
+                Ok(PointStatus::Done { result })
             }
         }
     }
@@ -343,6 +338,17 @@ impl RemoteBackend {
     }
 }
 
+/// Renders the `/submit` body for job `id`.
+pub(crate) fn submit_body(digest: &str, id: u64, experiment: &Experiment) -> String {
+    let mut body = String::new();
+    let mut obj = JsonObject::begin(&mut body);
+    obj.field_str("digest", digest)
+        .field("job", &id)
+        .field("experiment", experiment);
+    obj.finish();
+    body
+}
+
 /// A fully decoded `/status` body. Decoding is separated from transport
 /// so a *garbled* body (chaos corruption, a flaky link) can be treated as
 /// a strike against the worker rather than a fatal protocol error.
@@ -352,13 +358,10 @@ enum StatusBody {
         draining: bool,
     },
     /// Finished: the result, or the worker's rendered failure.
-    Done {
-        result: Result<RunResult, String>,
-        attempts: u64,
-        retry_decision: Option<String>,
-    },
+    Done { result: Result<RunResult, String> },
 }
 
+/// Decodes a `/status` body; `Err` renders why it is not one.
 fn decode_status(body: &str) -> Result<StatusBody, String> {
     let value = json::from_str(body).map_err(|err| format!("unparseable response body: {err}"))?;
     match value.get("state").and_then(json::Value::as_str) {
@@ -368,13 +371,9 @@ fn decode_status(body: &str) -> Result<StatusBody, String> {
         }),
         Some("done") => Ok(StatusBody::Done {
             result: Ok(value.field("result")?),
-            attempts: value.field("attempts")?,
-            retry_decision: value.field_or("retry_decision", None)?,
         }),
         Some("failed") => Ok(StatusBody::Done {
             result: Err(value.field_or("error", "unspecified worker failure".to_owned())?),
-            attempts: value.field("attempts")?,
-            retry_decision: None,
         }),
         other => Err(format!("unknown job state {other:?} in: {body}")),
     }
@@ -486,9 +485,7 @@ mod tests {
             point_hash: experiment.point_hash(),
             experiment,
             index,
-            retries: 1,
             inject_panic: false,
-            resumed_from: None,
         }
     }
 
@@ -507,11 +504,9 @@ mod tests {
     fn wait_done(
         backend: &mut RemoteBackend,
         handle: WorkHandle,
-    ) -> (Result<RunResult, ExperimentError>, u64) {
+    ) -> Result<RunResult, ExperimentError> {
         match wait(backend, handle) {
-            PointStatus::Done {
-                result, attempts, ..
-            } => (result, attempts),
+            PointStatus::Done { result } => result,
             other => panic!("expected the point to finish, got {other:?}"),
         }
     }
@@ -582,9 +577,7 @@ mod tests {
             .seed(1993);
         let local = experiment.clone().run().expect("local run");
         let handle = backend.submit(job_for(experiment, 0)).expect("submit");
-        let (result, attempts) = wait_done(&mut backend, handle);
-        assert_eq!(attempts, 1);
-        let remote = result.expect("remote run succeeds");
+        let remote = wait_done(&mut backend, handle).expect("remote run succeeds");
         // Bit-exact equality across process + wire + JSON round-trip,
         // minus machine-dependent wall timing.
         assert_eq!(
@@ -605,8 +598,7 @@ mod tests {
             .offered_load(0.0)
             .quick();
         let handle = backend.submit(job_for(experiment, 0)).expect("submit");
-        let (result, _) = wait_done(&mut backend, handle);
-        let err = result.expect_err("invalid load must fail");
+        let err = wait_done(&mut backend, handle).expect_err("invalid load must fail");
         assert!(
             matches!(err, ExperimentError::InvalidLoad { .. }),
             "got {err:?}"
@@ -698,5 +690,57 @@ mod tests {
             err.message.contains("handshake") || err.message.contains("rpc"),
             "got: {err}"
         );
+    }
+
+    #[test]
+    fn backoff_is_deterministic_and_bounded() {
+        let a = backoff_ms("10.0.0.2:9000", 1);
+        assert_eq!(
+            a,
+            backoff_ms("10.0.0.2:9000", 1),
+            "same inputs, same backoff"
+        );
+        assert_ne!(
+            backoff_ms("10.0.0.2:9000", 1),
+            backoff_ms("10.0.0.3:9000", 1),
+            "different workers jitter differently"
+        );
+        for attempt in 1..=10 {
+            let ms = backoff_ms("10.0.0.2:9000", attempt);
+            assert!((25..=25 * 32 + 63).contains(&(ms as usize)), "got {ms}");
+        }
+    }
+
+    #[test]
+    fn corrupted_status_bodies_decode_to_ok_or_err_and_never_panic() {
+        use wormsim::observe::JsonRecord;
+        const ROUNDS: u64 = 40;
+        let result = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
+            .offered_load(0.05)
+            .quick()
+            .run()
+            .expect("tiny run");
+        let bodies = [
+            r#"{"state":"pending","heartbeat":1234,"draining":false}"#.to_owned(),
+            format!(r#"{{"state":"done","result":{}}}"#, result.to_json()),
+            r#"{"state":"failed","error":"invalid offered load 0"}"#.to_owned(),
+        ];
+        let corruptor = crate::chaos::Corruptor::new(1993);
+        let (mut decoded, mut garbled) = (0, 0);
+        for (i, body) in bodies.iter().enumerate() {
+            assert!(decode_status(body).is_ok(), "{body}");
+            for round in 0..ROUNDS {
+                for corrupted in corruptor.corrupt(body, i as u64 * ROUNDS + round) {
+                    let outcome = std::panic::catch_unwind(|| decode_status(&corrupted))
+                        .unwrap_or_else(|_| panic!("/status decoding panicked on: {corrupted}"));
+                    match outcome {
+                        Ok(_) => decoded += 1,
+                        Err(_) => garbled += 1,
+                    }
+                }
+            }
+        }
+        assert!(garbled > 100, "{garbled} garbled");
+        assert!(decoded > 0, "{decoded} decoded");
     }
 }

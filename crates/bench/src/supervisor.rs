@@ -1,9 +1,21 @@
-//! Sweep supervision: re-dispatch, deadlines, hedging, and poison-point
-//! quarantine on top of any [`WorkerBackend`].
+//! Sweep supervision: retries, re-dispatch, deadlines, hedging, and
+//! poison-point quarantine on top of any [`WorkerBackend`].
 //!
-//! The backend is a transport: it runs a dispatch and reports it `Done`
-//! or `Lost`. Every decision about what to run again is made here, once:
+//! The backend is a transport: it runs one attempt per dispatch and
+//! reports it `Done` or `Lost`. Every decision about what to run again is
+//! made here, once:
 //!
+//! * **Retries.** A finished attempt whose outcome is transient (a budget
+//!   trip, a harness panic) runs again, up to `--retries` extra attempts,
+//!   with the identical seed. A stall the triage confirmed as a circular
+//!   wait (`confirmed_unsafe`, the checker's validated cycle) never does:
+//!   re-running it would only reproduce the deadlock. A stall the triage
+//!   blamed on a tight budget (`budget_artifact`) runs again when there
+//!   is a cycle budget to raise, and the last attempt of that chain gets
+//!   [`RAISED_BUDGET_FACTOR`]× the budget. The supervisor counts the
+//!   attempts and names the decision the journal records. A retry is
+//!   dispatched like a lost point, so it may land on any executor; every
+//!   live copy of the finished attempt is dropped first.
 //! * **Lost dispatches.** A worker that crashed, stopped answering or
 //!   garbled its responses loses every point it held
 //!   ([`PointStatus::Lost`]). If another copy of the point is still live
@@ -30,26 +42,55 @@
 //!   wall-clock).
 //! * **Poison points.** A point that keeps *killing* its workers (crash
 //!   on submit, OOM) would otherwise chew through the whole pool. Once
-//!   `quarantine_after` of a point's dispatches have been lost, the
+//!   `quarantine_after` dispatches of a point's current attempt have been
+//!   lost (a retry starts the count afresh), the
 //!   supervisor stops dispatching it and emits a [`QuarantineRecord`]
 //!   with the last infrastructure error; the sweep completes without it
 //!   and reports a distinct exit code.
 //!
 //! The supervisor owns the set of in-flight points; [`run_sweep`] feeds
 //! it jobs and consumes [`Event`]s. Deadlines, hedging and quarantine are
-//! off by default — such a sweep only re-dispatches lost points.
+//! off by default — such a sweep only retries and re-dispatches lost
+//! points. Everything decided here is deterministic in the results, so a
+//! point journals the same attempts and decision on every backend.
 //!
 //! [`run_sweep`]: crate::run_sweep
 
 use crate::backend::{BackendError, PointJob, PointStatus, WorkHandle, WorkerBackend};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use wormsim::observe::json_record;
-use wormsim::{ExperimentError, RunResult};
+use wormsim::verify::TriageVerdict;
+use wormsim::{CancelToken, ExperimentError, RunOutcome, RunResult};
+
+/// Budget multiplier for the final attempt of a `budget_artifact` retry
+/// chain: the re-run gets this many times the configured cycle budget, so
+/// a stall the triage blamed on a tight budget has real headroom to
+/// finish instead of deterministically reproducing itself.
+const RAISED_BUDGET_FACTOR: u64 = 4;
+
+/// Retry decision recorded when a stalled point was triaged
+/// `confirmed_unsafe`: the stall is a validated circular wait, retrying
+/// is deterministic futility, the result journals as-is.
+const DECISION_CONFIRMED_UNSAFE: &str = "confirmed_unsafe_no_retry";
+/// Retry decision recorded when a `budget_artifact` stall triggered a
+/// retry (the final attempt ran with [`RAISED_BUDGET_FACTOR`]× budget).
+const DECISION_BUDGET_RETRIED: &str = "budget_artifact_retried";
+/// Retry decision recorded when a `budget_artifact` stall could not be
+/// retried: either the retry budget was already spent or the experiment
+/// has no cycle budget to raise (re-running the identical configuration
+/// would reproduce the identical stall).
+const DECISION_BUDGET_NO_RETRY: &str = "budget_artifact_not_retried";
 
 /// Knobs for one sweep's supervision. Everything optional; the default
 /// only re-dispatches lost points.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SupervisePolicy {
+    /// Extra attempts for a point whose attempt ended transiently or in a
+    /// `budget_artifact` stall (`--retries`).
+    pub retries: u32,
+    /// The sweep's shutdown token: once it trips, nothing is retried.
+    pub shutdown: CancelToken,
     /// Write a worker off once a dispatch's simulation heartbeat has been
     /// frozen this long. Only applies to backends that report heartbeats;
     /// a backend reporting `None` is never written off on this path.
@@ -57,8 +98,8 @@ pub(crate) struct SupervisePolicy {
     /// Re-dispatch the oldest pending point to idle capacity once it has
     /// been in flight this long (at most one hedge per point).
     pub hedge_after: Option<Duration>,
-    /// Quarantine a point once this many of its dispatches have been
-    /// lost. `0` disables quarantine.
+    /// Quarantine a point once this many dispatches of its current
+    /// attempt have been lost. `0` disables quarantine.
     pub quarantine_after: u64,
 }
 
@@ -74,6 +115,9 @@ pub struct SupervisionReport {
     pub points_hedged: u64,
     /// Hedged duplicate dispatches discarded after another copy won.
     pub duplicates_discarded: u64,
+    /// Journaled points per retry decision, for points where the stall
+    /// policy engaged.
+    pub retry_decisions: BTreeMap<String, u64>,
 }
 
 impl SupervisionReport {
@@ -90,7 +134,7 @@ pub struct QuarantineRecord {
     pub index: usize,
     /// The point's configuration digest (journal key).
     pub point_hash: String,
-    /// Dispatches the point burned before quarantine.
+    /// Dispatches of its last attempt before quarantine.
     pub dispatches: u64,
     /// The last infrastructure error its dispatches caused.
     pub last_error: String,
@@ -105,11 +149,14 @@ json_record!(QuarantineRecord {
 
 /// A supervised point's outcome, consumed by the sweep loop.
 pub(crate) enum Event {
-    /// The point finished (possibly after re-dispatch or a winning hedge).
+    /// The point finished (possibly after retries, re-dispatch or a
+    /// winning hedge).
     Done {
         index: usize,
         result: Result<RunResult, ExperimentError>,
+        /// Attempts it took (1 = first try).
         attempts: u64,
+        /// What the stall policy decided, when it engaged.
         retry_decision: Option<String>,
     },
     /// The point exhausted its dispatch budget and was written off.
@@ -136,13 +183,73 @@ impl Dispatch {
 }
 
 struct Flight {
+    /// The job of the current attempt.
     job: PointJob,
     /// The point's live copies: one, or two while hedged.
     copies: Vec<Dispatch>,
-    /// Dispatches made so far, hedges and re-dispatches included.
+    /// Dispatches of the current attempt, hedges and re-dispatches
+    /// included.
     dispatches: u64,
+    /// The attempt the live copies run (1 = first try).
+    attempt: u32,
+    /// Whether a `budget_artifact` stall started the raised-budget chain.
+    budget_retry: bool,
     started: Instant,
     hedged: bool,
+}
+
+/// Where a finished attempt leads.
+enum Verdict {
+    /// The flight's job now holds the next attempt; dispatch it.
+    Retry,
+    /// The result is final, with the stall policy's decision if it
+    /// engaged.
+    Final(Option<&'static str>),
+}
+
+impl Flight {
+    /// The retry policy, applied to the result of the current attempt.
+    /// Until shutdown trips (`stopping`), deterministic in the result and
+    /// the attempt number alone.
+    fn judge(
+        &mut self,
+        result: &Result<RunResult, ExperimentError>,
+        retries: u32,
+        stopping: bool,
+    ) -> Verdict {
+        let stall = match result {
+            Ok(r) if matches!(r.outcome, RunOutcome::Deadlocked | RunOutcome::LiveLocked) => {
+                r.triage.as_ref().map(|t| t.verdict)
+            }
+            _ => None,
+        };
+        let transient = matches!(result, Ok(r) if r.outcome.is_transient());
+        let budget = self.job.experiment.cycle_budget_value();
+        // Only a budget-artifact stall with a budget to raise is worth a
+        // deterministic re-run; confirmed-unsafe stalls never retry.
+        let stall_retryable = stall == Some(TriageVerdict::BudgetArtifact) && budget.is_some();
+        let last = retries.saturating_add(1);
+        if (transient || stall_retryable) && self.attempt < last && !stopping {
+            self.budget_retry |= stall_retryable;
+            self.attempt += 1;
+            let mut experiment = self.job.experiment.clone().attempt(self.attempt);
+            if self.budget_retry && self.attempt == last {
+                experiment =
+                    experiment.cycle_budget(budget.map(|b| b.saturating_mul(RAISED_BUDGET_FACTOR)));
+            }
+            self.job.experiment = experiment;
+            return Verdict::Retry;
+        }
+        Verdict::Final(match stall {
+            Some(TriageVerdict::ConfirmedUnsafe) => Some(DECISION_CONFIRMED_UNSAFE),
+            Some(TriageVerdict::BudgetArtifact) if self.budget_retry => {
+                Some(DECISION_BUDGET_RETRIED)
+            }
+            Some(TriageVerdict::BudgetArtifact) => Some(DECISION_BUDGET_NO_RETRY),
+            None if self.budget_retry => Some(DECISION_BUDGET_RETRIED),
+            None => None,
+        })
+    }
 }
 
 /// Tracks every in-flight point and applies the [`SupervisePolicy`].
@@ -184,20 +291,23 @@ impl Supervisor {
             job,
             copies: vec![Dispatch::new(handle, now)],
             dispatches: 1,
+            attempt: 1,
+            budget_retry: false,
             started: now,
             hedged: false,
         });
         Ok(())
     }
 
-    /// One supervision round: poll every dispatch, write off frozen
-    /// heartbeats, re-dispatch or quarantine lost points, and hedge the
-    /// oldest straggler. Returns the points that resolved this round.
+    /// One supervision round: poll every dispatch, retry or finish points
+    /// whose attempt ended, write off frozen heartbeats, re-dispatch or
+    /// quarantine lost points, and hedge the oldest straggler. Returns the
+    /// points that resolved this round.
     ///
     /// # Errors
     ///
-    /// Only when a lost point cannot be re-dispatched because no live
-    /// executor remains.
+    /// Only when a retry or a lost point cannot be dispatched because no
+    /// live executor remains.
     pub(crate) fn tick(
         &mut self,
         backend: &mut dyn WorkerBackend,
@@ -213,12 +323,8 @@ impl Supervisor {
             while d < flight.copies.len() {
                 let copy = &mut flight.copies[d];
                 let cause = match backend.poll(copy.handle) {
-                    PointStatus::Done {
-                        result,
-                        attempts,
-                        retry_decision,
-                    } => {
-                        finished = Some((d, result, attempts, retry_decision));
+                    PointStatus::Done { result } => {
+                        finished = Some((d, result));
                         break;
                     }
                     PointStatus::Lost(cause) => cause,
@@ -244,23 +350,43 @@ impl Supervisor {
                 flight.copies.remove(d);
                 lost = Some(cause);
             }
-            if let Some((winner, result, attempts, retry_decision)) = finished {
-                let flight = self.flights.swap_remove(f);
-                for (d, copy) in flight.copies.iter().enumerate() {
+            if let Some((winner, result)) = finished {
+                // The other copies ran the same attempt: first completion
+                // wins, and a losing copy's (identical) result is
+                // discarded before the journal ever sees it.
+                for (d, copy) in flight.copies.drain(..).enumerate() {
                     if d != winner {
-                        // First completion wins: the losing copy's
-                        // (identical) result is discarded before the
-                        // journal ever sees it.
                         backend.forget(copy.handle);
                         self.report.duplicates_discarded += 1;
                     }
                 }
-                events.push(Event::Done {
-                    index: flight.job.index,
-                    result,
-                    attempts,
-                    retry_decision,
-                });
+                let stopping = self.policy.shutdown.is_cancelled();
+                match flight.judge(&result, self.policy.retries, stopping) {
+                    Verdict::Retry => {
+                        let handle = backend.submit(flight.job.clone())?;
+                        flight.copies.push(Dispatch::new(handle, now));
+                        flight.dispatches = 1;
+                        f += 1;
+                    }
+                    Verdict::Final(decision) => {
+                        let flight = self.flights.swap_remove(f);
+                        let journaled =
+                            matches!(&result, Ok(r) if r.outcome != RunOutcome::Interrupted);
+                        if let Some(decision) = decision.filter(|_| journaled) {
+                            *self
+                                .report
+                                .retry_decisions
+                                .entry(decision.to_owned())
+                                .or_insert(0) += 1;
+                        }
+                        events.push(Event::Done {
+                            index: flight.job.index,
+                            result,
+                            attempts: u64::from(flight.attempt),
+                            retry_decision: decision.map(str::to_owned),
+                        });
+                    }
+                }
                 continue;
             }
             // A lost copy whose hedge is still live is simply dropped.
@@ -328,6 +454,7 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
     use wormsim::topology::Topology;
+    use wormsim::verify::TriageReport;
     use wormsim::{AlgorithmKind, Experiment};
 
     /// A scriptable backend: each job is resolved by poking the mock, so
@@ -337,6 +464,8 @@ mod tests {
         next: u64,
         capacity: usize,
         submitted: Vec<u64>,
+        /// The job of every submit, in order.
+        jobs: Vec<PointJob>,
         /// Scripted `Done` or `Lost` statuses, consumed by the next poll.
         resolved: HashMap<u64, PointStatus>,
         beats: HashMap<u64, u64>,
@@ -345,10 +474,11 @@ mod tests {
     }
 
     impl WorkerBackend for MockBackend {
-        fn submit(&mut self, _job: PointJob) -> Result<WorkHandle, BackendError> {
+        fn submit(&mut self, job: PointJob) -> Result<WorkHandle, BackendError> {
             let id = self.next;
             self.next += 1;
             self.submitted.push(id);
+            self.jobs.push(job);
             Ok(WorkHandle(id))
         }
         fn poll(&mut self, handle: WorkHandle) -> PointStatus {
@@ -391,12 +521,20 @@ mod tests {
         }
 
         fn finish(&mut self, handle: u64) {
-            let done = PointStatus::Done {
-                result: Ok(result()),
-                attempts: 1,
-                retry_decision: None,
-            };
+            self.finish_with(handle, result());
+        }
+
+        fn finish_with(&mut self, handle: u64, result: RunResult) {
+            let done = PointStatus::Done { result: Ok(result) };
             self.resolved.insert(handle, done);
+        }
+
+        /// The cycle budget each submit carried, in order.
+        fn budgets(&self) -> Vec<Option<u64>> {
+            self.jobs
+                .iter()
+                .map(|job| job.experiment.cycle_budget_value())
+                .collect()
         }
     }
 
@@ -409,9 +547,7 @@ mod tests {
             point_hash: experiment.point_hash(),
             experiment,
             index,
-            retries: 0,
             inject_panic: false,
-            resumed_from: None,
         }
     }
 
@@ -421,6 +557,54 @@ mod tests {
             .quick()
             .run()
             .expect("tiny run")
+    }
+
+    fn budget_tripped() -> RunResult {
+        RunResult {
+            outcome: RunOutcome::BudgetExceeded,
+            ..result()
+        }
+    }
+
+    fn stalled(verdict: TriageVerdict) -> RunResult {
+        RunResult {
+            outcome: RunOutcome::Deadlocked,
+            triage: Some(TriageReport {
+                verdict,
+                edges: 0,
+                cycle_messages: Vec::new(),
+                cycle_channels: Vec::new(),
+            }),
+            ..result()
+        }
+    }
+
+    /// A point with a 1000-cycle budget for the stall policy to raise.
+    fn budgeted_job(index: usize) -> PointJob {
+        let mut job = job(index);
+        job.experiment = job.experiment.cycle_budget(Some(1_000));
+        job
+    }
+
+    fn retrying(retries: u32) -> Supervisor {
+        Supervisor::new(SupervisePolicy {
+            retries,
+            ..SupervisePolicy::default()
+        })
+    }
+
+    /// The one `Done` event of `events`: (index, attempts, decision).
+    fn done(events: &[Event]) -> (usize, u64, Option<&str>) {
+        let [Event::Done {
+            index,
+            attempts,
+            retry_decision,
+            ..
+        }] = events
+        else {
+            panic!("expected exactly one completion");
+        };
+        (*index, *attempts, retry_decision.as_deref())
     }
 
     fn quarantine_after(budget: u64) -> Supervisor {
@@ -617,5 +801,158 @@ mod tests {
         backend.beats.insert(1, 2);
         supervisor.tick(&mut backend).unwrap();
         assert_eq!(backend.written_off, vec![0]);
+    }
+
+    #[test]
+    fn a_transient_result_is_retried_until_the_attempts_run_out() {
+        let mut backend = MockBackend::with_capacity(1);
+        let mut supervisor = retrying(2);
+        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        for handle in [0, 1] {
+            backend.finish_with(handle, budget_tripped());
+            assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+            assert_eq!(supervisor.dispatched(), 1, "the retry replaces the attempt");
+        }
+        assert_eq!(backend.submitted, vec![0, 1, 2]);
+        assert_eq!(
+            backend.budgets(),
+            vec![Some(1_000); 3],
+            "a transient retry reruns the identical configuration"
+        );
+        backend.finish_with(2, budget_tripped());
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (0, 3, None), "1 try + 2 retries");
+        assert!(
+            supervisor.report.is_empty(),
+            "retries are neither re-dispatches of lost points nor decisions"
+        );
+        assert!(supervisor.is_idle());
+    }
+
+    #[test]
+    fn a_confirmed_unsafe_stall_is_never_redispatched() {
+        let mut backend = MockBackend::with_capacity(1);
+        let mut supervisor = retrying(3);
+        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        backend.finish_with(0, stalled(TriageVerdict::ConfirmedUnsafe));
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (0, 1, Some(DECISION_CONFIRMED_UNSAFE)));
+        assert_eq!(backend.submitted, vec![0]);
+        assert_eq!(
+            supervisor.report.retry_decisions,
+            BTreeMap::from([(DECISION_CONFIRMED_UNSAFE.to_owned(), 1)])
+        );
+    }
+
+    #[test]
+    fn a_budget_artifact_stall_reruns_with_the_raised_budget_last() {
+        let mut backend = MockBackend::with_capacity(1);
+        let mut supervisor = retrying(2);
+        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        for handle in [0, 1] {
+            backend.finish_with(handle, stalled(TriageVerdict::BudgetArtifact));
+            assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        }
+        assert_eq!(
+            backend.budgets(),
+            vec![Some(1_000), Some(1_000), Some(1_000 * RAISED_BUDGET_FACTOR)]
+        );
+        backend.finish(2);
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (0, 3, Some(DECISION_BUDGET_RETRIED)));
+
+        // No budget to raise: re-running would reproduce the stall.
+        let mut unbudgeted = MockBackend::with_capacity(1);
+        supervisor.submit(&mut unbudgeted, job(1)).unwrap();
+        unbudgeted.finish_with(0, stalled(TriageVerdict::BudgetArtifact));
+        let events = supervisor.tick(&mut unbudgeted).unwrap();
+        assert_eq!(done(&events), (1, 1, Some(DECISION_BUDGET_NO_RETRY)));
+        assert_eq!(unbudgeted.submitted, vec![0]);
+    }
+
+    #[test]
+    fn retries_do_not_spend_the_quarantine_budget() {
+        let mut backend = MockBackend::with_capacity(1);
+        let mut supervisor = Supervisor::new(SupervisePolicy {
+            retries: 1,
+            quarantine_after: 2,
+            ..SupervisePolicy::default()
+        });
+        supervisor.submit(&mut backend, job(0)).unwrap();
+        backend.lose(0, "a");
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        backend.finish_with(1, budget_tripped());
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        // Three dispatches so far, but only one loss of this attempt.
+        backend.lose(2, "b");
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        assert_eq!(backend.submitted, vec![0, 1, 2, 3]);
+        backend.finish(3);
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (0, 2, None));
+        assert_eq!(supervisor.report.points_redispatched, 2);
+    }
+
+    #[test]
+    fn a_retry_replaces_every_live_hedge_copy() {
+        let mut backend = MockBackend::with_capacity(2);
+        let mut supervisor = Supervisor::new(SupervisePolicy {
+            retries: 1,
+            hedge_after: Some(Duration::from_millis(0)),
+            ..SupervisePolicy::default()
+        });
+        supervisor.submit(&mut backend, job(0)).unwrap();
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        assert_eq!(backend.submitted, vec![0, 1], "hedged into the spare slot");
+        // The original's attempt trips its budget while the hedge of the
+        // same attempt still runs: the hedge could only reproduce it.
+        backend.finish_with(0, budget_tripped());
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        assert_eq!(backend.forgotten, vec![1]);
+        assert_eq!(backend.submitted, vec![0, 1, 2]);
+        assert_eq!(supervisor.dispatched(), 1);
+        assert_eq!(supervisor.report.duplicates_discarded, 1);
+        // One hedge per point: the retry is not hedged again.
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        assert_eq!(backend.submitted, vec![0, 1, 2]);
+        backend.finish(2);
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (0, 2, None));
+    }
+
+    #[test]
+    fn nothing_is_retried_after_shutdown_trips() {
+        let mut backend = MockBackend::with_capacity(1);
+        let shutdown = CancelToken::new();
+        let mut supervisor = Supervisor::new(SupervisePolicy {
+            retries: 3,
+            shutdown: shutdown.clone(),
+            ..SupervisePolicy::default()
+        });
+        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        shutdown.cancel();
+        backend.finish_with(0, budget_tripped());
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (0, 1, None));
+        assert_eq!(backend.submitted, vec![0]);
+    }
+
+    #[test]
+    fn a_dispatch_lost_mid_chain_resumes_at_the_same_attempt() {
+        let mut backend = MockBackend::with_capacity(1);
+        let mut supervisor = retrying(1);
+        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        backend.finish_with(0, stalled(TriageVerdict::BudgetArtifact));
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        // The last attempt's dispatch is lost: its re-dispatch is the same
+        // attempt, raised budget included, and counts no extra attempt.
+        backend.lose(1, "a");
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        let raised = Some(1_000 * RAISED_BUDGET_FACTOR);
+        assert_eq!(backend.budgets(), vec![Some(1_000), raised, raised]);
+        assert_eq!(supervisor.report.points_redispatched, 1);
+        backend.finish(2);
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (0, 2, Some(DECISION_BUDGET_RETRIED)));
     }
 }

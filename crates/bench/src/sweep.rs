@@ -155,7 +155,8 @@ pub struct ExperimentsRun {
     /// the sweep completed without them.
     pub quarantined: Vec<QuarantineRecord>,
     /// What supervision did: workers written off for frozen heartbeats,
-    /// straggler hedges, and discarded duplicate completions.
+    /// re-dispatched and hedged points, discarded duplicate completions,
+    /// and retry decisions.
     pub supervision: SupervisionReport,
     /// Where the journal lives; pass via `--resume` to continue.
     pub journal: PathBuf,
@@ -245,8 +246,8 @@ impl SweepPlan {
 /// Orchestrates a [`SweepPlan`] on the configured backend with the full
 /// robustness stack: journaled checkpoints (skipping points already
 /// recorded when `options.resume` is set), per-point panic isolation,
-/// bounded retries with backoff, and cooperative shutdown that drains
-/// in-flight points.
+/// bounded retries decided by the supervisor, and cooperative shutdown
+/// that drains in-flight points.
 ///
 /// Points are submitted to the backend up to its capacity and polled to
 /// completion. Each finished point is recorded in the journal the moment
@@ -334,10 +335,10 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
             .hedge_after_secs
             .map(std::time::Duration::from_secs_f64),
         quarantine_after: options.quarantine_after,
+        retries: options.retries,
+        shutdown: options.shutdown.clone(),
     });
     let mut quarantined: Vec<QuarantineRecord> = Vec::new();
-    let mut retry_decisions: std::collections::BTreeMap<String, u64> =
-        std::collections::BTreeMap::new();
     let mut aborted = false;
     let mut cancel_sent = false;
     let mut done = resumed;
@@ -351,12 +352,10 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         {
             let Some(&i) = to_submit.front() else { break };
             let job = PointJob {
-                experiment: experiments[i].clone(),
+                experiment: experiments[i].clone().resumed_from(options.resume.clone()),
                 index: i,
                 point_hash: hashes[i].clone(),
-                retries: options.retries,
                 inject_panic: options.inject_panic == Some(i),
-                resumed_from: options.resume.clone(),
             };
             supervisor
                 .submit(backend.as_mut(), job)
@@ -398,9 +397,6 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                             // across backends and machines.
                             recorded.wall_seconds = 0.0;
                             recorded.cycles_per_sec = 0.0;
-                            if let Some(decision) = &retry_decision {
-                                *retry_decisions.entry(decision.clone()).or_insert(0) += 1;
-                            }
                             journal.record(JournalEntry {
                                 point_hash: hashes[i].clone(),
                                 index: i,
@@ -476,11 +472,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         );
     }
     let supervision = supervisor.report.clone();
-    if !supervision.is_empty()
-        || !quarantined.is_empty()
-        || !retry_decisions.is_empty()
-        || !salvaged_lines.is_empty()
-    {
+    if !supervision.is_empty() || !quarantined.is_empty() || !salvaged_lines.is_empty() {
         let manifest = Journal::supervision_sidecar(&journal_path);
         let mut text = String::new();
         let mut object = JsonObject::begin(&mut text);
@@ -492,7 +484,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         object.field_u64("journal_lines_salvaged", salvaged_lines.len() as u64);
         let mut decisions = String::new();
         let mut inner = JsonObject::begin(&mut decisions);
-        for (decision, count) in &retry_decisions {
+        for (decision, count) in &supervision.retry_decisions {
             inner.field_u64(decision, *count);
         }
         inner.finish();
@@ -684,8 +676,8 @@ mod tests {
     #[test]
     fn transient_panic_is_retried_until_attempts_exhaust() {
         // The injection fires on every attempt of point 1, so with two
-        // retries the point is tried 3 times (with backoff between), ends
-        // as a Harness outcome, and the attempt count is recorded.
+        // retries the point is tried 3 times, ends as a Harness outcome,
+        // and the attempt count is recorded.
         let spec = tiny_spec();
         let experiments = wormsim::presets::experiments_for(&spec, MeasurementSchedule::quick(), 5);
         let options = SweepOptions {

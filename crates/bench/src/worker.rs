@@ -15,8 +15,9 @@
 //!   mismatch, 400 on undecodable payloads, 503 while draining).
 //! * `GET /status?job=ID` — `pending` (with the job's simulation
 //!   heartbeat, so a supervisor can tell hung from slow), `done` (with
-//!   the result and any retry decision), or `failed` (with the
-//!   configuration error).
+//!   the result of the job's one attempt), or `failed` (with the
+//!   configuration error). Whether a point runs again is the
+//!   orchestrator's decision, never the worker's.
 //! * `POST /cancel` — cancel every job the pool holds.
 //!
 //! Simulation results are bit-deterministic in the experiment config, so
@@ -380,26 +381,30 @@ fn submit(body: &str, shared: &Shared) -> (u16, String) {
     }
 }
 
-/// Decodes and enqueues one submitted job; `Err` is the refusal to send.
-fn accept(body: &str, shared: &Shared) -> Result<(u16, String), (u16, String)> {
+/// Decodes a `/submit` body into its job id and experiment; `Err` is the
+/// refusal to send.
+fn decode_submit(body: &str, worker_digest: &str) -> Result<(u64, Experiment), (u16, String)> {
     let bad_request = |what: String| (400, error_body(&format!("submit body: {what}")));
     let value = json::from_str(body).map_err(|err| bad_request(err.to_string()))?;
     // The digest is checked before anything else is decoded: a worker
     // built from other sources may not even read this experiment format.
     let digest: String = value.field("digest").map_err(bad_request)?;
-    if digest != shared.digest {
+    if digest != worker_digest {
         return Err((
             409,
             error_body(&format!(
-                "wire digest mismatch: orchestrator {digest}, worker {} — rebuild both from the same source",
-                shared.digest
+                "wire digest mismatch: orchestrator {digest}, worker {worker_digest} — rebuild both from the same source"
             )),
         ));
     }
     let id: u64 = value.field("job").map_err(bad_request)?;
-    let retries: u32 = value.field_or("retries", 0).map_err(bad_request)?;
-    let resumed_from = value.field_or("resumed_from", None).map_err(bad_request)?;
     let experiment: Experiment = value.field("experiment").map_err(bad_request)?;
+    Ok((id, experiment))
+}
+
+/// Decodes and enqueues one submitted job; `Err` is the refusal to send.
+fn accept(body: &str, shared: &Shared) -> Result<(u16, String), (u16, String)> {
+    let (id, experiment) = decode_submit(body, &shared.digest)?;
     let nth_submit = shared.submits.fetch_add(1, Ordering::SeqCst) + 1;
     if shared.chaos.crash_submit == Some(nth_submit) {
         // A poison pill: die hard before responding, exactly like a
@@ -425,9 +430,7 @@ fn accept(body: &str, shared: &Shared) -> Result<(u16, String), (u16, String)> {
                 experiment,
                 index: id as usize,
                 point_hash,
-                retries,
                 inject_panic: false,
-                resumed_from,
             })
             .map_err(|err| (500, error_body(&err.to_string())))?;
         Job::Running(handle)
@@ -465,23 +468,11 @@ fn job_status(query: &str, shared: &Shared, draining: bool) -> (u16, String) {
             obj.field_u64("heartbeat", heartbeat);
             obj.field_bool("draining", draining);
         }
-        Err(PointStatus::Done {
-            result: Ok(result),
-            attempts,
-            retry_decision,
-        }) => {
-            obj.field_str("state", "done")
-                .field("attempts", attempts)
-                .field_some("retry_decision", retry_decision)
-                .field("result", result);
+        Err(PointStatus::Done { result: Ok(result) }) => {
+            obj.field_str("state", "done").field("result", result);
         }
-        Err(PointStatus::Done {
-            result: Err(err),
-            attempts,
-            ..
-        }) => {
+        Err(PointStatus::Done { result: Err(err) }) => {
             obj.field_str("state", "failed");
-            obj.field_u64("attempts", *attempts);
             obj.field_str("error", &err.to_string());
         }
         Err(lost) => return (500, error_body(&format!("job {id}: {lost:?}"))),
@@ -500,4 +491,83 @@ fn cancel_all(shared: &Shared) -> (u16, String) {
     obj.field_u64("cancelled", cancelled);
     obj.finish();
     (200, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::Corruptor;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use wormsim::topology::{Direction, Topology};
+    use wormsim::{AlgorithmKind, FaultPlan, NodeId, TrafficConfig};
+
+    #[test]
+    fn a_silent_client_does_not_hold_up_the_handshake() {
+        let worker = LoopbackWorker::spawn(1).expect("bind loopback");
+        // Connects and never sends a byte. The worker accepts connections
+        // in arrival order and serves them one at a time, so this one is
+        // read before the handshake below.
+        let _silent = TcpStream::connect(worker.addr).expect("connect");
+        let started = Instant::now();
+        let (status, body) = http::call(
+            &worker.addr.to_string(),
+            "GET",
+            "/handshake",
+            "",
+            Duration::from_secs(30),
+        )
+        .expect("the handshake is answered");
+        assert_eq!(status, 200, "{body}");
+        let waited = started.elapsed();
+        assert!(
+            waited < http::REQUEST_DEADLINE * 2 + Duration::from_secs(1),
+            "answered after {waited:?}"
+        );
+        worker.kill();
+    }
+
+    #[test]
+    fn corrupted_submit_bodies_are_refused_or_decoded_and_never_panic() {
+        const ROUNDS: u64 = 40;
+        let digest = wire_digest();
+        let mut faults = FaultPlan::new();
+        faults.push_dead_link(NodeId::new(3), Direction::from_index(2));
+        let experiments = [
+            Experiment::new(Topology::torus(&[6, 6]), AlgorithmKind::PositiveHop)
+                .offered_load(0.2)
+                .quick()
+                .seed(1993)
+                .cycle_budget(Some(3_000)),
+            Experiment::new(
+                Topology::torus(&[4, 4]),
+                AlgorithmKind::NegativeHopBonusCards,
+            )
+            .traffic(TrafficConfig::Transpose)
+            .faults(faults),
+        ];
+        let corruptor = Corruptor::new(1993);
+        let (mut decoded, mut refused) = (0, 0);
+        for (i, experiment) in experiments.iter().enumerate() {
+            let body = crate::remote::submit_body(&digest, i as u64, experiment);
+            assert!(decode_submit(&body, &digest).is_ok(), "{body}");
+            for round in 0..ROUNDS {
+                for corrupted in corruptor.corrupt(&body, i as u64 * ROUNDS + round) {
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| decode_submit(&corrupted, &digest)))
+                            .unwrap_or_else(|_| {
+                                panic!("/submit decoding panicked on: {corrupted}")
+                            });
+                    match outcome {
+                        Ok(_) => decoded += 1,
+                        Err((status, _)) => {
+                            assert!(status == 400 || status == 409, "{status}: {corrupted}");
+                            refused += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(refused > 100, "{refused} refused");
+        assert!(decoded > 0, "{decoded} decoded");
+    }
 }

@@ -328,9 +328,7 @@ fn sigterm_drains_the_in_flight_point_and_exits_zero() {
         point_hash: experiment.point_hash(),
         experiment: experiment.clone(),
         index,
-        retries: 1,
         inject_panic: false,
-        resumed_from: None,
     };
     let mut backend = RemoteBackend::connect(&[worker.addr.clone()]).expect("handshake");
     let running = backend.submit(job(0)).expect("submit the running point");

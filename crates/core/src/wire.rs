@@ -17,13 +17,15 @@
 //!
 //! # Versioning
 //!
-//! The format is versioned by [`WIRE_PROTOCOL`] and guarded by
-//! [`wire_digest`]: a digest over the protocol number, the crate version,
-//! and the configuration schema itself (via the `point_hash` of a
-//! canonical experiment, which fingerprints the `Debug` shape of every
-//! config type). An orchestrator and a worker whose digests differ refuse
-//! to exchange work — a mismatched worker binary is rejected at the
-//! handshake instead of silently producing non-reproducible numbers.
+//! The experiment format carries its own version (its `"wire"` member)
+//! and is guarded by [`wire_digest`]: a digest over that version, the
+//! crate version, and the configuration schema itself (via the
+//! `point_hash` of a canonical experiment, which fingerprints the `Debug`
+//! shape of every config type). The worker's HTTP bodies around it are
+//! versioned by [`WIRE_PROTOCOL`]. An orchestrator and a worker whose
+//! protocol or digest differ refuse to exchange work — a mismatched
+//! worker binary is rejected at the handshake instead of silently
+//! producing non-reproducible numbers.
 
 use crate::schedule::MeasurementSchedule;
 use crate::Experiment;
@@ -34,14 +36,20 @@ use wormsim_routing::AlgorithmKind;
 use wormsim_stats::ConvergencePolicy;
 use wormsim_topology::Topology;
 
-/// Version of the worker wire format. Bump on any change to the JSON
-/// form of [`Experiment`] or of any type it carries, or to the worker's
-/// HTTP endpoints.
-pub const WIRE_PROTOCOL: u32 = 1;
+/// Version of the worker protocol: its HTTP endpoints and the bodies they
+/// exchange, checked at the handshake. Bump on any change to them.
+/// Version 2 dropped the retry fields from `/submit` and `/status`: each
+/// dispatch runs exactly one attempt.
+pub const WIRE_PROTOCOL: u32 = 2;
+
+/// Version of [`Experiment`]'s JSON form, written as its `"wire"` member
+/// and folded into [`wire_digest`]. Bump on any change to that form or to
+/// any type it carries.
+const EXPERIMENT_FORMAT: u32 = 1;
 
 /// The config-digest both sides exchange in the worker handshake.
 ///
-/// Covers the wire protocol number, the crate version, and a fingerprint
+/// Covers the experiment format version, the crate version, and a fingerprint
 /// of the configuration schema: the [`Experiment::point_hash`] of one
 /// canonical experiment exercises the `Debug` representation of every
 /// simulation-relevant config type, so adding, removing, or reordering a
@@ -51,7 +59,7 @@ pub fn wire_digest() -> String {
     let canonical =
         Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::PositiveHop).point_hash();
     fnv1a_hex(&format!(
-        "wormsim-wire/v{WIRE_PROTOCOL}|crate={}|schema={canonical}",
+        "wormsim-wire/v{EXPERIMENT_FORMAT}|crate={}|schema={canonical}",
         env!("CARGO_PKG_VERSION")
     ))
 }
@@ -118,7 +126,7 @@ impl Json for Experiment {
         } = &self.sim;
         let mut object = JsonObject::begin(out);
         object
-            .field("wire", &WIRE_PROTOCOL)
+            .field("wire", &EXPERIMENT_FORMAT)
             .field("topology", topology)
             .field_str("algorithm", algorithm.name())
             .field("traffic", traffic)
@@ -143,9 +151,9 @@ impl Json for Experiment {
 
     fn read(value: &Value) -> Result<Self, String> {
         let wire: u32 = value.field("wire")?;
-        if wire != WIRE_PROTOCOL {
+        if wire != EXPERIMENT_FORMAT {
             return Err(format!(
-                "wire protocol {wire} not supported (this binary speaks {WIRE_PROTOCOL})"
+                "wire protocol {wire} not supported (this binary reads experiment format {EXPERIMENT_FORMAT})"
             ));
         }
         let topology = value.field("topology")?;
