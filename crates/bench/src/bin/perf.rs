@@ -286,9 +286,10 @@ json_record!(Config {
     best_of,
 });
 
-/// One network timed under one mode. The three rates are wall-clock and
-/// advisory; the four counts are deterministic in the configuration and
-/// seed, so two revisions that simulate the same thing report them equal.
+/// One network timed under one mode. The two rates and the two times are
+/// wall-clock and advisory; the four counts are deterministic in the
+/// configuration and seed, so two revisions that simulate the same thing
+/// report them equal.
 #[derive(Debug, PartialEq)]
 struct Point {
     topology: String,
@@ -303,6 +304,10 @@ struct Point {
     flits_per_sec: f64,
     /// Wall-clock seconds spent stepping the timed cycles.
     wall_seconds: f64,
+    /// Wall-clock seconds `Experiment::build_network` took: validation,
+    /// the injection rate and building the network. Files written before
+    /// the field existed read 0.
+    setup_seconds: f64,
     flit_hops: u64,
     delivered: u64,
     /// Route attempts that reached the routing function.
@@ -321,6 +326,7 @@ json_record!(Point {
     steps_per_sec,
     flits_per_sec,
     wall_seconds,
+    setup_seconds = 0.0,
     flit_hops,
     delivered,
     route_attempts,
@@ -345,6 +351,7 @@ fn timed_run(
     options: &Options,
     scratch: &Path,
 ) -> Result<(Point, Option<Box<MetricsRegistry>>), String> {
+    let setup = Instant::now();
     let mut net = experiment.build_network().map_err(|e| {
         format!(
             "{} on {}: {e}",
@@ -352,6 +359,7 @@ fn timed_run(
             experiment.sim().topology
         )
     })?;
+    let setup_seconds = setup.elapsed().as_secs_f64();
     net.run(options.warmup);
     let mut records = net.drain_delivered();
     records.clear();
@@ -400,6 +408,7 @@ fn timed_run(
         steps_per_sec: (options.cycles as f64 / wall_seconds).round(),
         flits_per_sec: (metrics.flit_hops as f64 / wall_seconds).round(),
         wall_seconds: (wall_seconds * 1e6).round() / 1e6,
+        setup_seconds: (setup_seconds * 1e6).round() / 1e6,
         flit_hops: metrics.flit_hops,
         delivered: metrics.delivered,
         route_attempts: metrics.route_attempts,
@@ -495,12 +504,13 @@ fn measure(
                 format!("  {overhead:+.1}% vs off")
             };
             println!(
-                "    {:>6} {:<13} {:>9.0} steps/s {:>12.0} flits/s  ({} flit-hops, {} delivered, \
-                 {} route attempts, {} route sleeps){versus}",
+                "    {:>6} {:<13} {:>9.0} steps/s {:>12.0} flits/s {:>8.4} s set-up  ({} flit-hops, \
+                 {} delivered, {} route attempts, {} route sleeps){versus}",
                 point.algorithm,
                 mode.tag(),
                 point.steps_per_sec,
                 point.flits_per_sec,
+                point.setup_seconds,
                 point.flit_hops,
                 point.delivered,
                 point.route_attempts,
@@ -846,6 +856,7 @@ mod tests {
         for point in &report.points {
             assert!(point.steps_per_sec.is_finite() && point.steps_per_sec > 0.0);
             assert!(point.flits_per_sec.is_finite() && point.wall_seconds > 0.0);
+            assert!(point.setup_seconds.is_finite() && point.setup_seconds >= 0.0);
             // Observers watch; they do not perturb the simulation.
             assert_eq!(point.flit_hops, report.points[0].flit_hops);
             assert_eq!(point.delivered, report.points[0].delivered);
@@ -871,6 +882,16 @@ mod tests {
         let file = scratch.join("report.json");
         let path = file.to_str().unwrap();
         std::fs::write(&file, report.to_json()).unwrap();
+        assert_eq!(check(preset("engine"), path, &scratch), Ok(()));
+        // A file written before `setup_seconds` existed still checks.
+        let mut unset = report.to_json();
+        while let Some(at) = unset.find("\"setup_seconds\":") {
+            let end = at + unset[at..].find(',').unwrap() + 1;
+            unset.replace_range(at..end, "");
+        }
+        let old = Report::from_json(&json::from_str(&unset).unwrap()).unwrap();
+        assert!(old.points.iter().all(|p| p.setup_seconds == 0.0));
+        std::fs::write(&file, unset).unwrap();
         assert_eq!(check(preset("engine"), path, &scratch), Ok(()));
         let other = check(preset("scaling"), path, &scratch).unwrap_err();
         assert!(other.contains("preset 'engine'"), "{other}");

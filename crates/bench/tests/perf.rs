@@ -81,6 +81,8 @@ fn the_report_is_finite_json_with_repeatable_counts() {
         for rate in ["steps_per_sec", "flits_per_sec", "wall_seconds"] {
             assert!(point.field::<f64>(rate).unwrap() > 0.0, "{rate}");
         }
+        let setup = point.field::<f64>("setup_seconds").unwrap();
+        assert!(setup.is_finite() && setup >= 0.0, "setup_seconds {setup}");
     }
 }
 

@@ -7,6 +7,10 @@ use wormsim::{
     TrafficConfig,
 };
 
+/// Written by the commit before uniform traffic's weights were summed
+/// binade by binade, from its one-add-per-pair loop. Never regenerate it.
+const UNIFORM_WEIGHTS: &str = include_str!("golden/uniform_weights.txt");
+
 /// Equation 4 round trip: the injection rate the experiment derives
 /// reproduces the offered load exactly for every preset workload.
 #[test]
@@ -42,6 +46,63 @@ fn paper_quoted_hop_class_weights() {
     assert!((w[1] - 0.0833).abs() < 1e-3);
     assert!((w[3] - 0.25).abs() < 1e-9);
     assert_eq!(w.iter().filter(|&&x| x > 0.0).count(), 6);
+}
+
+/// Uniform traffic's hop-class weights and mean distance on thirteen tori
+/// and meshes up to 32³ and 128×128, then the injection rate of every
+/// Figure 3 point: each value as its `f64::to_bits` hex, one line per
+/// topology or point.
+fn uniform_weights_snapshot() -> String {
+    let topologies = [
+        Topology::torus(&[4, 4]),
+        Topology::torus(&[8, 8]),
+        Topology::torus(&[16, 16]),
+        Topology::torus(&[32, 32]),
+        Topology::torus(&[64, 64]),
+        Topology::torus(&[128, 128]),
+        Topology::torus(&[6, 10]),
+        Topology::torus(&[4, 6, 8]),
+        Topology::torus(&[8, 8, 8]),
+        Topology::torus(&[16, 16, 16]),
+        Topology::torus(&[32, 32, 32]),
+        Topology::mesh(&[8, 8]),
+        Topology::mesh(&[16, 16]),
+    ];
+    let mut out = String::new();
+    for topo in &topologies {
+        let uniform = TrafficConfig::Uniform.build(topo).expect("uniform builds");
+        let weights: Vec<String> = uniform
+            .hop_class_weights(topo)
+            .iter()
+            .map(|w| format!("{:016x}", w.to_bits()))
+            .collect();
+        out += &format!(
+            "{} mean_distance {:016x} weights {}\n",
+            topo.label(),
+            uniform.mean_distance(topo).to_bits(),
+            weights.join(" ")
+        );
+    }
+    for e in presets::experiments_for(&presets::fig3(), MeasurementSchedule::quick(), 1993) {
+        out += &format!(
+            "fig3 {} {} injection_rate {:016x}\n",
+            e.sim().algorithm,
+            e.offered_load_value(),
+            e.injection_rate().expect("fig3 rates are valid").to_bits()
+        );
+    }
+    out
+}
+
+/// Equation 4's mean distance and the estimator's hop-class weights are
+/// bit-identical to the pairwise sums they replaced, up to 32³ and 128×128.
+#[test]
+fn uniform_weights_match_the_pairwise_golden() {
+    let snapshot = uniform_weights_snapshot();
+    for (now, was) in snapshot.lines().zip(UNIFORM_WEIGHTS.lines()) {
+        assert_eq!(now, was);
+    }
+    assert_eq!(snapshot, UNIFORM_WEIGHTS);
 }
 
 /// The hotspot preset gives the hotspot node 11.5x the traffic of others,
