@@ -19,15 +19,8 @@ use std::process::{Child, Command, Stdio};
 use wormsim::observe::json;
 use wormsim::topology::Topology;
 use wormsim::{format_sweep_csv, AlgorithmKind, Experiment, RunResult};
+use wormsim_bench::cli::{self, SoakArgs};
 use wormsim_bench::{run_sweep, BackendChoice, ExperimentsRun, Journal, SweepOptions, SweepPlan};
-
-const USAGE: &str = "usage: chaos_soak [--smoke]
-
-Proves sweep supervision end to end: serial reference run, then the same
-sweep against chaos-armed wormsim-worker subprocesses (stall, crash,
-corrupt), asserting byte-identical journal + CSV and a surfaced
-quarantine. --smoke runs the single-pass CI configuration.
-";
 
 fn die(message: &str) -> ! {
     eprintln!("chaos_soak: FAILED: {message}");
@@ -316,21 +309,7 @@ fn scenario_quarantine() {
 }
 
 fn main() {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("error: unknown argument '{other}'");
-                eprint!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let SoakArgs { smoke } = cli::parse_or_exit();
 
     let experiments = soak_experiments(4);
     let serial_out = out_dir("serial");

@@ -20,47 +20,9 @@
 //! `obs/` directory mixing several sweeps still renders.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use wormsim::observe::{json, MetricsReport, PhaseRecord, RunManifest, WaitForSnapshot};
-
-const USAGE: &str = "usage: inspect DIR [DIR2] [--top N]";
-
-struct Options {
-    dir: PathBuf,
-    diff: Option<PathBuf>,
-    top: usize,
-}
-
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut top = 5usize;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--top" => {
-                let v = args.next().ok_or("--top needs a value")?;
-                top = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| format!("bad count '{v}' (expected a positive integer)"))?;
-            }
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown argument '{other}'"));
-            }
-            dir => dirs.push(PathBuf::from(dir)),
-        }
-    }
-    if dirs.is_empty() || dirs.len() > 2 {
-        return Err("expected one observe directory (or two, to diff)".to_owned());
-    }
-    let mut dirs = dirs.into_iter();
-    Ok(Options {
-        dir: dirs.next().expect("checked non-empty"),
-        diff: dirs.next(),
-        top,
-    })
-}
+use wormsim_bench::cli::{self, InspectArgs};
 
 /// Everything one run left behind in the observe directory.
 #[derive(Default)]
@@ -314,73 +276,58 @@ fn print_diff(id: &str, a: &Run, b: &Run) {
 }
 
 fn main() {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) if message == "help" => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let runs = scan(&options.dir).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
+    let options: InspectArgs = cli::parse_or_exit();
+    if let Err(message) = run(&options) {
+        eprintln!("{message}");
         std::process::exit(1);
-    });
+    }
+}
+
+/// Reports on `options.dir`, or diffs it against `options.diff`.
+fn run(options: &InspectArgs) -> Result<(), String> {
+    let runs = scan(&options.dir).map_err(|e| format!("error: {e}"))?;
     if runs.is_empty() {
-        eprintln!(
+        return Err(format!(
             "no runs found in {} (expected *.metrics.json / *.manifest.json sidecars)",
             options.dir.display()
-        );
-        std::process::exit(1);
+        ));
     }
-
-    match &options.diff {
-        None => {
-            for (id, run) in &runs {
-                print_run(id, run, options.top);
-            }
-            println!("{} run(s) in {}", runs.len(), options.dir.display());
+    let Some(other_dir) = &options.diff else {
+        for (id, run) in &runs {
+            print_run(id, run, options.top);
         }
-        Some(other_dir) => {
-            let others = scan(other_dir).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
-            let mut shared = 0usize;
-            for (id, run) in &runs {
-                match others.get(id) {
-                    Some(other) => {
-                        shared += 1;
-                        print_diff(id, run, other);
-                    }
-                    None => println!("== {id} == only in {}\n", options.dir.display()),
-                }
+        println!("{} run(s) in {}", runs.len(), options.dir.display());
+        return Ok(());
+    };
+    let others = scan(other_dir).map_err(|e| format!("error: {e}"))?;
+    let mut shared = 0usize;
+    for (id, run) in &runs {
+        match others.get(id) {
+            Some(other) => {
+                shared += 1;
+                print_diff(id, run, other);
             }
-            for id in others.keys() {
-                if !runs.contains_key(id) {
-                    println!("== {id} == only in {}\n", other_dir.display());
-                }
-            }
-            println!(
-                "{} shared run(s) diffed between {} and {}",
-                shared,
-                options.dir.display(),
-                other_dir.display()
-            );
+            None => println!("== {id} == only in {}\n", options.dir.display()),
         }
     }
+    for id in others.keys().filter(|id| !runs.contains_key(*id)) {
+        println!("== {id} == only in {}\n", other_dir.display());
+    }
+    println!(
+        "{shared} shared run(s) diffed between {} and {}",
+        options.dir.display(),
+        other_dir.display()
+    );
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
-    fn parse(args: &[&str]) -> Result<Options, String> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+    fn parse(args: &[&str]) -> Result<InspectArgs, String> {
+        Ok(cli::parse(args.iter().map(|s| (*s).to_owned()))?.expect("no --help"))
     }
 
     #[test]

@@ -5,15 +5,10 @@
 //! root are its trajectory files). The gated measurement ladder is
 //! `benchmark/`; see docs/PERFORMANCE.md, "Measuring".
 //!
-//! ```text
-//! perf --list
-//! perf <preset> [--topo T] [--load F] [--cycles N] [--warmup N] [--seed N] [--out FILE]
-//!               [--smoke] [--metrics] [--max-overhead-pct P]
-//! perf <preset> --check FILE
-//! ```
-//!
-//! A preset is a row of [`PRESETS`]: its networks, its default load and
-//! cycle counts, and the observer modes each network is timed under.
+//! `perf --list` names the presets and `perf --help` lists the flags (the
+//! table is [`Options`]). A preset is a row of [`PRESETS`]: its networks,
+//! its default load and cycle counts, whether it takes `--topo`, and the
+//! observer modes each network is timed under.
 //! `--smoke` is the CI-budget variant (at most 300 + 1500 cycles, and the
 //! preset's small sizes). `--metrics` pairs every network with a second
 //! run under the deep-telemetry registry and prints that run's latency
@@ -35,15 +30,12 @@
 use std::path::Path;
 use std::time::Instant;
 use wormsim::observe::{
-    atomic_write, json, json_record, json_tags, JsonRecord, JsonlSink, MetricsRegistry, PHASE_NAMES,
+    atomic_write, json, json_record, JsonRecord, JsonlSink, MetricsRegistry, PHASE_NAMES,
 };
-use wormsim::AlgorithmKind::{self, Ecube, NegativeHopBonusCards};
-use wormsim::{presets, Experiment, MeasurementSchedule, Switching, Topology};
+use wormsim::{Experiment, Switching};
 use wormsim_bench::cli;
-
-const USAGE: &str = "usage: perf --list | perf <preset> [--topo T] [--load F] [--cycles N] \
-                     [--warmup N] [--seed N] [--out FILE] [--smoke] [--metrics] \
-                     [--max-overhead-pct P] | perf <preset> --check FILE";
+use wormsim_bench::perf::{Mode, Options, Preset, PRESETS};
+use wormsim_bench::study::Axis;
 
 /// Cycles stepped between two collections of the delivery records. The
 /// engine keeps every record until it is taken, as a drive loop does once
@@ -57,211 +49,6 @@ const TIMED_CHUNK: u64 = 1_000;
 /// shared machine, which a paired comparison needs (single-shot short runs
 /// swing tens of percent).
 const PAIRED_REPEATS: u64 = 3;
-
-/// `--smoke` caps: a preset finishes inside a CI step.
-const SMOKE_WARMUP: u64 = 300;
-const SMOKE_CYCLES: u64 = 1_500;
-
-/// What observes the network during the timed cycles.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Mode {
-    /// Nothing: the baseline every other mode's overhead is measured from.
-    Off,
-    /// The deep-telemetry registry.
-    Metrics,
-    /// The in-memory trace ring.
-    RingTrace,
-    /// A JSONL sample stream at stride 1000.
-    JsonlSamples,
-    /// A JSONL trace of every event.
-    JsonlTrace,
-}
-
-json_tags!(Mode {
-    Off = "off",
-    Metrics = "metrics",
-    RingTrace = "ring_trace",
-    JsonlSamples = "jsonl_samples",
-    JsonlTrace = "jsonl_trace",
-});
-
-/// One family of timed runs: a row of [`PRESETS`].
-struct Preset {
-    id: &'static str,
-    /// What the preset measures, in one line (`perf --list`).
-    about: &'static str,
-    load: f64,
-    warmup: u64,
-    cycles: u64,
-    /// Whether the preset pins its own sizes, which makes `--topo` a usage
-    /// error rather than a silently ignored flag.
-    pins_topology: bool,
-    /// The modes each network is timed under, baseline first.
-    modes: &'static [Mode],
-    networks: fn(&Options) -> Vec<Experiment>,
-}
-
-#[rustfmt::skip] // one row per line
-static PRESETS: &[Preset] = &[
-    Preset { id: "engine", about: "the six algorithms on one network (16x16 unless --topo), uniform traffic", load: 0.3, warmup: 3_000, cycles: 20_000, pins_topology: false, modes: &[Mode::Off], networks: engine },
-    Preset { id: "scaling", about: "ecube and nbc from 8x8 to 64x64 and 16^3 (--smoke: 4^3 and 32x32)", load: 0.3, warmup: 2_000, cycles: 10_000, pins_topology: true, modes: &[Mode::Off], networks: scaling },
-    Preset { id: "figures", about: "each paper figure's traffic and switching under its algorithms", load: 0.4, warmup: 2_000, cycles: 5_000, pins_topology: false, modes: &[Mode::Off], networks: figures },
-    Preset { id: "observers", about: "nbc with sinks off, ring trace, JSONL samples, JSONL trace", load: 0.3, warmup: 2_000, cycles: 5_000, pins_topology: false, modes: &[Mode::Off, Mode::RingTrace, Mode::JsonlSamples, Mode::JsonlTrace], networks: observers },
-];
-
-/// `kinds` under uniform 16-flit traffic on `topology`.
-fn uniform(topology: &Topology, kinds: &[AlgorithmKind], options: &Options) -> Vec<Experiment> {
-    kinds
-        .iter()
-        .map(|&kind| {
-            Experiment::new(topology.clone(), kind)
-                .offered_load(options.load)
-                .seed(options.seed)
-        })
-        .collect()
-}
-
-fn engine(options: &Options) -> Vec<Experiment> {
-    uniform(&options.topology(), &AlgorithmKind::all(), options)
-}
-
-/// 2D tori from the paper's neighbourhood up to 4096 nodes, then the 3D
-/// cubes at matching node counts (8³ = 512, 16³ = 4096), under one
-/// deterministic and one adaptive algorithm: enough to see how routing
-/// cost scales without multiplying the sweep by six.
-fn scaling(options: &Options) -> Vec<Experiment> {
-    let sizes = if options.smoke {
-        vec![Topology::k_ary_n_cube(4, 3), Topology::torus(&[32, 32])]
-    } else {
-        vec![
-            Topology::torus(&[8, 8]),
-            Topology::torus(&[16, 16]),
-            Topology::torus(&[32, 32]),
-            Topology::torus(&[64, 64]),
-            Topology::k_ary_n_cube(8, 3),
-            Topology::k_ary_n_cube(16, 3),
-        ]
-    };
-    sizes
-        .iter()
-        .flat_map(|topology| uniform(topology, &[Ecube, NegativeHopBonusCards], options))
-        .collect()
-}
-
-fn figures(options: &Options) -> Vec<Experiment> {
-    presets::all_figures()
-        .into_iter()
-        .flat_map(|spec| {
-            let mut spec = spec.with_topology(options.topology());
-            spec.loads = vec![options.load];
-            // The schedule is `Experiment::run`'s; a raw network has none.
-            presets::experiments_for(&spec, MeasurementSchedule::quick(), options.seed)
-        })
-        .collect()
-}
-
-fn observers(options: &Options) -> Vec<Experiment> {
-    uniform(&options.topology(), &[NegativeHopBonusCards], options)
-}
-
-struct Options {
-    topo: Option<Topology>,
-    load: f64,
-    cycles: u64,
-    warmup: u64,
-    seed: u64,
-    out: Option<String>,
-    smoke: bool,
-    metrics: bool,
-    max_overhead_pct: Option<f64>,
-    /// A report whose counts this run must reproduce (`--check`).
-    check: Option<String>,
-}
-
-impl Options {
-    fn topology(&self) -> Topology {
-        self.topo.clone().unwrap_or_else(presets::paper_topology)
-    }
-
-    /// The preset's modes, plus the registry when the flags ask for it.
-    fn modes(&self, preset: &Preset) -> Vec<Mode> {
-        let mut modes = preset.modes.to_vec();
-        if self.metrics || self.max_overhead_pct.is_some() {
-            modes.push(Mode::Metrics);
-        }
-        modes
-    }
-}
-
-fn parse_args(preset: &Preset, mut args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut options = Options {
-        topo: None,
-        load: preset.load,
-        cycles: preset.cycles,
-        warmup: preset.warmup,
-        seed: 1993,
-        out: None,
-        smoke: false,
-        metrics: false,
-        max_overhead_pct: None,
-        check: None,
-    };
-    let mut flags = 0;
-    while let Some(arg) = args.next() {
-        flags += 1;
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        match arg.as_str() {
-            "--topo" if preset.pins_topology => {
-                return Err(format!(
-                    "preset {} pins its own sizes; it cannot honour --topo",
-                    preset.id
-                ));
-            }
-            "--topo" => options.topo = Some(cli::parse_topology(&value("--topo")?)?),
-            "--load" => match cli::parse_loads(&value("--load")?)?.as_slice() {
-                [load] => options.load = *load,
-                _ => return Err("--load takes one load, not a list".to_owned()),
-            },
-            // Zero timed cycles have no rate: 0 / 0 is not a number.
-            "--cycles" => {
-                options.cycles = cli::parse_cycle_budget(&value("--cycles")?)
-                    .map_err(|e| format!("--cycles: {e}"))?;
-            }
-            "--warmup" => {
-                let v = value("--warmup")?;
-                options.warmup = v
-                    .parse()
-                    .map_err(|_| format!("bad warm-up '{v}' (expected a cycle count)"))?;
-            }
-            "--seed" => options.seed = cli::parse_seed(&value("--seed")?)?,
-            "--out" => options.out = Some(value("--out")?),
-            "--smoke" => options.smoke = true,
-            "--metrics" => options.metrics = true,
-            "--max-overhead-pct" => {
-                let v = value("--max-overhead-pct")?;
-                options.max_overhead_pct = Some(
-                    v.parse::<f64>()
-                        .ok()
-                        .filter(|p| p.is_finite() && *p > 0.0)
-                        .ok_or_else(|| format!("bad percentage '{v}' (expected > 0)"))?,
-                );
-            }
-            "--check" => options.check = Some(value("--check")?),
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    if options.check.is_some() && flags > 1 {
-        return Err(
-            "--check takes its configuration from the file; it combines with no other flag"
-                .to_owned(),
-        );
-    }
-    if options.smoke {
-        options.warmup = options.warmup.min(SMOKE_WARMUP);
-        options.cycles = options.cycles.min(SMOKE_CYCLES);
-    }
-    Ok(options)
-}
 
 /// What a run was asked to do: the head of a [`Report`].
 #[derive(Debug, PartialEq)]
@@ -546,7 +333,9 @@ fn options_of(preset: &Preset, recorded: &Report) -> Result<Options, String> {
         ));
     }
     let topo = match recorded.points.first() {
-        Some(point) if !preset.pins_topology => Some(cli::parse_topology(&point.topology)?),
+        Some(point) if preset.axes.contains(&Axis::Topo) => {
+            Some(cli::parse_topology(&point.topology)?)
+        }
         _ => None,
     };
     Ok(Options {
@@ -555,11 +344,9 @@ fn options_of(preset: &Preset, recorded: &Report) -> Result<Options, String> {
         cycles: config.timed_cycles,
         warmup: config.warmup_cycles,
         seed: config.seed,
-        out: None,
         smoke: config.smoke,
         metrics: recorded.points.iter().any(|p| p.mode == Mode::Metrics),
-        max_overhead_pct: None,
-        check: None,
+        ..Options::default()
     })
 }
 
@@ -649,31 +436,16 @@ fn run(preset: &Preset, options: &Options) -> Result<(), String> {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let id = args
-        .next()
-        .unwrap_or_else(|| cli::usage_error("no preset named", USAGE));
-    match id.as_str() {
-        "--help" | "-h" => println!("{USAGE}"),
-        "--list" => {
-            for preset in PRESETS {
-                println!("{:<11}{}", preset.id, preset.about);
-            }
+    let options: Options = cli::parse_or_exit();
+    let Some(preset) = options.preset.filter(|_| !options.list) else {
+        for preset in PRESETS {
+            println!("{:<11}{}", preset.id, preset.about);
         }
-        id => {
-            let preset = PRESETS
-                .iter()
-                .find(|preset| preset.id == id)
-                .unwrap_or_else(|| {
-                    cli::usage_error(&format!("unknown preset '{id}' (see --list)"), USAGE)
-                });
-            let options = parse_args(preset, args)
-                .unwrap_or_else(|message| cli::usage_error(&message, USAGE));
-            if let Err(message) = run(preset, &options) {
-                eprintln!("error: {message}");
-                std::process::exit(1);
-            }
-        }
+        return;
+    };
+    if let Err(message) = run(preset, &options) {
+        eprintln!("error: {message}");
+        std::process::exit(1);
     }
 }
 
@@ -681,13 +453,15 @@ fn main() {
 mod tests {
     use super::*;
     use wormsim::observe::json;
+    use wormsim::Topology;
 
     fn preset(id: &str) -> &'static Preset {
         PRESETS.iter().find(|p| p.id == id).expect("preset exists")
     }
 
     fn parse(id: &str, args: &[&str]) -> Result<Options, String> {
-        parse_args(preset(id), args.iter().map(|s| (*s).to_owned()))
+        let argv = std::iter::once(id).chain(args.iter().copied());
+        Ok(cli::parse(argv.map(str::to_owned))?.expect("no --help"))
     }
 
     #[test]
@@ -757,7 +531,7 @@ mod tests {
     #[test]
     fn smoke_shrinks_the_sweep() {
         let sizes = |options: &Options| -> Vec<Topology> {
-            let mut sizes: Vec<Topology> = scaling(options)
+            let mut sizes: Vec<Topology> = (preset("scaling").networks)(options)
                 .iter()
                 .map(|e| e.sim().topology.clone())
                 .collect();

@@ -7,12 +7,13 @@
 //! study <id> [axis flags the study takes] [harness flags]
 //! ```
 //!
-//! Every study takes the harness flags (`SweepOptions::USAGE`): its points
+//! Every study takes the harness flags (`study --help` lists them): its points
 //! run on `--threads N` workers or `--backend remote` workers, are
 //! journaled to `DIR/<id>.journal.jsonl`, and continue after a crash or
-//! Ctrl-C with `--resume <journal>`. `sweep` and `faults_sweep` also take
-//! axis flags (`--algos`, `--loads`, `--traffic`, `--switching`,
-//! `--max-faults`; `--list` shows which); any other study rejects them.
+//! Ctrl-C with `--resume <journal>`. A study takes only the axis flags its
+//! row declares (`--list` shows which): `sweep` and `faults_sweep` take
+//! `--algos`, `--loads`, `--traffic`, `--switching` or `--max-faults`, and
+//! every study but the three that pin their own networks takes `--topo`.
 //! Exit status: 0 whole, 1 error, 2 usage, 4 quarantined points,
 //! 130 interrupted.
 //!
@@ -28,22 +29,22 @@
 //! ```
 
 use wormsim_bench::cli;
-use wormsim_bench::study::{self, Command, STUDIES};
+use wormsim_bench::study::{self, Command, StudyArgs, STUDIES};
 
 fn main() {
     match study::parse(std::env::args().skip(1)) {
-        Ok(Command::Help) => println!("{}", study::usage()),
+        Ok(Command::Help) => println!("{}", cli::usage::<StudyArgs>()),
         Ok(Command::List) => {
             for study in STUDIES {
-                let flags: Vec<String> = study
+                let flags: String = study
                     .axes
                     .iter()
                     .map(|a| format!(" [{}]", a.flag()))
                     .collect();
-                println!("{:<22}{}{}", study.id, study.about, flags.concat());
+                println!("{:<22}{}{flags}", study.id, study.about);
             }
         }
         Ok(Command::Run(invocation)) => invocation.run(),
-        Err(message) => cli::usage_error(&message, &study::usage()),
+        Err(message) => cli::usage_error(&message, &cli::usage::<StudyArgs>()),
     }
 }

@@ -8,15 +8,8 @@
 //! `--max-faults` dead links (plus optional seeded-random plans) that the
 //! simulator's reachability analysis admits is re-checked on the surviving
 //! subgraph, and every refuted `fault_tolerance()` claim is minimized to a
-//! locally minimal counterexample.
-//!
-//! ```text
-//! verify [--smoke] [--topo torus:4x4] [--algos all|ecube,phop,...]
-//!        [--max-faults K] [--node-faults]
-//!        [--random-plans N] [--random-faults K]
-//!        [--transient-plans N] [--transient-faults K]
-//!        [--seed N] [--out DIR]
-//! ```
+//! locally minimal counterexample. `verify --help` lists the flags (the
+//! table is `wormsim_bench::cli::VerifyArgs`).
 //!
 //! `--node-faults` adds whole-node faults to the exhaustive pool;
 //! `--transient-plans` adds seeded fail/repair schedules whose masks are
@@ -32,92 +25,18 @@
 //! strands under faults is the expected failure mode, not a bug), 1 when
 //! the adversary refuted a `Guaranteed` claim, 2 for usage errors.
 
-use std::path::PathBuf;
 use wormsim::faults::FaultTarget;
 use wormsim::observe::{atomic_write, JsonObject};
 use wormsim::routing::{FaultTolerance, RoutingAlgorithm};
 use wormsim::topology::Topology;
 use wormsim::verify::{
-    check, search_faults, AdversaryConfig, AdversaryReport, CheckReport, Refutation, SafetyVerdict,
+    check, search_faults, AdversaryReport, CheckReport, Refutation, SafetyVerdict,
 };
-use wormsim::AlgorithmKind;
-use wormsim_bench::cli;
-
-const USAGE: &str = "usage: verify [--smoke] [--topo T] [--algos A] [--max-faults K] \
-                     [--node-faults] [--random-plans N] [--random-faults K] \
-                     [--transient-plans N] [--transient-faults K] [--seed N] [--out DIR]";
-
-struct Spec {
-    topology: Topology,
-    algorithms: Vec<AlgorithmKind>,
-    config: AdversaryConfig,
-    out: Option<PathBuf>,
-}
-
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Spec, String> {
-    let mut topology: Option<Topology> = None;
-    let mut algorithms: Option<Vec<AlgorithmKind>> = None;
-    let mut config = AdversaryConfig {
-        max_faults: 1,
-        ..AdversaryConfig::default()
-    };
-    let mut out = None;
-    let mut smoke = false;
-    let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--topo" => topology = Some(cli::parse_topology(&next_value(&mut args, "--topo")?)?),
-            "--algos" => {
-                algorithms = Some(cli::parse_algorithms(&next_value(&mut args, "--algos")?)?);
-            }
-            "--max-faults" => {
-                config.max_faults = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
-            }
-            "--node-faults" => config.node_faults = true,
-            "--transient-plans" => {
-                config.transient_plans = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
-            }
-            "--transient-faults" => {
-                config.transient_faults = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
-            }
-            "--random-plans" => {
-                config.random_plans = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
-            }
-            "--random-faults" => {
-                config.random_faults = cli::parse_count(&arg, &next_value(&mut args, &arg)?)?;
-            }
-            "--seed" => config.seed = cli::parse_seed(&next_value(&mut args, "--seed")?)?,
-            "--out" => out = Some(PathBuf::from(next_value(&mut args, "--out")?)),
-            "--help" | "-h" => return Err("help".to_owned()),
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    // The CI preset: small enough to be exhaustive, big enough to exhibit
-    // every verdict (five proofs, the 2pn refutation, fault strandings).
-    if smoke {
-        topology.get_or_insert_with(|| Topology::torus(&[4, 4]));
-        algorithms.get_or_insert_with(|| AlgorithmKind::all().to_vec());
-        config.max_faults = config.max_faults.min(1);
-    }
-    Ok(Spec {
-        topology: topology.unwrap_or_else(|| Topology::torus(&[4, 4])),
-        algorithms: algorithms.unwrap_or_else(|| AlgorithmKind::all().to_vec()),
-        config,
-        out,
-    })
-}
+use wormsim_bench::cli::{self, VerifyArgs};
 
 /// Renders a node as `(x,y,...)` coordinates (dimension 0 fastest).
 fn node_label(topo: &Topology, node: wormsim::NodeId) -> String {
-    let mut coords = Vec::new();
-    let mut rest = node.index();
-    for &d in topo.dims() {
-        coords.push((rest % u32::from(d)).to_string());
-        rest /= u32::from(d);
-    }
+    let coords: Vec<String> = topo.coords(node).iter().map(u16::to_string).collect();
     format!("({})", coords.join(","))
 }
 
@@ -129,12 +48,8 @@ fn plan_label(topo: &Topology, refutation: &Refutation) -> String {
         .map(|f| {
             let target = match f.target {
                 FaultTarget::Link { node, direction } => {
-                    let sign = if direction.sign() == wormsim::topology::Sign::Plus {
-                        '+'
-                    } else {
-                        '-'
-                    };
-                    format!("{}d{}{}", node_label(topo, node), direction.dim(), sign)
+                    let (dim, sign) = (direction.dim(), direction.sign());
+                    format!("{}d{dim}{sign}", node_label(topo, node))
                 }
                 FaultTarget::Node { node } => format!("node {}", node_label(topo, node)),
             };
@@ -178,14 +93,7 @@ fn counterexample_json(topo: &Topology, algorithm: &str, refutation: &Refutation
                     .field_str("target", "link")
                     .field_u64("node", u64::from(node.index()))
                     .field_u64("dim", direction.dim() as u64)
-                    .field_str(
-                        "sign",
-                        if direction.sign() == wormsim::topology::Sign::Plus {
-                            "+"
-                        } else {
-                            "-"
-                        },
-                    );
+                    .field_str("sign", direction.sign().tag());
             }
             FaultTarget::Node { node } => {
                 entry
@@ -288,23 +196,26 @@ fn print_adversary(topo: &Topology, report: &AdversaryReport) {
 }
 
 fn main() {
-    let spec = match parse_args(std::env::args().skip(1)) {
-        Ok(spec) => spec,
-        Err(message) if message == "help" => {
-            println!("{USAGE}");
-            return;
+    let spec: VerifyArgs = cli::parse_or_exit();
+    match run(&spec) {
+        Ok(false) => {}
+        Ok(true) => {
+            eprintln!("SAFETY VIOLATION: a guaranteed deadlock-freedom claim was refuted");
+            std::process::exit(1);
         }
         Err(message) => {
             eprintln!("error: {message}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    if let Some(dir) = &spec.out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
             std::process::exit(1);
         }
+    }
+}
+
+/// Checks and attacks every selected algorithm; `Ok(true)` when the
+/// adversary refuted a `Guaranteed` claim.
+fn run(spec: &VerifyArgs) -> Result<bool, String> {
+    if let Some(dir) = &spec.out {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
     let mut guaranteed_refuted = false;
     for kind in &spec.algorithms {
@@ -316,50 +227,34 @@ fn main() {
             }
         };
         println!("== {} on {} ==", algo.name(), spec.topology.label());
-        let healthy = match check(&spec.topology, algo.as_ref()) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
+        let healthy = check(&spec.topology, algo.as_ref()).map_err(|e| e.to_string())?;
         print_healthy(&healthy);
-        let adversary = match search_faults(&spec.topology, algo.as_ref(), &spec.config) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
+        let adversary = search_faults(&spec.topology, algo.as_ref(), &spec.config)
+            .map_err(|e| e.to_string())?;
         print_adversary(&spec.topology, &adversary);
         for (k, refutation) in adversary.refutations.iter().enumerate() {
-            if refutation.claim == FaultTolerance::Guaranteed {
-                guaranteed_refuted = true;
-            }
+            guaranteed_refuted |= refutation.claim == FaultTolerance::Guaranteed;
             if let Some(dir) = &spec.out {
                 let path = dir.join(format!("verify-{}-{k}.counterexample.json", algo.name()));
                 let text = counterexample_json(&spec.topology, algo.name(), refutation);
-                if let Err(e) = atomic_write(&path, text) {
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
+                atomic_write(&path, text)
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
                 println!("    counterexample written to {}", path.display());
             }
         }
         println!();
     }
-    if guaranteed_refuted {
-        eprintln!("SAFETY VIOLATION: a guaranteed deadlock-freedom claim was refuted");
-        std::process::exit(1);
-    }
+    Ok(guaranteed_refuted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wormsim::verify::AdversaryConfig;
+    use wormsim::AlgorithmKind;
 
-    fn parse(args: &[&str]) -> Result<Spec, String> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+    fn parse(args: &[&str]) -> Result<VerifyArgs, String> {
+        Ok(cli::parse(args.iter().map(|s| (*s).to_owned()))?.expect("no --help"))
     }
 
     #[test]

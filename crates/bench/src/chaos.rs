@@ -202,7 +202,7 @@ impl Corruptor {
         })
     }
 
-    fn pick(&self, salt: u64, counter: u64, below: usize) -> usize {
+    pub(crate) fn pick(&self, salt: u64, counter: u64, below: usize) -> usize {
         (self.0.coin(salt, counter) * below as f64) as usize % below.max(1)
     }
 

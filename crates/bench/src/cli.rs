@@ -1,4 +1,17 @@
-//! Parsers for the compact values of `study`'s axis and harness flags.
+//! The one command-line grammar of the six bins, and the parsers for the
+//! compact values their flags take.
+//!
+//! A bin's parsed command line is a type implementing [`Args`]: a table of
+//! [`Flag`] rows, its positional arguments and its cross-flag checks.
+//! [`parse`] reads any of them (`--help`/`-h` anywhere, missing values,
+//! unknown flags) and [`usage`] renders the usage text from the same table.
+//! The tables: [`StudyArgs`](crate::study::StudyArgs) (whose harness flags
+//! are [`SweepOptions::flags`](crate::SweepOptions::flags)),
+//! [`perf::Options`](crate::perf::Options),
+//! [`WorkerConfig`](crate::worker::WorkerConfig), and [`VerifyArgs`],
+//! [`InspectArgs`] and [`SoakArgs`] below.
+//!
+//! Values:
 //!
 //! * Topologies: `torus:16x16`, `mesh:8x8x8`, bare `16x16` (torus), or the
 //!   k-ary n-cube shorthand `8^3` / `torus:16^3` / `mesh:4^2`.
@@ -8,13 +21,146 @@
 //! * Switching: `wh` (2-flit buffers), `wh:4` (explicit depth), `vct`,
 //!   `saf`.
 
+use std::path::PathBuf;
 use std::str::FromStr;
 use wormsim::routing::AlgorithmKind;
 use wormsim::topology::Topology;
+use wormsim::verify::AdversaryConfig;
 use wormsim::{Switching, TrafficConfig};
 
+/// One row of a bin's flag table: the flag (`--seed`), its value's
+/// placeholder in the usage text (`N`; `None` for a switch, which takes no
+/// value), how a value (empty for a switch) applies to the command line,
+/// and one line of help.
+pub struct Flag<T> {
+    pub name: &'static str,
+    pub metavar: Option<&'static str>,
+    pub apply: fn(&mut T, &str) -> Result<(), String>,
+    pub help: &'static str,
+}
+
+impl<T> Flag<T> {
+    /// The flag as the usage text shows it: `--seed N`, `--quick`.
+    fn form(&self) -> String {
+        match self.metavar {
+            Some(metavar) => format!("{} {metavar}", self.name),
+            None => self.name.to_owned(),
+        }
+    }
+}
+
+/// A bin's parsed command line, filled from its flag table by [`parse`].
+pub trait Args: Default {
+    /// The bin and its positional arguments, as the usage text opens:
+    /// `inspect DIR [DIR2]`.
+    const SYNOPSIS: &'static str;
+
+    /// The flag table.
+    fn flags() -> Vec<Flag<Self>>;
+
+    /// Takes one positional argument, before any flag is applied; by
+    /// default the bin takes none.
+    fn positional(&mut self, arg: String) -> Result<(), String> {
+        Err(format!("unknown argument '{arg}'"))
+    }
+
+    /// Refuses a flag of the table that the row the positional arguments
+    /// picked leaves out (a study row's or perf preset's
+    /// [`Axis`](crate::study::Axis) flags); by default every flag is taken.
+    fn refuse(&self, _flag: &str) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// The cross-flag checks, once every flag is applied; `given` names the
+    /// flags in command-line order.
+    fn finish(&mut self, _given: &[&str]) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// Looks `arg` up in `table` and pulls its value, if it takes one, off
+/// `args`; `Ok(None)` when the table has no such flag.
+pub(crate) fn take<'t, T>(
+    table: &'t [Flag<T>],
+    arg: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<Option<(&'t Flag<T>, String)>, String> {
+    let Some(flag) = table.iter().find(|flag| flag.name == arg) else {
+        return Ok(None);
+    };
+    let value = match flag.metavar {
+        Some(_) => args.next().ok_or_else(|| format!("{arg} needs a value"))?,
+        None => String::new(),
+    };
+    Ok(Some((flag, value)))
+}
+
+/// Parses `args` (program name already stripped) into `T`: `Ok(None)` when
+/// `--help` or `-h` appears anywhere. Positional arguments are taken first,
+/// then every flag is checked against [`Args::refuse`] before any is
+/// applied, in command-line order; [`Args::finish`] comes last.
+///
+/// # Errors
+///
+/// The usage message of the first of those steps to fail.
+pub fn parse<T: Args>(args: impl IntoIterator<Item = String>) -> Result<Option<T>, String> {
+    let args: Vec<String> = args.into_iter().collect();
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        return Ok(None);
+    }
+    let table = T::flags();
+    let (mut given, mut positionals) = (Vec::new(), Vec::new());
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match take(&table, &arg, &mut args)? {
+            Some(flag) => given.push(flag),
+            None if arg.starts_with('-') => return Err(format!("unknown argument '{arg}'")),
+            None => positionals.push(arg),
+        }
+    }
+    let mut target = T::default();
+    for arg in positionals {
+        target.positional(arg)?;
+    }
+    for (flag, _) in &given {
+        target.refuse(flag.name)?;
+    }
+    for (flag, value) in &given {
+        (flag.apply)(&mut target, value)?;
+    }
+    let names: Vec<&str> = given.iter().map(|(flag, _)| flag.name).collect();
+    target.finish(&names)?;
+    Ok(Some(target))
+}
+
+/// The usage text of `T`'s bin: the synopsis with every flag, then one
+/// line of help per flag.
+pub fn usage<T: Args>() -> String {
+    let table = T::flags();
+    let forms: String = table.iter().map(|f| format!(" [{}]", f.form())).collect();
+    let help: String = table
+        .iter()
+        .map(|f| format!("\n  {:<26}{}", f.form(), f.help))
+        .collect();
+    format!("usage: {}{forms}\n{help}", T::SYNOPSIS)
+}
+
+/// Parses the process's arguments into `T`, or ends the process: `--help`
+/// prints the usage on stdout and exits 0, a malformed command line exits
+/// through [`usage_error`].
+pub fn parse_or_exit<T: Args>() -> T {
+    match parse(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{}", usage::<T>());
+            std::process::exit(0);
+        }
+        Err(message) => usage_error(&message, &usage::<T>()),
+    }
+}
+
 /// Ends a binary on a malformed command line: prints the error and the
-/// usage line to stderr and exits with status 2.
+/// usage text to stderr and exits with status 2.
 pub fn usage_error(message: &str, usage: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("{usage}");
@@ -187,138 +333,153 @@ pub fn parse_switching(s: &str) -> Result<Switching, String> {
     }
 }
 
-/// Parses a worker-thread count: a positive integer (`--threads`).
+/// Parses a whole number of at least `min`: 0 where zero means something
+/// (`--max-faults 0` is the fault-free baseline alone, `--retries 0` no
+/// retry), 1 where it would not (`--threads 0` would deadlock the pool,
+/// `--cycle-budget 0` run nothing).
 ///
 /// # Errors
 ///
-/// Returns a usage message for non-integers and for `0`, which would
-/// deadlock the work-stealing loop rather than mean "auto".
-pub fn parse_threads(s: &str) -> Result<usize, String> {
-    let threads = usize::from_str(s)
-        .map_err(|_| format!("bad thread count '{s}' (expected a positive integer)"))?;
-    if threads == 0 {
-        return Err("thread count must be at least 1".to_owned());
+/// Returns a usage message naming `what` for anything else.
+pub fn parse_int<T>(what: &str, s: &str, min: u8) -> Result<T, String>
+where
+    T: FromStr + PartialOrd + From<u8>,
+{
+    T::from_str(s)
+        .ok()
+        .filter(|n| *n >= T::from(min))
+        .ok_or_else(|| format!("bad {what} '{s}' (expected a whole number >= {min})"))
+}
+
+/// Parses a positive finite number, fractions allowed: seconds
+/// (`--wall-budget 2.5`) or a percentage (`--max-overhead-pct`).
+///
+/// # Errors
+///
+/// Returns a usage message naming `what` for anything else.
+pub fn parse_positive(what: &str, s: &str) -> Result<f64, String> {
+    f64::from_str(s)
+        .ok()
+        .filter(|x| x.is_finite() && *x > 0.0)
+        .ok_or_else(|| format!("bad {what} '{s}' (expected a positive number, e.g. 30 or 2.5)"))
+}
+
+/// The `verify` command line: which algorithms to prove or refute on
+/// which network, how hard the fault adversary plays (`config`), and where
+/// counterexamples go.
+pub struct VerifyArgs {
+    pub topology: Topology,
+    pub algorithms: Vec<AlgorithmKind>,
+    pub config: AdversaryConfig,
+    pub out: Option<PathBuf>,
+    pub smoke: bool,
+}
+
+impl Default for VerifyArgs {
+    fn default() -> Self {
+        VerifyArgs {
+            topology: Topology::torus(&[4, 4]),
+            algorithms: AlgorithmKind::all().to_vec(),
+            config: AdversaryConfig {
+                max_faults: 1,
+                ..AdversaryConfig::default()
+            },
+            out: None,
+            smoke: false,
+        }
     }
-    Ok(threads)
 }
 
-/// Parses a sampling stride in cycles (`--sample-every`): a positive
-/// integer.
-///
-/// # Errors
-///
-/// Returns a usage message for non-integers and for `0`; callers that want
-/// the observe layer's default stride should omit the flag instead.
-pub fn parse_sample_every(s: &str) -> Result<u64, String> {
-    let every = u64::from_str(s)
-        .map_err(|_| format!("bad sample stride '{s}' (expected a positive integer)"))?;
-    if every == 0 {
-        return Err("sample stride must be at least 1 cycle".to_owned());
+impl Args for VerifyArgs {
+    const SYNOPSIS: &'static str = "verify";
+
+    #[rustfmt::skip] // one row per line
+    fn flags() -> Vec<Flag<Self>> {
+        vec![
+            Flag { name: "--smoke", metavar: None, apply: |a, _| { a.smoke = true; Ok(()) }, help: "the CI preset: the defaults, at most one fault" },
+            Flag { name: "--topo", metavar: Some("T"), apply: |a, v| { a.topology = parse_topology(v)?; Ok(()) }, help: "network (default torus:4x4)" },
+            Flag { name: "--algos", metavar: Some("A"), apply: |a, v| { a.algorithms = parse_algorithms(v)?; Ok(()) }, help: "algorithms: all|extended|phop,ecube,... (default all)" },
+            Flag { name: "--max-faults", metavar: Some("K"), apply: |a, v| { a.config.max_faults = parse_int("--max-faults", v, 0)?; Ok(()) }, help: "every fault plan of up to K dead links (default 1)" },
+            Flag { name: "--node-faults", metavar: None, apply: |a, _| { a.config.node_faults = true; Ok(()) }, help: "add whole-node faults to the exhaustive pool" },
+            Flag { name: "--random-plans", metavar: Some("N"), apply: |a, v| { a.config.random_plans = parse_int("--random-plans", v, 0)?; Ok(()) }, help: "seeded random fault plans on top" },
+            Flag { name: "--random-faults", metavar: Some("K"), apply: |a, v| { a.config.random_faults = parse_int("--random-faults", v, 0)?; Ok(()) }, help: "faults per random plan" },
+            Flag { name: "--transient-plans", metavar: Some("N"), apply: |a, v| { a.config.transient_plans = parse_int("--transient-plans", v, 0)?; Ok(()) }, help: "seeded fail/repair schedules, checked at every transition" },
+            Flag { name: "--transient-faults", metavar: Some("K"), apply: |a, v| { a.config.transient_faults = parse_int("--transient-faults", v, 0)?; Ok(()) }, help: "faults per transient plan" },
+            Flag { name: "--seed", metavar: Some("N"), apply: |a, v| { a.config.seed = parse_int("seed", v, 0)?; Ok(()) }, help: "seed of the random and transient plans" },
+            Flag { name: "--out", metavar: Some("DIR"), apply: |a, v| { a.out = Some(v.into()); Ok(()) }, help: "write one counterexample JSON per refutation" },
+        ]
     }
-    Ok(every)
-}
 
-/// Parses a base RNG seed (`--seed`).
-///
-/// # Errors
-///
-/// Returns a usage message for values that are not unsigned integers.
-pub fn parse_seed(s: &str) -> Result<u64, String> {
-    u64::from_str(s).map_err(|_| format!("bad seed '{s}' (expected an unsigned integer)"))
-}
-
-/// Parses a per-run cycle budget (`--cycle-budget`): a positive integer.
-///
-/// # Errors
-///
-/// Returns a usage message for non-integers and for `0`; callers that want
-/// no cap should omit the flag instead.
-pub fn parse_cycle_budget(s: &str) -> Result<u64, String> {
-    let budget = u64::from_str(s)
-        .map_err(|_| format!("bad cycle budget '{s}' (expected a positive integer)"))?;
-    if budget == 0 {
-        return Err("cycle budget must be at least 1".to_owned());
+    /// `--smoke` caps the horizon whatever order the flags came in.
+    fn finish(&mut self, _: &[&str]) -> Result<(), String> {
+        if self.smoke {
+            self.config.max_faults = self.config.max_faults.min(1);
+        }
+        Ok(())
     }
-    Ok(budget)
 }
 
-/// Parses a count flag where `0` is meaningful (`--max-faults 0` is the
-/// fault-free baseline alone): a non-negative integer.
-///
-/// # Errors
-///
-/// Returns a usage message naming `flag` for non-integers.
-pub fn parse_count(flag: &str, s: &str) -> Result<usize, String> {
-    usize::from_str(s).map_err(|_| format!("bad {flag} '{s}' (expected a non-negative integer)"))
+/// The `inspect` command line: an observe directory, or two to diff.
+pub struct InspectArgs {
+    pub dir: PathBuf,
+    pub diff: Option<PathBuf>,
+    pub top: usize,
 }
 
-/// Parses a per-run wall-clock budget in seconds (`--wall-budget`): a
-/// positive number, fractions allowed.
-///
-/// # Errors
-///
-/// Returns a usage message for values that are not positive finite numbers.
-pub fn parse_wall_budget(s: &str) -> Result<f64, String> {
-    let budget = f64::from_str(s)
-        .map_err(|_| format!("bad wall budget '{s}' (expected seconds, e.g. 30 or 2.5)"))?;
-    if !budget.is_finite() || budget <= 0.0 {
-        return Err("wall budget must be a positive number of seconds".to_owned());
+impl Default for InspectArgs {
+    fn default() -> Self {
+        InspectArgs {
+            dir: PathBuf::new(),
+            diff: None,
+            top: 5,
+        }
     }
-    Ok(budget)
 }
 
-/// Parses a retry count for transient point outcomes (`--retries`): zero
-/// or more extra attempts.
-///
-/// # Errors
-///
-/// Returns a usage message for non-integers.
-pub fn parse_retries(s: &str) -> Result<u32, String> {
-    u32::from_str(s).map_err(|_| format!("bad retry count '{s}' (expected an integer, 0 disables)"))
-}
+const INSPECT_DIRS: &str = "expected one observe directory (or two, to diff)";
 
-/// Parses the crash-simulation threshold (`--fail-after-points`): a
-/// positive number of journaled points after which the process aborts.
-///
-/// # Errors
-///
-/// Returns a usage message for non-integers and for `0` (the process would
-/// abort before journaling anything, proving nothing).
-pub fn parse_fail_after(s: &str) -> Result<usize, String> {
-    let points = usize::from_str(s)
-        .map_err(|_| format!("bad point count '{s}' (expected a positive integer)"))?;
-    if points == 0 {
-        return Err("--fail-after-points must be at least 1".to_owned());
+impl Args for InspectArgs {
+    const SYNOPSIS: &'static str = "inspect DIR [DIR2]";
+
+    #[rustfmt::skip] // one row per line
+    fn flags() -> Vec<Flag<Self>> {
+        vec![
+            Flag { name: "--top", metavar: Some("N"), apply: |a, v| { a.top = parse_int("--top", v, 1)?; Ok(()) }, help: "hot channels listed per run (default 5)" },
+        ]
     }
-    Ok(points)
-}
 
-/// Parses a supervision interval in seconds (`--point-deadline`,
-/// `--hedge-after`): a positive number, fractions allowed.
-///
-/// # Errors
-///
-/// Returns a usage message (naming `flag`) for values that are not
-/// positive finite numbers.
-pub fn parse_supervise_secs(flag: &str, s: &str) -> Result<f64, String> {
-    let secs = f64::from_str(s)
-        .map_err(|_| format!("bad {flag} '{s}' (expected seconds, e.g. 30 or 2.5)"))?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err(format!("{flag} must be a positive number of seconds"));
+    fn positional(&mut self, dir: String) -> Result<(), String> {
+        match (self.dir.as_os_str().is_empty(), &self.diff) {
+            (true, _) => self.dir = dir.into(),
+            (false, None) => self.diff = Some(dir.into()),
+            (false, Some(_)) => return Err(INSPECT_DIRS.to_owned()),
+        }
+        Ok(())
     }
-    Ok(secs)
+
+    fn finish(&mut self, _: &[&str]) -> Result<(), String> {
+        if self.dir.as_os_str().is_empty() {
+            return Err(INSPECT_DIRS.to_owned());
+        }
+        Ok(())
+    }
 }
 
-/// Parses the poison-point dispatch budget (`--quarantine-after`): how
-/// many dispatches a point may burn before the supervisor quarantines it.
-/// `0` disables quarantine.
-///
-/// # Errors
-///
-/// Returns a usage message for non-integers.
-pub fn parse_quarantine_after(s: &str) -> Result<u64, String> {
-    u64::from_str(s)
-        .map_err(|_| format!("bad dispatch budget '{s}' (expected an integer, 0 disables)"))
+/// The `chaos_soak` command line.
+#[derive(Default)]
+pub struct SoakArgs {
+    pub smoke: bool,
+}
+
+impl Args for SoakArgs {
+    const SYNOPSIS: &'static str = "chaos_soak";
+
+    #[rustfmt::skip] // one row per line
+    fn flags() -> Vec<Flag<Self>> {
+        vec![
+            Flag { name: "--smoke", metavar: None, apply: |a, _| { a.smoke = true; Ok(()) }, help: "one pass of every scenario (the CI configuration)" },
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -439,6 +600,7 @@ mod tests {
 
     #[test]
     fn threads() {
+        let parse_threads = |s| parse_int::<usize>("thread count", s, 1);
         assert_eq!(parse_threads("8").unwrap(), 8);
         assert!(parse_threads("0").is_err(), "zero workers rejected");
         assert!(parse_threads("-2").is_err());
@@ -448,6 +610,7 @@ mod tests {
 
     #[test]
     fn sample_strides() {
+        let parse_sample_every = |s| parse_int::<u64>("sample stride", s, 1);
         assert_eq!(parse_sample_every("1000").unwrap(), 1000);
         assert_eq!(parse_sample_every("1").unwrap(), 1);
         assert!(parse_sample_every("0").is_err(), "zero stride rejected");
@@ -457,6 +620,7 @@ mod tests {
 
     #[test]
     fn seeds() {
+        let parse_seed = |s| parse_int::<u64>("seed", s, 0);
         assert_eq!(parse_seed("1993").unwrap(), 1993);
         assert!(parse_seed("0x1f").is_err());
         assert!(parse_seed("-1").is_err());
@@ -465,6 +629,7 @@ mod tests {
 
     #[test]
     fn counts() {
+        let parse_count = |flag, s| parse_int::<usize>(flag, s, 0);
         assert_eq!(parse_count("--max-faults", "0").unwrap(), 0);
         assert_eq!(parse_count("--max-faults", "12").unwrap(), 12);
         let err = parse_count("--max-faults", "lots").unwrap_err();
@@ -474,6 +639,8 @@ mod tests {
 
     #[test]
     fn budgets() {
+        let parse_cycle_budget = |s| parse_int::<u64>("cycle budget", s, 1);
+        let parse_wall_budget = |s| parse_positive("wall budget", s);
         assert_eq!(parse_cycle_budget("50000").unwrap(), 50_000);
         assert!(parse_cycle_budget("0").is_err(), "zero cycles rejected");
         assert!(parse_cycle_budget("soon").is_err());

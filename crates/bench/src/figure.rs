@@ -2,9 +2,8 @@
 //! points and run through [`run_sweep`](crate::run_sweep).
 
 use crate::options::SweepOptions;
-use crate::sweep::{run_points_or_exit, SweepPlan};
+use crate::sweep::SweepPlan;
 use wormsim::presets::FigureSpec;
-use wormsim::RunResult;
 
 /// The fail-fast plan of a figure's `(algorithm, load)` points, in
 /// deterministic order (algorithm-major, load-minor).
@@ -16,14 +15,6 @@ pub fn figure_plan(spec: &FigureSpec, options: &SweepOptions) -> SweepPlan {
     )
 }
 
-/// Runs a figure for a binary through the shared exit path (see
-/// [`run_sweep_or_exit`](crate::run_sweep_or_exit)): an interrupted or quarantined sweep leaves
-/// `<id>.partial.csv` and exits 130 / 4, an error exits 1. Returns only
-/// when the sweep completed whole.
-pub fn run_figure_or_exit(spec: &FigureSpec, options: &SweepOptions) -> Vec<RunResult> {
-    run_points_or_exit(&figure_plan(spec, options), options)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -31,7 +22,7 @@ pub(crate) mod tests {
     use crate::report::{latency_at, peak_utilization, write_csv};
     use crate::sweep::{run_sweep, ExperimentsRun};
     use std::path::Path;
-    use wormsim::{format_sweep_csv, presets, MeasurementSchedule, RunOutcome};
+    use wormsim::{format_sweep_csv, presets, MeasurementSchedule, RunOutcome, RunResult};
 
     pub(crate) fn temp_out_dir(name: &str) -> String {
         std::env::temp_dir()

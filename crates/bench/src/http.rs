@@ -7,7 +7,7 @@
 //! four endpoints exchanging small JSON bodies — and keeps the wire
 //! debuggable with `curl`.
 
-use std::io::{Read, Write};
+use std::io::{Error, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -43,16 +43,16 @@ fn read_head(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<(Stri
             return Ok((head, buf[end + 4..].to_vec()));
         }
         if buf.len() > MAX_HEAD {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
+            return Err(Error::new(
+                ErrorKind::InvalidData,
                 "http header block too large",
             ));
         }
         check_deadline(deadline)?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+            return Err(Error::new(
+                ErrorKind::UnexpectedEof,
                 "connection closed before end of http headers",
             ));
         }
@@ -62,8 +62,8 @@ fn read_head(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<(Stri
 
 fn check_deadline(deadline: Instant) -> std::io::Result<()> {
     if Instant::now() >= deadline {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
+        return Err(Error::new(
+            ErrorKind::TimedOut,
             "exchange deadline exceeded (peer is dribbling bytes)",
         ));
     }
@@ -79,16 +79,10 @@ fn content_length(head: &str) -> std::io::Result<usize> {
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
                 let len: usize = value.trim().parse().map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "unparseable Content-Length",
-                    )
+                    Error::new(ErrorKind::InvalidData, "unparseable Content-Length")
                 })?;
                 if len > MAX_BODY {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "http body too large",
-                    ));
+                    return Err(Error::new(ErrorKind::InvalidData, "http body too large"));
                 }
                 return Ok(len);
             }
@@ -108,8 +102,8 @@ fn read_body(
         check_deadline(deadline)?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+            return Err(Error::new(
+                ErrorKind::UnexpectedEof,
                 "connection closed mid-body",
             ));
         }
@@ -117,7 +111,7 @@ fn read_body(
     }
     already.truncate(length);
     String::from_utf8(already)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "http body is not utf-8"))
+        .map_err(|_| Error::new(ErrorKind::InvalidData, "http body is not utf-8"))
 }
 
 /// Server side: reads one request off an accepted connection within
@@ -131,8 +125,8 @@ pub(crate) fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
     let method = parts.next().unwrap_or_default().to_owned();
     let target = parts.next().unwrap_or_default().to_owned();
     if method.is_empty() || target.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
+        return Err(Error::new(
+            ErrorKind::InvalidData,
             "malformed http request line",
         ));
     }
@@ -221,17 +215,24 @@ pub(crate) fn call(
     stream
         .write_all(request.as_bytes())
         .map_err(|e| format!("send to {addr} failed: {e}"))?;
-    let (head, leftover) =
-        read_head(&mut stream, deadline).map_err(|e| format!("read from {addr} failed: {e}"))?;
+    read_response(&mut stream, deadline).map_err(|e| format!("read from {addr} failed: {e}"))
+}
+
+/// Client side: reads one response, `(status, body)`, before `deadline`.
+fn read_response(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<(u16, String)> {
+    let (head, leftover) = read_head(stream, deadline)?;
     let status_line = head.lines().next().unwrap_or_default();
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|code| code.parse().ok())
-        .ok_or_else(|| format!("malformed status line from {addr}: {status_line:?}"))?;
-    let length = content_length(&head).map_err(|e| format!("bad response from {addr}: {e}"))?;
-    let body = read_body(&mut stream, leftover, length, deadline)
-        .map_err(|e| format!("read from {addr} failed: {e}"))?;
+        .ok_or_else(|| {
+            Error::new(
+                ErrorKind::InvalidData,
+                format!("malformed status line {status_line:?}"),
+            )
+        })?;
+    let body = read_body(stream, leftover, content_length(&head)?, deadline)?;
     Ok((status, body))
 }
 
@@ -277,6 +278,56 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("127.0.0.1:1"), "got: {err}");
+    }
+
+    /// Seeded garbage-in over a loopback socket: a request for
+    /// `read_request` and a response for `read_response`, each truncated,
+    /// with a byte flipped, with a bad `Content-Length`, with an oversized
+    /// header block and with no end to its headers. Every read ends within
+    /// the deadline, and all but a flipped byte end in an `io::Error`.
+    #[test]
+    fn corrupted_exchanges_end_in_typed_errors() {
+        use ErrorKind::{InvalidData, UnexpectedEof};
+        let corruptor = crate::chaos::Corruptor::new(1993);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let request = "POST /submit HTTP/1.1\r\nContent-Length: 12\r\n\r\n{\"hello\":42}";
+        let response = render_response(200, "{\"ok\":true}");
+        let pad = format!("\r\nX-Pad: {}\r\n", "a".repeat(70_000));
+        for counter in 0..20 {
+            for wire in [request, response.as_str()] {
+                let at = corruptor.pick(1, counter, wire.len());
+                let mut flipped = wire.as_bytes().to_vec();
+                flipped[at] = corruptor.pick(2, counter, 256) as u8;
+                let lengths = ["-1", "x", "99999999999999999999", "40", ""];
+                let length = lengths[corruptor.pick(3, counter, lengths.len())];
+                let (head, rest) = wire.split_once("Content-Length: ").unwrap();
+                let rest = &rest[rest.find('\r').unwrap()..];
+                let damaged = [
+                    (wire.as_bytes()[..at].to_vec(), true),
+                    (flipped, false),
+                    (format!("{head}Content-Length: {length}{rest}").into(), true),
+                    (wire.replacen("\r\n", &pad, 1).into(), true),
+                    (wire.replacen("\r\n\r\n", "\r\n", 1).into(), true),
+                ];
+                for (bytes, must_fail) in damaged {
+                    let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                    let (mut stream, _) = listener.accept().unwrap();
+                    peer.write_all(&bytes).unwrap();
+                    peer.shutdown(std::net::Shutdown::Write).unwrap();
+                    let started = Instant::now();
+                    stream.set_read_timeout(Some(REQUEST_DEADLINE)).unwrap();
+                    let read = match wire == request {
+                        true => read_request(&mut stream).map(drop),
+                        false => read_response(&mut stream, started + REQUEST_DEADLINE).map(drop),
+                    };
+                    assert!(started.elapsed() < REQUEST_DEADLINE, "{counter}: slow read");
+                    match read {
+                        Err(e) => assert!(matches!(e.kind(), InvalidData | UnexpectedEof), "{e}"),
+                        Ok(()) => assert!(!must_fail, "{}", String::from_utf8_lossy(&bytes)),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

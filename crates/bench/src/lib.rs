@@ -7,7 +7,7 @@
 //! The harness is crash-safe: every completed point is checkpointed to a
 //! [`Journal`] (atomic JSONL, keyed by the point's configuration digest),
 //! worker panics are contained to the point that raised them, transient
-//! outcomes retry with seed-jittered backoff, and SIGINT drains in-flight
+//! outcomes are retried with the identical seed, and SIGINT drains in-flight
 //! points before flushing partial results and printing a ready-to-paste
 //! resume command. See `docs/ROBUSTNESS.md`.
 //!
@@ -31,6 +31,7 @@ mod figure;
 mod http;
 mod journal;
 mod options;
+pub mod perf;
 pub mod plot;
 mod reference;
 mod remote;
@@ -44,7 +45,7 @@ pub use backend::{
     WorkerBackend,
 };
 pub use chaos::{ChaosPlan, ChaosPlanError};
-pub use figure::{figure_plan, run_figure_or_exit};
+pub use figure::figure_plan;
 pub use journal::{Journal, JournalEntry, JournalError, SalvagedLine};
 pub use options::SweepOptions;
 pub use reference::{paper_reference, PaperClaim};

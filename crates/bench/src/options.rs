@@ -1,9 +1,9 @@
-//! The harness flag grammar: the flags every `study <id>` takes after its
-//! own axis flags (see `study::parse`), and the options the benchmark,
+//! The harness flag grammar: the flags every `study <id>` takes besides
+//! its own axis flags (see `study::parse`), and the options the benchmark,
 //! `chaos_soak` and the tests build directly.
 
 use crate::backend::BackendChoice;
-use crate::cli;
+use crate::cli::{self, Flag};
 use wormsim::topology::Topology;
 use wormsim::{CancelToken, Experiment, MeasurementSchedule, ObserveConfig};
 
@@ -48,8 +48,8 @@ pub struct SweepOptions {
     /// new completions append to the same file.
     pub resume: Option<String>,
     /// Extra attempts for points with transient outcomes — budget trips
-    /// and harness panics (`--retries N`, default 1). Retries reuse the
-    /// identical seed; only the backoff delay between attempts is jittered.
+    /// and harness panics (`--retries N`, default 1). The supervisor
+    /// re-dispatches each retry at once with the identical seed.
     pub retries: u32,
     /// Supervision: write a worker off once a point's simulation
     /// heartbeat has been frozen this long (`--point-deadline SECS`);
@@ -111,67 +111,57 @@ impl Default for SweepOptions {
     }
 }
 
-impl SweepOptions {
-    /// The harness flags, for `study`'s usage line (after the axis
-    /// flags).
-    pub const USAGE: &'static str = "[--quick|--saturation] [--topo T] [--seed N] [--out DIR] \
-         [--threads N] [--observe DIR] [--trace-out DIR] [--sample-every N] [--metrics] \
-         [--cycle-budget N] [--wall-budget SECS] [--resume JOURNAL] [--salvage] [--retries N] \
-         [--point-deadline SECS] [--hedge-after SECS] [--quarantine-after N] \
-         [--backend local|remote] [--worker HOST:PORT]...";
+impl AsMut<SweepOptions> for SweepOptions {
+    fn as_mut(&mut self) -> &mut SweepOptions {
+        self
+    }
+}
 
-    /// One step of the harness flag grammar: applies `flag` (pulling its
-    /// value from `args` if it takes one) and returns `true`, or returns
-    /// `false` for a flag that is not a harness flag — `study::parse`
-    /// matches the study's axis flags first and delegates everything else
-    /// here.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for a missing or malformed value.
-    pub fn apply_flag(
+impl SweepOptions {
+    /// The harness flag table, for any command line that holds the options
+    /// (`study`'s [`StudyArgs`](crate::study::StudyArgs), or the options
+    /// alone).
+    #[rustfmt::skip] // one row per line
+    pub fn flags<T: AsMut<SweepOptions>>() -> Vec<Flag<T>> {
+        vec![
+            Flag { name: "--quick", metavar: None, apply: |o, _| { o.as_mut().schedule = MeasurementSchedule::quick(); Ok(()) }, help: "the short measurement schedule" },
+            Flag { name: "--saturation", metavar: None, apply: |o, _| { o.as_mut().schedule = MeasurementSchedule::saturation(); Ok(()) }, help: "the schedule for points past saturation" },
+            Flag { name: "--topo", metavar: Some("T"), apply: |o, v| { o.as_mut().topology = Some(cli::parse_topology(v)?); Ok(()) }, help: "network: torus:32x32, mesh:8x8, 8^3 (default: the study's own)" },
+            Flag { name: "--seed", metavar: Some("N"), apply: |o, v| { o.as_mut().seed = cli::parse_int("seed", v, 0)?; Ok(()) }, help: "base RNG seed (default 1993)" },
+            Flag { name: "--out", metavar: Some("DIR"), apply: |o, v| { o.as_mut().out_dir = v.to_owned(); Ok(()) }, help: "CSV and journal directory (default results)" },
+            Flag { name: "--threads", metavar: Some("N"), apply: |o, v| { o.as_mut().threads = cli::parse_int("thread count", v, 1)?; Ok(()) }, help: "worker threads (default: all cores)" },
+            Flag { name: "--observe", metavar: Some("DIR"), apply: |o, v| { o.as_mut().observe_dir = Some(v.to_owned()); Ok(()) }, help: "per-run sample streams and manifests" },
+            Flag { name: "--trace-out", metavar: Some("DIR"), apply: |o, v| { o.as_mut().trace_dir = Some(v.to_owned()); Ok(()) }, help: "per-run JSONL event traces" },
+            Flag { name: "--sample-every", metavar: Some("N"), apply: |o, v| { o.as_mut().sample_every = cli::parse_int("sample stride", v, 1)?; Ok(()) }, help: "cycles between samples" },
+            Flag { name: "--metrics", metavar: None, apply: |o, _| { o.as_mut().metrics = true; Ok(()) }, help: "deep telemetry into the --observe directory" },
+            Flag { name: "--cycle-budget", metavar: Some("N"), apply: |o, v| { o.as_mut().cycle_budget = Some(cli::parse_int("cycle budget", v, 1)?); Ok(()) }, help: "per-run simulated-cycle cap" },
+            Flag { name: "--wall-budget", metavar: Some("SECS"), apply: |o, v| { o.as_mut().wall_budget_secs = Some(cli::parse_positive("wall budget", v)?); Ok(()) }, help: "per-run wall-clock cap" },
+            Flag { name: "--resume", metavar: Some("JOURNAL"), apply: |o, v| { o.as_mut().resume = Some(v.to_owned()); Ok(()) }, help: "skip the points this journal records" },
+            Flag { name: "--salvage", metavar: None, apply: |o, _| { o.as_mut().salvage = true; Ok(()) }, help: "with --resume, recover a journal with corrupted lines" },
+            Flag { name: "--retries", metavar: Some("N"), apply: |o, v| { o.as_mut().retries = cli::parse_int("retry count", v, 0)?; Ok(()) }, help: "extra attempts for transient outcomes (default 1)" },
+            Flag { name: "--point-deadline", metavar: Some("SECS"), apply: |o, v| { o.as_mut().point_deadline_secs = Some(cli::parse_positive("--point-deadline", v)?); Ok(()) }, help: "write off a worker whose heartbeat froze this long" },
+            Flag { name: "--hedge-after", metavar: Some("SECS"), apply: |o, v| { o.as_mut().hedge_after_secs = Some(cli::parse_positive("--hedge-after", v)?); Ok(()) }, help: "re-dispatch a straggler pending this long" },
+            Flag { name: "--quarantine-after", metavar: Some("N"), apply: |o, v| { o.as_mut().quarantine_after = cli::parse_int("dispatch budget", v, 0)?; Ok(()) }, help: "quarantine a point after N dispatches (default 3, 0 never)" },
+            Flag { name: "--fail-after-points", metavar: Some("N"), apply: |o, v| { o.as_mut().fail_after_points = Some(cli::parse_int("--fail-after-points", v, 1)?); Ok(()) }, help: "test hook: exit 3 once N points are journaled" },
+            Flag { name: "--backend", metavar: Some("local|remote"), apply: |o, v| o.as_mut().set_backend(v), help: "where points run (default local)" },
+            Flag { name: "--worker", metavar: Some("HOST:PORT"), apply: |o, v| { o.as_mut().add_worker(v.to_owned()); Ok(()) }, help: "a wormsim-worker to shard across (repeatable)" },
+        ]
+    }
+
+    /// The harness grammar one flag at a time, for tests: applies `flag`
+    /// (pulling its value from `args` if it takes one) and returns `true`,
+    /// or `false` for a flag not in [`SweepOptions::flags`].
+    #[cfg(test)]
+    pub(crate) fn apply_flag(
         &mut self,
         flag: &str,
         args: &mut impl Iterator<Item = String>,
     ) -> Result<bool, String> {
-        let mut value = |what: &str| args.next().ok_or_else(|| format!("{flag} needs {what}"));
-        match flag {
-            "--quick" => self.schedule = MeasurementSchedule::quick(),
-            "--saturation" => self.schedule = MeasurementSchedule::saturation(),
-            "--topo" => self.topology = Some(cli::parse_topology(&value("a value")?)?),
-            "--seed" => self.seed = cli::parse_seed(&value("a value")?)?,
-            "--out" => self.out_dir = value("a directory")?,
-            "--threads" => self.threads = cli::parse_threads(&value("a value")?)?,
-            "--observe" => self.observe_dir = Some(value("a directory")?),
-            "--trace-out" => self.trace_dir = Some(value("a directory")?),
-            "--sample-every" => self.sample_every = cli::parse_sample_every(&value("a value")?)?,
-            "--metrics" => self.metrics = true,
-            "--cycle-budget" => {
-                self.cycle_budget = Some(cli::parse_cycle_budget(&value("a value")?)?);
-            }
-            "--wall-budget" => {
-                self.wall_budget_secs = Some(cli::parse_wall_budget(&value("a value")?)?);
-            }
-            "--resume" => self.resume = Some(value("a journal file")?),
-            "--retries" => self.retries = cli::parse_retries(&value("a value")?)?,
-            "--point-deadline" => {
-                self.point_deadline_secs =
-                    Some(cli::parse_supervise_secs(flag, &value("a value")?)?);
-            }
-            "--hedge-after" => {
-                self.hedge_after_secs = Some(cli::parse_supervise_secs(flag, &value("a value")?)?);
-            }
-            "--quarantine-after" => {
-                self.quarantine_after = cli::parse_quarantine_after(&value("a value")?)?;
-            }
-            "--salvage" => self.salvage = true,
-            "--fail-after-points" => {
-                self.fail_after_points = Some(cli::parse_fail_after(&value("a value")?)?);
-            }
-            "--backend" => self.set_backend(&value("'local' or 'remote'")?)?,
-            "--worker" => self.add_worker(value("HOST:PORT")?),
-            _ => return Ok(false),
-        }
+        let table = Self::flags();
+        let Some((row, value)) = cli::take(&table, flag, args)? else {
+            return Ok(false);
+        };
+        (row.apply)(self, &value)?;
         Ok(true)
     }
 
@@ -192,13 +182,9 @@ impl SweepOptions {
         self.validate_backend()
     }
 
-    /// Applies a `--backend` value.
-    ///
-    /// # Errors
-    ///
-    /// On anything other than `local` or `remote`, or `local` after
-    /// `--worker` already implied remote.
-    pub fn set_backend(&mut self, value: &str) -> Result<(), String> {
+    /// Applies a `--backend` value: `local` or `remote`, where `local`
+    /// after `--worker` (which implies remote) is a conflict.
+    fn set_backend(&mut self, value: &str) -> Result<(), String> {
         match value {
             "local" => match &self.backend {
                 BackendChoice::Remote { workers } if !workers.is_empty() => {
@@ -222,9 +208,8 @@ impl SweepOptions {
         Ok(())
     }
 
-    /// Adds a `--worker HOST:PORT` address, switching to the remote
-    /// backend if not already selected.
-    pub fn add_worker(&mut self, addr: String) {
+    /// Adds a `--worker HOST:PORT` address; it implies the remote backend.
+    fn add_worker(&mut self, addr: String) {
         match &mut self.backend {
             BackendChoice::Remote { workers } => workers.push(addr),
             BackendChoice::Local => {

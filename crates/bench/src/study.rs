@@ -1,9 +1,10 @@
 //! The study table: every figure, in-text reading, ablation and free-form
 //! sweep this repository runs, as one row each behind `study <id>`.
 //!
-//! [`parse`] is the one command-line grammar: a row's own axis flags
-//! ([`Axis`]: `--algos`, `--loads`, ...) first, then the harness flags of
-//! [`SweepOptions`]. A row expands, under the parsed options and axes, to
+//! [`parse`] reads `study`'s flag table ([`StudyArgs`]): the axis flags
+//! ([`Axis`]: `--topo`, `--algos`, `--loads`, ...), which each row takes
+//! only if it declares them, and the harness flags of [`SweepOptions`]. A
+//! row expands, under the parsed options and axes, to
 //! a list of [`Experiment`] points plus a reducer that prints the table
 //! EXPERIMENTS.md records from their results. The points run through
 //! [`run_sweep`](crate::run_sweep), so every study gets threads, the
@@ -14,8 +15,8 @@
 //! going past a rejected point), an adaptive bisection, and a raw engine
 //! run.
 
-use crate::cli;
-use crate::figure::run_figure_or_exit;
+use crate::cli::{self, Flag};
+use crate::figure::figure_plan;
 use crate::options::SweepOptions;
 use crate::report::{peak_utilization, print_figure, print_paper_comparison, write_csv};
 use crate::sweep::{run_points_or_exit, run_sweep_or_exit, PointOutcome, SweepPlan};
@@ -35,10 +36,8 @@ pub struct Study {
     pub id: &'static str,
     /// What the study regenerates, in one line (`study --list`).
     pub about: &'static str,
-    /// Whether the study's points pin their own networks, which makes
-    /// `--topo` a usage error rather than a silently ignored flag.
-    pub pins_topology: bool,
-    /// The axis flags the study takes; any other is a usage error.
+    /// The axis flags the study takes; any other is a usage error. A row
+    /// that leaves out [`Axis::Topo`] pins its own networks.
     pub axes: &'static [Axis],
     plan: Expand,
 }
@@ -46,10 +45,12 @@ pub struct Study {
 /// A row's expansion of the parsed options and axes into its plan.
 type Expand = fn(&SweepOptions, &Axes) -> Result<Plan, String>;
 
-/// An axis flag: a value a study sweeps or fixes that the harness flags
-/// do not cover. Each row declares the ones it honours.
+/// An axis flag: a value a study sweeps or fixes. Each row (and each
+/// `perf` preset) declares the ones it honours.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Axis {
+    /// `--topo T` ([`SweepOptions::topology`]), unless the row pins its networks.
+    Topo,
     /// `--algos all|phop,ecube,...` ([`cli::parse_algorithms`]).
     Algos,
     /// `--loads 0.1:1.0:0.1 | 0.1,0.5,0.9` ([`cli::parse_loads`]).
@@ -58,12 +59,13 @@ pub enum Axis {
     Traffic,
     /// `--switching wh|wh:4|vct|saf` ([`cli::parse_switching`]).
     Switching,
-    /// `--max-faults N`: fault counts 0 to N ([`cli::parse_count`]).
+    /// `--max-faults N`: fault counts 0 to N ([`cli::parse_int`]).
     MaxFaults,
 }
 
 impl Axis {
-    const ALL: [Axis; 5] = [
+    const ALL: [Axis; 6] = [
+        Axis::Topo,
         Axis::Algos,
         Axis::Loads,
         Axis::Traffic,
@@ -74,11 +76,21 @@ impl Axis {
     /// The flag on the command line.
     pub const fn flag(self) -> &'static str {
         match self {
+            Axis::Topo => "--topo",
             Axis::Algos => "--algos",
             Axis::Loads => "--loads",
             Axis::Traffic => "--traffic",
             Axis::Switching => "--switching",
             Axis::MaxFaults => "--max-faults",
+        }
+    }
+
+    /// Refuses `flag` when it is an axis flag that `declared` leaves out:
+    /// the usage error `<row> takes no <flag>` (`study tune`, `preset scaling`).
+    pub fn refuse(declared: &[Axis], row: &str, flag: &str) -> Result<(), String> {
+        match Axis::ALL.iter().find(|axis| axis.flag() == flag) {
+            Some(axis) if !declared.contains(axis) => Err(format!("{row} takes no {flag}")),
+            _ => Ok(()),
         }
     }
 }
@@ -101,17 +113,6 @@ impl Axes {
         retain_runnable(&mut algorithms, topology)?;
         Ok(algorithms)
     }
-
-    fn apply(&mut self, axis: Axis, value: &str) -> Result<(), String> {
-        match axis {
-            Axis::Algos => self.algorithms = Some(cli::parse_algorithms(value)?),
-            Axis::Loads => self.loads = Some(cli::parse_loads(value)?),
-            Axis::Traffic => self.traffic = Some(cli::parse_traffic(value)?),
-            Axis::Switching => self.switching = Some(cli::parse_switching(value)?),
-            Axis::MaxFaults => self.max_faults = Some(cli::parse_count(axis.flag(), value)?),
-        }
-        Ok(())
-    }
 }
 
 /// What a study expands to under one set of options.
@@ -132,58 +133,47 @@ enum Run {
     Custom(Box<Runner>),
 }
 
-/// A study that takes no axis flags.
-const fn study(id: &'static str, about: &'static str, plan: Expand) -> Study {
+const fn study(
+    id: &'static str,
+    axes: &'static [Axis],
+    about: &'static str,
+    plan: Expand,
+) -> Study {
     Study {
         id,
         about,
-        pins_topology: false,
-        axes: &[],
+        axes,
         plan,
     }
 }
 
-const fn pinned(id: &'static str, about: &'static str, plan: Expand) -> Study {
-    Study {
-        pins_topology: true,
-        ..study(id, about, plan)
-    }
-}
-
-const fn swept(
-    id: &'static str,
-    about: &'static str,
-    axes: &'static [Axis],
-    plan: Expand,
-) -> Study {
-    Study {
-        axes,
-        ..study(id, about, plan)
-    }
-}
+/// The axes of a study that takes no axis flag but `--topo`.
+const TOPO: &[Axis] = &[Axis::Topo];
+/// The axes of a study that pins its own networks.
+const PINNED: &[Axis] = &[];
 
 /// Every study, in DESIGN.md §2 order.
 #[rustfmt::skip] // one row per line
 pub static STUDIES: &[Study] = &[
-    study("fig3", "Figure 3: uniform traffic of 16-flit worms", |o, _| figure(presets::fig3(), o)),
-    study("fig4", "Figure 4: 4% hotspot traffic at node (15,15)", |o, _| figure(presets::fig4(), o)),
-    study("fig5", "Figure 5: local traffic with 0.4 locality", |o, _| figure(presets::fig5(), o)),
-    study("vct", "Section 3.4: virtual cut-through", |o, _| figure(presets::vct_section_3_4(), o)),
-    study("headline", "all four figure families and the paper-vs-measured table", |o, _| headline(o)),
-    study("ablation_selection", "ablation: adaptive candidate-selection policy", |o, _| Ok(selection(o))),
-    study("ablation_vcs", "ablation: physical VCs per routing class (Dally 1992)", |o, _| Ok(vcs(o))),
-    study("ablation_congestion", "ablation: the input-buffer-limit congestion control", |o, _| Ok(congestion(o))),
-    study("ablation_buffers", "ablation: per-VC flit-buffer depth", |o, _| Ok(buffers(o))),
-    study("ablation_length", "ablation: message length 16/20/24 and the 15/31 mix", |o, _| Ok(length(o))),
-    study("saturation_study", "in-text saturation readings, by bisection on load", |o, _| Ok(saturation(o))),
-    study("transpose_check", "cross-check: nlast vs e-cube on three permutations", |o, _| Ok(transpose(o))),
-    pinned("hotspot_placement", "hotspot-placement sensitivity on the 16x16 torus", |o, _| Ok(hotspot(o))),
-    study("channel_balance", "channel and VC-class load balance at 0.3 (raw engine run)", |o, _| Ok(balance(o))),
-    pinned("multidim", "future work: six algorithms on an 8x8x8 torus and a 16x16 mesh", |o, _| Ok(multidim(o))),
-    study("switching_comparison", "wormhole vs cut-through vs store-and-forward", |o, _| Ok(switching(o))),
-    pinned("tune", "parameter matrix behind the defaults (16x16, quick, seed 42)", |o, _| Ok(tune(o))),
-    swept("sweep", "any algorithms x loads on any network, traffic and switching", &[Axis::Algos, Axis::Traffic, Axis::Loads, Axis::Switching], sweep),
-    swept("faults_sweep", "latency and delivery vs random dead links, at one load", &[Axis::Algos, Axis::Loads, Axis::MaxFaults], faults),
+    study("fig3", TOPO, "Figure 3: uniform traffic of 16-flit worms", |o, _| figure(presets::fig3(), o)),
+    study("fig4", TOPO, "Figure 4: 4% hotspot traffic at node (15,15)", |o, _| figure(presets::fig4(), o)),
+    study("fig5", TOPO, "Figure 5: local traffic with 0.4 locality", |o, _| figure(presets::fig5(), o)),
+    study("vct", TOPO, "Section 3.4: virtual cut-through", |o, _| figure(presets::vct_section_3_4(), o)),
+    study("headline", TOPO, "all four figure families and the paper-vs-measured table", |o, _| headline(o)),
+    study("ablation_selection", TOPO, "ablation: adaptive candidate-selection policy", |o, _| Ok(selection(o))),
+    study("ablation_vcs", TOPO, "ablation: physical VCs per routing class (Dally 1992)", |o, _| Ok(vcs(o))),
+    study("ablation_congestion", TOPO, "ablation: the input-buffer-limit congestion control", |o, _| Ok(congestion(o))),
+    study("ablation_buffers", TOPO, "ablation: per-VC flit-buffer depth", |o, _| Ok(buffers(o))),
+    study("ablation_length", TOPO, "ablation: message length 16/20/24 and the 15/31 mix", |o, _| Ok(length(o))),
+    study("saturation_study", TOPO, "in-text saturation readings, by bisection on load", |o, _| Ok(saturation(o))),
+    study("transpose_check", TOPO, "cross-check: nlast vs e-cube on three permutations", |o, _| Ok(transpose(o))),
+    study("hotspot_placement", PINNED, "hotspot-placement sensitivity on the 16x16 torus", |o, _| Ok(hotspot(o))),
+    study("channel_balance", TOPO, "channel and VC-class load balance at 0.3 (raw engine run)", |o, _| Ok(balance(o))),
+    study("multidim", PINNED, "future work: six algorithms on an 8x8x8 torus and a 16x16 mesh", |o, _| Ok(multidim(o))),
+    study("switching_comparison", TOPO, "wormhole vs cut-through vs store-and-forward", |o, _| Ok(switching(o))),
+    study("tune", PINNED, "parameter matrix behind the defaults (16x16, quick, seed 42)", |o, _| Ok(tune(o))),
+    study("sweep", &[Axis::Topo, Axis::Algos, Axis::Traffic, Axis::Loads, Axis::Switching], "any algorithms x loads on any network, traffic and switching", sweep),
+    study("faults_sweep", &[Axis::Topo, Axis::Algos, Axis::Loads, Axis::MaxFaults], "latency and delivery vs random dead links, at one load", faults),
 ];
 
 /// Looks a study up by id.
@@ -191,17 +181,9 @@ pub fn find(id: &str) -> Option<&'static Study> {
     STUDIES.iter().find(|study| study.id == id)
 }
 
-/// The usage line of `study`.
-pub fn usage() -> String {
-    format!(
-        "usage: study --list | study <id> [axis flags the study takes, see --list] {}",
-        SweepOptions::USAGE
-    )
-}
-
 /// What a `study` command line asks for.
 pub enum Command {
-    /// `--help` / `-h`: print [`usage`].
+    /// `--help` / `-h`: print the usage text.
     Help,
     /// `--list`: print the table.
     List,
@@ -216,65 +198,85 @@ pub struct Invocation {
     plan: Plan,
 }
 
-/// Parses `study <id> …` (program name already stripped): the id, then
-/// each flag as one of the study's declared [`Axis`] flags or else a
-/// harness flag ([`SweepOptions::apply_flag`]), then the study's plan.
+/// A `study` command line as its flag table reads it: the study the
+/// positional id names, its axes and the harness options.
+#[derive(Default)]
+pub struct StudyArgs {
+    study: Option<&'static Study>,
+    list: bool,
+    axes: Axes,
+    options: SweepOptions,
+}
+
+impl AsMut<SweepOptions> for StudyArgs {
+    fn as_mut(&mut self) -> &mut SweepOptions {
+        &mut self.options
+    }
+}
+
+impl cli::Args for StudyArgs {
+    const SYNOPSIS: &'static str = "study <id>";
+
+    #[rustfmt::skip] // one row per line
+    fn flags() -> Vec<Flag<Self>> {
+        let mut flags: Vec<Flag<Self>> = vec![
+            Flag { name: "--list", metavar: None, apply: |a, _| { a.list = true; Ok(()) }, help: "print the study table and the axis flags each row takes" },
+            Flag { name: Axis::Algos.flag(), metavar: Some("A"), apply: |a, v| { a.axes.algorithms = Some(cli::parse_algorithms(v)?); Ok(()) }, help: "axis: all|extended|phop,ecube,..." },
+            Flag { name: Axis::Loads.flag(), metavar: Some("L"), apply: |a, v| { a.axes.loads = Some(cli::parse_loads(v)?); Ok(()) }, help: "axis: 0.1,0.5,0.9 or 0.1:1.0:0.1" },
+            Flag { name: Axis::Traffic.flag(), metavar: Some("P"), apply: |a, v| { a.axes.traffic = Some(cli::parse_traffic(v)?); Ok(()) }, help: "axis: uniform|hotspot:15,15@0.04|local:3|transpose|bitrev|complement" },
+            Flag { name: Axis::Switching.flag(), metavar: Some("S"), apply: |a, v| { a.axes.switching = Some(cli::parse_switching(v)?); Ok(()) }, help: "axis: wh|wh:4|vct|saf" },
+            Flag { name: Axis::MaxFaults.flag(), metavar: Some("N"), apply: |a, v| { a.axes.max_faults = Some(cli::parse_int("--max-faults", v, 0)?); Ok(()) }, help: "axis: fault counts 0 to N" },
+        ];
+        flags.extend(SweepOptions::flags());
+        flags
+    }
+
+    fn positional(&mut self, id: String) -> Result<(), String> {
+        if self.study.is_some() {
+            return Err(format!("unexpected argument '{id}'"));
+        }
+        self.study = Some(find(&id).ok_or_else(|| format!("unknown study '{id}' (see --list)"))?);
+        Ok(())
+    }
+
+    fn refuse(&self, flag: &str) -> Result<(), String> {
+        match self.study {
+            Some(study) => Axis::refuse(study.axes, &format!("study {}", study.id), flag),
+            None => Ok(()),
+        }
+    }
+
+    fn finish(&mut self, _: &[&str]) -> Result<(), String> {
+        if self.study.is_none() && !self.list {
+            return Err("no study named".to_owned());
+        }
+        self.options.finish()
+    }
+}
+
+/// Parses `study <id> …` (program name already stripped) through
+/// [`StudyArgs`], then expands the study's plan.
 ///
 /// # Errors
 ///
 /// A usage message for anything the study cannot run as asked, from an
 /// unknown flag to an algorithm set the network rejects.
 pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
-    let mut args = args.into_iter();
-    let id = args.next().ok_or("no study named")?;
-    let study = match id.as_str() {
-        "--help" | "-h" => return Ok(Command::Help),
-        "--list" => return Ok(Command::List),
-        id => find(id).ok_or_else(|| format!("unknown study '{id}' (see --list)"))?,
+    let Some(args) = cli::parse::<StudyArgs>(args)? else {
+        return Ok(Command::Help);
     };
-    let mut axes = Axes::default();
-    let mut options = SweepOptions::default();
-    while let Some(arg) = args.next() {
-        if arg == "--help" || arg == "-h" {
-            return Ok(Command::Help);
-        }
-        if let Some(&axis) = Axis::ALL.iter().find(|axis| axis.flag() == arg) {
-            if !study.axes.contains(&axis) {
-                return Err(format!("study {} takes no {arg}", study.id));
-            }
-            let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
-            axes.apply(axis, &value)?;
-        } else if !options.apply_flag(&arg, &mut args)? {
-            return Err(format!("unknown argument '{arg}'"));
-        }
-    }
-    options.finish()?;
-    study.check(&options)?;
-    let plan = (study.plan)(&options, &axes)?;
+    let Some(study) = args.study.filter(|_| !args.list) else {
+        return Ok(Command::List);
+    };
+    let plan = (study.plan)(&args.options, &args.axes)?;
     Ok(Command::Run(Invocation {
         study,
-        options,
+        options: args.options,
         plan,
     }))
 }
 
 impl Study {
-    /// Rejects flags the study cannot honour.
-    ///
-    /// # Errors
-    ///
-    /// A usage message naming the study when `--topo` is given to a study
-    /// that pins its own networks.
-    pub fn check(&self, options: &SweepOptions) -> Result<(), String> {
-        if self.pins_topology && options.topology.is_some() {
-            return Err(format!(
-                "study {} pins its own network(s); it cannot honour --topo",
-                self.id
-            ));
-        }
-        Ok(())
-    }
-
     /// The study's experiments under `options` and its default axes, in
     /// schedule order.
     ///
@@ -395,7 +397,7 @@ fn figure_points(spec: &FigureSpec, options: &SweepOptions) -> Vec<Experiment> {
 fn regenerate(spec: &FigureSpec, options: &SweepOptions, print: impl Fn(&[RunResult])) {
     let points = spec.algorithms.len() * spec.loads.len();
     eprintln!("running {} ({points} points)...", spec.id);
-    let results = run_figure_or_exit(spec, options);
+    let results = run_points_or_exit(&figure_plan(spec, options), options);
     print(&results);
     print_paper_comparison(&spec.id, &results);
     match write_csv(&spec.id, &results, &options.out_dir) {

@@ -38,6 +38,7 @@
 
 use crate::backend::{LocalThreadBackend, PointJob, PointStatus, WorkHandle, WorkerBackend};
 use crate::chaos::{salt, ChaosPlan};
+use crate::cli::{self, Flag};
 use crate::http;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -57,6 +58,32 @@ pub struct WorkerConfig {
     pub chaos: ChaosPlan,
     /// Seconds SIGTERM waits for in-flight runs before cancelling them.
     pub drain_secs: u64,
+}
+
+impl Default for WorkerConfig {
+    fn default() -> Self {
+        WorkerConfig {
+            listen: "127.0.0.1:0".to_owned(),
+            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            chaos: ChaosPlan::default(),
+            drain_secs: 30,
+        }
+    }
+}
+
+/// The `wormsim-worker` command line.
+impl cli::Args for WorkerConfig {
+    const SYNOPSIS: &'static str = "wormsim-worker";
+
+    #[rustfmt::skip] // one row per line
+    fn flags() -> Vec<Flag<Self>> {
+        vec![
+            Flag { name: "--listen", metavar: Some("HOST:PORT"), apply: |c, v| { c.listen = v.to_owned(); Ok(()) }, help: "bind address (default 127.0.0.1:0, announced on stdout)" },
+            Flag { name: "--threads", metavar: Some("N"), apply: |c, v| { c.threads = cli::parse_int("thread count", v, 1)?; Ok(()) }, help: "concurrent simulation slots (default: all cores)" },
+            Flag { name: "--drain-secs", metavar: Some("S"), apply: |c, v| { c.drain_secs = cli::parse_int("drain budget", v, 0)?; Ok(()) }, help: "SIGTERM grace for in-flight runs (default 30)" },
+            Flag { name: "--chaos", metavar: Some("SPEC"), apply: |c, v| { c.chaos = ChaosPlan::parse(v).map_err(|e| e.to_string())?; Ok(()) }, help: "seeded fault injection, e.g. seed=7,crash-submit=3,corrupt=0.2 (keys: docs/DISTRIBUTION.md)" },
+        ]
+    }
 }
 
 /// Process exit status of a chaos-injected crash, distinct from real

@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use wormsim::observe::fnv1a_hex;
-use wormsim_bench::study::STUDIES;
+use wormsim_bench::study::{self, STUDIES};
 
 const STUDY: &str = env!("CARGO_BIN_EXE_study");
 
@@ -24,6 +24,10 @@ fn temp_dir(name: &str) -> PathBuf {
 /// The goldens retarget every study that honours `--topo` at an 8×8 torus
 /// (the smallest even radix Figure 5's radius-3 neighbourhoods fit), so
 /// only the three pinned studies pay for their full-size networks.
+fn takes_topo(id: &str) -> bool {
+    study::parse([id, "--topo", "torus:8x8"].map(str::to_owned)).is_ok()
+}
+
 #[test]
 #[ignore = "runs every study at --quick; run with --release -- --ignored"]
 fn every_study_reproduces_the_bin_it_replaced() {
@@ -34,7 +38,7 @@ fn every_study_reproduces_the_bin_it_replaced() {
         let mut command = Command::new(STUDY);
         command.args([study.id, "--quick", "--seed", "1993", "--out"]);
         command.arg(&out_dir);
-        if !study.pins_topology {
+        if takes_topo(study.id) {
             command.args(["--topo", "torus:8x8"]);
         }
         let output = command.output().expect("spawn study");
@@ -107,6 +111,12 @@ fn flags_a_study_cannot_honour_are_usage_errors() {
         let stderr = usage_error(&[id, "--quick", "--topo", "torus:6x6"]);
         assert!(stderr.contains(id) && stderr.contains("--topo"), "{stderr}");
     }
+    let pinned: Vec<&str> = STUDIES
+        .iter()
+        .map(|study| study.id)
+        .filter(|id| !takes_topo(id))
+        .collect();
+    assert_eq!(pinned, ["hotspot_placement", "multidim", "tune"]);
     assert!(usage_error(&["fig9"]).contains("unknown study"));
     assert!(usage_error(&["fig3", "--algos", "ecube"]).contains("--algos"));
     assert!(usage_error(&["tune", "--max-faults", "2"]).contains("--max-faults"));

@@ -14,8 +14,11 @@ use wormsim_topology::{DimStep, NodeId, Sign, Topology};
 /// west — a torus half-way tie in dimension 0 resolves east).
 ///
 /// Torus wrap-around uses the same dateline-crossing-count classes as
-/// [`NorthLast`](crate::NorthLast) (`n + 1` classes; 1 on meshes), and is
-/// machine-checked acyclic by the [`deadlock`](crate::deadlock) analysis.
+/// [`NorthLast`](crate::NorthLast) (`n + 1` classes; 1 on meshes). In two
+/// dimensions that is machine-checked acyclic by the
+/// [`deadlock`](crate::deadlock) analysis; in three the bounded checker
+/// finds deadlocks (`mesh:3x3x3`, `torus:2x4x4`, `torus:3x3x3`), so the
+/// algorithm is only built for 2D networks.
 ///
 /// # Example
 ///
@@ -44,12 +47,21 @@ impl WestFirst {
     /// # Errors
     ///
     /// Returns [`RoutingError::NeedsDimensions`] for one-dimensional
-    /// networks, where the turn model degenerates.
+    /// networks, where the turn model degenerates, and
+    /// [`RoutingError::TooManyDimensions`] beyond two, where west-first
+    /// alone does not prevent deadlock.
     pub fn new(topo: &Topology) -> Result<Self, RoutingError> {
         if topo.num_dims() < 2 {
             return Err(RoutingError::NeedsDimensions {
                 algorithm: "wfirst",
                 needs: 2,
+                got: topo.num_dims(),
+            });
+        }
+        if topo.num_dims() > 2 {
+            return Err(RoutingError::TooManyDimensions {
+                algorithm: "wfirst",
+                max: 2,
                 got: topo.num_dims(),
             });
         }
@@ -207,5 +219,25 @@ mod tests {
     #[test]
     fn rejects_rings() {
         assert!(WestFirst::new(&Topology::torus(&[8])).is_err());
+    }
+
+    /// The three 3D networks the bounded checker refutes west-first on.
+    #[test]
+    fn rejects_three_dimensions() {
+        for topo in [
+            Topology::mesh(&[3, 3, 3]),
+            Topology::torus(&[2, 4, 4]),
+            Topology::torus(&[3, 3, 3]),
+        ] {
+            assert_eq!(
+                WestFirst::new(&topo).unwrap_err(),
+                RoutingError::TooManyDimensions {
+                    algorithm: "wfirst",
+                    max: 2,
+                    got: 3
+                },
+                "{topo}"
+            );
+        }
     }
 }

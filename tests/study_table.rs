@@ -3,7 +3,7 @@
 //! per-experiment index DESIGN.md documents.
 
 use std::collections::BTreeSet;
-use wormsim_bench::study::STUDIES;
+use wormsim_bench::study::{self, STUDIES};
 use wormsim_bench::SweepOptions;
 
 #[test]
@@ -27,17 +27,16 @@ fn every_study_expands_to_a_valid_plan_and_matches_the_design_index() {
         }
     }
 
-    // Only the studies that pin their own networks refuse `--topo`.
-    let retargeted = SweepOptions {
-        topology: Some(wormsim::Topology::torus(&[6, 6])),
-        ..SweepOptions::default()
-    };
+    // Only the studies that pin their own networks refuse `--topo`, through
+    // the parser, with a message naming the study.
     for study in STUDIES {
         let pinned = ["hotspot_placement", "multidim", "tune"].contains(&study.id);
-        assert_eq!(study.pins_topology, pinned, "study {}", study.id);
-        match study.check(&retargeted) {
-            Ok(()) => assert!(!pinned, "study {} ignores --topo", study.id),
-            Err(message) => assert!(pinned && message.contains(study.id), "{message}"),
+        match study::parse([study.id, "--topo", "torus:6x6"].map(str::to_owned)) {
+            Ok(_) => assert!(!pinned, "study {} ignores --topo", study.id),
+            Err(message) => assert!(
+                pinned && message.contains(study.id) && message.contains("--topo"),
+                "{message}"
+            ),
         }
     }
 

@@ -189,8 +189,9 @@ proptest! {
     /// Duato-criterion soundness, healthy networks: an acyclic CDG (with
     /// nothing stranded — vacuous on a full mask) implies the bounded
     /// checker proves deadlock freedom. The converse is deliberately
-    /// *not* asserted: five of the paper's algorithms have a cyclic CDG
-    /// yet are proven free — that gap is the checker's reason to exist.
+    /// *not* asserted: a cyclic CDG need not deadlock, though no algorithm
+    /// here is such a specimen yet — every one of the paper's six has an
+    /// acyclic CDG on these networks.
     #[test]
     fn clean_cdg_implies_proven_free((topo, kind) in arb_small_setup()) {
         let algo = match kind.build(&topo) {
