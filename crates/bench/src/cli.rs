@@ -1,4 +1,4 @@
-//! The one command-line grammar of the six bins, and the parsers for the
+//! The one command-line grammar of the five bins, and the parsers for the
 //! compact values their flags take.
 //!
 //! A bin's parsed command line is a type implementing [`Args`]: a table of
@@ -8,8 +8,8 @@
 //! The tables: [`StudyArgs`](crate::study::StudyArgs) (whose harness flags
 //! are [`SweepOptions::flags`](crate::SweepOptions::flags)),
 //! [`perf::Options`](crate::perf::Options),
-//! [`WorkerConfig`](crate::worker::WorkerConfig), and [`VerifyArgs`],
-//! [`InspectArgs`] and [`SoakArgs`] below.
+//! [`WorkerConfig`](crate::worker::WorkerConfig), and [`VerifyArgs`] and
+//! [`InspectArgs`] below.
 //!
 //! Values:
 //!
@@ -462,23 +462,6 @@ impl Args for InspectArgs {
             return Err(INSPECT_DIRS.to_owned());
         }
         Ok(())
-    }
-}
-
-/// The `chaos_soak` command line.
-#[derive(Default)]
-pub struct SoakArgs {
-    pub smoke: bool,
-}
-
-impl Args for SoakArgs {
-    const SYNOPSIS: &'static str = "chaos_soak";
-
-    #[rustfmt::skip] // one row per line
-    fn flags() -> Vec<Flag<Self>> {
-        vec![
-            Flag { name: "--smoke", metavar: None, apply: |a, _| { a.smoke = true; Ok(()) }, help: "one pass of every scenario (the CI configuration)" },
-        ]
     }
 }
 

@@ -1,6 +1,6 @@
 //! The harness flag grammar: the flags every `study <id>` takes besides
-//! its own axis flags (see `study::parse`), and the options the benchmark,
-//! `chaos_soak` and the tests build directly.
+//! its own axis flags (see `study::parse`), and the options the benchmark
+//! and the tests build directly.
 
 use crate::backend::BackendChoice;
 use crate::cli::{self, Flag};

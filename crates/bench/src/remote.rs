@@ -23,12 +23,13 @@ use crate::backend::{
     unknown_handle, BackendError, PointJob, PointStatus, WorkHandle, WorkerBackend,
 };
 use crate::http;
+use crate::worker::{HandshakeBody, StatusBody, SubmitBody};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::Duration;
-use wormsim::observe::{json, JsonObject};
-use wormsim::{wire_digest, Experiment, ExperimentError, RunResult, WIRE_PROTOCOL};
+use wormsim::observe::{json, Json, JsonRecord};
+use wormsim::{wire_digest, Experiment, ExperimentError, WIRE_PROTOCOL};
 
 /// Socket timeout per connect/read/write within one RPC (overridable via
 /// `WORMSIM_RPC_TIMEOUT_MS`, chiefly so fault-injection tests can detect
@@ -159,6 +160,8 @@ impl RemoteBackend {
                 worker: addr.clone(),
                 message: format!("handshake response: {message}"),
             };
+            // The version is read on its own first: a worker speaking
+            // another protocol need not send the rest of this handshake.
             let wire: u32 = value.field("wire").map_err(garbled)?;
             if wire != WIRE_PROTOCOL {
                 return Err(BackendError {
@@ -168,24 +171,23 @@ impl RemoteBackend {
                     ),
                 });
             }
-            let theirs = value.field_or("digest", String::new()).map_err(garbled)?;
-            if theirs != digest {
+            let handshake = HandshakeBody::from_json(&value).map_err(garbled)?;
+            if handshake.digest != digest {
                 return Err(BackendError {
                     worker: addr,
                     message: format!(
-                        "config digest mismatch: orchestrator {digest}, worker {theirs} — rebuild both from the same source"
+                        "config digest mismatch: orchestrator {digest}, worker {} — rebuild both from the same source",
+                        handshake.digest
                     ),
                 });
             }
-            let slots = value.field::<usize>("threads").map_err(garbled)?.max(1);
-            next_id = next_id.max(value.field_or("next_job", 0).map_err(garbled)?);
-            let draining = value.field_or("draining", false).map_err(garbled)?;
+            next_id = next_id.max(handshake.next_job);
             workers.push(Worker {
                 addr,
-                slots,
+                slots: handshake.threads.max(1),
                 in_flight: 0,
                 dead: false,
-                draining,
+                draining: handshake.draining,
             });
         }
         if workers.is_empty() {
@@ -247,11 +249,11 @@ impl RemoteBackend {
             .map(|(i, _)| i)
     }
 
-    /// POSTs one job to one worker; counts it in flight on success.
-    fn send_job(&mut self, slot: usize, id: u64, job: &PointJob) -> Result<(), SendError> {
-        let body = submit_body(&self.digest, id, &job.experiment);
+    /// POSTs one `/submit` body to one worker; counts the job in flight on
+    /// success.
+    fn send_job(&mut self, slot: usize, body: &str) -> Result<(), SendError> {
         let addr = self.workers[slot].addr.clone();
-        let (status, response) = rpc(&addr, "POST", "/submit", &body).map_err(SendError::Failed)?;
+        let (status, response) = rpc(&addr, "POST", "/submit", body).map_err(SendError::Failed)?;
         if status == 503 {
             // The worker is shutting down gracefully: no new jobs, but
             // everything it already has will finish. Retire it from the
@@ -294,7 +296,7 @@ impl RemoteBackend {
             return Err(lost(format!("status returned HTTP {status}: {body}")));
         }
         let in_flight = self.jobs.get_mut(&id).expect("caller checked the handle");
-        match decode_status(&body) {
+        let result = match decode_status(&body) {
             Err(garble) => {
                 // The transport delivered bytes, but not the protocol's.
                 // Tolerate a few (a corrupted response costs nothing —
@@ -304,9 +306,9 @@ impl RemoteBackend {
                 if in_flight.garbles < GARBLE_STRIKES {
                     return Ok(PointStatus::Pending { heartbeat: None });
                 }
-                Err(lost(format!(
+                return Err(lost(format!(
                     "{GARBLE_STRIKES} garbled status responses; last: {garble}"
-                )))
+                )));
             }
             Ok(StatusBody::Pending {
                 heartbeat,
@@ -317,17 +319,18 @@ impl RemoteBackend {
                     self.workers[slot].draining = true;
                     eprintln!("worker {addr} is draining; sending no further jobs");
                 }
-                Ok(PointStatus::Pending { heartbeat })
-            }
-            Ok(StatusBody::Done { result }) => {
-                let in_flight = self.jobs.remove(&id).expect("caller checked the handle");
-                self.workers[slot].in_flight = self.workers[slot].in_flight.saturating_sub(1);
-                let result = result.map_err(|message| {
-                    Self::rederive_error(&in_flight.experiment, &message, &addr)
+                return Ok(PointStatus::Pending {
+                    heartbeat: Some(heartbeat),
                 });
-                Ok(PointStatus::Done { result })
             }
-        }
+            Ok(StatusBody::Done { result }) => Ok(result),
+            Ok(StatusBody::Failed { error }) => Err(error),
+        };
+        let in_flight = self.jobs.remove(&id).expect("caller checked the handle");
+        self.workers[slot].in_flight = self.workers[slot].in_flight.saturating_sub(1);
+        let result =
+            result.map_err(|message| Self::rederive_error(&in_flight.experiment, &message, &addr));
+        Ok(PointStatus::Done { result })
     }
 
     /// Writes off the worker holding job `id` and drops the job.
@@ -338,63 +341,37 @@ impl RemoteBackend {
     }
 }
 
-/// Renders the `/submit` body for job `id`.
-pub(crate) fn submit_body(digest: &str, id: u64, experiment: &Experiment) -> String {
-    let mut body = String::new();
-    let mut obj = JsonObject::begin(&mut body);
-    obj.field_str("digest", digest)
-        .field("job", &id)
-        .field("experiment", experiment);
-    obj.finish();
-    body
-}
-
-/// A fully decoded `/status` body. Decoding is separated from transport
-/// so a *garbled* body (chaos corruption, a flaky link) can be treated as
-/// a strike against the worker rather than a fatal protocol error.
-enum StatusBody {
-    Pending {
-        heartbeat: Option<u64>,
-        draining: bool,
-    },
-    /// Finished: the result, or the worker's rendered failure.
-    Done { result: Result<RunResult, String> },
-}
-
-/// Decodes a `/status` body; `Err` renders why it is not one.
+/// Decodes a `/status` body; `Err` renders why it is not one. Decoding
+/// is separated from transport so a *garbled* body (chaos corruption, a
+/// flaky link) can be treated as a strike against the worker rather than
+/// a fatal protocol error.
 fn decode_status(body: &str) -> Result<StatusBody, String> {
     let value = json::from_str(body).map_err(|err| format!("unparseable response body: {err}"))?;
-    match value.get("state").and_then(json::Value::as_str) {
-        Some("pending") => Ok(StatusBody::Pending {
-            heartbeat: value.field_or("heartbeat", None)?,
-            draining: value.field_or("draining", false)?,
-        }),
-        Some("done") => Ok(StatusBody::Done {
-            result: Ok(value.field("result")?),
-        }),
-        Some("failed") => Ok(StatusBody::Done {
-            result: Err(value.field_or("error", "unspecified worker failure".to_owned())?),
-        }),
-        other => Err(format!("unknown job state {other:?} in: {body}")),
-    }
+    StatusBody::read(&value)
 }
 
 impl WorkerBackend for RemoteBackend {
     fn submit(&mut self, job: PointJob) -> Result<WorkHandle, BackendError> {
         let id = self.next_id;
         self.next_id += 1;
+        let submit = SubmitBody {
+            digest: self.digest.clone(),
+            job: id,
+            experiment: job.experiment,
+        };
+        let body = submit.to_json();
         let mut cause = BackendError {
             worker: "<pool>".to_owned(),
             message: "no live worker left".to_owned(),
         };
         while let Some(slot) = self.pick_live() {
-            match self.send_job(slot, id, &job) {
+            match self.send_job(slot, &body) {
                 Ok(()) => {
                     self.jobs.insert(
                         id,
                         InFlight {
                             worker: slot,
-                            experiment: job.experiment,
+                            experiment: submit.experiment,
                             garbles: 0,
                         },
                     );
@@ -474,7 +451,7 @@ mod tests {
     use crate::worker::LoopbackWorker;
     use std::time::Instant;
     use wormsim::topology::Topology;
-    use wormsim::AlgorithmKind;
+    use wormsim::{AlgorithmKind, RunResult};
 
     fn loopback(threads: usize) -> std::net::SocketAddr {
         LoopbackWorker::spawn(threads).expect("bind loopback").addr

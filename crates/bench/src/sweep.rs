@@ -30,10 +30,23 @@ extern "C" fn on_sigint(_signum: i32) {
     }
 }
 
-extern "C" {
-    // Vendored libc-free binding: `signal(2)` is in every libc this
-    // simulator builds against, and the harness only needs this one hook.
-    fn signal(signum: i32, handler: usize) -> usize;
+/// Installs `handler` for `signum` through `signal(2)`.
+///
+/// # Safety
+///
+/// `handler` must be async-signal-safe: no allocation, locks or I/O.
+pub(crate) unsafe fn install_signal_handler(signum: i32, handler: extern "C" fn(i32)) {
+    extern "C" {
+        // Vendored libc-free binding: `signal(2)` is in every libc this
+        // simulator builds against.
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    // SAFETY: `handler` has the exact `extern "C" fn(i32)` shape signal(2)
+    // expects, the caller guarantees it is async-signal-safe, and a `fn`
+    // pointer's code stays valid for the process lifetime.
+    unsafe {
+        signal(signum, handler as usize);
+    }
 }
 
 /// Routes SIGINT (Ctrl-C) to `token` instead of killing the process, so a
@@ -42,12 +55,8 @@ extern "C" {
 /// token registered first stays registered for the process lifetime.
 pub fn install_sigint_handler(token: &CancelToken) {
     let _ = SIGINT_TOKEN.set(token.clone());
-    // SAFETY: `on_sigint` is async-signal-safe (a single atomic store) and
-    // has the exact `extern "C" fn(i32)` shape signal(2) expects; the
-    // handler address stays valid for the process lifetime.
-    unsafe {
-        signal(SIGINT, on_sigint as *const () as usize);
-    }
+    // SAFETY: `on_sigint` makes one atomic store.
+    unsafe { install_signal_handler(SIGINT, on_sigint) };
 }
 
 /// A figure sweep failure: the first experiment (lowest index in the

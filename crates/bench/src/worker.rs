@@ -6,7 +6,10 @@
 //! uses — and serves results back as [`RunResult`](wormsim::RunResult)
 //! JSON. This module only adds the HTTP protocol, chaos injection, the
 //! SIGTERM drain and a job table. The protocol (see
-//! `docs/DISTRIBUTION.md`) has four endpoints:
+//! `docs/DISTRIBUTION.md`) has four endpoints, and its three structured
+//! bodies (`HandshakeBody`, `SubmitBody`, `StatusBody`) are
+//! declared once below, for this server and the orchestrator's
+//! [`RemoteBackend`](crate::RemoteBackend) alike:
 //!
 //! * `GET /handshake` — wire protocol version, config digest, slot
 //!   count, draining flag, and the first job id this worker has not
@@ -34,7 +37,8 @@
 //! * **Chaos injection.** `--chaos <spec>` arms a seeded [`ChaosPlan`]
 //!   that crashes or stalls the worker on the Nth submit and
 //!   delays/drops/corrupts/truncates responses — the adversarial rig the
-//!   sweep supervisor is validated against (`chaos_soak`).
+//!   sweep supervisor is validated against
+//!   (`crates/bench/tests/supervision.rs`).
 
 use crate::backend::{LocalThreadBackend, PointJob, PointStatus, WorkHandle, WorkerBackend};
 use crate::chaos::{salt, ChaosPlan};
@@ -45,8 +49,64 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use wormsim::observe::{json, JsonObject};
-use wormsim::{wire_digest, CancelToken, Experiment, WIRE_PROTOCOL};
+use wormsim::observe::{json, json_record, json_union, JsonObject, JsonRecord};
+use wormsim::{wire_digest, CancelToken, Experiment, RunResult, WIRE_PROTOCOL};
+
+/// The `/handshake` body.
+pub(crate) struct HandshakeBody {
+    pub(crate) wire: u32,
+    pub(crate) digest: String,
+    pub(crate) threads: usize,
+    pub(crate) draining: bool,
+    /// The first job id this worker has not seen.
+    pub(crate) next_job: u64,
+}
+
+json_record!(HandshakeBody {
+    wire,
+    digest = String::new(),
+    threads,
+    draining = false,
+    next_job = 0,
+});
+
+/// The `/submit` body: job `job`, for a worker built with wire `digest`.
+pub(crate) struct SubmitBody {
+    pub(crate) digest: String,
+    pub(crate) job: u64,
+    pub(crate) experiment: Experiment,
+}
+
+json_record!(SubmitBody {
+    digest,
+    job,
+    experiment,
+});
+
+/// The `/status` body.
+pub(crate) enum StatusBody {
+    /// Not finished. `heartbeat` is the engine's cycle heartbeat: 0 until
+    /// the simulation starts, then monotonically advancing, so a
+    /// supervisor that sees the same value across its point deadline
+    /// knows this worker is hung, not slow.
+    Pending {
+        heartbeat: u64,
+        draining: bool,
+    },
+    Done {
+        result: RunResult,
+    },
+    /// The job's configuration error, rendered.
+    Failed {
+        error: String,
+    },
+}
+
+json_union!(StatusBody, "state" {
+    Pending = "pending" { heartbeat, draining },
+    Done = "done" { result },
+    Failed = "failed" { error },
+});
 
 /// Configuration for [`serve`].
 pub struct WorkerConfig {
@@ -87,7 +147,7 @@ impl cli::Args for WorkerConfig {
 }
 
 /// Process exit status of a chaos-injected crash, distinct from real
-/// failures so the soak harness can assert the crash it asked for.
+/// failures so a test can assert the crash it asked for.
 pub const CHAOS_CRASH_EXIT: i32 = 42;
 
 const SIGTERM: i32 = 15;
@@ -99,11 +159,6 @@ static DRAINING: AtomicBool = AtomicBool::new(false);
 extern "C" fn on_sigterm(_signum: i32) {
     // Only async-signal-safe work here: one atomic store.
     DRAINING.store(true, Ordering::SeqCst);
-}
-
-extern "C" {
-    // Vendored libc-free binding, same as the SIGINT hook in lib.rs.
-    fn signal(signum: i32, handler: usize) -> usize;
 }
 
 /// One accepted job.
@@ -184,12 +239,8 @@ pub fn serve(config: &WorkerConfig) -> std::io::Result<()> {
     use std::io::Write as _;
     println!("wormsim-worker listening on {addr}");
     std::io::stdout().flush()?;
-    // SAFETY: `on_sigterm` is async-signal-safe (a single atomic store)
-    // and has the exact `extern "C" fn(i32)` shape signal(2) expects; the
-    // handler address stays valid for the process lifetime.
-    unsafe {
-        signal(SIGTERM, on_sigterm as *const () as usize);
-    }
+    // SAFETY: `on_sigterm` makes one atomic store.
+    unsafe { crate::sweep::install_signal_handler(SIGTERM, on_sigterm) };
     let shared = Arc::new(Shared::new(config.threads, config.chaos.clone()));
     let drain_secs = config.drain_secs;
     let drainer = Arc::clone(&shared);
@@ -390,16 +441,15 @@ fn error_body(message: &str) -> String {
 }
 
 fn handshake(shared: &Shared, draining: bool) -> (u16, String) {
-    let mut out = String::new();
-    let mut obj = JsonObject::begin(&mut out);
-    obj.field_u64("wire", u64::from(WIRE_PROTOCOL));
-    obj.field_str("digest", &shared.digest);
     let state = shared.lock();
-    obj.field_u64("threads", state.pool.capacity() as u64);
-    obj.field_bool("draining", draining);
-    obj.field_u64("next_job", state.jobs.keys().max().map_or(0, |id| id + 1));
-    obj.finish();
-    (200, out)
+    let body = HandshakeBody {
+        wire: WIRE_PROTOCOL,
+        digest: shared.digest.clone(),
+        threads: state.pool.capacity(),
+        draining,
+        next_job: state.jobs.keys().max().map_or(0, |id| id + 1),
+    };
+    (200, body.to_json())
 }
 
 fn submit(body: &str, shared: &Shared) -> (u16, String) {
@@ -424,9 +474,10 @@ fn decode_submit(body: &str, worker_digest: &str) -> Result<(u64, Experiment), (
             )),
         ));
     }
-    let id: u64 = value.field("job").map_err(bad_request)?;
-    let experiment: Experiment = value.field("experiment").map_err(bad_request)?;
-    Ok((id, experiment))
+    let SubmitBody {
+        job, experiment, ..
+    } = SubmitBody::from_json(&value).map_err(bad_request)?;
+    Ok((job, experiment))
 }
 
 /// Decodes and enqueues one submitted job; `Err` is the refusal to send.
@@ -483,29 +534,20 @@ fn job_status(query: &str, shared: &Shared, draining: bool) -> (u16, String) {
     let Some(job) = jobs.get_mut(&id) else {
         return (404, error_body(&format!("unknown job {id}")));
     };
-    let mut out = String::new();
-    let mut obj = JsonObject::begin(&mut out);
-    match job.poll(pool) {
-        Ok(heartbeat) => {
-            obj.field_str("state", "pending");
-            // The engine's cycle heartbeat: 0 until the simulation
-            // starts, then monotonically advancing. A supervisor that
-            // sees the same value across its point deadline knows this
-            // worker is hung, not slow.
-            obj.field_u64("heartbeat", heartbeat);
-            obj.field_bool("draining", draining);
-        }
-        Err(PointStatus::Done { result: Ok(result) }) => {
-            obj.field_str("state", "done").field("result", result);
-        }
-        Err(PointStatus::Done { result: Err(err) }) => {
-            obj.field_str("state", "failed");
-            obj.field_str("error", &err.to_string());
-        }
+    let body = match job.poll(pool) {
+        Ok(heartbeat) => StatusBody::Pending {
+            heartbeat,
+            draining,
+        },
+        Err(PointStatus::Done { result: Ok(result) }) => StatusBody::Done {
+            result: result.clone(),
+        },
+        Err(PointStatus::Done { result: Err(err) }) => StatusBody::Failed {
+            error: err.to_string(),
+        },
         Err(lost) => return (500, error_body(&format!("job {id}: {lost:?}"))),
-    }
-    obj.finish();
-    (200, out)
+    };
+    (200, body.to_json())
 }
 
 fn cancel_all(shared: &Shared) -> (u16, String) {
@@ -525,8 +567,103 @@ mod tests {
     use super::*;
     use crate::chaos::Corruptor;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use wormsim::observe::Json;
     use wormsim::topology::{Direction, Topology};
     use wormsim::{AlgorithmKind, FaultPlan, NodeId, TrafficConfig};
+
+    /// One body of each kind, byte for byte as the worker wrote it when
+    /// each was built field by field. The experiment and result inside
+    /// the submit and done bodies are pinned by `tests/codec_golden.rs`.
+    #[test]
+    fn protocol_bodies_keep_their_bytes() {
+        let shared = Shared::new(2, ChaosPlan::default());
+        let digest = &shared.digest;
+        assert_eq!(
+            handshake(&shared, false).1,
+            format!(
+                r#"{{"wire":2,"digest":"{digest}","threads":2,"draining":false,"next_job":0}}"#
+            )
+        );
+        let experiment = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
+            .offered_load(0.05)
+            .quick()
+            .seed(1993);
+        let submit = SubmitBody {
+            digest: "0123abcd".to_owned(),
+            job: 7,
+            experiment: experiment.clone(),
+        };
+        assert_eq!(
+            submit.to_json(),
+            format!(
+                r#"{{"digest":"0123abcd","job":7,"experiment":{}}}"#,
+                experiment.to_json()
+            )
+        );
+        let result = experiment.run().expect("tiny run");
+        let error = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
+            .offered_load(0.0)
+            .run()
+            .expect_err("load 0 is refused");
+        let mut state = shared.lock();
+        state.jobs.insert(3, Job::Stalled);
+        let ended = PointStatus::Done {
+            result: Ok(result.clone()),
+        };
+        state.jobs.insert(4, Job::Done(ended));
+        state
+            .jobs
+            .insert(5, Job::Done(PointStatus::Done { result: Err(error) }));
+        drop(state);
+        let handshake = handshake(&shared, true).1;
+        assert_eq!(
+            handshake,
+            format!(r#"{{"wire":2,"digest":"{digest}","threads":2,"draining":true,"next_job":6}}"#)
+        );
+        let bodies = [3, 4, 5].map(|id| job_status(&format!("job={id}"), &shared, true));
+        assert_eq!(
+            bodies.clone().map(|(status, _)| status),
+            [200, 200, 200],
+            "{bodies:?}"
+        );
+        assert_eq!(
+            bodies[0].1,
+            r#"{"state":"pending","heartbeat":0,"draining":true}"#
+        );
+        assert_eq!(
+            bodies[1].1,
+            format!(r#"{{"state":"done","result":{}}}"#, result.to_json())
+        );
+        assert_eq!(
+            bodies[2].1,
+            r#"{"state":"failed","error":"offered load 0 out of range (0, 1]"}"#
+        );
+        // The orchestrator's side of each declaration reads them back.
+        let read = |body: &str| json::from_str(body).expect("valid JSON");
+        let back = HandshakeBody::from_json(&read(&handshake)).expect("handshake");
+        assert!(back.draining && back.next_job == 6 && back.threads == 2);
+        assert_eq!(
+            SubmitBody::from_json(&read(&submit.to_json()))
+                .expect("submit")
+                .job,
+            7
+        );
+        assert!(matches!(
+            StatusBody::read(&read(&bodies[0].1)),
+            Ok(StatusBody::Pending {
+                heartbeat: 0,
+                draining: true
+            })
+        ));
+        assert!(matches!(
+            StatusBody::read(&read(&bodies[1].1)),
+            Ok(StatusBody::Done { result: back }) if back.to_json() == result.to_json()
+        ));
+        assert!(matches!(
+            StatusBody::read(&read(&bodies[2].1)),
+            Ok(StatusBody::Failed { error }) if error.starts_with("offered load 0")
+        ));
+    }
 
     #[test]
     fn a_silent_client_does_not_hold_up_the_handshake() {
@@ -575,7 +712,12 @@ mod tests {
         let corruptor = Corruptor::new(1993);
         let (mut decoded, mut refused) = (0, 0);
         for (i, experiment) in experiments.iter().enumerate() {
-            let body = crate::remote::submit_body(&digest, i as u64, experiment);
+            let body = SubmitBody {
+                digest: digest.clone(),
+                job: i as u64,
+                experiment: experiment.clone(),
+            }
+            .to_json();
             assert!(decode_submit(&body, &digest).is_ok(), "{body}");
             for round in 0..ROUNDS {
                 for corrupted in corruptor.corrupt(&body, i as u64 * ROUNDS + round) {

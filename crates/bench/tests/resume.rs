@@ -1,43 +1,13 @@
 //! End-to-end crash/resume determinism: kill `study sweep` partway
 //! through (via the test-only `--fail-after-points` crash hook), resume
 //! from its journal, and demand the merged CSV is byte-identical to an
-//! uninterrupted run with the same seed.
+//! uninterrupted run with the same seed. A journal torn mid-append heals
+//! back to the uninterrupted journal's bytes.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::{sweep_args, temp_dir, STUDY};
 use std::process::Command;
-
-const STUDY: &str = env!("CARGO_BIN_EXE_study");
-
-/// The shared sweep shape: small torus, two algorithms, three loads,
-/// quick schedule, fixed seed — big enough for a mid-sweep crash, small
-/// enough to finish in seconds.
-fn sweep_args(out_dir: &Path) -> Vec<String> {
-    [
-        "sweep",
-        "--topo",
-        "torus:6x6",
-        "--algos",
-        "ecube,phop",
-        "--loads",
-        "0.1,0.2,0.3",
-        "--quick",
-        "--seed",
-        "1993",
-        "--threads",
-        "2",
-        "--out",
-    ]
-    .iter()
-    .map(|s| (*s).to_owned())
-    .chain([out_dir.display().to_string()])
-    .collect()
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wormsim-resume-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
 
 #[test]
 fn crashed_sweep_resumes_to_byte_identical_csv() {
@@ -132,29 +102,22 @@ fn resume_with_a_complete_journal_runs_nothing_new() {
 fn resume_from_a_torn_journal_reports_the_recovery_and_still_matches() {
     // A crash mid-append leaves a half-written final line. The resume must
     // say so out loud (so a crashed fleet run is auditable), drop the torn
-    // point, re-run it, and still converge to the byte-identical CSV.
-    let clean_dir = temp_dir("torn-clean");
+    // point, re-run it, and still converge to the byte-identical CSV and
+    // journal.
+    let dir = temp_dir("torn");
     let status = Command::new(STUDY)
-        .args(sweep_args(&clean_dir))
+        .args(sweep_args(&dir))
         .status()
         .expect("spawn sweep");
     assert!(status.success(), "clean sweep failed: {status}");
-    let clean_csv = std::fs::read(clean_dir.join("sweep.csv")).expect("clean CSV written");
-
-    let torn_dir = temp_dir("torn");
-    let status = Command::new(STUDY)
-        .args(sweep_args(&torn_dir))
-        .status()
-        .expect("spawn sweep");
-    assert!(status.success(), "seed sweep failed: {status}");
-    let journal = torn_dir.join("sweep.journal.jsonl");
-    let mut bytes = std::fs::read(&journal).expect("journal readable");
-    let keep = bytes.len() - 17; // chop mid-way through the final record
-    bytes.truncate(keep);
-    std::fs::write(&journal, bytes).expect("write torn journal");
+    let clean_csv = std::fs::read(dir.join("sweep.csv")).expect("clean CSV written");
+    let journal = dir.join("sweep.journal.jsonl");
+    let clean_journal = std::fs::read(&journal).expect("journal readable");
+    let keep = clean_journal.len() - 17; // chop mid-way through the final record
+    std::fs::write(&journal, &clean_journal[..keep]).expect("write torn journal");
 
     let output = Command::new(STUDY)
-        .args(sweep_args(&torn_dir))
+        .args(sweep_args(&dir))
         .args(["--resume", &journal.display().to_string()])
         .output()
         .expect("spawn sweep");
@@ -168,11 +131,15 @@ fn resume_from_a_torn_journal_reports_the_recovery_and_still_matches() {
         stderr.contains("recovered from a torn final append"),
         "the recovery must be reported; stderr was:\n{stderr}"
     );
-    let resumed_csv = std::fs::read(torn_dir.join("sweep.csv")).expect("resumed CSV written");
+    let resumed_csv = std::fs::read(dir.join("sweep.csv")).expect("resumed CSV written");
     assert_eq!(clean_csv, resumed_csv, "torn-resume must reproduce the CSV");
+    let healed = std::fs::read(&journal).expect("journal readable");
+    assert!(
+        healed == clean_journal,
+        "the healed journal must match the uninterrupted one byte for byte"
+    );
 
-    std::fs::remove_dir_all(&clean_dir).ok();
-    std::fs::remove_dir_all(&torn_dir).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -4,21 +4,16 @@
 //! that removed them), and the figure ids, `sweep` and `faults_sweep`
 //! must also write the same CSV and journal bytes.
 
+mod common;
+
+use common::{temp_dir, STUDY};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use wormsim::observe::fnv1a_hex;
 use wormsim_bench::study::{self, STUDIES};
 
-const STUDY: &str = env!("CARGO_BIN_EXE_study");
-
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/studies")
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wormsim-study-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 /// The goldens retarget every study that honours `--topo` at an 8×8 torus

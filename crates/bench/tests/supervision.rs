@@ -1,179 +1,68 @@
 //! End-to-end sweep supervision under real process-level faults: workers
-//! are killed, hung with SIGSTOP, and armed with chaos plans that corrupt
-//! their responses mid-sweep — and the merged CSV *and* journal must still
-//! come out byte-identical to a serial run. Also drives the supervision
-//! CLI flags (`--point-deadline`, `--hedge-after`, `--quarantine-after`)
-//! through `study sweep`: a hedged straggler leaves a supervision
-//! manifest, and a poison point exits `study sweep` and
-//! `study faults_sweep` alike with the distinct quarantine code.
+//! are killed, crash on a chaos cue, hang with SIGSTOP or a stalled
+//! point, and corrupt their responses mid-sweep — and the merged CSV
+//! *and* journal must still come out byte-identical to a serial run.
+//! Drives the supervision CLI flags (`--point-deadline`, `--hedge-after`,
+//! `--quarantine-after`) through `study`, and checks the counts each
+//! scenario leaves in the supervision manifest: a hung worker is written
+//! off, a hedged straggler's duplicate is discarded, and a poison point
+//! exits `study sweep` and `study faults_sweep` alike with the distinct
+//! quarantine code.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use wormsim::observe::json;
+mod common;
 
-const STUDY: &str = env!("CARGO_BIN_EXE_study");
-const WORKER: &str = env!("CARGO_BIN_EXE_wormsim-worker");
+use common::{
+    long_sweep_args, manifest_count, remote_study, run_serial, sweep_args, sweep_outputs, temp_dir,
+    WorkerProc,
+};
+use std::path::Path;
+use std::process::Stdio;
+use std::time::Duration;
+use wormsim_bench::worker::CHAOS_CRASH_EXIT;
 
-/// A worker subprocess that dies with the test, pass or fail.
-struct WorkerProc {
-    child: Child,
-    addr: String,
+/// Asserts a remote sweep in `remote_dir` wrote exactly the serial bytes.
+fn assert_identical(scenario: &str, serial: &(Vec<u8>, Vec<u8>), remote_dir: &Path) {
+    let (csv, journal) = sweep_outputs(remote_dir);
+    assert!(
+        serial.0 == csv,
+        "{scenario} must not perturb a byte of the CSV"
+    );
+    assert!(
+        serial.1 == journal,
+        "{scenario} must not perturb a byte of the journal"
+    );
 }
 
-impl WorkerProc {
-    /// Starts a worker on an ephemeral loopback port, optionally chaos
-    /// armed, and reads the bound address from its announcement line.
-    fn spawn(threads: usize, chaos: Option<&str>) -> WorkerProc {
-        let mut cmd = Command::new(WORKER);
-        cmd.args(["--listen", "127.0.0.1:0", "--threads", &threads.to_string()]);
-        if let Some(plan) = chaos {
-            cmd.args(["--chaos", plan]);
-        }
-        let mut child = cmd
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn wormsim-worker");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read announcement");
-        let addr = line
-            .trim()
-            .strip_prefix("wormsim-worker listening on ")
-            .unwrap_or_else(|| panic!("unexpected announcement: {line:?}"))
-            .to_owned();
-        WorkerProc { child, addr }
-    }
-
-    /// Freezes the whole worker process with SIGSTOP — the hung-worker
-    /// case: the socket stays open, but nothing answers.
-    fn sigstop(&self) {
-        let status = Command::new("kill")
-            .args(["-STOP", &self.child.id().to_string()])
-            .status()
-            .expect("send SIGSTOP");
-        assert!(status.success(), "SIGSTOP failed: {status}");
-    }
-}
-
-impl Drop for WorkerProc {
-    fn drop(&mut self) {
-        // SIGKILL also reaps stopped processes.
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wormsim-superv-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-/// A twelve-point 8×8 sweep: long enough that faults injected 300 ms in
-/// genuinely hit in-flight work.
-fn long_sweep_args(out_dir: &Path) -> Vec<String> {
-    [
-        "sweep",
-        "--topo",
-        "torus:8x8",
-        "--algos",
-        "ecube,phop,nbc",
-        "--loads",
-        "0.1,0.2,0.3,0.4",
-        "--quick",
-        "--seed",
-        "1993",
-        "--threads",
-        "2",
-        "--out",
-    ]
-    .iter()
-    .map(|s| (*s).to_owned())
-    .chain([out_dir.display().to_string()])
-    .collect()
-}
-
-/// A six-point 6×6 sweep for the cheaper CLI-flag scenarios.
-fn short_sweep_args(out_dir: &Path) -> Vec<String> {
-    [
-        "sweep",
-        "--topo",
-        "torus:6x6",
-        "--algos",
-        "ecube,phop",
-        "--loads",
-        "0.1,0.2,0.3",
-        "--quick",
-        "--seed",
-        "1993",
-        "--threads",
-        "2",
-        "--out",
-    ]
-    .iter()
-    .map(|s| (*s).to_owned())
-    .chain([out_dir.display().to_string()])
-    .collect()
-}
-
-fn run_serial(args: &[String], out_dir: &Path) -> (Vec<u8>, Vec<u8>) {
-    let status = Command::new(STUDY)
-        .args(args)
-        .status()
-        .expect("spawn local sweep");
-    assert!(status.success(), "local sweep failed: {status}");
-    (
-        std::fs::read(out_dir.join("sweep.csv")).expect("local CSV"),
-        std::fs::read(out_dir.join("sweep.journal.jsonl")).expect("local journal"),
-    )
-}
-
-/// The count `key` in the supervision manifest a sweep left in `out_dir`.
-fn manifest_count(out_dir: &Path, key: &str) -> u64 {
-    let path = out_dir.join("sweep.journal.supervision.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("supervision manifest {}: {e}", path.display()));
-    let manifest = json::from_str(&text).unwrap_or_else(|e| panic!("manifest {text}: {e}"));
-    manifest
-        .field(key)
-        .unwrap_or_else(|e| panic!("manifest {text}: {e}"))
-}
-
-/// The chaos gauntlet: four workers — one clean, one corrupting 20% of
-/// its response bodies, one killed 300 ms in, one frozen with SIGSTOP
-/// 300 ms in — and the sweep must finish with bytes identical to serial.
-/// The doomed and frozen workers each stall their first point, so both
-/// still hold work when the faults land.
+/// The chaos gauntlet: five workers — one clean, one corrupting 20% of
+/// its response bodies, one that crashes on its second submit, one
+/// killed 300 ms in, one frozen with SIGSTOP 300 ms in — and the sweep
+/// must finish with bytes identical to serial. The doomed and frozen
+/// workers each stall their first point, so both still hold work when
+/// the faults land; the crasher's first point is running when it dies.
 #[test]
-fn killed_hung_and_corrupting_workers_stay_byte_identical() {
+fn killed_crashing_hung_and_corrupting_workers_stay_byte_identical() {
     let local_dir = temp_dir("gauntlet-local");
-    let args = long_sweep_args(&local_dir);
-    let (local_csv, local_journal) = run_serial(&args, &local_dir);
+    let serial = run_serial(&long_sweep_args(&local_dir), &local_dir);
 
-    let clean = WorkerProc::spawn(2, None);
-    let garbler = WorkerProc::spawn(2, Some("corrupt=0.2,delay-ms=10@0.3"));
-    let doomed = WorkerProc::spawn(2, Some("stall-submit=1"));
-    let frozen = WorkerProc::spawn(2, Some("stall-submit=1"));
+    let clean = WorkerProc::spawn(2, &[]);
+    let garbler = WorkerProc::spawn(2, &["--chaos", "corrupt=0.2,delay-ms=10@0.3"]);
+    let doomed = WorkerProc::spawn(2, &["--chaos", "stall-submit=1"]);
+    let frozen = WorkerProc::spawn(2, &["--chaos", "stall-submit=1"]);
+    let mut crasher = WorkerProc::spawn(2, &["--chaos", "crash-submit=2"]);
     let remote_dir = temp_dir("gauntlet-remote");
-    let sweep = Command::new(STUDY)
-        .args(long_sweep_args(&remote_dir))
-        .args(["--backend", "remote"])
-        .args(["--worker", &clean.addr])
-        .args(["--worker", &garbler.addr])
-        .args(["--worker", &doomed.addr])
-        .args(["--worker", &frozen.addr])
-        // Small RPC timeout so the frozen worker's unanswered polls are
-        // declared lost in seconds, not the 10 s production default.
-        .env("WORMSIM_RPC_TIMEOUT_MS", "500")
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn remote sweep");
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    let sweep = remote_study(
+        &long_sweep_args(&remote_dir),
+        &[&clean, &garbler, &doomed, &frozen, &crasher],
+    )
+    // Small RPC timeout so the frozen worker's unanswered polls are
+    // declared lost in seconds, not the 10 s production default.
+    .env("WORMSIM_RPC_TIMEOUT_MS", "500")
+    .stderr(Stdio::piped())
+    .spawn()
+    .expect("spawn remote sweep");
+    std::thread::sleep(Duration::from_millis(300));
     drop(doomed); // kill -9, mid-point
-    frozen.sigstop(); // hung, socket still open, mid-point
+    frozen.signal("STOP"); // hung, socket still open, mid-point
     let output = sweep.wait_with_output().expect("sweep finishes");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
@@ -182,23 +71,58 @@ fn killed_hung_and_corrupting_workers_stay_byte_identical() {
     );
     assert!(
         stderr.contains("re-dispatching"),
-        "losing two workers must be announced; stderr was:\n{stderr}"
+        "losing workers must be announced; stderr was:\n{stderr}"
+    );
+    assert_eq!(
+        crasher.exit_status(Duration::from_secs(10)).code(),
+        Some(CHAOS_CRASH_EXIT),
+        "the crasher must die of the crash it was armed with"
+    );
+    assert_identical("the gauntlet", &serial, &remote_dir);
+    assert!(
+        manifest_count(&remote_dir, "sweep", "points_redispatched") >= 1,
+        "the manifest must record the re-dispatches"
     );
 
-    let remote_csv = std::fs::read(remote_dir.join("sweep.csv")).expect("remote CSV");
-    let remote_journal =
-        std::fs::read(remote_dir.join("sweep.journal.jsonl")).expect("remote journal");
-    assert_eq!(
-        local_csv, remote_csv,
-        "the gauntlet must not perturb a byte of the CSV"
-    );
-    assert_eq!(
-        local_journal, remote_journal,
-        "the gauntlet must not perturb a byte of the journal"
+    std::fs::remove_dir_all(&local_dir).ok();
+    std::fs::remove_dir_all(&remote_dir).ok();
+}
+
+/// `--point-deadline` through the CLI: a worker whose first point stalls
+/// with its heartbeat frozen (chaos `stall-submit=1`) is written off, the
+/// point fails over to the clean worker, and the sweep stays
+/// byte-identical.
+///
+/// The stalling worker is listed first and has one slot, so it takes
+/// exactly one point. The clean worker has a slot for every point, so
+/// the failover never queues a point behind a full pool, where its
+/// heartbeat would sit at zero as well.
+#[test]
+fn hung_worker_is_written_off_and_its_point_fails_over() {
+    let local_dir = temp_dir("write-off-local");
+    let serial = run_serial(&sweep_args(&local_dir), &local_dir);
+
+    let staller = WorkerProc::spawn(1, &["--chaos", "stall-submit=1"]);
+    let clean = WorkerProc::spawn(6, &[]);
+    let remote_dir = temp_dir("write-off-remote");
+    let output = remote_study(&sweep_args(&remote_dir), &[&staller, &clean])
+        .args(["--point-deadline", "0.4", "--quarantine-after", "0"])
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn remote sweep");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.success(),
+        "the sweep must outlive a hung worker; stderr was:\n{stderr}"
     );
     assert!(
-        manifest_count(&remote_dir, "points_redispatched") >= 1,
-        "the manifest must record the re-dispatches"
+        stderr.contains("re-dispatching"),
+        "the failover must be announced; stderr was:\n{stderr}"
+    );
+    assert_identical("a write-off", &serial, &remote_dir);
+    assert!(
+        manifest_count(&remote_dir, "sweep", "workers_written_off") >= 1,
+        "the manifest must record the write-off"
     );
 
     std::fs::remove_dir_all(&local_dir).ok();
@@ -208,40 +132,28 @@ fn killed_hung_and_corrupting_workers_stay_byte_identical() {
 /// `--hedge-after` through the CLI: a worker whose first point stalls
 /// forever (chaos `stall-submit=1`) is rescued by a hedged re-dispatch,
 /// the sweep stays byte-identical, and the supervision manifest records
-/// the hedge.
+/// the hedge and the discarded duplicate.
 #[test]
 fn hedged_straggler_is_rescued_and_recorded() {
     let local_dir = temp_dir("hedge-local");
-    let args = short_sweep_args(&local_dir);
-    let (local_csv, local_journal) = run_serial(&args, &local_dir);
+    let serial = run_serial(&sweep_args(&local_dir), &local_dir);
 
-    let staller = WorkerProc::spawn(2, Some("stall-submit=1"));
-    let clean = WorkerProc::spawn(2, None);
+    let staller = WorkerProc::spawn(2, &["--chaos", "stall-submit=1"]);
+    let clean = WorkerProc::spawn(2, &[]);
     let remote_dir = temp_dir("hedge-remote");
-    let status = Command::new(STUDY)
-        .args(short_sweep_args(&remote_dir))
-        .args(["--backend", "remote"])
-        .args(["--worker", &staller.addr])
-        .args(["--worker", &clean.addr])
-        .args(["--hedge-after", "0.3"])
-        .args(["--quarantine-after", "0"])
+    let status = remote_study(&sweep_args(&remote_dir), &[&staller, &clean])
+        .args(["--hedge-after", "0.3", "--quarantine-after", "0"])
         .status()
         .expect("spawn remote sweep");
     assert!(status.success(), "hedged sweep failed: {status}");
-
-    let remote_csv = std::fs::read(remote_dir.join("sweep.csv")).expect("remote CSV");
-    let remote_journal =
-        std::fs::read(remote_dir.join("sweep.journal.jsonl")).expect("remote journal");
-    assert_eq!(local_csv, remote_csv, "hedging must not perturb the CSV");
-    assert_eq!(
-        local_journal, remote_journal,
-        "hedging must not perturb the journal"
-    );
-    let manifest = std::fs::read_to_string(remote_dir.join("sweep.journal.supervision.json"))
-        .expect("supervision manifest");
+    assert_identical("hedging", &serial, &remote_dir);
     assert!(
-        manifest.contains("\"points_hedged\""),
-        "manifest must record the hedge: {manifest}"
+        manifest_count(&remote_dir, "sweep", "points_hedged") >= 1,
+        "the manifest must record the hedge"
+    );
+    assert!(
+        manifest_count(&remote_dir, "sweep", "duplicates_discarded") >= 1,
+        "the stalled copy the hedge beat must be discarded"
     );
 
     std::fs::remove_dir_all(&local_dir).ok();
@@ -252,8 +164,8 @@ fn hedged_straggler_is_rescued_and_recorded() {
 /// sweep studies: a point that hangs every worker it touches is
 /// quarantined, the sweep exits with the distinct quarantine code (4),
 /// the poison point lands in the quarantine sidecar instead of the
-/// journal, and the point that did complete is flushed to the partial
-/// CSV.
+/// journal, the point that did complete is flushed to the partial CSV,
+/// and the manifest counts one quarantine and the write-off behind it.
 ///
 /// Each worker stalls its first submit. Point 0 goes to the two-slot
 /// worker and hangs; point 1 takes that worker's second slot and
@@ -270,17 +182,14 @@ fn poison_point_quarantines_with_distinct_exit_code() {
         ),
     ];
     for (stem, axes) in scenarios {
-        let staller_a = WorkerProc::spawn(2, Some("stall-submit=1"));
-        let staller_b = WorkerProc::spawn(1, Some("stall-submit=1"));
+        let staller_a = WorkerProc::spawn(2, &["--chaos", "stall-submit=1"]);
+        let staller_b = WorkerProc::spawn(1, &["--chaos", "stall-submit=1"]);
         let out_dir = temp_dir(&format!("quarantine-{stem}"));
-        let output = Command::new(STUDY)
-            .arg(stem)
-            .args(["--topo", "torus:4x4", "--quick", "--seed", "1993", "--out"])
+        let study = [stem, "--topo", "torus:4x4", "--quick", "--seed", "1993"];
+        let output = remote_study(&study, &[&staller_a, &staller_b])
+            .arg("--out")
             .arg(&out_dir)
             .args(axes)
-            .args(["--backend", "remote"])
-            .args(["--worker", &staller_a.addr])
-            .args(["--worker", &staller_b.addr])
             .args(["--point-deadline", "0.5"])
             .args(["--quarantine-after", "1"])
             .stderr(Stdio::piped())
@@ -326,6 +235,15 @@ fn poison_point_quarantines_with_distinct_exit_code() {
         assert!(
             !out_dir.join(format!("{stem}.csv")).exists(),
             "{stem}: an incomplete sweep must not pass for a whole one"
+        );
+        assert_eq!(
+            manifest_count(&out_dir, stem, "points_quarantined"),
+            1,
+            "{stem}: the manifest must count the quarantine"
+        );
+        assert!(
+            manifest_count(&out_dir, stem, "workers_written_off") >= 1,
+            "{stem}: the manifest must count the write-off behind it"
         );
 
         std::fs::remove_dir_all(&out_dir).ok();

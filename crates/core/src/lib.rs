@@ -55,7 +55,7 @@ pub mod wire;
 
 pub use experiment::{Experiment, ExperimentError};
 pub use report::{format_results_table, format_sweep_csv};
-pub use result::{ClassLatency, PanicInfo, RunOutcome, RunResult, SweepPoint, SweepSummary};
+pub use result::{ClassLatency, PanicInfo, RunOutcome, RunResult};
 pub use saturation::SaturationPoint;
 pub use schedule::MeasurementSchedule;
 pub use wire::{wire_digest, WIRE_PROTOCOL};

@@ -308,43 +308,6 @@ impl RunResult {
     }
 }
 
-/// One point of a load sweep: the result plus its position in the sweep.
-#[derive(Clone, Debug)]
-pub struct SweepPoint {
-    /// Index within the sweep.
-    pub index: usize,
-    /// The measurement at this load.
-    pub result: RunResult,
-}
-
-/// Summary statistics over a sweep (peak throughput and where it occurs).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SweepSummary {
-    /// The highest achieved utilization across the sweep.
-    pub peak_utilization: f64,
-    /// The offered load at which the peak occurred.
-    pub peak_at_offered: f64,
-}
-
-impl SweepSummary {
-    /// Computes the summary of a sweep.
-    ///
-    /// Returns `None` for an empty sweep.
-    pub fn of(results: &[RunResult]) -> Option<SweepSummary> {
-        results
-            .iter()
-            .max_by(|a, b| {
-                a.achieved_utilization
-                    .partial_cmp(&b.achieved_utilization)
-                    .expect("utilizations are finite")
-            })
-            .map(|best| SweepSummary {
-                peak_utilization: best.achieved_utilization,
-                peak_at_offered: best.offered_load,
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,15 +340,6 @@ mod tests {
             livelock: None,
             triage: None,
         }
-    }
-
-    #[test]
-    fn summary_finds_peak() {
-        let sweep = vec![result(0.2, 0.2), result(0.6, 0.55), result(0.8, 0.50)];
-        let s = SweepSummary::of(&sweep).unwrap();
-        assert_eq!(s.peak_utilization, 0.55);
-        assert_eq!(s.peak_at_offered, 0.6);
-        assert_eq!(SweepSummary::of(&[]), None);
     }
 
     #[test]

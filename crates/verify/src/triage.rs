@@ -16,23 +16,23 @@
 //! [`triage`] makes the call from a [`WaitForSnapshot`] alone, so it works
 //! both inline (the engine hands its snapshot straight over at run end)
 //! and offline (replaying a `<run>.waitfor.jsonl` file through the
-//! `inspect` bin). The cycle reported by the snapshot is not taken on
-//! faith: every hop is re-validated against the edge list — message `i`
-//! must actually have a recorded wait on channel `i` held by message
-//! `i+1` — so a corrupted or hand-edited snapshot downgrades to
-//! budget-artifact instead of producing a false conviction.
+//! `inspect` bin). The cycle fields a snapshot carries are not taken on
+//! faith: triage discards them and re-detects the cycle from the edge
+//! list alone, so a corrupted or hand-edited snapshot whose claimed cycle
+//! its edges do not back downgrades to budget-artifact instead of
+//! producing a false conviction.
 
 use wormsim_observe::WaitForSnapshot;
 
 /// The refined verdict on a `Deadlocked`/`LiveLocked` run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TriageVerdict {
-    /// A validated circular wait was present at the watchdog trigger: the
-    /// stall is a genuine deadlock, not a tight budget.
+    /// A circular wait was present at the watchdog trigger: the stall is
+    /// a genuine deadlock, not a tight budget.
     ConfirmedUnsafe,
-    /// No validated cycle in the wait-for graph: the stall is congestion,
-    /// starvation, or a transient-fault pause — rerun with a larger
-    /// budget before blaming the algorithm.
+    /// No cycle in the wait-for graph: the stall is congestion, starvation,
+    /// or a transient-fault pause — rerun with a larger budget before
+    /// blaming the algorithm.
     BudgetArtifact,
 }
 
@@ -48,10 +48,10 @@ pub struct TriageReport {
     pub verdict: TriageVerdict,
     /// Wait-for edges in the snapshot.
     pub edges: usize,
-    /// The validated cycle's messages (empty for budget-artifact).
+    /// The cycle's messages (empty for budget-artifact).
     pub cycle_messages: Vec<u64>,
-    /// The validated cycle's channels, `cycle_channels[i]` being what
-    /// `cycle_messages[i]` waits on.
+    /// The cycle's channels, `cycle_channels[i]` being what
+    /// `cycle_messages[i]` waits on (held by `cycle_messages[i + 1]`).
     pub cycle_channels: Vec<u64>,
 }
 
@@ -69,16 +69,15 @@ impl TriageReport {
     }
 }
 
-/// Replays a wait-for snapshot through cycle detection and hop-by-hop
-/// validation, refining the watchdog's budget-based verdict.
+/// Replays a wait-for snapshot's edges through cycle detection, refining
+/// the watchdog's budget-based verdict.
 ///
 /// The input snapshot is taken by value-copy (cloned internally), so a
 /// snapshot loaded from disk can be triaged without mutating it.
 pub fn triage(snapshot: &WaitForSnapshot) -> TriageReport {
     let mut scratch = snapshot.clone();
     scratch.detect_cycle();
-    let validated = scratch.cycle_found && validate_cycle(&scratch);
-    if validated {
+    if scratch.cycle_found {
         TriageReport {
             verdict: TriageVerdict::ConfirmedUnsafe,
             edges: scratch.edges.len(),
@@ -93,24 +92,6 @@ pub fn triage(snapshot: &WaitForSnapshot) -> TriageReport {
             cycle_channels: Vec::new(),
         }
     }
-}
-
-/// Every hop of the reported cycle must be backed by a recorded edge:
-/// message `i` waits on channel `i` held by message `(i+1) % len`.
-fn validate_cycle(snapshot: &WaitForSnapshot) -> bool {
-    let n = snapshot.cycle_messages.len();
-    if n == 0 || snapshot.cycle_channels.len() != n {
-        return false;
-    }
-    (0..n).all(|i| {
-        let msg = snapshot.cycle_messages[i];
-        let channel = snapshot.cycle_channels[i];
-        let holder = snapshot.cycle_messages[(i + 1) % n];
-        snapshot
-            .edges
-            .iter()
-            .any(|e| e.msg == msg && e.channel == channel && e.holder == holder)
-    })
 }
 
 #[cfg(test)]
@@ -174,6 +155,52 @@ mod tests {
         };
         let report = triage(&snapshot);
         assert_eq!(report.verdict, TriageVerdict::BudgetArtifact);
+    }
+
+    /// Whatever the edge set, a cycle `detect_cycle` reports is backed
+    /// hop by hop: message `i` has a recorded wait on channel `i` held by
+    /// message `i + 1` (wrapping), so a conviction always rests on edges.
+    #[test]
+    fn every_detected_cycle_is_backed_by_recorded_edges() {
+        let mut state = 1993u64;
+        let mut next = |below: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % below
+        };
+        let mut found = 0;
+        for _ in 0..2000 {
+            let messages = 1 + next(12);
+            let mut snapshot = WaitForSnapshot::default();
+            for _ in 0..next(3 * messages) {
+                snapshot
+                    .edges
+                    .push(edge(next(messages), next(6), next(messages)));
+            }
+            snapshot.detect_cycle();
+            let n = snapshot.cycle_messages.len();
+            assert_eq!(snapshot.cycle_found, n > 0);
+            assert_eq!(snapshot.cycle_channels.len(), n);
+            for i in 0..n {
+                let hop = edge(
+                    snapshot.cycle_messages[i],
+                    snapshot.cycle_channels[i],
+                    snapshot.cycle_messages[(i + 1) % n],
+                );
+                assert!(
+                    snapshot.edges.contains(&hop),
+                    "hop {i} of {:?} / {:?} has no edge in {:?}",
+                    snapshot.cycle_messages,
+                    snapshot.cycle_channels,
+                    snapshot.edges
+                );
+            }
+            found += usize::from(snapshot.cycle_found);
+        }
+        assert!(found > 500, "only {found} of 2000 edge sets had a cycle");
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Seeded garbage-in for the command lines of all six bins: argvs built
+//! Seeded garbage-in for the command lines of all five bins: argvs built
 //! from the real flag tables, with flag names and values corrupted through
 //! `ChaosPlan::coin`, must each parse to `Ok` or `Err(String)` in bounded
 //! time and never panic — for every row of the study table, every `perf`
-//! preset, and `verify`, `inspect`, `wormsim-worker` and `chaos_soak`.
+//! preset, and `verify`, `inspect` and `wormsim-worker`.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Duration;
-use wormsim_bench::cli::{self, Args, InspectArgs, SoakArgs, VerifyArgs};
+use wormsim_bench::cli::{self, Args, InspectArgs, VerifyArgs};
 use wormsim_bench::perf::{self, PRESETS};
 use wormsim_bench::study::{self, StudyArgs, STUDIES};
 use wormsim_bench::worker::WorkerConfig;
@@ -111,7 +111,6 @@ fn bins() -> Vec<Bin> {
         bin::<VerifyArgs>("verify", &[""], parsed::<VerifyArgs>),
         bin::<InspectArgs>("inspect", &["obs", "obs before"], parsed::<InspectArgs>),
         bin::<WorkerConfig>("wormsim-worker", &[""], parsed::<WorkerConfig>),
-        bin::<SoakArgs>("chaos_soak", &[""], parsed::<SoakArgs>),
     ]
 }
 
@@ -187,8 +186,7 @@ fn the_flag_table_covers_the_whole_grammar() {
             "perf" => cli::usage::<perf::Options>(),
             "verify" => cli::usage::<VerifyArgs>(),
             "inspect" => cli::usage::<InspectArgs>(),
-            "wormsim-worker" => cli::usage::<WorkerConfig>(),
-            _ => cli::usage::<SoakArgs>(),
+            _ => cli::usage::<WorkerConfig>(),
         };
         assert!(
             usage.starts_with(&format!("usage: {}", bin.name)),
