@@ -115,9 +115,10 @@ pub trait WorkerBackend {
     ///
     /// # Errors
     ///
-    /// Only when no executor is left to take the job (e.g. every worker
-    /// is dead or draining). Point-level failures are never `Err` here —
-    /// they surface through [`PointStatus::Done`].
+    /// Only when no executor with a free slot is left to take the job
+    /// (every worker dead, draining, or full because one died under this
+    /// very submit). Point-level failures are never `Err` here — they
+    /// surface through [`PointStatus::Done`].
     fn submit(&mut self, job: PointJob) -> Result<WorkHandle, BackendError>;
 
     /// Reports the current status of a submitted job. `Done` and `Lost`
@@ -220,7 +221,7 @@ impl Shared {
 }
 
 /// The in-process pool: a fixed set of OS threads draining a shared job
-/// queue through [`execute_point`]. Each job runs under a child of the
+/// queue through `execute_point`. Each job runs under a child of the
 /// `shutdown` token given to [`new`](Self::new), so `poll` reports that
 /// job's own heartbeat, `cancel` and `forget` stop jobs without touching
 /// the pool's future, and tripping `shutdown` (SIGINT) interrupts every

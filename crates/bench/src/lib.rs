@@ -1,6 +1,6 @@
 //! Shared harness for regenerating the paper's figures.
 //!
-//! Runs [`FigureSpec`] sweeps in parallel across worker threads, prints
+//! Runs [`FigureSpec`](wormsim::presets::FigureSpec) sweeps in parallel across worker threads, prints
 //! paper-style latency/throughput series, and records CSV files that
 //! EXPERIMENTS.md references.
 //!

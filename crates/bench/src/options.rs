@@ -49,7 +49,8 @@ pub struct SweepOptions {
     pub resume: Option<String>,
     /// Extra attempts for points with transient outcomes — budget trips
     /// and harness panics (`--retries N`, default 1). The supervisor
-    /// re-dispatches each retry at once with the identical seed.
+    /// dispatches each retry, with the identical seed, as soon as a slot
+    /// is free.
     pub retries: u32,
     /// Supervision: write a worker off once a point's simulation
     /// heartbeat has been frozen this long (`--point-deadline SECS`);
@@ -76,7 +77,8 @@ pub struct SweepOptions {
     /// index, exercising per-point panic isolation.
     pub inject_panic: Option<usize>,
     /// Cooperative shutdown flag. Binaries route SIGINT here via
-    /// [`install_sigint_handler`]; tests trip it directly.
+    /// [`install_sigint_handler`](crate::install_sigint_handler); tests
+    /// trip it directly.
     pub shutdown: CancelToken,
     /// Where points execute (`--backend local|remote`, `--worker ADDR`);
     /// defaults to the in-process pool.

@@ -13,9 +13,10 @@
 //! those retries, answers with an error status, or sends
 //! [`GARBLE_STRIKES`] garbled bodies in a row is written off — it gets no
 //! further jobs and counts no capacity — and every point it held polls as
-//! [`PointStatus::Lost`]. Whether a lost point runs again, and where, is
-//! the supervisor's decision (`supervisor.rs`). [`submit`] fails only
-//! when no live worker is left.
+//! [`PointStatus::Lost`]. Whether and when a lost point runs again is the
+//! supervisor's decision (`supervisor.rs`), which never holds more jobs
+//! than the live workers have slots: [`submit`] picks a worker with a
+//! free slot, and fails only when none is left.
 //!
 //! [`submit`]: WorkerBackend::submit
 
@@ -57,6 +58,7 @@ fn rpc_timeout() -> Duration {
 struct Worker {
     addr: String,
     slots: usize,
+    /// Jobs sent and not yet finished or forgotten.
     in_flight: usize,
     /// Set once an RPC to this worker exhausts its transport retries;
     /// dead workers receive no further jobs and count no capacity.
@@ -219,13 +221,11 @@ impl RemoteBackend {
             })
     }
 
-    /// Writes a worker off (idempotent): no further jobs, no capacity.
-    /// Its in-flight accounting is zeroed — every point it was running
-    /// polls as lost.
+    /// Writes a worker off (idempotent): no further jobs, no capacity, and
+    /// every point it was running polls as lost.
     fn mark_dead(&mut self, slot: usize, cause: &BackendError) {
         if !self.workers[slot].dead {
             self.workers[slot].dead = true;
-            self.workers[slot].in_flight = 0;
             eprintln!(
                 "worker {} lost ({}); sending it no further jobs",
                 self.workers[slot].addr, cause.message
@@ -236,16 +236,14 @@ impl RemoteBackend {
     /// The next submit target among live, non-draining workers: the one
     /// with the most free slots (ties go to the first index), so
     /// heterogeneous workers drain proportionally instead of the first
-    /// address soaking up every job. Free slots go negative once a lost
-    /// worker's points are re-dispatched onto full survivors, so the same
-    /// key picks the least oversubscribed one. `None` when every worker is
-    /// dead or draining.
+    /// address soaking up every job. `None` when no such worker has a
+    /// free slot.
     fn pick_live(&self) -> Option<usize> {
         self.workers
             .iter()
             .enumerate()
-            .filter(|(_, w)| !w.dead && !w.draining)
-            .max_by_key(|(i, w)| (w.slots as i128 - w.in_flight as i128, Reverse(*i)))
+            .filter(|(_, w)| !w.dead && !w.draining && w.in_flight < w.slots)
+            .max_by_key(|(i, w)| (w.slots - w.in_flight, Reverse(*i)))
             .map(|(i, _)| i)
     }
 
@@ -327,7 +325,7 @@ impl RemoteBackend {
             Ok(StatusBody::Failed { error }) => Err(error),
         };
         let in_flight = self.jobs.remove(&id).expect("caller checked the handle");
-        self.workers[slot].in_flight = self.workers[slot].in_flight.saturating_sub(1);
+        self.workers[slot].in_flight -= 1;
         let result =
             result.map_err(|message| Self::rederive_error(&in_flight.experiment, &message, &addr));
         Ok(PointStatus::Done { result })
@@ -436,10 +434,7 @@ impl WorkerBackend for RemoteBackend {
 
     fn forget(&mut self, handle: WorkHandle) {
         if let Some(in_flight) = self.jobs.remove(&handle.0) {
-            let worker = &mut self.workers[in_flight.worker];
-            if !worker.dead {
-                worker.in_flight = worker.in_flight.saturating_sub(1);
-            }
+            self.workers[in_flight.worker].in_flight -= 1;
         }
     }
 }
@@ -491,10 +486,7 @@ mod tests {
     /// Drives `job` through a [`Supervisor`] over `backend` until the
     /// point finishes.
     fn supervise_done(backend: &mut RemoteBackend, job: PointJob) -> RunResult {
-        let mut supervisor = Supervisor::new(SupervisePolicy::default());
-        supervisor
-            .submit(backend, job)
-            .expect("a live worker takes the point");
+        let mut supervisor = Supervisor::new(SupervisePolicy::default(), vec![job]);
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
             assert!(Instant::now() < deadline, "supervised point hung");
@@ -623,39 +615,101 @@ mod tests {
     #[test]
     fn garbling_worker_is_cut_loose_and_the_point_lands_on_the_survivor() {
         // Every response body (except the chaos-exempt handshake) is
-        // corrupted: valid HTTP framing, broken JSON. The backend must
-        // write the worker off instead of trusting a byte of it.
-        let garbler =
-            LoopbackWorker::with_chaos(1, crate::chaos::ChaosPlan::parse("corrupt=1").unwrap())
-                .expect("bind loopback")
-                .addr;
-        let survivor = loopback(1);
-        let mut backend = RemoteBackend::connect(&[garbler.to_string(), survivor.to_string()])
-            .expect("handshake is exempt from response corruption");
-        assert_eq!(backend.capacity(), 2);
+        // corrupted (valid HTTP framing, broken JSON), dropped (the
+        // connection closes without a byte) or truncated halfway. The
+        // backend must write the worker off instead of trusting a byte
+        // of it.
         let experiment = Experiment::new(Topology::torus(&[6, 6]), AlgorithmKind::PositiveHop)
             .offered_load(0.2)
             .quick()
             .seed(1993);
         let local = experiment.clone().run().expect("local reference run");
-        let handle = backend
-            .submit(job_for(experiment.clone(), 0))
-            .expect("submit");
-        let PointStatus::Lost(cause) = wait(&mut backend, handle) else {
-            panic!("a garbling worker's point must poll as lost");
-        };
-        assert!(cause.message.contains("garbled"), "got: {cause}");
+        for spec in ["corrupt=1", "drop=1", "truncate=1"] {
+            let chaos = crate::chaos::ChaosPlan::parse(spec).unwrap();
+            let garbler = LoopbackWorker::with_chaos(1, chaos)
+                .expect("bind loopback")
+                .addr;
+            let survivor = loopback(1);
+            let mut backend = RemoteBackend::connect(&[garbler.to_string(), survivor.to_string()])
+                .expect("handshake is exempt from response chaos");
+            assert_eq!(backend.capacity(), 2, "{spec}");
+            if spec == "corrupt=1" {
+                // A corrupted `/submit` answer still frames as HTTP 200,
+                // so the garbling shows on `/status`.
+                let handle = backend
+                    .submit(job_for(experiment.clone(), 0))
+                    .expect("submit");
+                let PointStatus::Lost(cause) = wait(&mut backend, handle) else {
+                    panic!("a garbling worker's point must poll as lost");
+                };
+                assert!(cause.message.contains("garbled"), "got: {cause}");
+                assert_eq!(backend.capacity(), 1, "the garbler must be written off");
+            }
+            // A dropped or truncated `/submit` answer fails the submit
+            // itself, which moves on to the survivor.
+            let remote = supervise_done(&mut backend, job_for(experiment.clone(), 0));
+            assert_eq!(
+                backend.capacity(),
+                1,
+                "{spec}: the faulty worker must be written off"
+            );
+            assert_eq!(
+                remote.latency.mean().to_bits(),
+                local.latency.mean().to_bits(),
+                "{spec}: the survivor must reproduce the local result bit for bit"
+            );
+            assert_eq!(remote.cycles_simulated, local.cycles_simulated, "{spec}");
+        }
+    }
+
+    #[test]
+    fn a_point_whose_worker_dies_under_its_submit_waits_for_a_free_slot() {
+        // The clean worker is listed first, so it takes point 0. Point 1
+        // goes to the worker that drops every `/submit` answer, which is
+        // written off under that very submit while the clean one is full.
+        let clean = loopback(1);
+        let dropper =
+            LoopbackWorker::with_chaos(1, crate::chaos::ChaosPlan::parse("drop=1").unwrap())
+                .expect("bind loopback")
+                .addr;
+        let mut backend = RemoteBackend::connect(&[clean.to_string(), dropper.to_string()])
+            .expect("handshake is exempt from response chaos");
+        let experiment = Experiment::new(Topology::torus(&[6, 6]), AlgorithmKind::PositiveHop)
+            .offered_load(0.2)
+            .quick()
+            .seed(1993);
+        let local = experiment.clone().run().expect("local reference run");
+        let jobs = (0..2).map(|i| job_for(experiment.clone(), i)).collect();
+        let mut supervisor = Supervisor::new(SupervisePolicy::default(), jobs);
+        let mut events = supervisor
+            .tick(&mut backend)
+            .expect("a live worker remains");
+        assert_eq!(backend.capacity(), 1, "the dropper must be written off");
         assert_eq!(
-            backend.capacity(),
+            backend.jobs.len(),
             1,
-            "the garbling worker must be written off"
+            "point 1 must wait, not queue behind point 0 on the full worker"
         );
-        let remote = supervise_done(&mut backend, job_for(experiment, 0));
-        assert_eq!(
-            remote.latency.mean().to_bits(),
-            local.latency.mean().to_bits(),
-            "the survivor must reproduce the local result bit for bit"
-        );
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while events.len() < 2 {
+            assert!(Instant::now() < deadline, "supervised points hung");
+            std::thread::sleep(Duration::from_millis(10));
+            events.extend(
+                supervisor
+                    .tick(&mut backend)
+                    .expect("a live worker remains"),
+            );
+        }
+        for event in events {
+            let Event::Done { result, .. } = event else {
+                panic!("no point may be quarantined");
+            };
+            let remote = result.expect("the point runs");
+            assert_eq!(
+                remote.latency.mean().to_bits(),
+                local.latency.mean().to_bits()
+            );
+        }
     }
 
     #[test]

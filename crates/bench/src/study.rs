@@ -291,7 +291,7 @@ impl Study {
 impl Invocation {
     /// Runs the study for the `study` binary and prints its table,
     /// leaving through the shared exit path (see
-    /// [`run_sweep_or_exit`](crate::run_sweep_or_exit)) when a sweep does
+    /// [`run_sweep_or_exit`]) when a sweep does
     /// not complete whole.
     pub fn run(self) {
         let Invocation {

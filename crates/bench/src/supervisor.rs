@@ -1,10 +1,18 @@
-//! Sweep supervision: retries, re-dispatch, deadlines, hedging, and
-//! poison-point quarantine on top of any [`WorkerBackend`].
+//! Sweep supervision: dispatch, retries, re-dispatch, deadlines, hedging
+//! and poison-point quarantine on top of any [`WorkerBackend`].
 //!
 //! The backend is a transport: it runs one attempt per dispatch and
-//! reports it `Done` or `Lost`. Every decision about what to run again is
-//! made here, once:
+//! reports it `Done` or `Lost`. Every decision about what runs, and what
+//! runs again, is made here, once:
 //!
+//! * **Dispatch.** [`run_sweep`] hands over every point up front; each
+//!   [`tick`](Supervisor::tick) fills free capacity with waiting points,
+//!   re-runs first, then fresh points in schedule order. The supervisor
+//!   never holds more dispatches than the backend has slots, so no point
+//!   waits behind a full executor and a heartbeat frozen at zero means a
+//!   hung job. A fail-fast [`abort`](Supervisor::abort) drops the fresh
+//!   points still waiting. Once the shutdown token trips, nothing is
+//!   dispatched: what still waits is left for `--resume`.
 //! * **Retries.** A finished attempt whose outcome is transient (a budget
 //!   trip, a harness panic) runs again, up to `--retries` extra attempts,
 //!   with the identical seed. A stall the triage confirmed as a circular
@@ -13,46 +21,34 @@
 //!   blamed on a tight budget (`budget_artifact`) runs again when there
 //!   is a cycle budget to raise, and the last attempt of that chain gets
 //!   [`RAISED_BUDGET_FACTOR`]× the budget. The supervisor counts the
-//!   attempts and names the decision the journal records. A retry is
-//!   dispatched like a lost point, so it may land on any executor; every
-//!   live copy of the finished attempt is dropped first.
+//!   attempts and names the decision the journal records. Every live
+//!   copy of the finished attempt is dropped before its retry waits.
 //! * **Lost dispatches.** A worker that crashed, stopped answering or
 //!   garbled its responses loses every point it held
-//!   ([`PointStatus::Lost`]). If another copy of the point is still live
-//!   (a hedge), the lost copy is simply dropped; otherwise the point is
-//!   re-dispatched in the same tick, verbatim. Results are
-//!   bit-deterministic in the experiment, so a re-run produces the bytes
-//!   the lost worker would have — re-dispatch never perturbs the journal
-//!   or the CSV.
+//!   ([`PointStatus::Lost`]). Unless a hedge copy is still live, the
+//!   point waits again, verbatim, and is re-dispatched as soon as a slot
+//!   is free. Results are bit-deterministic in the experiment, so a
+//!   re-run never perturbs the journal or the CSV.
 //! * **Hung workers.** A worker whose simulation thread is stuck
 //!   (livelocked host, SIGSTOP, a chaos stall) keeps answering `pending`
-//!   forever. The supervisor watches each dispatch's simulation
-//!   heartbeat (`PointStatus::Pending { heartbeat }`), which both
-//!   backends report per job — they run points on the same pool. A
-//!   heartbeat frozen past the point deadline gets the executor written
-//!   off ([`WorkerBackend::write_off`]: a remote worker is dropped, a
-//!   local job is cancelled and forgotten), and the dispatch is lost on
-//!   the spot.
+//!   forever. A dispatch's simulation heartbeat
+//!   (`PointStatus::Pending { heartbeat }`, reported per job by both
+//!   backends) frozen past the point deadline gets the executor written
+//!   off ([`WorkerBackend::write_off`]), and the dispatch is lost on the
+//!   spot.
 //! * **Stragglers.** With `hedge_after` set, the oldest in-flight point
-//!   is re-dispatched to spare capacity once it has been pending that
-//!   long. First completion wins; the loser is forgotten
-//!   ([`WorkerBackend::forget`]) before it can reach the journal, so
-//!   hedging never perturbs the journal bytes (results are
-//!   bit-deterministic in the experiment anyway — the hedge only buys
-//!   wall-clock).
-//! * **Poison points.** A point that keeps *killing* its workers (crash
-//!   on submit, OOM) would otherwise chew through the whole pool. Once
-//!   `quarantine_after` dispatches of a point's current attempt have been
-//!   lost (a retry starts the count afresh), the
-//!   supervisor stops dispatching it and emits a [`QuarantineRecord`]
+//!   is re-dispatched to capacity the waiting points left spare once it
+//!   has been pending that long. First completion wins; the loser is
+//!   forgotten ([`WorkerBackend::forget`]) before it reaches the journal.
+//! * **Poison points.** Once `quarantine_after` dispatches of a point's
+//!   current attempt have been lost (a point that crashes its workers),
+//!   the supervisor stops dispatching it and emits a [`QuarantineRecord`]
 //!   with the last infrastructure error; the sweep completes without it
 //!   and reports a distinct exit code.
 //!
-//! The supervisor owns the set of in-flight points; [`run_sweep`] feeds
-//! it jobs and consumes [`Event`]s. Deadlines, hedging and quarantine are
-//! off by default — such a sweep only retries and re-dispatches lost
-//! points. Everything decided here is deterministic in the results, so a
-//! point journals the same attempts and decision on every backend.
+//! Deadlines, hedging and quarantine are off by default. Everything
+//! decided here is deterministic in the results, so a point journals the
+//! same attempts and decision on every backend.
 //!
 //! [`run_sweep`]: crate::run_sweep
 
@@ -89,14 +85,15 @@ pub(crate) struct SupervisePolicy {
     /// Extra attempts for a point whose attempt ended transiently or in a
     /// `budget_artifact` stall (`--retries`).
     pub retries: u32,
-    /// The sweep's shutdown token: once it trips, nothing is retried.
+    /// The sweep's shutdown token: once it trips, nothing is dispatched,
+    /// and a finished attempt is final.
     pub shutdown: CancelToken,
     /// Write a worker off once a dispatch's simulation heartbeat has been
     /// frozen this long. Only applies to backends that report heartbeats;
     /// a backend reporting `None` is never written off on this path.
     pub point_deadline: Option<Duration>,
-    /// Re-dispatch the oldest pending point to idle capacity once it has
-    /// been in flight this long (at most one hedge per point).
+    /// Hedge the oldest pending point once it has been in flight this
+    /// long (at most one hedge per point).
     pub hedge_after: Option<Duration>,
     /// Quarantine a point once this many dispatches of its current
     /// attempt have been lost. `0` disables quarantine.
@@ -172,20 +169,11 @@ struct Dispatch {
     advanced: Instant,
 }
 
-impl Dispatch {
-    fn new(handle: WorkHandle, now: Instant) -> Dispatch {
-        Dispatch {
-            handle,
-            beat: None,
-            advanced: now,
-        }
-    }
-}
-
 struct Flight {
     /// The job of the current attempt.
     job: PointJob,
-    /// The point's live copies: one, or two while hedged.
+    /// The point's live copies: none while it waits for a slot, one, or
+    /// two while hedged.
     copies: Vec<Dispatch>,
     /// Dispatches of the current attempt, hedges and re-dispatches
     /// included.
@@ -194,13 +182,14 @@ struct Flight {
     attempt: u32,
     /// Whether a `budget_artifact` stall started the raised-budget chain.
     budget_retry: bool,
-    started: Instant,
+    /// When the point was first dispatched; `None` while it is fresh.
+    started: Option<Instant>,
     hedged: bool,
 }
 
 /// Where a finished attempt leads.
 enum Verdict {
-    /// The flight's job now holds the next attempt; dispatch it.
+    /// The flight's job now holds the next attempt; it waits for a slot.
     Retry,
     /// The result is final, with the stall policy's decision if it
     /// engaged.
@@ -209,13 +198,12 @@ enum Verdict {
 
 impl Flight {
     /// The retry policy, applied to the result of the current attempt.
-    /// Until shutdown trips (`stopping`), deterministic in the result and
-    /// the attempt number alone.
+    /// Until shutdown trips, deterministic in the result and the attempt
+    /// number alone.
     fn judge(
         &mut self,
         result: &Result<RunResult, ExperimentError>,
-        retries: u32,
-        stopping: bool,
+        policy: &SupervisePolicy,
     ) -> Verdict {
         let stall = match result {
             Ok(r) if matches!(r.outcome, RunOutcome::Deadlocked | RunOutcome::LiveLocked) => {
@@ -228,10 +216,12 @@ impl Flight {
         // Only a budget-artifact stall with a budget to raise is worth a
         // deterministic re-run; confirmed-unsafe stalls never retry.
         let stall_retryable = stall == Some(TriageVerdict::BudgetArtifact) && budget.is_some();
-        let last = retries.saturating_add(1);
+        let last = policy.retries.saturating_add(1);
+        let stopping = policy.shutdown.is_cancelled();
         if (transient || stall_retryable) && self.attempt < last && !stopping {
             self.budget_retry |= stall_retryable;
             self.attempt += 1;
+            self.dispatches = 0;
             let mut experiment = self.job.experiment.clone().attempt(self.attempt);
             if self.budget_retry && self.attempt == last {
                 experiment =
@@ -250,64 +240,84 @@ impl Flight {
             None => None,
         })
     }
+
+    /// Submits one more copy of the current attempt: the one place a
+    /// point reaches the backend.
+    fn dispatch(
+        &mut self,
+        backend: &mut dyn WorkerBackend,
+        now: Instant,
+    ) -> Result<(), BackendError> {
+        let handle = backend.submit(self.job.clone())?;
+        self.copies.push(Dispatch {
+            handle,
+            beat: None,
+            advanced: now,
+        });
+        self.dispatches += 1;
+        self.started.get_or_insert(now);
+        Ok(())
+    }
 }
 
-/// Tracks every in-flight point and applies the [`SupervisePolicy`].
+/// Dispatches a sweep's points and applies the [`SupervisePolicy`].
 pub(crate) struct Supervisor {
     policy: SupervisePolicy,
+    /// Every unresolved point, in schedule order. The ones without a live
+    /// copy wait for a slot; those dispatched before (a loss, a retry)
+    /// come first, since fresh points are dispatched in order.
     flights: Vec<Flight>,
     pub(crate) report: SupervisionReport,
 }
 
 impl Supervisor {
-    pub(crate) fn new(policy: SupervisePolicy) -> Supervisor {
+    /// A supervisor that will run `jobs`, in order, as capacity allows.
+    pub(crate) fn new(policy: SupervisePolicy, jobs: Vec<PointJob>) -> Supervisor {
+        let flights = jobs
+            .into_iter()
+            .map(|job| Flight {
+                job,
+                copies: Vec::new(),
+                dispatches: 0,
+                attempt: 1,
+                budget_retry: false,
+                started: None,
+                hedged: false,
+            })
+            .collect();
         Supervisor {
             policy,
-            flights: Vec::new(),
+            flights,
             report: SupervisionReport::default(),
         }
     }
 
     /// In-flight dispatch count (hedged points count twice): the number
     /// of backend slots this supervisor is occupying.
-    pub(crate) fn dispatched(&self) -> usize {
+    fn dispatched(&self) -> usize {
         self.flights.iter().map(|f| f.copies.len()).sum()
     }
 
-    /// Whether any point is still in flight.
+    /// Whether nothing is in flight and nothing waiting will be dispatched.
     pub(crate) fn is_idle(&self) -> bool {
-        self.flights.is_empty()
+        self.dispatched() == 0 && (self.flights.is_empty() || self.policy.shutdown.is_cancelled())
     }
 
-    /// Dispatches a fresh point.
-    pub(crate) fn submit(
-        &mut self,
-        backend: &mut dyn WorkerBackend,
-        job: PointJob,
-    ) -> Result<(), BackendError> {
-        let now = Instant::now();
-        let handle = backend.submit(job.clone())?;
-        self.flights.push(Flight {
-            job,
-            copies: vec![Dispatch::new(handle, now)],
-            dispatches: 1,
-            attempt: 1,
-            budget_retry: false,
-            started: now,
-            hedged: false,
-        });
-        Ok(())
+    /// Fail-fast: drops the fresh points still waiting. Points already
+    /// dispatched, and any that come back lost or for a retry, still run.
+    pub(crate) fn abort(&mut self) {
+        self.flights.retain(|flight| flight.started.is_some());
     }
 
-    /// One supervision round: poll every dispatch, retry or finish points
-    /// whose attempt ended, write off frozen heartbeats, re-dispatch or
-    /// quarantine lost points, and hedge the oldest straggler. Returns the
-    /// points that resolved this round.
+    /// One supervision round: poll every dispatch and decide what its end
+    /// (a result, a loss, a frozen heartbeat) leads to, then fill free
+    /// capacity with waiting points and hedge the oldest straggler.
+    /// Returns the points that resolved this round.
     ///
     /// # Errors
     ///
-    /// Only when a retry or a lost point cannot be dispatched because no
-    /// live executor remains.
+    /// Only when a waiting point cannot be dispatched because no live
+    /// executor remains.
     pub(crate) fn tick(
         &mut self,
         backend: &mut dyn WorkerBackend,
@@ -360,16 +370,10 @@ impl Supervisor {
                         self.report.duplicates_discarded += 1;
                     }
                 }
-                let stopping = self.policy.shutdown.is_cancelled();
-                match flight.judge(&result, self.policy.retries, stopping) {
-                    Verdict::Retry => {
-                        let handle = backend.submit(flight.job.clone())?;
-                        flight.copies.push(Dispatch::new(handle, now));
-                        flight.dispatches = 1;
-                        f += 1;
-                    }
+                match flight.judge(&result, &self.policy) {
+                    Verdict::Retry => f += 1,
                     Verdict::Final(decision) => {
-                        let flight = self.flights.swap_remove(f);
+                        let flight = self.flights.remove(f);
                         let journaled =
                             matches!(&result, Ok(r) if r.outcome != RunOutcome::Interrupted);
                         if let Some(decision) = decision.filter(|_| journaled) {
@@ -393,7 +397,7 @@ impl Supervisor {
             if let Some(cause) = lost.filter(|_| flight.copies.is_empty()) {
                 let budget = self.policy.quarantine_after;
                 if budget > 0 && flight.dispatches >= budget {
-                    let flight = self.flights.swap_remove(f);
+                    let flight = self.flights.remove(f);
                     events.push(Event::Quarantined(QuarantineRecord {
                         index: flight.job.index,
                         point_hash: flight.job.point_hash,
@@ -402,49 +406,67 @@ impl Supervisor {
                     }));
                     continue;
                 }
-                eprintln!(
-                    "re-dispatching point {} (lost on {}: {})",
-                    flight.job.index, cause.worker, cause.message
-                );
-                let handle = backend.submit(flight.job.clone())?;
-                flight.copies.push(Dispatch::new(handle, now));
-                flight.dispatches += 1;
-                self.report.points_redispatched += 1;
+                if !self.policy.shutdown.is_cancelled() {
+                    eprintln!(
+                        "re-dispatching point {} (lost on {}: {})",
+                        flight.job.index, cause.worker, cause.message
+                    );
+                }
             }
             f += 1;
         }
-        self.maybe_hedge(backend, now);
+        if !self.policy.shutdown.is_cancelled() {
+            self.fill(backend, now)?;
+            self.maybe_hedge(backend, now);
+        }
         Ok(events)
     }
 
-    /// Re-dispatches the oldest straggler to idle capacity, at most one
-    /// hedge per point per sweep.
+    /// Dispatches waiting points, in order, while the backend has a free
+    /// slot: the sweep's one capacity check.
+    fn fill(&mut self, backend: &mut dyn WorkerBackend, now: Instant) -> Result<(), BackendError> {
+        let held = self.dispatched();
+        let waiting = self.flights.iter_mut().filter(|f| f.copies.is_empty());
+        for (held, flight) in (held..).zip(waiting) {
+            if held >= backend.capacity().max(1) {
+                break;
+            }
+            let lost = flight.dispatches > 0;
+            match flight.dispatch(backend, now) {
+                Ok(()) => self.report.points_redispatched += u64::from(lost),
+                // The executor the check counted died under this very
+                // submit and the rest are full: the point waits for a slot.
+                Err(_) if backend.capacity() > 0 => break,
+                Err(cause) => return Err(cause),
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-dispatches the oldest straggler to capacity the waiting points
+    /// left spare, at most one hedge per point per sweep. A failed submit
+    /// means that capacity died with a worker; the original copy is still
+    /// live, so it is no error.
     fn maybe_hedge(&mut self, backend: &mut dyn WorkerBackend, now: Instant) {
         let Some(hedge_after) = self.policy.hedge_after else {
             return;
         };
-        if backend.capacity() <= self.dispatched() {
-            return;
-        }
-        let Some(flight) = self
+        let spare = backend.capacity() > self.dispatched();
+        let straggler = self
             .flights
             .iter_mut()
-            .filter(|flight| !flight.hedged)
+            .filter(|flight| spare && !flight.hedged && !flight.copies.is_empty())
             .min_by_key(|flight| flight.started)
-        else {
-            return;
-        };
-        if now.duration_since(flight.started) <= hedge_after {
-            return;
-        }
-        // A submit failure here means the spare capacity evaporated
-        // between the check and the dispatch (a worker died). The original
-        // dispatch is still live, so a failed hedge is not an error.
-        if let Ok(handle) = backend.submit(flight.job.clone()) {
-            flight.hedged = true;
-            flight.copies.push(Dispatch::new(handle, now));
-            flight.dispatches += 1;
-            self.report.points_hedged += 1;
+            .filter(|flight| {
+                flight
+                    .started
+                    .is_some_and(|at| now.duration_since(at) > hedge_after)
+            });
+        if let Some(flight) = straggler {
+            if flight.dispatch(backend, now).is_ok() {
+                flight.hedged = true;
+                self.report.points_hedged += 1;
+            }
         }
     }
 }
@@ -586,11 +608,22 @@ mod tests {
         job
     }
 
-    fn retrying(retries: u32) -> Supervisor {
-        Supervisor::new(SupervisePolicy {
+    fn retrying(retries: u32) -> SupervisePolicy {
+        SupervisePolicy {
             retries,
             ..SupervisePolicy::default()
-        })
+        }
+    }
+
+    /// A supervisor over `jobs` whose first tick dispatched them.
+    fn start(
+        policy: SupervisePolicy,
+        backend: &mut MockBackend,
+        jobs: Vec<PointJob>,
+    ) -> Supervisor {
+        let mut supervisor = Supervisor::new(policy, jobs);
+        assert!(supervisor.tick(backend).unwrap().is_empty());
+        supervisor
     }
 
     /// The one `Done` event of `events`: (index, attempts, decision).
@@ -607,18 +640,17 @@ mod tests {
         (*index, *attempts, retry_decision.as_deref())
     }
 
-    fn quarantine_after(budget: u64) -> Supervisor {
-        Supervisor::new(SupervisePolicy {
+    fn quarantine_after(budget: u64) -> SupervisePolicy {
+        SupervisePolicy {
             quarantine_after: budget,
             ..SupervisePolicy::default()
-        })
+        }
     }
 
     #[test]
     fn lost_point_is_redispatched_exactly_once() {
         let mut backend = MockBackend::with_capacity(2);
-        let mut supervisor = Supervisor::new(SupervisePolicy::default());
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        let mut supervisor = start(SupervisePolicy::default(), &mut backend, vec![job(0)]);
         backend.lose(0, "a");
         assert!(supervisor.tick(&mut backend).unwrap().is_empty());
         assert_eq!(backend.submitted, vec![0, 1], "one re-dispatch, same tick");
@@ -639,8 +671,7 @@ mod tests {
     #[test]
     fn quarantine_trips_once_the_budget_of_lost_dispatches_is_spent() {
         let mut backend = MockBackend::with_capacity(4);
-        let mut supervisor = quarantine_after(3);
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        let mut supervisor = start(quarantine_after(3), &mut backend, vec![job(0)]);
         // Under the budget: re-dispatched each time.
         for (handle, worker) in [(0, "a"), (1, "b")] {
             backend.lose(handle, worker);
@@ -668,8 +699,7 @@ mod tests {
     #[test]
     fn quarantine_after_one_fires_on_the_first_loss() {
         let mut backend = MockBackend::with_capacity(2);
-        let mut supervisor = quarantine_after(1);
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        let mut supervisor = start(quarantine_after(1), &mut backend, vec![job(0)]);
         backend.lose(0, "a");
         let events = supervisor.tick(&mut backend).unwrap();
         let [Event::Quarantined(record)] = events.as_slice() else {
@@ -684,8 +714,7 @@ mod tests {
     #[test]
     fn quarantine_disabled_never_trips() {
         let mut backend = MockBackend::with_capacity(4);
-        let mut supervisor = quarantine_after(0);
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        let mut supervisor = start(quarantine_after(0), &mut backend, vec![job(0)]);
         for handle in 0..10 {
             backend.lose(handle, "carnage");
             assert!(supervisor.tick(&mut backend).unwrap().is_empty());
@@ -697,12 +726,12 @@ mod tests {
     #[test]
     fn lost_copy_of_a_hedged_point_is_not_redispatched() {
         let mut backend = MockBackend::with_capacity(2);
-        let mut supervisor = Supervisor::new(SupervisePolicy {
+        let policy = SupervisePolicy {
             hedge_after: Some(Duration::from_millis(0)),
             quarantine_after: 1,
             ..SupervisePolicy::default()
-        });
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        };
+        let mut supervisor = start(policy, &mut backend, vec![job(0)]);
         assert!(supervisor.tick(&mut backend).unwrap().is_empty());
         assert_eq!(backend.submitted, vec![0, 1], "hedged into the spare slot");
         // The original dies; the hedge is still live, so the loss neither
@@ -723,11 +752,11 @@ mod tests {
     #[test]
     fn hedged_duplicate_is_discarded_when_the_original_wins() {
         let mut backend = MockBackend::with_capacity(2);
-        let mut supervisor = Supervisor::new(SupervisePolicy {
+        let policy = SupervisePolicy {
             hedge_after: Some(Duration::from_millis(0)),
             ..SupervisePolicy::default()
-        });
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        };
+        let mut supervisor = start(policy, &mut backend, vec![job(0)]);
         // The point is instantly a straggler; a tick hedges it into the
         // spare slot.
         assert!(supervisor.tick(&mut backend).unwrap().is_empty());
@@ -754,11 +783,11 @@ mod tests {
     #[test]
     fn hedging_needs_spare_capacity() {
         let mut backend = MockBackend::with_capacity(1);
-        let mut supervisor = Supervisor::new(SupervisePolicy {
+        let policy = SupervisePolicy {
             hedge_after: Some(Duration::from_millis(0)),
             ..SupervisePolicy::default()
-        });
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        };
+        let mut supervisor = start(policy, &mut backend, vec![job(0)]);
         assert!(supervisor.tick(&mut backend).unwrap().is_empty());
         assert_eq!(backend.submitted, vec![0], "no idle slot, no hedge");
         assert_eq!(supervisor.report.points_hedged, 0);
@@ -767,11 +796,11 @@ mod tests {
     #[test]
     fn frozen_heartbeat_writes_the_worker_off_and_redispatches_in_the_same_tick() {
         let mut backend = MockBackend::with_capacity(2);
-        let mut supervisor = Supervisor::new(SupervisePolicy {
+        let policy = SupervisePolicy {
             point_deadline: Some(Duration::from_millis(0)),
             ..SupervisePolicy::default()
-        });
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        };
+        let mut supervisor = start(policy, &mut backend, vec![job(0)]);
         // No heartbeat reported yet: the deadline must not fire (a
         // backend that cannot distinguish hung from slow stays silent).
         assert!(supervisor.tick(&mut backend).unwrap().is_empty());
@@ -806,8 +835,7 @@ mod tests {
     #[test]
     fn a_transient_result_is_retried_until_the_attempts_run_out() {
         let mut backend = MockBackend::with_capacity(1);
-        let mut supervisor = retrying(2);
-        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        let mut supervisor = start(retrying(2), &mut backend, vec![budgeted_job(0)]);
         for handle in [0, 1] {
             backend.finish_with(handle, budget_tripped());
             assert!(supervisor.tick(&mut backend).unwrap().is_empty());
@@ -832,8 +860,7 @@ mod tests {
     #[test]
     fn a_confirmed_unsafe_stall_is_never_redispatched() {
         let mut backend = MockBackend::with_capacity(1);
-        let mut supervisor = retrying(3);
-        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        let mut supervisor = start(retrying(3), &mut backend, vec![budgeted_job(0)]);
         backend.finish_with(0, stalled(TriageVerdict::ConfirmedUnsafe));
         let events = supervisor.tick(&mut backend).unwrap();
         assert_eq!(done(&events), (0, 1, Some(DECISION_CONFIRMED_UNSAFE)));
@@ -847,8 +874,7 @@ mod tests {
     #[test]
     fn a_budget_artifact_stall_reruns_with_the_raised_budget_last() {
         let mut backend = MockBackend::with_capacity(1);
-        let mut supervisor = retrying(2);
-        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        let mut supervisor = start(retrying(2), &mut backend, vec![budgeted_job(0)]);
         for handle in [0, 1] {
             backend.finish_with(handle, stalled(TriageVerdict::BudgetArtifact));
             assert!(supervisor.tick(&mut backend).unwrap().is_empty());
@@ -863,7 +889,7 @@ mod tests {
 
         // No budget to raise: re-running would reproduce the stall.
         let mut unbudgeted = MockBackend::with_capacity(1);
-        supervisor.submit(&mut unbudgeted, job(1)).unwrap();
+        let mut supervisor = start(retrying(2), &mut unbudgeted, vec![job(1)]);
         unbudgeted.finish_with(0, stalled(TriageVerdict::BudgetArtifact));
         let events = supervisor.tick(&mut unbudgeted).unwrap();
         assert_eq!(done(&events), (1, 1, Some(DECISION_BUDGET_NO_RETRY)));
@@ -873,12 +899,12 @@ mod tests {
     #[test]
     fn retries_do_not_spend_the_quarantine_budget() {
         let mut backend = MockBackend::with_capacity(1);
-        let mut supervisor = Supervisor::new(SupervisePolicy {
+        let policy = SupervisePolicy {
             retries: 1,
             quarantine_after: 2,
             ..SupervisePolicy::default()
-        });
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        };
+        let mut supervisor = start(policy, &mut backend, vec![job(0)]);
         backend.lose(0, "a");
         assert!(supervisor.tick(&mut backend).unwrap().is_empty());
         backend.finish_with(1, budget_tripped());
@@ -896,12 +922,12 @@ mod tests {
     #[test]
     fn a_retry_replaces_every_live_hedge_copy() {
         let mut backend = MockBackend::with_capacity(2);
-        let mut supervisor = Supervisor::new(SupervisePolicy {
+        let policy = SupervisePolicy {
             retries: 1,
             hedge_after: Some(Duration::from_millis(0)),
             ..SupervisePolicy::default()
-        });
-        supervisor.submit(&mut backend, job(0)).unwrap();
+        };
+        let mut supervisor = start(policy, &mut backend, vec![job(0)]);
         assert!(supervisor.tick(&mut backend).unwrap().is_empty());
         assert_eq!(backend.submitted, vec![0, 1], "hedged into the spare slot");
         // The original's attempt trips its budget while the hedge of the
@@ -924,12 +950,12 @@ mod tests {
     fn nothing_is_retried_after_shutdown_trips() {
         let mut backend = MockBackend::with_capacity(1);
         let shutdown = CancelToken::new();
-        let mut supervisor = Supervisor::new(SupervisePolicy {
+        let policy = SupervisePolicy {
             retries: 3,
             shutdown: shutdown.clone(),
             ..SupervisePolicy::default()
-        });
-        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        };
+        let mut supervisor = start(policy, &mut backend, vec![budgeted_job(0)]);
         shutdown.cancel();
         backend.finish_with(0, budget_tripped());
         let events = supervisor.tick(&mut backend).unwrap();
@@ -940,8 +966,7 @@ mod tests {
     #[test]
     fn a_dispatch_lost_mid_chain_resumes_at_the_same_attempt() {
         let mut backend = MockBackend::with_capacity(1);
-        let mut supervisor = retrying(1);
-        supervisor.submit(&mut backend, budgeted_job(0)).unwrap();
+        let mut supervisor = start(retrying(1), &mut backend, vec![budgeted_job(0)]);
         backend.finish_with(0, stalled(TriageVerdict::BudgetArtifact));
         assert!(supervisor.tick(&mut backend).unwrap().is_empty());
         // The last attempt's dispatch is lost: its re-dispatch is the same
@@ -954,5 +979,85 @@ mod tests {
         backend.finish(2);
         let events = supervisor.tick(&mut backend).unwrap();
         assert_eq!(done(&events), (0, 2, Some(DECISION_BUDGET_RETRIED)));
+    }
+
+    #[test]
+    fn a_lost_point_waits_for_a_free_slot() {
+        let mut backend = MockBackend::with_capacity(2);
+        let mut supervisor = start(
+            SupervisePolicy::default(),
+            &mut backend,
+            vec![job(0), job(1)],
+        );
+        assert_eq!(backend.submitted, vec![0, 1]);
+        // Point 0's worker dies and takes its slot with it: the survivor is
+        // busy with point 1, so point 0 waits instead of queueing there.
+        backend.lose(0, "a");
+        backend.capacity = 1;
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        assert_eq!(backend.submitted, vec![0, 1], "no slot, no dispatch");
+        assert_eq!(supervisor.dispatched(), 1);
+        assert_eq!(supervisor.report.points_redispatched, 0);
+        assert!(!supervisor.is_idle());
+        // Point 1 frees the slot, and point 0 takes it in the same tick.
+        backend.finish(1);
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (1, 1, None));
+        assert_eq!(backend.submitted, vec![0, 1, 2]);
+        assert_eq!(backend.jobs[2].index, 0);
+        assert_eq!(supervisor.report.points_redispatched, 1);
+        backend.finish(2);
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (0, 1, None));
+        assert!(supervisor.is_idle());
+    }
+
+    #[test]
+    fn nothing_is_dispatched_after_shutdown_trips() {
+        let mut backend = MockBackend::with_capacity(2);
+        let shutdown = CancelToken::new();
+        let mut supervisor = start(
+            SupervisePolicy {
+                shutdown: shutdown.clone(),
+                ..SupervisePolicy::default()
+            },
+            &mut backend,
+            vec![job(0), job(1), job(2)],
+        );
+        assert_eq!(backend.submitted, vec![0, 1]);
+        shutdown.cancel();
+        // The lost point is left for a resume, and so is the fresh one.
+        backend.lose(0, "a");
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        assert_eq!(backend.submitted, vec![0, 1]);
+        assert_eq!(supervisor.report.points_redispatched, 0);
+        assert!(!supervisor.is_idle(), "point 1 is still in flight");
+        backend.finish(1);
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (1, 1, None));
+        assert_eq!(backend.submitted, vec![0, 1]);
+        assert!(supervisor.is_idle());
+    }
+
+    #[test]
+    fn abort_drops_fresh_points_but_still_reruns_lost_ones() {
+        let mut backend = MockBackend::with_capacity(1);
+        let mut supervisor = start(
+            SupervisePolicy::default(),
+            &mut backend,
+            vec![job(0), job(1)],
+        );
+        supervisor.abort();
+        backend.lose(0, "a");
+        assert!(supervisor.tick(&mut backend).unwrap().is_empty());
+        assert_eq!(backend.submitted, vec![0, 1]);
+        assert_eq!(
+            backend.jobs[1].index, 0,
+            "the lost point, not the fresh one"
+        );
+        backend.finish(1);
+        let events = supervisor.tick(&mut backend).unwrap();
+        assert_eq!(done(&events), (0, 1, None));
+        assert!(supervisor.is_idle(), "point 1 was dropped");
     }
 }

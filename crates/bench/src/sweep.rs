@@ -8,11 +8,11 @@ use crate::options::SweepOptions;
 use crate::remote::RemoteBackend;
 use crate::report::write_csv;
 use crate::supervisor::{Event, QuarantineRecord, SupervisePolicy, SupervisionReport, Supervisor};
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 use wormsim::observe::{JsonObject, JsonRecord};
 use wormsim::{CancelToken, Experiment, ExperimentError, RunOutcome, RunResult};
 
@@ -258,12 +258,13 @@ impl SweepPlan {
 /// bounded retries decided by the supervisor, and cooperative shutdown
 /// that drains in-flight points.
 ///
-/// Points are submitted to the backend up to its capacity and polled to
-/// completion. Each finished point is recorded in the journal the moment
-/// it finishes, with the machine-dependent wall fields canonicalized to
-/// zero; the journal keeps its lines in schedule order, so its bytes are
-/// identical whether the sweep ran on one thread, sixteen, or two remote
-/// workers, in one go or across crashes and resumes.
+/// The supervisor dispatches the points up to the backend's capacity and
+/// polls them to completion. Each finished point is recorded in the
+/// journal the moment it finishes, with the machine-dependent wall
+/// fields canonicalized to zero; the journal keeps its lines in schedule
+/// order, so its bytes are identical whether the sweep ran on one
+/// thread, sixteen, or two remote workers, in one go or across crashes
+/// and resumes.
 ///
 /// # Errors
 ///
@@ -333,51 +334,37 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         }
     };
 
-    // Submission queue in schedule order: every point not resumed.
-    let mut to_submit: VecDeque<usize> = (0..total).filter(|&i| outcomes[i].is_none()).collect();
-
-    let mut supervisor = Supervisor::new(SupervisePolicy {
-        point_deadline: options
-            .point_deadline_secs
-            .map(std::time::Duration::from_secs_f64),
-        hedge_after: options
-            .hedge_after_secs
-            .map(std::time::Duration::from_secs_f64),
+    // Every point not resumed, in schedule order.
+    let jobs = (0..total)
+        .filter(|&i| outcomes[i].is_none())
+        .map(|i| PointJob {
+            experiment: experiments[i].clone().resumed_from(options.resume.clone()),
+            index: i,
+            point_hash: hashes[i].clone(),
+            inject_panic: options.inject_panic == Some(i),
+        })
+        .collect();
+    let policy = SupervisePolicy {
+        point_deadline: options.point_deadline_secs.map(Duration::from_secs_f64),
+        hedge_after: options.hedge_after_secs.map(Duration::from_secs_f64),
         quarantine_after: options.quarantine_after,
         retries: options.retries,
         shutdown: options.shutdown.clone(),
-    });
+    };
+    let mut supervisor = Supervisor::new(policy, jobs);
     let mut quarantined: Vec<QuarantineRecord> = Vec::new();
     let mut aborted = false;
     let mut cancel_sent = false;
     let mut done = resumed;
     let mut journaled = 0usize;
-    let started = std::time::Instant::now();
+    let started = Instant::now();
 
     loop {
-        while !aborted
-            && !options.shutdown.is_cancelled()
-            && supervisor.dispatched() < backend.capacity().max(1)
-        {
-            let Some(&i) = to_submit.front() else { break };
-            let job = PointJob {
-                experiment: experiments[i].clone().resumed_from(options.resume.clone()),
-                index: i,
-                point_hash: hashes[i].clone(),
-                inject_panic: options.inject_panic == Some(i),
-            };
-            supervisor
-                .submit(backend.as_mut(), job)
-                .map_err(HarnessError::Backend)?;
-            to_submit.pop_front();
-        }
         if options.shutdown.is_cancelled() && !cancel_sent {
             backend.cancel();
             cancel_sent = true;
         }
-        if supervisor.is_idle()
-            && (to_submit.is_empty() || aborted || options.shutdown.is_cancelled())
-        {
+        if supervisor.is_idle() {
             break;
         }
         let events = supervisor
@@ -427,6 +414,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                         Err(_) => {
                             if plan.fail_fast {
                                 aborted = true;
+                                supervisor.abort();
                             }
                         }
                     }
@@ -446,8 +434,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
                     let _ = std::io::stderr().flush();
                 }
                 Event::Quarantined(record) => {
-                    // The point is written off, not retried: carry on
-                    // without it.
+                    // Written off as poison: carry on without it.
                     eprintln!(
                         "\nquarantining point {} after {} dispatches: {}",
                         record.index, record.dispatches, record.last_error
@@ -463,14 +450,9 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
     }
     eprintln!();
 
-    // Quarantined points are deliberately absent, not pending: they must
-    // not read as an interruption (which would promise a resume could
-    // finish them).
-    let interrupted = outcomes
-        .iter()
-        .enumerate()
-        .any(|(i, o)| o.is_none() && !quarantined.iter().any(|q| q.index == i))
-        && !aborted;
+    // Quarantined points count as done, not pending: they must not read
+    // as an interruption (which would promise a resume could finish them).
+    let interrupted = done < total && !aborted;
     if !quarantined.is_empty() {
         let sidecar = Journal::quarantine_sidecar(&journal_path);
         write_jsonl_sidecar(&sidecar, &quarantined)?;
@@ -480,7 +462,7 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
             sidecar.display()
         );
     }
-    let supervision = supervisor.report.clone();
+    let supervision = supervisor.report;
     if !supervision.is_empty() || !quarantined.is_empty() || !salvaged_lines.is_empty() {
         let manifest = Journal::supervision_sidecar(&journal_path);
         let mut text = String::new();

@@ -3,7 +3,7 @@
 //! A worker is a headless process that accepts serialized
 //! [`Experiment`]s and runs each accepted job on a [`LocalThreadBackend`]
 //! — the same pool, executor, heartbeat and cancellation a local sweep
-//! uses — and serves results back as [`RunResult`](wormsim::RunResult)
+//! uses — and serves results back as [`RunResult`]
 //! JSON. This module only adds the HTTP protocol, chaos injection, the
 //! SIGTERM drain and a job table. The protocol (see
 //! `docs/DISTRIBUTION.md`) has four endpoints, and its three structured

@@ -92,7 +92,8 @@ fn canonical(mut result: RunResult) -> String {
 fn sigterm_drains_the_in_flight_point_and_exits_zero() {
     // Job 0 runs; job 1 is chaos-stalled, so one job is pending however
     // fast job 0 finishes. A drain waits for running jobs, not stalled ones.
-    let mut worker = WorkerProc::spawn(1, &["--drain-secs", "10", "--chaos", "stall-submit=2"]);
+    // Two slots: the backend sends a worker no more jobs than it has.
+    let mut worker = WorkerProc::spawn(2, &["--drain-secs", "10", "--chaos", "stall-submit=2"]);
     let experiment = Experiment::new(Topology::torus(&[16, 16]), AlgorithmKind::PositiveHop)
         .offered_load(0.2)
         .quick()

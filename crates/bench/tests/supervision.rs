@@ -93,19 +93,20 @@ fn killed_crashing_hung_and_corrupting_workers_stay_byte_identical() {
 /// point fails over to the clean worker, and the sweep stays
 /// byte-identical.
 ///
-/// The stalling worker is listed first and has one slot, so it takes
-/// exactly one point. The clean worker has a slot for every point, so
-/// the failover never queues a point behind a full pool, where its
-/// heartbeat would sit at zero as well.
+/// Both workers have one slot. The clean one is listed first, so the
+/// staller takes point 1, and when it is written off the clean worker is
+/// deep into a longer point. The lost point waits for that slot instead
+/// of queueing behind the running point with its heartbeat at zero, so
+/// the clean worker is never written off with it.
 #[test]
 fn hung_worker_is_written_off_and_its_point_fails_over() {
     let local_dir = temp_dir("write-off-local");
-    let serial = run_serial(&sweep_args(&local_dir), &local_dir);
+    let serial = run_serial(&long_sweep_args(&local_dir), &local_dir);
 
     let staller = WorkerProc::spawn(1, &["--chaos", "stall-submit=1"]);
-    let clean = WorkerProc::spawn(6, &[]);
+    let clean = WorkerProc::spawn(1, &[]);
     let remote_dir = temp_dir("write-off-remote");
-    let output = remote_study(&sweep_args(&remote_dir), &[&staller, &clean])
+    let output = remote_study(&long_sweep_args(&remote_dir), &[&clean, &staller])
         .args(["--point-deadline", "0.4", "--quarantine-after", "0"])
         .stderr(Stdio::piped())
         .output()
@@ -120,9 +121,10 @@ fn hung_worker_is_written_off_and_its_point_fails_over() {
         "the failover must be announced; stderr was:\n{stderr}"
     );
     assert_identical("a write-off", &serial, &remote_dir);
-    assert!(
-        manifest_count(&remote_dir, "sweep", "workers_written_off") >= 1,
-        "the manifest must record the write-off"
+    assert_eq!(
+        manifest_count(&remote_dir, "sweep", "workers_written_off"),
+        1,
+        "the hung worker, and only it, must be written off"
     );
 
     std::fs::remove_dir_all(&local_dir).ok();

@@ -530,12 +530,6 @@ impl Network {
         self.classes
     }
 
-    /// Physical virtual channels per channel
-    /// (`num_vc_classes × vc_replicas`).
-    pub fn num_physical_vcs(&self) -> usize {
-        self.vcs
-    }
-
     /// The configuration this network was built from.
     pub fn config(&self) -> &SimConfig {
         &self.cfg

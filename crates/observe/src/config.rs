@@ -18,7 +18,7 @@ pub struct ObserveConfig {
     /// disables trace streaming. Traces are much larger than samples, so
     /// this is separate from `out_dir`.
     pub trace_dir: Option<PathBuf>,
-    /// Cycles between samples; 0 means [`DEFAULT_SAMPLE_EVERY`].
+    /// Cycles between samples; 0 means `DEFAULT_SAMPLE_EVERY` (1 000).
     pub sample_every: u64,
     /// Prefix for generated run ids (typically the figure or sweep name).
     pub prefix: String,

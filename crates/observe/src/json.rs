@@ -1,6 +1,7 @@
 //! The JSON value tree and parser behind the [codec](crate::Json).
 //!
-//! A [`Value`] tree, [`from_str`] / [`Value::to_string`], and a
+//! A [`Value`] tree, [`from_str`] / `Value::to_string` (its
+//! [`Display`](std::fmt::Display)), and a
 //! [`StreamDeserializer`] over line-delimited JSON. Numbers are kept as
 //! `f64` with a separate integer fast path via [`Value::as_u64`] /
 //! [`Value::as_i64`], which is exact for the counter magnitudes the

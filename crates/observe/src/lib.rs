@@ -18,8 +18,7 @@
 //!   latency-vs-time convergence plot.
 //! * **Phase timing** ([`PhaseTimings`], [`Stopwatch`]): lightweight
 //!   wall-clock spans over the phases of a run (warmup, measurement, gaps,
-//!   drain), standing in for `tracing` spans in this no-dependency build;
-//!   set `WORMSIM_SPANS=1` to echo spans to stderr as they close.
+//!   drain), standing in for `tracing` spans in this no-dependency build.
 //! * **Run manifests** ([`RunManifest`]): a JSON sidecar written next to
 //!   results capturing what produced them — config hash, seed,
 //!   `git describe`, cycle counts, and the simulator's own throughput in

@@ -2,8 +2,7 @@
 //!
 //! A full `tracing` subscriber would be overkill (and is unavailable in
 //! this no-dependency build); runs have a handful of coarse phases and all
-//! we need is wall-clock attribution per phase. Set `WORMSIM_SPANS=1` to
-//! echo each span to stderr as it is recorded.
+//! we need is wall-clock attribution per phase.
 
 use crate::PhaseRecord;
 use std::time::Instant;
@@ -39,29 +38,20 @@ impl Default for Stopwatch {
 /// Recording the same name repeatedly (e.g. one `measure` span per
 /// convergence sample) sums into a single [`PhaseRecord`]; phase order is
 /// first-recorded order.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PhaseTimings {
     phases: Vec<PhaseRecord>,
-    echo: bool,
 }
 
 impl PhaseTimings {
-    /// An empty set of timings. The `WORMSIM_SPANS` environment variable is
-    /// consulted once, here.
+    /// An empty set of timings.
     pub fn new() -> Self {
-        let echo = std::env::var_os("WORMSIM_SPANS").is_some_and(|v| !v.is_empty() && v != "0");
-        PhaseTimings {
-            phases: Vec::new(),
-            echo,
-        }
+        PhaseTimings::default()
     }
 
     /// Adds a closed span to the phase named `name`.
     pub fn record(&mut self, name: &str, watch: &Stopwatch, cycles: u64) {
         let wall_seconds = watch.elapsed_secs();
-        if self.echo {
-            eprintln!("[span] {name}: {wall_seconds:.6}s, {cycles} cycles");
-        }
         match self.phases.iter_mut().find(|p| p.name == name) {
             Some(phase) => {
                 phase.wall_seconds += wall_seconds;
@@ -84,22 +74,6 @@ impl PhaseTimings {
     pub fn into_phases(self) -> Vec<PhaseRecord> {
         self.phases
     }
-
-    /// Total wall-clock seconds across all phases.
-    pub fn total_wall(&self) -> f64 {
-        self.phases.iter().map(|p| p.wall_seconds).sum()
-    }
-
-    /// Total simulated cycles across all phases.
-    pub fn total_cycles(&self) -> u64 {
-        self.phases.iter().map(|p| p.cycles).sum()
-    }
-}
-
-impl Default for PhaseTimings {
-    fn default() -> Self {
-        PhaseTimings::new()
-    }
 }
 
 #[cfg(test)]
@@ -116,8 +90,6 @@ mod tests {
         assert_eq!(timings.phases().len(), 2);
         assert_eq!(timings.phases()[0].name, "measure");
         assert_eq!(timings.phases()[0].cycles, 200);
-        assert_eq!(timings.total_cycles(), 210);
-        assert!(timings.total_wall() >= 0.0);
         assert_eq!(timings.into_phases().len(), 2);
     }
 

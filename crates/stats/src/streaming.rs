@@ -77,11 +77,6 @@ impl StreamingStats {
         }
     }
 
-    /// The sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// The standard error of the mean, `s / sqrt(n)`; 0 below 2 samples.
     pub fn std_error(&self) -> f64 {
         if self.count < 2 {

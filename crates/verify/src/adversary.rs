@@ -36,7 +36,7 @@
 //!    so a configuration that deadlocks while a window is active can be
 //!    held deadlocked for as long as the adversary stretches that window.
 //!    (Whether a *particular* finite window dissolves on repair is the
-//!    runtime question [`crate::triage`] answers; the claim being checked
+//!    runtime question [`crate::triage`](fn@crate::triage) answers; the claim being checked
 //!    here is about the mask, and the mask refutes it.) Static plans have
 //!    exactly one epoch, so their verdict is unchanged from the
 //!    link-only searcher.
@@ -156,13 +156,6 @@ pub struct AdversaryReport {
     /// Stored refutations, minimized, capped at
     /// [`AdversaryConfig::max_stored`].
     pub refutations: Vec<Refutation>,
-}
-
-impl AdversaryReport {
-    /// Whether every admitted claim survived: the adversary found nothing.
-    pub fn claim_holds(&self) -> bool {
-        self.plans_refuted == 0
-    }
 }
 
 /// Runs the adversarial search for one algorithm on one topology.

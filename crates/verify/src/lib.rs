@@ -24,7 +24,7 @@
 //!   emits greedily minimized counterexample plans for every algorithm
 //!   whose [`fault_tolerance`](wormsim_routing::RoutingAlgorithm::fault_tolerance)
 //!   claim it refutes.
-//! - [`triage`] — a runtime path that replays an engine wait-for snapshot
+//! - [`triage`](mod@triage) — a runtime path that replays an engine wait-for snapshot
 //!   (`<run>.waitfor.jsonl`) through cycle detection + edge validation to
 //!   refine a watchdog verdict into *confirmed-unsafe* (a genuine circular
 //!   wait was present) vs *budget-artifact* (the run stalled, but no
