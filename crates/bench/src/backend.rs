@@ -5,10 +5,11 @@
 //! completed points in the journal. There is one in-process pool and two
 //! front ends over it:
 //!
-//! * [`LocalThreadBackend`] — the pool itself, one OS thread per slot.
+//! * [`LocalThreadBackend`] — the pool itself, one OS thread per job.
 //!   Every job runs one attempt under [`execute_point`] (per-point panic
 //!   isolation) with a cancellation token of its own, so each job reports
-//!   its own heartbeat and can be stopped alone.
+//!   its own heartbeat and can be stopped alone. The pool keeps no queue:
+//!   how many jobs run at once is the supervisor's one admission rule.
 //! * [`RemoteBackend`](crate::remote::RemoteBackend) — HTTP submit/poll
 //!   against one or more `wormsim-worker` processes, each of which is a
 //!   `LocalThreadBackend` behind HTTP (see [`worker`](crate::worker) and
@@ -20,10 +21,10 @@
 //! counts and retry decisions are backend-independent too — the property
 //! that, with the journal's index order, makes journals byte-identical.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 use wormsim::{CancelToken, Experiment, ExperimentError, PanicInfo, RunOutcome, RunResult};
 
@@ -52,7 +53,7 @@ pub struct WorkHandle(pub(crate) u64);
 /// What [`WorkerBackend::poll`] reports for a handle.
 #[derive(Debug)]
 pub enum PointStatus {
-    /// Still queued or running.
+    /// Not finished yet.
     Pending {
         /// The last progress heartbeat of the executor (the engine's cycle
         /// counter, offset by one; `0` until the run starts), or `None`
@@ -90,7 +91,8 @@ impl fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// Which backend a sweep runs on (`--backend local|remote`).
+/// Which backend a sweep runs on: the local pool, or the workers named by
+/// `--worker`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum BackendChoice {
     /// In-process thread pool (the default).
@@ -111,7 +113,7 @@ pub enum BackendChoice {
 ///
 /// [`capacity`]: WorkerBackend::capacity
 pub trait WorkerBackend {
-    /// Queues a job; returns a handle to poll.
+    /// Starts a job; returns a handle to poll.
     ///
     /// # Errors
     ///
@@ -152,10 +154,12 @@ pub trait WorkerBackend {
         }
     }
 
-    /// Abandons a job entirely: the backend forgets the handle and
-    /// discards any result it may still produce. Used to drop the losing
-    /// duplicates of a hedged point.
-    fn forget(&mut self, _handle: WorkHandle) {}
+    /// Abandons a job entirely: the backend stops it at its next
+    /// boundary, forgets the handle and discards any result it may still
+    /// produce. Used to drop the losing duplicates of a hedged point. No
+    /// default: a backend that only dropped the handle would leave the
+    /// loser running in a slot it no longer counts.
+    fn forget(&mut self, handle: WorkHandle);
 }
 
 /// The loss reported for a handle the backend does not hold.
@@ -168,7 +172,7 @@ pub(crate) fn unknown_handle(handle: WorkHandle) -> BackendError {
 
 /// Renders a worker panic into a placeholder [`RunResult`] carrying
 /// [`RunOutcome::Harness`], so the surrounding sweep records the failure
-/// and keeps running instead of poisoning the pool.
+/// and keeps running.
 fn panic_result(experiment: &Experiment, payload: &(dyn std::any::Any + Send)) -> RunResult {
     let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -186,8 +190,9 @@ fn panic_result(experiment: &Experiment, payload: &(dyn std::any::Any + Send)) -
 }
 
 /// Runs one attempt of one point with panic isolation — the single
-/// executor, run by every [`LocalThreadBackend`] thread. A panic becomes
-/// a [`RunOutcome::Harness`] result instead of poisoning the pool.
+/// executor, run on every [`LocalThreadBackend`] job's thread and the
+/// pool's one panic boundary. A panic becomes a [`RunOutcome::Harness`]
+/// result, recorded like any other outcome.
 /// Whether the point runs again is the supervisor's decision
 /// (`supervisor.rs`), made from the result this returns.
 fn execute_point(job: &PointJob) -> Result<RunResult, ExperimentError> {
@@ -200,79 +205,33 @@ fn execute_point(job: &PointJob) -> Result<RunResult, ExperimentError> {
     .unwrap_or_else(|payload| Ok(panic_result(&job.experiment, payload.as_ref())))
 }
 
-struct LocalState {
-    /// Jobs waiting for a thread, in submission order.
-    queue: VecDeque<(u64, PointJob)>,
-    /// Every submitted job not yet consumed by `poll` or `forget`: its own
-    /// cancellation token, and its result once it finished.
-    jobs: HashMap<u64, (CancelToken, Option<Result<RunResult, ExperimentError>>)>,
-    quit: bool,
-}
-
-struct Shared {
-    state: Mutex<LocalState>,
-    ready: Condvar,
-}
-
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, LocalState> {
-        self.state.lock().expect("no poisoned backend state")
-    }
-}
-
-/// The in-process pool: a fixed set of OS threads draining a shared job
-/// queue through `execute_point`. Each job runs under a child of the
-/// `shutdown` token given to [`new`](Self::new), so `poll` reports that
-/// job's own heartbeat, `cancel` and `forget` stop jobs without touching
-/// the pool's future, and tripping `shutdown` (SIGINT) interrupts every
-/// job at its next sampling boundary.
+/// The in-process pool: every submitted job runs on an OS thread of its
+/// own through `execute_point`, under a child of the `shutdown` token
+/// given to [`new`](Self::new). So `poll` reports that job's own
+/// heartbeat, `cancel` and `forget` stop jobs without touching the pool's
+/// future, and tripping `shutdown` (SIGINT) interrupts every job at its
+/// next sampling boundary.
+///
+/// The pool does not gate admission: the supervisor never holds more
+/// jobs than [`capacity`](WorkerBackend::capacity), and a worker process
+/// is sent no more than it advertises. A job submitted beyond that
+/// still starts at once, so no job ever waits unstarted behind another.
 pub struct LocalThreadBackend {
-    shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// Every submitted job not yet consumed by `poll` or `forget`: its own
+    /// cancellation token and the thread running it.
+    jobs: HashMap<u64, (CancelToken, JoinHandle<Result<RunResult, ExperimentError>>)>,
+    slots: usize,
     shutdown: CancelToken,
     next_handle: u64,
 }
 
 impl LocalThreadBackend {
-    /// Spawns a pool of `threads` workers (at least one) wired to the
-    /// sweep's `shutdown` token.
+    /// A pool of `threads` slots (at least one) wired to the sweep's
+    /// `shutdown` token. No thread starts until a job is submitted.
     pub fn new(threads: usize, shutdown: CancelToken) -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(LocalState {
-                queue: VecDeque::new(),
-                jobs: HashMap::new(),
-                quit: false,
-            }),
-            ready: Condvar::new(),
-        });
-        let workers = (0..threads.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    let (id, job) = {
-                        let mut state = shared.lock();
-                        loop {
-                            if state.quit {
-                                return;
-                            }
-                            if let Some(next) = state.queue.pop_front() {
-                                break next;
-                            }
-                            state = shared.ready.wait(state).expect("no poisoned backend state");
-                        }
-                    };
-                    let finished = execute_point(&job);
-                    // A job forgotten while it ran has no entry left: its
-                    // late result is dropped here.
-                    if let Some(entry) = shared.lock().jobs.get_mut(&id) {
-                        entry.1 = Some(finished);
-                    }
-                })
-            })
-            .collect();
         LocalThreadBackend {
-            shared,
-            workers,
+            jobs: HashMap::new(),
+            slots: threads.max(1),
             shutdown,
             next_handle: 0,
         }
@@ -286,65 +245,52 @@ impl WorkerBackend for LocalThreadBackend {
         job.experiment = job.experiment.cancel_token(cancel.clone());
         let id = self.next_handle;
         self.next_handle += 1;
-        let mut state = self.shared.lock();
-        state.jobs.insert(id, (cancel, None));
-        state.queue.push_back((id, job));
-        drop(state);
-        self.shared.ready.notify_one();
+        let thread = std::thread::spawn(move || execute_point(&job));
+        self.jobs.insert(id, (cancel, thread));
         Ok(WorkHandle(id))
     }
 
     fn poll(&mut self, handle: WorkHandle) -> PointStatus {
-        let mut state = self.shared.lock();
-        let Some((cancel, finished)) = state.jobs.get_mut(&handle.0) else {
+        let Some((cancel, thread)) = self.jobs.get(&handle.0) else {
             return PointStatus::Lost(unknown_handle(handle));
         };
-        let Some(result) = finished.take() else {
+        if !thread.is_finished() {
             return PointStatus::Pending {
                 heartbeat: Some(cancel.heartbeat()),
             };
-        };
-        state.jobs.remove(&handle.0);
-        PointStatus::Done { result }
+        }
+        let (_, thread) = self.jobs.remove(&handle.0).expect("the job was just found");
+        PointStatus::Done {
+            result: thread.join().expect("execute_point contains every panic"),
+        }
     }
 
     fn capacity(&self) -> usize {
-        self.workers.len()
+        self.slots
     }
 
     fn cancel(&mut self) {
         // Only the jobs held now: the next one submitted runs normally.
-        for (cancel, _) in self.shared.lock().jobs.values() {
+        for (cancel, _) in self.jobs.values() {
             cancel.cancel();
         }
     }
 
     fn forget(&mut self, handle: WorkHandle) {
-        let mut state = self.shared.lock();
-        if let Some((cancel, _)) = state.jobs.remove(&handle.0) {
+        // The thread is left to stop at its next boundary, unjoined: a run
+        // that never checks its token again must not hang the pool.
+        if let Some((cancel, _)) = self.jobs.remove(&handle.0) {
             cancel.cancel();
-            state.queue.retain(|(id, _)| *id != handle.0);
         }
     }
 }
 
 impl Drop for LocalThreadBackend {
     fn drop(&mut self) {
-        // Drop must not panic; tripping tokens and setting `quit` are
-        // valid on any state a panicking thread could have left.
-        let mut state = self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for (cancel, _) in state.jobs.values() {
-            cancel.cancel();
-        }
-        state.quit = true;
-        drop(state);
-        self.shared.ready.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        self.cancel();
+        for (_, (_, thread)) in self.jobs.drain() {
+            // Drop must not panic; a thread's result is not wanted now.
+            let _ = thread.join();
         }
     }
 }
@@ -435,20 +381,34 @@ mod tests {
         }
     }
 
+    /// A clone of the token `handle`'s job runs under.
+    fn token(backend: &LocalThreadBackend, handle: WorkHandle) -> CancelToken {
+        backend.jobs[&handle.0].0.clone()
+    }
+
+    /// Asserts that the run behind `token` has stopped beating.
+    fn assert_stopped(token: &CancelToken) {
+        let deadline = deadline();
+        loop {
+            let before = token.heartbeat();
+            std::thread::sleep(Duration::from_millis(50));
+            if token.heartbeat() == before {
+                return;
+            }
+            assert!(Instant::now() < deadline, "the run never stopped");
+        }
+    }
+
     #[test]
-    fn a_running_job_reports_its_own_advancing_heartbeat() {
+    fn every_job_runs_at_once_with_its_own_advancing_heartbeat() {
+        // More jobs than slots: none waits behind another, so none shows
+        // a frozen heartbeat that a supervisor would take for a hang.
         let mut backend = LocalThreadBackend::new(1, CancelToken::new());
-        let running = backend.submit(endless_job()).unwrap();
-        let queued = backend.submit(endless_job()).unwrap();
-        let first = beat_above(&mut backend, running, 0);
-        assert!(
-            matches!(
-                backend.poll(queued),
-                PointStatus::Pending { heartbeat: Some(0) }
-            ),
-            "a queued job has not beaten yet"
-        );
-        beat_above(&mut backend, running, first);
+        let jobs = [(); 2].map(|()| backend.submit(endless_job()).unwrap());
+        for handle in jobs {
+            let first = beat_above(&mut backend, handle, 0);
+            beat_above(&mut backend, handle, first);
+        }
     }
 
     #[test]
@@ -456,15 +416,31 @@ mod tests {
         let mut backend = LocalThreadBackend::new(1, CancelToken::new());
         let forgotten = backend.submit(endless_job()).unwrap();
         beat_above(&mut backend, forgotten, 0);
+        let cancel = token(&backend, forgotten);
         backend.forget(forgotten);
-        // The only thread is free again long before the forgotten run
-        // could have finished.
-        let next = backend.submit(tiny_job(1)).unwrap();
-        assert!(outcome(wait(&mut backend, next)).has_statistics());
+        assert_stopped(&cancel);
         assert!(
             matches!(backend.poll(forgotten), PointStatus::Lost(_)),
             "no late result for a forgotten job"
         );
+        let next = backend.submit(tiny_job(1)).unwrap();
+        assert!(outcome(wait(&mut backend, next)).has_statistics());
+    }
+
+    #[test]
+    fn dropping_the_pool_stops_and_joins_its_jobs() {
+        let mut backend = LocalThreadBackend::new(1, CancelToken::new());
+        let running = backend.submit(endless_job()).unwrap();
+        beat_above(&mut backend, running, 0);
+        let cancel = token(&backend, running);
+        let (dropped, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(backend);
+            let _ = dropped.send(());
+        });
+        done.recv_timeout(Duration::from_secs(60))
+            .expect("drop stops its jobs, then joins them");
+        assert!(cancel.is_cancelled());
     }
 
     #[test]
@@ -485,15 +461,12 @@ mod tests {
     fn tripped_shutdown_interrupts_every_job() {
         let shutdown = CancelToken::new();
         let mut backend = LocalThreadBackend::new(1, shutdown.clone());
-        let running = backend.submit(endless_job()).unwrap();
-        let queued = backend.submit(endless_job()).unwrap();
-        beat_above(&mut backend, running, 0);
+        let jobs = [(); 2].map(|()| backend.submit(endless_job()).unwrap());
+        beat_above(&mut backend, jobs[0], 0);
         shutdown.cancel();
-        assert_eq!(
-            outcome(wait(&mut backend, running)),
-            RunOutcome::Interrupted
-        );
-        assert_eq!(outcome(wait(&mut backend, queued)), RunOutcome::Interrupted);
+        for handle in jobs {
+            assert_eq!(outcome(wait(&mut backend, handle)), RunOutcome::Interrupted);
+        }
     }
 
     #[test]
@@ -506,7 +479,7 @@ mod tests {
             panic!("a panic becomes a Harness result");
         };
         assert!(info.message.contains("point 7"), "got: {}", info.message);
-        // The thread survived the panic.
+        // The pool keeps serving.
         let next = backend.submit(tiny_job(8)).unwrap();
         assert!(outcome(wait(&mut backend, next)).has_statistics());
     }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Every study takes the harness flags (`study --help` lists them): its points
-//! run on `--threads N` workers or `--backend remote` workers, are
+//! run `--threads N` at a time or on `--worker` processes, are
 //! journaled to `DIR/<id>.journal.jsonl`, and continue after a crash or
 //! Ctrl-C with `--resume <journal>`. A study takes only the axis flags its
 //! row declares (`--list` shows which): `sweep` and `faults_sweep` take
@@ -21,7 +21,7 @@
 //!
 //! ```text
 //! study fig3 --quick
-//! study headline --backend remote --worker 127.0.0.1:4021
+//! study headline --worker 127.0.0.1:4021
 //! study ablation_vcs --topo torus:8x8 --threads 4
 //! study sweep --topo mesh:16x16 --algos ecube,2pn --loads 0.1:0.6:0.1 --quick
 //! study sweep --traffic hotspot:8,8@0.1 --algos extended --switching vct

@@ -3,7 +3,7 @@
 //!
 //! Binds an HTTP listener, announces the bound port on stdout, and runs
 //! submitted sweep points until killed. Pair with `study <id>`'s
-//! `--backend remote --worker HOST:PORT` flags; see `docs/DISTRIBUTION.md`
+//! `--worker HOST:PORT` flag; see `docs/DISTRIBUTION.md`
 //! for the protocol and a two-terminal walkthrough.
 //!
 //! SIGTERM drains gracefully: in-flight runs get `--drain-secs` to

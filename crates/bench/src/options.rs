@@ -80,8 +80,8 @@ pub struct SweepOptions {
     /// [`install_sigint_handler`](crate::install_sigint_handler); tests
     /// trip it directly.
     pub shutdown: CancelToken,
-    /// Where points execute (`--backend local|remote`, `--worker ADDR`);
-    /// defaults to the in-process pool.
+    /// Where points execute: the in-process pool (the default), or the
+    /// workers named by `--worker ADDR`.
     pub backend: BackendChoice,
 }
 
@@ -131,7 +131,7 @@ impl SweepOptions {
             Flag { name: "--topo", metavar: Some("T"), apply: |o, v| { o.as_mut().topology = Some(cli::parse_topology(v)?); Ok(()) }, help: "network: torus:32x32, mesh:8x8, 8^3 (default: the study's own)" },
             Flag { name: "--seed", metavar: Some("N"), apply: |o, v| { o.as_mut().seed = cli::parse_int("seed", v, 0)?; Ok(()) }, help: "base RNG seed (default 1993)" },
             Flag { name: "--out", metavar: Some("DIR"), apply: |o, v| { o.as_mut().out_dir = v.to_owned(); Ok(()) }, help: "CSV and journal directory (default results)" },
-            Flag { name: "--threads", metavar: Some("N"), apply: |o, v| { o.as_mut().threads = cli::parse_int("thread count", v, 1)?; Ok(()) }, help: "worker threads (default: all cores)" },
+            Flag { name: "--threads", metavar: Some("N"), apply: |o, v| { o.as_mut().threads = cli::parse_int("thread count", v, 1)?; Ok(()) }, help: "points run at once (default: all cores)" },
             Flag { name: "--observe", metavar: Some("DIR"), apply: |o, v| { o.as_mut().observe_dir = Some(v.to_owned()); Ok(()) }, help: "per-run sample streams and manifests" },
             Flag { name: "--trace-out", metavar: Some("DIR"), apply: |o, v| { o.as_mut().trace_dir = Some(v.to_owned()); Ok(()) }, help: "per-run JSONL event traces" },
             Flag { name: "--sample-every", metavar: Some("N"), apply: |o, v| { o.as_mut().sample_every = cli::parse_int("sample stride", v, 1)?; Ok(()) }, help: "cycles between samples" },
@@ -145,8 +145,7 @@ impl SweepOptions {
             Flag { name: "--hedge-after", metavar: Some("SECS"), apply: |o, v| { o.as_mut().hedge_after_secs = Some(cli::parse_positive("--hedge-after", v)?); Ok(()) }, help: "re-dispatch a straggler pending this long" },
             Flag { name: "--quarantine-after", metavar: Some("N"), apply: |o, v| { o.as_mut().quarantine_after = cli::parse_int("dispatch budget", v, 0)?; Ok(()) }, help: "quarantine a point after N dispatches (default 3, 0 never)" },
             Flag { name: "--fail-after-points", metavar: Some("N"), apply: |o, v| { o.as_mut().fail_after_points = Some(cli::parse_int("--fail-after-points", v, 1)?); Ok(()) }, help: "test hook: exit 3 once N points are journaled" },
-            Flag { name: "--backend", metavar: Some("local|remote"), apply: |o, v| o.as_mut().set_backend(v), help: "where points run (default local)" },
-            Flag { name: "--worker", metavar: Some("HOST:PORT"), apply: |o, v| { o.as_mut().add_worker(v.to_owned()); Ok(()) }, help: "a wormsim-worker to shard across (repeatable)" },
+            Flag { name: "--worker", metavar: Some("HOST:PORT"), apply: |o, v| { o.as_mut().add_worker(v.to_owned()); Ok(()) }, help: "shard across this wormsim-worker, not the local pool (repeatable)" },
         ]
     }
 
@@ -184,33 +183,7 @@ impl SweepOptions {
         self.validate_backend()
     }
 
-    /// Applies a `--backend` value: `local` or `remote`, where `local`
-    /// after `--worker` (which implies remote) is a conflict.
-    fn set_backend(&mut self, value: &str) -> Result<(), String> {
-        match value {
-            "local" => match &self.backend {
-                BackendChoice::Remote { workers } if !workers.is_empty() => {
-                    return Err("--backend local conflicts with --worker".into());
-                }
-                _ => self.backend = BackendChoice::Local,
-            },
-            "remote" => {
-                if self.backend == BackendChoice::Local {
-                    self.backend = BackendChoice::Remote {
-                        workers: Vec::new(),
-                    };
-                }
-            }
-            other => {
-                return Err(format!(
-                    "--backend must be 'local' or 'remote', got '{other}'"
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    /// Adds a `--worker HOST:PORT` address; it implies the remote backend.
+    /// Adds a `--worker HOST:PORT` address; it selects the remote backend.
     fn add_worker(&mut self, addr: String) {
         match &mut self.backend {
             BackendChoice::Remote { workers } => workers.push(addr),
@@ -223,24 +196,19 @@ impl SweepOptions {
     }
 
     /// Checks backend-dependent option consistency: the remote backend
-    /// needs at least one worker and cannot stream telemetry (observe and
-    /// trace files would land on the worker's filesystem, not here).
+    /// cannot stream telemetry (observe and trace files would land on the
+    /// worker's filesystem, not here). An empty worker list is refused
+    /// when the backend connects.
     ///
     /// # Errors
     ///
     /// A human-readable message naming the conflicting flags.
     pub fn validate_backend(&self) -> Result<(), String> {
-        if let BackendChoice::Remote { workers } = &self.backend {
-            if workers.is_empty() {
-                return Err("--backend remote needs at least one --worker HOST:PORT".into());
-            }
-            if self.observe_dir.is_some() || self.trace_dir.is_some() {
-                return Err(
-                    "--observe/--trace-out are incompatible with --backend remote \
-                     (telemetry would land on the worker's filesystem)"
-                        .into(),
-                );
-            }
+        let remote = matches!(self.backend, BackendChoice::Remote { .. });
+        if remote && (self.observe_dir.is_some() || self.trace_dir.is_some()) {
+            return Err("--observe/--trace-out are incompatible with --worker \
+                 (telemetry would land on the worker's filesystem)"
+                .into());
         }
         Ok(())
     }
@@ -456,23 +424,15 @@ pub(crate) mod tests {
     #[test]
     fn options_parse_backend_flags() {
         assert_eq!(parse(&[]).unwrap().backend, BackendChoice::Local);
-        assert_eq!(
-            parse(&["--backend", "local"]).unwrap().backend,
-            BackendChoice::Local
-        );
         let options = parse(&["--worker", "127.0.0.1:9000", "--worker", "127.0.0.1:9001"]).unwrap();
         assert_eq!(
             options.backend,
             BackendChoice::Remote {
                 workers: vec!["127.0.0.1:9000".to_owned(), "127.0.0.1:9001".to_owned()],
             },
-            "--worker implies the remote backend"
+            "--worker selects the remote backend"
         );
-        // Remote without workers, or with local telemetry flags, is
-        // rejected up front.
-        assert!(parse(&["--backend", "remote"]).is_err());
-        assert!(parse(&["--backend", "tape"]).is_err());
-        assert!(parse(&["--worker", "w:1", "--backend", "local"]).is_err());
+        // Remote with local telemetry flags is rejected up front.
         let err =
             parse(&["--worker", "w:1", "--observe", "obs"]).expect_err("observe cannot shard");
         assert!(err.contains("--observe"), "got: {err}");

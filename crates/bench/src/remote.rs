@@ -16,7 +16,11 @@
 //! [`PointStatus::Lost`]. Whether and when a lost point runs again is the
 //! supervisor's decision (`supervisor.rs`), which never holds more jobs
 //! than the live workers have slots: [`submit`] picks a worker with a
-//! free slot, and fails only when none is left.
+//! free slot, and fails only when none is left. A job the supervisor
+//! [`forget`]s is cancelled on its worker too (`POST /cancel?job=ID`), so
+//! a hedge's losing copy does not keep running in a slot counted free.
+//!
+//! [`forget`]: WorkerBackend::forget
 //!
 //! [`submit`]: WorkerBackend::submit
 
@@ -433,8 +437,16 @@ impl WorkerBackend for RemoteBackend {
     }
 
     fn forget(&mut self, handle: WorkHandle) {
-        if let Some(in_flight) = self.jobs.remove(&handle.0) {
-            self.workers[in_flight.worker].in_flight -= 1;
+        let Some(in_flight) = self.jobs.remove(&handle.0) else {
+            return;
+        };
+        let worker = &mut self.workers[in_flight.worker];
+        worker.in_flight -= 1;
+        if !worker.dead {
+            // One best-effort attempt, no retries: a worker that misses it
+            // runs the job to its end, and the result is never asked for.
+            let target = format!("/cancel?job={}", handle.0);
+            let _ = http::call(&worker.addr, "POST", &target, "", rpc_timeout());
         }
     }
 }
@@ -709,6 +721,49 @@ mod tests {
                 remote.latency.mean().to_bits(),
                 local.latency.mean().to_bits()
             );
+        }
+    }
+
+    #[test]
+    fn a_forgotten_point_stops_on_its_worker() {
+        let addr = loopback(1).to_string();
+        let mut backend = RemoteBackend::connect(std::slice::from_ref(&addr)).expect("handshake");
+        let endless = Experiment::new(Topology::torus(&[6, 6]), AlgorithmKind::Ecube)
+            .offered_load(0.1)
+            .schedule(wormsim::MeasurementSchedule {
+                warmup_cycles: 1 << 40,
+                ..wormsim::MeasurementSchedule::quick()
+            });
+        let handle = backend.submit(job_for(endless, 0)).expect("submit");
+        let status = format!("/status?job={}", handle.0);
+        let beat = || match http::call(&addr, "GET", &status, "", rpc_timeout()) {
+            Ok((200, body)) => match decode_status(&body) {
+                Ok(StatusBody::Pending { heartbeat, .. }) => Some(heartbeat),
+                _ => None,
+            },
+            _ => None,
+        };
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while beat().is_some_and(|beat| beat == 0) {
+            assert!(Instant::now() < deadline, "the point never started");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        backend.forget(handle);
+        // The worker must stop the job, not leave it running in the slot
+        // the orchestrator now counts as free.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let mut last = beat();
+        loop {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = beat();
+            if now.is_none() || now == last {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the forgotten point still runs on its worker: heartbeat {now:?}"
+            );
+            last = now;
         }
     }
 

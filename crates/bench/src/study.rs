@@ -8,7 +8,7 @@
 //! a list of [`Experiment`] points plus a reducer that prints the table
 //! EXPERIMENTS.md records from their results. The points run through
 //! [`run_sweep`](crate::run_sweep), so every study gets threads, the
-//! journal, `--resume`, retries, budgets and `--backend remote`. Rows that
+//! journal, `--resume`, retries, budgets and `--worker` sharding. Rows that
 //! are not one sweep named after the study keep a custom runner over the
 //! same points: the figures and `sweep` (one sweep per figure, under the
 //! figure's own journal and CSV name), `faults_sweep` (a sweep that keeps
@@ -1205,7 +1205,7 @@ mod tests {
             error(id, &["--threads", "0"]);
             assert!(error(id, &["--metrics"]).contains("--observe"));
             assert!(error(id, &["--salvage"]).contains("--resume"));
-            assert!(error(id, &["--backend", "remote"]).contains("--worker"));
+            assert!(error(id, &["--worker", "w:1", "--observe", "obs"]).contains("--worker"));
             assert!(error(id, &["--cycle-budget", "0"]).contains("cycle budget"));
         }
     }

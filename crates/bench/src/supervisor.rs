@@ -8,9 +8,10 @@
 //! * **Dispatch.** [`run_sweep`] hands over every point up front; each
 //!   [`tick`](Supervisor::tick) fills free capacity with waiting points,
 //!   re-runs first, then fresh points in schedule order. The supervisor
-//!   never holds more dispatches than the backend has slots, so no point
-//!   waits behind a full executor and a heartbeat frozen at zero means a
-//!   hung job. A fail-fast [`abort`](Supervisor::abort) drops the fresh
+//!   never holds more dispatches than the backend has slots; that is the
+//!   one admission gate, since the pool under both backends starts every
+//!   job it is given at once. So no point waits behind a full executor,
+//!   and a heartbeat frozen at zero means a hung job. A fail-fast [`abort`](Supervisor::abort) drops the fresh
 //!   points still waiting. Once the shutdown token trips, nothing is
 //!   dispatched: what still waits is left for `--resume`.
 //! * **Retries.** A finished attempt whose outcome is transient (a budget
@@ -39,7 +40,8 @@
 //! * **Stragglers.** With `hedge_after` set, the oldest in-flight point
 //!   is re-dispatched to capacity the waiting points left spare once it
 //!   has been pending that long. First completion wins; the loser is
-//!   forgotten ([`WorkerBackend::forget`]) before it reaches the journal.
+//!   forgotten ([`WorkerBackend::forget`]), which stops it where it runs,
+//!   before it reaches the journal.
 //! * **Poison points.** Once `quarantine_after` dispatches of a point's
 //!   current attempt have been lost (a point that crashes its workers),
 //!   the supervisor stops dispatching it and emits a [`QuarantineRecord`]

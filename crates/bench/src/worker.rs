@@ -3,9 +3,10 @@
 //! A worker is a headless process that accepts serialized
 //! [`Experiment`]s and runs each accepted job on a [`LocalThreadBackend`]
 //! — the same pool, executor, heartbeat and cancellation a local sweep
-//! uses — and serves results back as [`RunResult`]
-//! JSON. This module only adds the HTTP protocol, chaos injection, the
-//! SIGTERM drain and a job table. The protocol (see
+//! uses, so every accepted job starts at once on a thread of its own —
+//! and serves results back as [`RunResult`] JSON. This module only adds
+//! the HTTP protocol, chaos injection, the SIGTERM drain and a job
+//! table. The protocol (see
 //! `docs/DISTRIBUTION.md`) has four endpoints, and its three structured
 //! bodies (`HandshakeBody`, `SubmitBody`, `StatusBody`) are
 //! declared once below, for this server and the orchestrator's
@@ -14,14 +15,17 @@
 //! * `GET /handshake` — wire protocol version, config digest, slot
 //!   count, draining flag, and the first job id this worker has not
 //!   seen (so one long-lived worker serves sweep after sweep).
-//! * `POST /submit` — enqueue a job (rejected with 409 on digest
+//! * `POST /submit` — start a job (rejected with 409 on digest
 //!   mismatch, 400 on undecodable payloads, 503 while draining).
 //! * `GET /status?job=ID` — `pending` (with the job's simulation
 //!   heartbeat, so a supervisor can tell hung from slow), `done` (with
 //!   the result of the job's one attempt), or `failed` (with the
 //!   configuration error). Whether a point runs again is the
 //!   orchestrator's decision, never the worker's.
-//! * `POST /cancel` — cancel every job the pool holds.
+//! * `POST /cancel` — cancel every running job (they finish as
+//!   interrupted); `POST /cancel?job=ID` stops that one job and drops it
+//!   (the orchestrator abandoned it, say a hedge's losing copy). Both
+//!   answer how many running jobs they stopped.
 //!
 //! Simulation results are bit-deterministic in the experiment config, so
 //! a worker on any machine produces byte-identical result JSON — the
@@ -40,7 +44,9 @@
 //!   sweep supervisor is validated against
 //!   (`crates/bench/tests/supervision.rs`).
 
-use crate::backend::{LocalThreadBackend, PointJob, PointStatus, WorkHandle, WorkerBackend};
+use crate::backend::{
+    BackendError, LocalThreadBackend, PointJob, PointStatus, WorkHandle, WorkerBackend,
+};
 use crate::chaos::{salt, ChaosPlan};
 use crate::cli::{self, Flag};
 use crate::http;
@@ -363,7 +369,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
         ),
         ("POST", "/submit") => submit(&request.body, shared),
         ("GET", "/status") => job_status(query, shared, draining),
-        ("POST", "/cancel") => cancel_all(shared),
+        ("POST", "/cancel") => cancel(query, shared),
         _ => (404, error_body("unknown endpoint")),
     };
     respond_with_chaos(stream, shared, path, status, &body);
@@ -480,7 +486,7 @@ fn decode_submit(body: &str, worker_digest: &str) -> Result<(u64, Experiment), (
     Ok((job, experiment))
 }
 
-/// Decodes and enqueues one submitted job; `Err` is the refusal to send.
+/// Decodes and starts one submitted job; `Err` is the refusal to send.
 fn accept(body: &str, shared: &Shared) -> Result<(u16, String), (u16, String)> {
     let (id, experiment) = decode_submit(body, &shared.digest)?;
     let nth_submit = shared.submits.fetch_add(1, Ordering::SeqCst) + 1;
@@ -522,11 +528,13 @@ fn accept(body: &str, shared: &Shared) -> Result<(u16, String), (u16, String)> {
     Ok((200, out))
 }
 
+/// The job id of a `job=ID` query.
+fn job_query(query: &str) -> Option<u64> {
+    query.strip_prefix("job=")?.parse().ok()
+}
+
 fn job_status(query: &str, shared: &Shared, draining: bool) -> (u16, String) {
-    let Some(id) = query
-        .strip_prefix("job=")
-        .and_then(|raw| raw.parse::<u64>().ok())
-    else {
+    let Some(id) = job_query(query) else {
         return (400, error_body("status query must be ?job=ID"));
     };
     let mut state = shared.lock();
@@ -550,10 +558,38 @@ fn job_status(query: &str, shared: &Shared, draining: bool) -> (u16, String) {
     (200, body.to_json())
 }
 
-fn cancel_all(shared: &Shared) -> (u16, String) {
+/// `/cancel` trips every running job's token, and they finish as
+/// interrupted; `/cancel?job=ID` stops job `ID` and drops it, so its
+/// status answers that it is gone. The count is of running jobs stopped:
+/// finished and chaos-stalled jobs are not.
+fn cancel(query: &str, shared: &Shared) -> (u16, String) {
+    let only = match query {
+        "" => None,
+        query => match job_query(query) {
+            Some(id) => Some(id),
+            None => return (400, error_body("cancel query must be empty or ?job=ID")),
+        },
+    };
     let mut state = shared.lock();
-    state.pool.cancel();
-    let cancelled = state.jobs.len() as u64;
+    let WorkerState { pool, jobs } = &mut *state;
+    let mut cancelled = 0;
+    for (id, job) in jobs.iter_mut() {
+        let Job::Running(handle) = *job else { continue };
+        if only.is_some_and(|only| only != *id) || job.poll(pool).is_err() {
+            continue;
+        }
+        cancelled += 1;
+        if only.is_some() {
+            pool.forget(handle);
+            *job = Job::Done(PointStatus::Lost(BackendError {
+                worker: "local".to_owned(),
+                message: format!("job {id} cancelled by the orchestrator"),
+            }));
+        }
+    }
+    if only.is_none() {
+        pool.cancel();
+    }
     drop(state);
     let mut out = String::new();
     let mut obj = JsonObject::begin(&mut out);
@@ -581,7 +617,7 @@ mod tests {
         assert_eq!(
             handshake(&shared, false).1,
             format!(
-                r#"{{"wire":2,"digest":"{digest}","threads":2,"draining":false,"next_job":0}}"#
+                r#"{{"wire":3,"digest":"{digest}","threads":2,"draining":false,"next_job":0}}"#
             )
         );
         let experiment = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
@@ -618,7 +654,7 @@ mod tests {
         let handshake = handshake(&shared, true).1;
         assert_eq!(
             handshake,
-            format!(r#"{{"wire":2,"digest":"{digest}","threads":2,"draining":true,"next_job":6}}"#)
+            format!(r#"{{"wire":3,"digest":"{digest}","threads":2,"draining":true,"next_job":6}}"#)
         );
         let bodies = [3, 4, 5].map(|id| job_status(&format!("job={id}"), &shared, true));
         assert_eq!(
@@ -663,6 +699,67 @@ mod tests {
             StatusBody::read(&read(&bodies[2].1)),
             Ok(StatusBody::Failed { error }) if error.starts_with("offered load 0")
         ));
+    }
+
+    #[test]
+    fn cancel_counts_and_stops_only_running_jobs() {
+        let shared = Shared::new(1, ChaosPlan::default());
+        let endless = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::Ecube)
+            .offered_load(0.1)
+            .schedule(wormsim::MeasurementSchedule {
+                warmup_cycles: 1 << 40,
+                ..wormsim::MeasurementSchedule::quick()
+            });
+        let failed = endless
+            .clone()
+            .offered_load(0.0)
+            .run()
+            .expect_err("load 0 is refused");
+        let mut state = shared.lock();
+        state.jobs.insert(
+            0,
+            Job::Done(PointStatus::Done {
+                result: Err(failed),
+            }),
+        );
+        for id in 1..=3 {
+            let handle = state
+                .pool
+                .submit(PointJob {
+                    point_hash: endless.point_hash(),
+                    experiment: endless.clone(),
+                    index: id as usize,
+                    inject_panic: false,
+                })
+                .expect("the pool takes every job");
+            state.jobs.insert(id, Job::Running(handle));
+        }
+        drop(state);
+        let cancelled = |query: &str| cancel(query, &shared);
+        let body = |n: u64| (200, format!(r#"{{"cancelled":{n}}}"#));
+        // One job: it is stopped and dropped, and the others run on.
+        assert_eq!(cancelled("job=1"), body(1));
+        assert_eq!(job_status("job=1", &shared, false).0, 500);
+        assert_eq!(cancelled("job=1"), body(0), "already stopped");
+        assert_eq!(cancelled("job=0"), body(0), "already finished");
+        assert_eq!(cancelled("job=x").0, 400);
+        // Every job: only the two still running count, not the finished
+        // or dropped ones, and they end as interrupted.
+        assert_eq!(cancelled(""), body(2));
+        for id in 2..=3 {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            loop {
+                let (status, response) = job_status(&format!("job={id}"), &shared, false);
+                assert_eq!(status, 200, "{response}");
+                if response.contains(r#""state":"done""#) {
+                    assert!(response.contains("interrupted"), "{response}");
+                    break;
+                }
+                assert!(Instant::now() < deadline, "job {id} still runs");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+        assert_eq!(cancelled(""), body(0), "nothing left running");
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub fn long_sweep_args(out_dir: &Path) -> Vec<String> {
 /// `study` with `args`, sharded across `workers`.
 pub fn remote_study<S: AsRef<OsStr>>(args: &[S], workers: &[&WorkerProc]) -> Command {
     let mut command = Command::new(STUDY);
-    command.args(args).args(["--backend", "remote"]);
+    command.args(args);
     for worker in workers {
         command.args(["--worker", &worker.addr]);
     }

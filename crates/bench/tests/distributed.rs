@@ -49,7 +49,7 @@ fn remote_sweep_without_reachable_workers_is_a_clean_error() {
     let dir = temp_dir("deadworker");
     let output = Command::new(STUDY)
         .args(sweep_args(&dir))
-        .args(["--backend", "remote", "--worker", "127.0.0.1:1"])
+        .args(["--worker", "127.0.0.1:1"])
         .output()
         .expect("spawn sweep");
     assert_eq!(output.status.code(), Some(1), "got: {}", output.status);

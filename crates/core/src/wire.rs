@@ -39,8 +39,9 @@ use wormsim_topology::Topology;
 /// Version of the worker protocol: its HTTP endpoints and the bodies they
 /// exchange, checked at the handshake. Bump on any change to them.
 /// Version 2 dropped the retry fields from `/submit` and `/status`: each
-/// dispatch runs exactly one attempt.
-pub const WIRE_PROTOCOL: u32 = 2;
+/// dispatch runs exactly one attempt. Version 3 added `/cancel?job=ID`,
+/// which a version-2 worker would read as "cancel every job".
+pub const WIRE_PROTOCOL: u32 = 3;
 
 /// Version of [`Experiment`]'s JSON form, written as its `"wire"` member
 /// and folded into [`wire_digest`]. Bump on any change to that form or to

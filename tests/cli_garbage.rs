@@ -47,7 +47,6 @@ const EXAMPLES: &[(&str, Option<&str>)] = &[
     ("--hedge-after", Some("5")),
     ("--quarantine-after", Some("3")),
     ("--fail-after-points", Some("2")),
-    ("--backend", Some("remote")),
     ("--worker", Some("127.0.0.1:4021")),
     ("--load", Some("0.3")),
     ("--cycles", Some("400")),

@@ -51,7 +51,7 @@ fn local_and_remote_backends_write_identical_journals() {
         "journals must be byte-identical across backends"
     );
     // The worker is long-lived: a second sweep (what `study headline
-    // --backend remote` does per figure) must not collide with the job
+    // --worker ADDR` does per figure) must not collide with the job
     // ids the first one left behind.
     let again = plan.journal_name("again.journal.jsonl");
     run_sweep(&again, &remote).expect("second sweep against the same worker");
