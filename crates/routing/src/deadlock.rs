@@ -1,16 +1,23 @@
-//! Channel-dependency-graph (CDG) analysis.
+//! Channel-dependency-graph (CDG) analysis, over one walk of the routing
+//! relation.
 //!
-//! Builds the virtual-channel dependency graph of a routing algorithm on a
-//! concrete topology by *exhaustive reachability analysis*: for every
-//! source/destination pair, every reachable `(node, message-state)` pair is
-//! enumerated, and an edge is recorded from each virtual channel a message
-//! may hold to each virtual channel it may request next.
+//! [`walk`] enumerates, for every source/destination pair, every reachable
+//! `(node, message-state)` the algorithm's candidate sets admit, and hands
+//! each hop to a visitor: the virtual channel a message acquires, where its
+//! head then stalls, and the virtual channels it may request next. Two
+//! analyses read those hops and differ only in the rule they apply:
 //!
-//! An **acyclic** CDG proves the algorithm deadlock-free (Dally & Seitz).
-//! A cyclic CDG is *inconclusive* for adaptive algorithms — a blocked
-//! message with several candidates deadlocks only if **all** of them are
-//! unavailable (Duato's criterion) — so the result distinguishes the two
-//! cases rather than conflating "cyclic" with "deadlocks".
+//! - [`DependencyGraph`] records an edge from each held virtual channel to
+//!   each channel it may request next. An **acyclic** CDG proves the
+//!   algorithm deadlock-free (Dally & Seitz): peeling off every channel
+//!   whose successors are all gone empties the graph.
+//! - The bounded checker in `wormsim-verify` keeps each hop as a holding
+//!   configuration and drops one as soon as *any* channel it waits for is
+//!   held by no surviving configuration: a blocked message with several
+//!   candidates deadlocks only if **all** of them are unavailable (Duato's
+//!   criterion). So a cyclic CDG is *inconclusive* for adaptive
+//!   algorithms, and the report does not conflate "cyclic" with
+//!   "deadlocks".
 //!
 //! # Example
 //!
@@ -25,8 +32,8 @@
 //! # Ok::<(), wormsim_routing::RoutingError>(())
 //! ```
 
-use crate::{MessageRouteState, RoutingAlgorithm};
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::{Candidate, MessageRouteState, RoutingAlgorithm};
+use std::collections::{HashMap, HashSet};
 use wormsim_topology::{ChannelId, ChannelMask, NodeId, Topology};
 
 /// A virtual channel: a physical channel plus a VC class.
@@ -82,164 +89,203 @@ impl CdgReport {
     }
 }
 
-/// The full channel-dependency graph of an algorithm on a topology.
+/// One hop of [`walk`]: a worm takes a candidate, acquiring [`held`], and
+/// its head then stalls at [`node`] in [`state`].
+///
+/// [`held`]: Self::held
+/// [`node`]: Self::node
+/// [`state`]: Self::state
+#[derive(Debug)]
+pub struct Hop<'a> {
+    /// The virtual channel the hop acquires.
+    pub held: VirtualChannelId,
+    /// The node the head reaches: the sink of `held`.
+    pub node: NodeId,
+    /// The message state at `node` (it names the pair).
+    pub state: MessageRouteState,
+    /// The live virtual channels the worm may request at `node`, sorted
+    /// and deduplicated. Empty when the hop is terminal, and when a fault
+    /// mask killed every candidate there: the worm is stranded.
+    pub waits: &'a [VirtualChannelId],
+    /// Whether `node` is the destination: the worm ejects next.
+    pub terminal: bool,
+    /// Index into `visits` of the `(node, state)` the hop leaves.
+    from: usize,
+    visits: &'a [Visit],
+}
+
+impl Hop<'_> {
+    /// The virtual channels the worm acquired, from its source up to and
+    /// including [`held`](Self::held), along the route the walk reached
+    /// the hop's origin by first (breadth-first, so the shortest).
+    pub fn path(&self) -> Vec<VirtualChannelId> {
+        let mut path = vec![self.held];
+        let mut at = self.from;
+        while let Some((parent, held)) = self.visits[at].via {
+            path.push(held);
+            at = parent;
+        }
+        path.reverse();
+        path
+    }
+}
+
+/// A `(node, state)` in one pair's visit order, with the visit it was first
+/// reached from and the channel of that hop (none at the source).
+#[derive(Debug)]
+struct Visit {
+    node: NodeId,
+    state: MessageRouteState,
+    via: Option<(usize, VirtualChannelId)>,
+}
+
+/// What a [`walk`] skipped, and where it found every candidate dead.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalkCounts {
+    /// Ordered pairs skipped because an endpoint is dead or unreachable.
+    pub excluded_pairs: u64,
+    /// Reachable `(node, message-state)` configurations whose entire
+    /// candidate set is on dead channels.
+    pub blocked_states: u64,
+}
+
+/// Walks the routing relation of `algo` over the subgraph of `topo` that
+/// survives `mask`, from each node of `sources` to every other node, and
+/// hands every hop to `visit`.
+///
+/// A pair with a dead or unreachable endpoint is excluded. Otherwise the
+/// walk starts at the source in the algorithm's initial state and expands
+/// every reachable `(node, state)` exactly once, breadth-first, taking
+/// each candidate on a live channel as one [`Hop`]. The order is
+/// deterministic: sources, then destinations in node order, then visit
+/// order, then candidate order.
+pub fn walk(
+    topo: &Topology,
+    mask: &ChannelMask,
+    algo: &dyn RoutingAlgorithm,
+    sources: impl IntoIterator<Item = NodeId>,
+    mut visit: impl FnMut(&Hop<'_>),
+) -> WalkCounts {
+    let trivial = mask.is_trivial();
+    let live_candidates = |state: &MessageRouteState, node: NodeId, out: &mut Vec<Candidate>| {
+        out.clear();
+        algo.candidates(topo, state, node, out);
+        if !trivial {
+            out.retain(|c| mask.channel_alive(topo.channel(node, c.direction())));
+        }
+    };
+    let mut counts = WalkCounts::default();
+    let mut seen: HashSet<(NodeId, MessageRouteState)> = HashSet::new();
+    let mut visits: Vec<Visit> = Vec::new();
+    let mut candidates = Vec::new();
+    let mut next_candidates = Vec::new();
+    let mut waits = Vec::new();
+    for src in sources {
+        let reach = if trivial {
+            Vec::new()
+        } else {
+            topo.reachable_from(mask, src)
+        };
+        for dest in topo.nodes() {
+            if src == dest {
+                continue;
+            }
+            if !trivial && (!mask.node_alive(dest) || !reach[dest.index() as usize]) {
+                counts.excluded_pairs += 1;
+                continue;
+            }
+            let mut initial = MessageRouteState::new(src, dest);
+            algo.init_message(topo, &mut initial);
+            seen.clear();
+            seen.insert((src, initial));
+            visits.clear();
+            visits.push(Visit {
+                node: src,
+                state: initial,
+                via: None,
+            });
+            let mut from = 0;
+            while let Some(&Visit { node, state, .. }) = visits.get(from) {
+                live_candidates(&state, node, &mut candidates);
+                if candidates.is_empty() {
+                    counts.blocked_states += 1;
+                }
+                for &taken in &candidates {
+                    let next = topo
+                        .neighbor(node, taken.direction())
+                        .expect("candidate on nonexistent channel");
+                    let held = VirtualChannelId {
+                        channel: topo.channel(node, taken.direction()),
+                        class: taken.vc_class(),
+                    };
+                    let mut next_state = state;
+                    next_state.advance(topo, node, taken);
+                    let terminal = next == dest;
+                    waits.clear();
+                    if !terminal {
+                        live_candidates(&next_state, next, &mut next_candidates);
+                        waits.extend(next_candidates.iter().map(|c| VirtualChannelId {
+                            channel: topo.channel(next, c.direction()),
+                            class: c.vc_class(),
+                        }));
+                        waits.sort_unstable();
+                        waits.dedup();
+                        if seen.insert((next, next_state)) {
+                            visits.push(Visit {
+                                node: next,
+                                state: next_state,
+                                via: Some((from, held)),
+                            });
+                        }
+                    }
+                    visit(&Hop {
+                        held,
+                        node: next,
+                        state: next_state,
+                        waits: &waits,
+                        terminal,
+                        from,
+                        visits: &visits,
+                    });
+                }
+                from += 1;
+            }
+        }
+    }
+    counts
+}
+
+/// The channel-dependency graph of an algorithm on a topology.
 #[derive(Clone, Debug, Default)]
 pub struct DependencyGraph {
     adjacency: HashMap<VirtualChannelId, HashSet<VirtualChannelId>>,
 }
 
 impl DependencyGraph {
-    /// Builds the dependency graph by exhaustive reachability analysis.
+    /// Folds every hop of a [`walk`] into dependencies: an edge from the
+    /// held virtual channel to each channel the hop waits for, and a vertex
+    /// for the held channel of a terminal hop. A stranded hop records
+    /// nothing.
     ///
-    /// Every `(source, destination)` pair is expanded over all reachable
-    /// `(node, state)` configurations; dependencies are added from the
-    /// virtual channel of each possible hop to the virtual channels of every
-    /// possible *next* hop.
-    pub fn build(topo: &Topology, algo: &dyn RoutingAlgorithm) -> Self {
-        Self::build_from_pairs(
-            topo,
-            algo,
-            topo.nodes()
-                .flat_map(|src| topo.nodes().map(move |dest| (src, dest))),
-        )
-    }
-
-    /// Builds the dependency graph from an explicit set of `(source,
-    /// destination)` pairs (self-pairs are skipped). The result is a
-    /// *subgraph* of the full CDG: acyclicity of the full graph implies
-    /// acyclicity here, but not conversely — a cycle found this way is
-    /// always real, while a clean report from a sample is a witness, not a
-    /// proof. Useful where the all-pairs expansion is intractable (e.g. a
-    /// strided source sample on the 4096-node 16-ary 3-cube).
-    pub fn build_from_pairs(
-        topo: &Topology,
-        algo: &dyn RoutingAlgorithm,
-        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
-    ) -> Self {
-        let mut graph = DependencyGraph::default();
-        let mut candidates = Vec::new();
-        let mut next_candidates = Vec::new();
-        for (src, dest) in pairs {
-            if src == dest {
-                continue;
-            }
-            graph.expand_pair(
-                topo,
-                None,
-                algo,
-                src,
-                dest,
-                &mut candidates,
-                &mut next_candidates,
-                &mut 0,
-            );
-        }
-        graph
-    }
-
-    /// Builds the dependency graph over the *surviving* subgraph of `mask`:
-    /// pairs with a dead or unreachable endpoint are skipped, and candidates
-    /// on dead channels are dropped before any dependency is recorded.
-    ///
-    /// Returns the graph plus the number of excluded pairs and the number of
-    /// reachable `(node, state)` configurations whose entire candidate set
-    /// is dead (places where a minimal algorithm would strand a message).
-    pub fn build_masked(
+    /// From fewer than all sources the result is a *subgraph* of the full
+    /// CDG: a cycle found this way is always real, while a clean sample is
+    /// a witness, not a proof. That serves where the all-pairs expansion is
+    /// intractable (e.g. a strided source sample on the 4096-node 16-ary
+    /// 3-cube).
+    pub fn new(
         topo: &Topology,
         mask: &ChannelMask,
         algo: &dyn RoutingAlgorithm,
-    ) -> (Self, u64, u64) {
+        sources: impl IntoIterator<Item = NodeId>,
+    ) -> (Self, WalkCounts) {
         let mut graph = DependencyGraph::default();
-        let mut candidates = Vec::new();
-        let mut next_candidates = Vec::new();
-        let mut excluded_pairs = 0u64;
-        let mut blocked_states = 0u64;
-        for src in topo.nodes() {
-            let reach = topo.reachable_from(mask, src);
-            for dest in topo.nodes() {
-                if src == dest {
-                    continue;
-                }
-                if !mask.node_alive(dest) || !reach[dest.index() as usize] {
-                    excluded_pairs += 1;
-                    continue;
-                }
-                graph.expand_pair(
-                    topo,
-                    Some(mask),
-                    algo,
-                    src,
-                    dest,
-                    &mut candidates,
-                    &mut next_candidates,
-                    &mut blocked_states,
-                );
+        let counts = walk(topo, mask, algo, sources, |hop| {
+            if hop.terminal || !hop.waits.is_empty() {
+                let targets = graph.adjacency.entry(hop.held).or_default();
+                targets.extend(hop.waits.iter().copied());
             }
-        }
-        (graph, excluded_pairs, blocked_states)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn expand_pair(
-        &mut self,
-        topo: &Topology,
-        mask: Option<&ChannelMask>,
-        algo: &dyn RoutingAlgorithm,
-        src: NodeId,
-        dest: NodeId,
-        candidates: &mut Vec<crate::Candidate>,
-        next_candidates: &mut Vec<crate::Candidate>,
-        blocked_states: &mut u64,
-    ) {
-        let mut initial = MessageRouteState::new(src, dest);
-        algo.init_message(topo, &mut initial);
-        let mut seen: HashSet<(NodeId, MessageRouteState)> = HashSet::new();
-        let mut queue: VecDeque<(NodeId, MessageRouteState)> = VecDeque::new();
-        seen.insert((src, initial));
-        queue.push_back((src, initial));
-        while let Some((node, state)) = queue.pop_front() {
-            candidates.clear();
-            algo.candidates(topo, &state, node, candidates);
-            if let Some(mask) = mask {
-                candidates.retain(|c| mask.channel_alive(topo.channel(node, c.direction())));
-                if candidates.is_empty() {
-                    *blocked_states += 1;
-                    continue;
-                }
-            }
-            for &taken in candidates.iter() {
-                let next = topo
-                    .neighbor(node, taken.direction())
-                    .expect("candidate on nonexistent channel");
-                let held = VirtualChannelId {
-                    channel: topo.channel(node, taken.direction()),
-                    class: taken.vc_class(),
-                };
-                let mut next_state = state;
-                next_state.advance(topo, node, taken);
-                if next != dest {
-                    next_candidates.clear();
-                    algo.candidates(topo, &next_state, next, next_candidates);
-                    if let Some(mask) = mask {
-                        next_candidates
-                            .retain(|c| mask.channel_alive(topo.channel(next, c.direction())));
-                    }
-                    for &want in next_candidates.iter() {
-                        let wanted = VirtualChannelId {
-                            channel: topo.channel(next, want.direction()),
-                            class: want.vc_class(),
-                        };
-                        self.adjacency.entry(held).or_default().insert(wanted);
-                    }
-                    if seen.insert((next, next_state)) {
-                        queue.push_back((next, next_state));
-                    }
-                } else {
-                    // Terminal hop: the held channel still becomes a vertex.
-                    self.adjacency.entry(held).or_default();
-                }
-            }
-        }
+        });
+        (graph, counts)
     }
 
     /// Number of vertices (virtual channels that appear in a dependency).
@@ -322,17 +368,7 @@ impl DependencyGraph {
 
 /// Builds the CDG for `algo` on `topo` and checks it for cycles.
 pub fn analyze(topo: &Topology, algo: &dyn RoutingAlgorithm) -> CdgReport {
-    let graph = DependencyGraph::build(topo, algo);
-    let vertices = graph.num_vertices();
-    let edges = graph.num_edges();
-    match graph.find_cycle() {
-        None => CdgReport::Acyclic { vertices, edges },
-        Some(cycle) => CdgReport::Cyclic {
-            cycle,
-            vertices,
-            edges,
-        },
-    }
+    analyze_masked(topo, &ChannelMask::all_alive(topo), algo).report
 }
 
 /// The result of a CDG analysis over the surviving subgraph of a fault
@@ -384,7 +420,7 @@ pub fn analyze_masked(
     mask: &ChannelMask,
     algo: &dyn RoutingAlgorithm,
 ) -> MaskedCdgReport {
-    let (graph, excluded_pairs, blocked_states) = DependencyGraph::build_masked(topo, mask, algo);
+    let (graph, counts) = DependencyGraph::new(topo, mask, algo, topo.nodes());
     let vertices = graph.num_vertices();
     let edges = graph.num_edges();
     let report = match graph.find_cycle() {
@@ -397,8 +433,8 @@ pub fn analyze_masked(
     };
     MaskedCdgReport {
         report,
-        excluded_pairs,
-        blocked_states,
+        excluded_pairs: counts.excluded_pairs,
+        blocked_states: counts.blocked_states,
     }
 }
 
@@ -539,15 +575,11 @@ mod tests {
         let topo = Topology::k_ary_n_cube(16, 3);
         // Stride co-prime with the node count so sampled sources spread
         // over all coordinate residues rather than one hyperplane.
-        let srcs: Vec<_> = topo.nodes().step_by(307).collect();
+        let mask = ChannelMask::all_alive(&topo);
         for kind in AlgorithmKind::all() {
             let algo = kind.build(&topo).unwrap();
-            let graph = DependencyGraph::build_from_pairs(
-                &topo,
-                algo.as_ref(),
-                srcs.iter()
-                    .flat_map(|&src| topo.nodes().map(move |dest| (src, dest))),
-            );
+            let sources = topo.nodes().step_by(307);
+            let (graph, _) = DependencyGraph::new(&topo, &mask, algo.as_ref(), sources);
             assert!(graph.find_cycle().is_none(), "{kind} has a sampled cycle");
         }
     }

@@ -10,9 +10,8 @@
 //! be blocked while occupying a virtual channel — and computing the
 //! greatest set of configurations that is mutually self-supporting:
 //!
-//! 1. **Enumerate.** For every routable `(source, destination)` pair, walk
-//!    every reachable `(node, route-state)` the algorithm's candidate sets
-//!    admit (the same expansion the CDG builder uses). Each hop yields a
+//! 1. **Enumerate.** Read the hops of [`wormsim_routing::deadlock::walk`],
+//!    the walk the CDG is built from. Each non-terminal hop yields a
 //!    configuration: the virtual channel just acquired (`held`), the node
 //!    the head now stalls at, and the set of virtual channels the algorithm
 //!    would request next (`waits`). Under a fault mask, a configuration
@@ -22,9 +21,11 @@
 //! 2. **Fixpoint.** Repeatedly delete any configuration with a waited
 //!    channel that no surviving configuration holds — that channel must
 //!    eventually free up (its occupants all drain or advance), so the
-//!    blocked worm progresses. Stranded configurations never progress and
-//!    are never deleted. The deletion order does not matter; the result is
-//!    the unique greatest fixpoint.
+//!    blocked worm progresses. One free wait is enough, where the CDG
+//!    peels a channel off only once *every* successor is gone: that is the
+//!    whole difference between the two verdicts. Stranded configurations
+//!    never progress and are never deleted. The deletion order does not
+//!    matter; the result is the unique greatest fixpoint.
 //! 3. **Verdict.** An empty fixpoint is [`SafetyVerdict::ProvenFree`]: no
 //!    set of blocked worms can sustain itself, so every reachable blocking
 //!    configuration eventually drains. A non-empty fixpoint yields a
@@ -55,11 +56,11 @@
 //! configuration that may in principle not be reachable from an empty
 //! network. In practice witnesses found here replay: the workspace
 //! property tests drive the engine into a deadlock for every algorithm
-//! this checker refutes (see `tests/verify.rs`).
+//! this checker refutes (see `tests/verify_acceptance.rs`).
 
 use crate::VerifyError;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use wormsim_routing::deadlock::VirtualChannelId;
+use wormsim_routing::deadlock::{walk, VirtualChannelId};
 use wormsim_routing::{MessageRouteState, RoutingAlgorithm};
 use wormsim_topology::{ChannelMask, NodeId, Topology};
 
@@ -116,20 +117,6 @@ impl DeadlockWitness {
     /// Number of stranded worms in the witness.
     pub fn stranded(&self) -> usize {
         self.worms.iter().filter(|w| w.is_stranded()).count()
-    }
-
-    /// The physical channels held by the witness worms (deduplicated,
-    /// sorted raw [`ChannelId`](wormsim_topology::ChannelId) values) —
-    /// the cross-validation hook against an engine wait-for snapshot.
-    pub fn held_physical_channels(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .worms
-            .iter()
-            .map(|w| u64::from(w.held.channel.index()))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -222,26 +209,24 @@ pub fn check_masked(
             limit: MAX_NODES,
         });
     }
-    let trivial = mask.is_trivial();
     let mut configs: Vec<Config> = Vec::new();
-    let mut excluded_pairs = 0u64;
-    for src in topo.nodes() {
-        let reach = if trivial {
-            Vec::new()
-        } else {
-            topo.reachable_from(mask, src)
-        };
-        for dest in topo.nodes() {
-            if src == dest {
-                continue;
-            }
-            if !trivial && (!mask.node_alive(dest) || !reach[dest.index() as usize]) {
-                excluded_pairs += 1;
-                continue;
-            }
-            enumerate_pair(topo, mask, algo, src, dest, &mut configs);
+    // One configuration per (held, state-at-stall), the state naming the
+    // pair: different approach paths to the same stall add nothing to the
+    // fixpoint. A terminal hop is none: the worm drains, holding nothing
+    // for long.
+    let mut emitted: HashSet<(VirtualChannelId, MessageRouteState)> = HashSet::new();
+    let counts = walk(topo, mask, algo, topo.nodes(), |hop| {
+        if !hop.terminal && emitted.insert((hop.held, hop.state)) {
+            configs.push(Config {
+                held: hop.held,
+                node: hop.node,
+                src: hop.state.src(),
+                dest: hop.state.dest(),
+                path: hop.path(),
+                waits: hop.waits.to_vec(),
+            });
         }
-    }
+    });
     let total = configs.len();
     let alive = fixpoint(&configs);
     let survivors = alive.iter().filter(|&&a| a).count();
@@ -268,103 +253,9 @@ pub fn check_masked(
         configs: total,
         survivors,
         stranded,
-        excluded_pairs,
+        excluded_pairs: counts.excluded_pairs,
         survivor_channels,
     })
-}
-
-/// Walks every `(node, state)` reachable for one pair and records a
-/// holding configuration per hop — the same breadth-first expansion the
-/// CDG builder performs, kept structurally in sync with
-/// `DependencyGraph::expand_pair`.
-fn enumerate_pair(
-    topo: &Topology,
-    mask: &ChannelMask,
-    algo: &dyn RoutingAlgorithm,
-    src: NodeId,
-    dest: NodeId,
-    configs: &mut Vec<Config>,
-) {
-    let trivial = mask.is_trivial();
-    let mut initial = MessageRouteState::new(src, dest);
-    algo.init_message(topo, &mut initial);
-    let mut seen: HashSet<(NodeId, MessageRouteState)> = HashSet::new();
-    // Shortest acquired-channel path to each visited (node, state) — the
-    // BFS order guarantees the first visit is minimal, which keeps witness
-    // paths short.
-    let mut parent: HashMap<
-        (NodeId, MessageRouteState),
-        (NodeId, MessageRouteState, VirtualChannelId),
-    > = HashMap::new();
-    // One configuration per (held, state-at-stall): different approach
-    // paths to the same stall add nothing to the fixpoint.
-    let mut emitted: HashSet<(VirtualChannelId, MessageRouteState)> = HashSet::new();
-    let mut queue: VecDeque<(NodeId, MessageRouteState)> = VecDeque::new();
-    let mut candidates = Vec::new();
-    let mut next_candidates = Vec::new();
-    seen.insert((src, initial));
-    queue.push_back((src, initial));
-    while let Some((node, state)) = queue.pop_front() {
-        candidates.clear();
-        algo.candidates(topo, &state, node, &mut candidates);
-        if !trivial {
-            candidates.retain(|c| mask.channel_alive(topo.channel(node, c.direction())));
-        }
-        for &taken in candidates.iter() {
-            let next = topo
-                .neighbor(node, taken.direction())
-                .expect("candidate on nonexistent channel");
-            let held = VirtualChannelId {
-                channel: topo.channel(node, taken.direction()),
-                class: taken.vc_class(),
-            };
-            let mut next_state = state;
-            next_state.advance(topo, node, taken);
-            if seen.insert((next, next_state)) {
-                parent.insert((next, next_state), (node, state, held));
-                if next != dest {
-                    queue.push_back((next, next_state));
-                }
-            }
-            if next == dest {
-                // Adjacent to ejection: the worm drains, holding nothing
-                // for long — no configuration.
-                continue;
-            }
-            if !emitted.insert((held, next_state)) {
-                continue;
-            }
-            next_candidates.clear();
-            algo.candidates(topo, &next_state, next, &mut next_candidates);
-            if !trivial {
-                next_candidates.retain(|c| mask.channel_alive(topo.channel(next, c.direction())));
-            }
-            let mut waits: Vec<VirtualChannelId> = next_candidates
-                .iter()
-                .map(|c| VirtualChannelId {
-                    channel: topo.channel(next, c.direction()),
-                    class: c.vc_class(),
-                })
-                .collect();
-            waits.sort_unstable();
-            waits.dedup();
-            let mut path = vec![held];
-            let mut cursor = (node, state);
-            while let Some(&(pn, ps, pheld)) = parent.get(&cursor) {
-                path.push(pheld);
-                cursor = (pn, ps);
-            }
-            path.reverse();
-            configs.push(Config {
-                held,
-                node: next,
-                src,
-                dest,
-                path,
-                waits,
-            });
-        }
-    }
 }
 
 /// Greatest fixpoint: repeatedly deletes configurations with a waited

@@ -12,9 +12,10 @@
 //! This crate closes the gap mechanically, in three movements:
 //!
 //! - [`checker`] — a bounded model checker for small networks (≤4×4 tori
-//!   and meshes, hard cap [`checker::MAX_NODES`] nodes) that exhaustively
-//!   enumerates every reachable channel-holding configuration and computes
-//!   the greatest self-supporting set. Empty set ⇒
+//!   and meshes, hard cap [`checker::MAX_NODES`] nodes) that reads every
+//!   reachable channel-holding configuration off the CDG's own walk
+//!   ([`wormsim_routing::deadlock::walk`]) and computes the greatest
+//!   self-supporting set. Empty set ⇒
 //!   [`SafetyVerdict::ProvenFree`]; otherwise a constructive
 //!   [`DeadlockWitness`] with a suggested injection schedule.
 //! - [`adversary`] — a fault-mask search that enumerates fault plans the
@@ -25,7 +26,7 @@
 //!   whose [`fault_tolerance`](wormsim_routing::RoutingAlgorithm::fault_tolerance)
 //!   claim it refutes.
 //! - [`triage`](mod@triage) — a runtime path that replays an engine wait-for snapshot
-//!   (`<run>.waitfor.jsonl`) through cycle detection + edge validation to
+//!   (`<run>.waitfor.jsonl`) through cycle detection on its edge list to
 //!   refine a watchdog verdict into *confirmed-unsafe* (a genuine circular
 //!   wait was present) vs *budget-artifact* (the run stalled, but no
 //!   self-sustaining cycle existed — congestion, budget too tight, or a

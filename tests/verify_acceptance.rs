@@ -10,6 +10,10 @@
 //! * Agreement properties: a clean masked CDG implies a `ProvenFree`
 //!   bounded-checker verdict, and a `ProvenFree` verdict implies no
 //!   engine stall ever triages as a confirmed circular wait.
+//! * The converse fails, as it should: Duato's construction (minimal fully
+//!   adaptive routing with e-cube as its escape) has a cyclic CDG, the
+//!   checker proves it free and the engine never wedges it; without the
+//!   escape both verdicts flip.
 //! * The adversary's minimized fault plans are real: the pinned phop
 //!   single-fault refutation replayed through a full `Experiment` leaves
 //!   evidence the run records.
@@ -17,14 +21,17 @@
 //! [`DeadlockWitness`]: wormsim::verify::DeadlockWitness
 
 use proptest::prelude::*;
-use wormsim::engine::{NetworkBuilder, SelectionPolicy};
-use wormsim::routing::deadlock::analyze_masked;
-use wormsim::topology::Topology;
+use wormsim::engine::{Network, NetworkBuilder, SelectionPolicy};
+use wormsim::routing::deadlock::{analyze, analyze_masked};
+use wormsim::routing::{Adaptivity, Candidate, Ecube, MessageRouteState, RoutingAlgorithm};
+use wormsim::topology::{Direction, NodeId, Sign, Topology};
 use wormsim::verify::{
     check, check_masked, search_faults, triage, AdversaryConfig, CheckReport, SafetyVerdict,
     TriageReport,
 };
-use wormsim::{AlgorithmKind, Experiment, FaultPlan, RunOutcome};
+use wormsim::{
+    AlgorithmKind, ArrivalProcess, Experiment, FaultPlan, MessageLength, RunOutcome, TrafficConfig,
+};
 
 /// Replays the checker's witness for `kind` on the 4×4 torus as real
 /// traffic: each witness worm is injected (length 2, so the header runs
@@ -162,6 +169,144 @@ fn adversary_refutation_plan_wedges_a_real_run_without_a_cycle() {
     );
 }
 
+/// Duato's construction, the specimen of a cyclic CDG that is still
+/// deadlock-free: minimal fully adaptive routing on one class above
+/// e-cube's, plus e-cube's own hop as the escape. The adaptive class alone
+/// is the naive strawman, so the CDG is cyclic either way; with the escape
+/// every blocked worm always has one candidate whose dependencies are
+/// acyclic, and that is exactly the "any free wait" rule the bounded
+/// checker applies. Without it (`escape: false`) no configuration drains.
+#[derive(Debug)]
+struct Duato {
+    ecube: Ecube,
+    escape: bool,
+}
+
+impl Duato {
+    fn new(topo: &Topology, escape: bool) -> Self {
+        let ecube = Ecube::new(topo).expect("e-cube builds everywhere");
+        Duato { ecube, escape }
+    }
+
+    fn adaptive_class(&self) -> u8 {
+        self.ecube.num_vc_classes() as u8
+    }
+}
+
+impl RoutingAlgorithm for Duato {
+    fn name(&self) -> &'static str {
+        "duato"
+    }
+
+    fn adaptivity(&self) -> Adaptivity {
+        Adaptivity::FullyAdaptive
+    }
+
+    fn num_vc_classes(&self) -> usize {
+        self.ecube.num_vc_classes() + 1
+    }
+
+    fn candidates(
+        &self,
+        topo: &Topology,
+        state: &MessageRouteState,
+        here: NodeId,
+        out: &mut Vec<Candidate>,
+    ) {
+        for dim in 0..topo.num_dims() {
+            let step = topo.dim_step(here, state.dest(), dim);
+            for sign in [Sign::Plus, Sign::Minus] {
+                if step.allows(sign) {
+                    out.push(Candidate::new(
+                        Direction::new(dim, sign),
+                        self.adaptive_class(),
+                    ));
+                }
+            }
+        }
+        if self.escape {
+            out.extend(self.ecube.next_hop(topo, state, here));
+        }
+    }
+
+    fn injection_class(&self, _: &Topology, _: &MessageRouteState) -> u32 {
+        0
+    }
+}
+
+/// Runs the specimen in the engine under saturating uniform traffic
+/// (16-flit messages, geometric rate 0.2, no congestion limit) for 40k
+/// cycles and returns the network, stopped early if the watchdog fired.
+fn run_duato(topo: &Topology, escape: bool, seed: u64) -> Network {
+    let cfg = NetworkBuilder::new(topo.clone(), AlgorithmKind::Ecube)
+        .arrival(ArrivalProcess::geometric(0.2).unwrap())
+        .message_length(MessageLength::fixed(16).unwrap())
+        .congestion_limit(None)
+        .watchdog_cycles(2_000)
+        .seed(seed)
+        .into_config();
+    let pattern = TrafficConfig::Uniform.build(topo).unwrap();
+    let mut net = Network::with_parts(cfg, Box::new(Duato::new(topo, escape)), pattern).unwrap();
+    net.run(40_000);
+    net
+}
+
+/// The checker's reason to exist: Duato's specimen has a cyclic CDG, yet
+/// the checker proves it free, and the engine agrees. Dropping the escape
+/// flips both verdicts: every configuration survives the fixpoint, and
+/// the engine wedges on a circular wait that runs inside the checker's
+/// survivor channels.
+#[test]
+fn duato_escape_is_free_on_a_cyclic_cdg_and_dropping_it_deadlocks() {
+    for (topo, configs) in [
+        (Topology::torus(&[4, 4]), 2_240),
+        (Topology::torus(&[2, 4, 4]), 26_560),
+        (Topology::mesh(&[4, 4]), 2_464),
+        (Topology::torus(&[3, 3]), 108),
+        (Topology::mesh(&[3, 3]), 336),
+    ] {
+        let label = topo.label();
+        let duato = Duato::new(&topo, true);
+        assert!(
+            !analyze(&topo, &duato).is_acyclic(),
+            "{label}: CDG must be cyclic"
+        );
+        let report = check(&topo, &duato).unwrap();
+        assert_eq!(report.verdict, SafetyVerdict::ProvenFree, "{label}");
+        assert_eq!((report.configs, report.survivors), (configs, 0), "{label}");
+
+        let bare = check(&topo, &Duato::new(&topo, false)).unwrap();
+        assert!(
+            bare.verdict.witness().is_some(),
+            "{label}: no escape, no proof"
+        );
+        assert_eq!(bare.survivors, bare.configs, "{label}: nothing drains");
+    }
+
+    for topo in [Topology::torus(&[4, 4]), Topology::mesh(&[4, 4])] {
+        let label = topo.label();
+        let free = run_duato(&topo, true, 1);
+        assert!(
+            free.deadlock_report().is_none(),
+            "{label}: the escape keeps it moving"
+        );
+        let wedged = run_duato(&topo, false, 1);
+        assert!(
+            wedged.deadlock_report().is_some(),
+            "{label}: without it the watchdog fires"
+        );
+        let verdict = triage(&wedged.wait_for_snapshot("duato"));
+        assert!(verdict.is_confirmed_unsafe(), "{label}: {verdict:?}");
+        let bare = check(&topo, &Duato::new(&topo, false)).unwrap();
+        for channel in &verdict.cycle_channels {
+            assert!(
+                bare.survivor_channels.contains(channel),
+                "{label}: {channel}"
+            );
+        }
+    }
+}
+
 fn arb_small_setup() -> impl Strategy<Value = (Topology, AlgorithmKind)> {
     let topo = prop_oneof![
         Just(Topology::torus(&[4, 4])),
@@ -188,10 +333,10 @@ proptest! {
 
     /// Duato-criterion soundness, healthy networks: an acyclic CDG (with
     /// nothing stranded — vacuous on a full mask) implies the bounded
-    /// checker proves deadlock freedom. The converse is deliberately
-    /// *not* asserted: a cyclic CDG need not deadlock, though no algorithm
-    /// here is such a specimen yet — every one of the paper's six has an
-    /// acyclic CDG on these networks.
+    /// checker proves deadlock freedom. The converse does not hold: the
+    /// `Duato` specimen above has a cyclic CDG and is proven free. Among
+    /// the algorithms drawn here, a cyclic CDG happens always to come with
+    /// a witness (2pn on 2D tori, `naive`).
     #[test]
     fn clean_cdg_implies_proven_free((topo, kind) in arb_small_setup()) {
         let algo = match kind.build(&topo) {
