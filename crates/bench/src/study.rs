@@ -740,9 +740,9 @@ fn cov(counts: &[u64]) -> f64 {
 /// Custom: the per-channel and per-class flit counts are raw engine
 /// counters a [`RunResult`] does not carry, so each point's network
 /// ([`Experiment::build_network`]) is stepped directly with the telemetry
-/// registry counting flits per channel. The points sit at a moderate 30%
-/// load so nothing is saturated: imbalance is then a property of the
-/// algorithm, not of congestion.
+/// registry installed, whose report carries the flits per channel. The
+/// points sit at a moderate 30% load so nothing is saturated: imbalance
+/// is then a property of the algorithm, not of congestion.
 fn balance(options: &SweepOptions) -> Plan {
     let topo = options.topology_or_paper();
     let points = AlgorithmKind::all().map(|kind| uniform(&topo, kind, options).offered_load(0.3));
@@ -761,8 +761,8 @@ fn balance(options: &SweepOptions) -> Plan {
             net.observer().metrics_on();
             net.run(30_000);
             let m = net.metrics();
-            let channels = &net
-                .metrics_registry()
+            let channels = net
+                .metrics_report(kind.name())
                 .expect("just installed")
                 .channel_flits;
             let mut sorted: Vec<u64> = channels.clone();
@@ -774,7 +774,7 @@ fn balance(options: &SweepOptions) -> Plan {
             println!(
                 "{:>7} {:>16.3} {:>16.3} {:>18.2} {:>14.1}",
                 kind.name(),
-                cov(channels),
+                cov(&channels),
                 cov(&m.class_flits),
                 busiest as f64 / median as f64,
                 first / last

@@ -151,14 +151,6 @@ pub struct ExperimentsRun {
     pub interrupted: bool,
     /// Points spliced in from the resume journal rather than re-run.
     pub resumed: usize,
-    /// Whether the resume journal ended in a torn append that
-    /// [`Journal::load`] dropped: the sweep re-ran the lost point, but
-    /// callers inspecting a crash deserve to know the journal was not
-    /// clean.
-    pub recovered_truncation: bool,
-    /// Corrupted journal lines `--salvage` quarantined to the
-    /// `.corrupt.jsonl` sidecar (always 0 without the flag).
-    pub salvaged: usize,
     /// Points the supervisor wrote off as poison: their outcome slots are
     /// `None`, their stories live in the `.quarantine.jsonl` sidecar, and
     /// the sweep completed without them.
@@ -311,9 +303,8 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         }
     }
     let resumed = outcomes.iter().flatten().count();
-    let recovered_truncation = journal.recovered_truncation();
-    if resumed > 0 || recovered_truncation {
-        let torn = if recovered_truncation {
+    if resumed > 0 || journal.recovered_truncation() {
+        let torn = if journal.recovered_truncation() {
             " (recovered from a torn final append; the lost point re-runs)"
         } else {
             ""
@@ -490,8 +481,6 @@ pub fn run_sweep(plan: &SweepPlan, options: &SweepOptions) -> Result<Experiments
         attempts,
         interrupted,
         resumed,
-        recovered_truncation,
-        salvaged: salvaged_lines.len(),
         quarantined,
         supervision,
         journal: journal_path,

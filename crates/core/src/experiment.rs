@@ -9,13 +9,13 @@ use wormsim_engine::{
 };
 use wormsim_faults::FaultPlan;
 use wormsim_observe::{
-    atomic_write, fnv1a_hex, git_describe, heatmap_csv, JsonRecord, JsonlSink, ObserveConfig,
-    PhaseTimings, RunManifest, Stopwatch,
+    atomic_write, fnv1a_hex, git_describe, JsonRecord, JsonlSink, ObserveConfig, PhaseTimings,
+    RunManifest, Stopwatch,
 };
 use wormsim_routing::AlgorithmKind;
 use wormsim_stats::{throughput, ConvergenceController, Histogram, SampleAccumulator};
 use wormsim_topology::Topology;
-use wormsim_traffic::{ArrivalProcess, MessageLength, TrafficConfig};
+use wormsim_traffic::{ArrivalProcess, MessageLength, TrafficConfig, TrafficPattern};
 
 /// Errors from configuring or running an experiment.
 #[derive(Clone, Debug, PartialEq)]
@@ -401,6 +401,13 @@ impl Experiment {
     ///
     /// Returns the same validation errors as [`run`](Self::run).
     pub fn injection_rate(&self) -> Result<f64, ExperimentError> {
+        self.rate_and_pattern().map(|(rate, _)| rate)
+    }
+
+    /// [`injection_rate`](Self::injection_rate) and the traffic pattern
+    /// it was computed from, so a network can be built from that pattern
+    /// instead of a second copy.
+    fn rate_and_pattern(&self) -> Result<(f64, Box<dyn TrafficPattern>), ExperimentError> {
         self.validate()?;
         let SimConfig {
             topology,
@@ -418,7 +425,7 @@ impl Experiment {
         if !(0.0..=1.0).contains(&rate) || rate == 0.0 {
             return Err(ExperimentError::RateOutOfRange { rate });
         }
-        Ok(rate)
+        Ok((rate, pattern))
     }
 
     /// Builds the network this experiment simulates, at cycle 0: the
@@ -434,7 +441,7 @@ impl Experiment {
     /// [`ExperimentError::Engine`] if the routing algorithm or traffic
     /// pattern rejects the topology.
     pub fn build_network(&self) -> Result<Network, ExperimentError> {
-        let rate = self.injection_rate()?;
+        let (rate, pattern) = self.rate_and_pattern()?;
         let mut sim = self.sim.clone();
         sim.arrival = ArrivalProcess::geometric(rate).map_err(EngineError::from)?;
         // Under a fault plan, misrouting must not livelock silently: give
@@ -442,7 +449,11 @@ impl Experiment {
         if sim.faults.is_some() && sim.hop_budget.is_none() {
             sim.hop_budget = Some(4 * sim.topology.diameter() + 64);
         }
-        let mut net = Network::new(sim)?;
+        let algo = sim
+            .algorithm
+            .build(&sim.topology)
+            .map_err(EngineError::from)?;
+        let mut net = Network::with_parts(sim, algo, pattern)?;
         if let Some(token) = &self.cancel {
             net.set_cancel_token(token.clone());
         }
@@ -518,8 +529,9 @@ impl Experiment {
         net.run(self.schedule.warmup_cycles);
         timings.record("warmup", &watch, self.schedule.warmup_cycles);
         net.drain_delivered();
-        let mut total_flit_hops = net.metrics().flit_hops;
-        net.reset_metrics();
+        // The network's counters are cumulative: each sample is the
+        // difference from the snapshot taken when its window opened.
+        let mut window = net.metrics();
 
         let channels = net.num_network_channels();
         let nodes = topology.num_nodes() as u64;
@@ -544,15 +556,13 @@ impl Experiment {
                 histogram.record(msg.latency);
             }
             messages_measured += acc.count();
-            let m = net.metrics();
+            let m = net.metrics().since(&window);
             util_sum += m.channel_utilization(channels);
             delivery_sum += m.delivery_rate(nodes);
             accept_sum += m.acceptance_rate(nodes);
             refused += m.refused;
             offered_count += m.generated + m.refused;
-            total_flit_hops += m.flit_hops;
             controller.push_sample(acc.summarize());
-            net.reset_metrics();
 
             budget_exceeded = self.cycle_budget.is_some_and(|b| net.cycle() >= b)
                 || self
@@ -575,8 +585,7 @@ impl Experiment {
             net.run(self.schedule.gap_cycles);
             timings.record("gap", &watch, self.schedule.gap_cycles);
             net.drain_delivered();
-            total_flit_hops += net.metrics().flit_hops;
-            net.reset_metrics();
+            window = net.metrics();
         }
 
         // Flush the tail of the time series before reading the clocks.
@@ -673,7 +682,6 @@ impl Experiment {
                 net.stop_arrivals();
                 net.run_until_empty(self.schedule.gap_cycles.max(10_000));
                 timings.record("drain", &watch, net.cycle() - before);
-                total_flit_hops += net.metrics().flit_hops;
                 net.sample_now();
             }
             net.flush_observers().map_err(io_err)?;
@@ -690,10 +698,7 @@ impl Experiment {
                     atomic_write(dir.join(format!("{run_id}.waitfor.jsonl")), line)
                         .map_err(io_err)?;
                 }
-                if let Some(registry) = net.metrics_registry() {
-                    let dims: Vec<u64> = topology.dims().iter().map(|&d| u64::from(d)).collect();
-                    let dirs = (topology.num_dims() * 2) as u64;
-                    let mut report = registry.report(run_id, &topology.label(), &dims, dirs);
+                if let Some(mut report) = net.metrics_report(run_id) {
                     // Engine phases from the registry, experiment spans
                     // (warmup/measure/gap/drain) from the run's timings:
                     // one self-contained phase breakdown.
@@ -701,8 +706,11 @@ impl Experiment {
                     report
                         .write_to(dir.join(format!("{run_id}.metrics.json")))
                         .map_err(io_err)?;
-                    let csv = heatmap_csv(&dims, dirs, &registry.channel_flits, registry.cycles);
-                    atomic_write(dir.join(format!("{run_id}.heatmap.csv")), csv).map_err(io_err)?;
+                    atomic_write(
+                        dir.join(format!("{run_id}.heatmap.csv")),
+                        report.heatmap_csv(),
+                    )
+                    .map_err(io_err)?;
                 }
                 let wall = total_watch.elapsed_secs();
                 let manifest = RunManifest {
@@ -729,7 +737,7 @@ impl Experiment {
                         0.0
                     },
                     flits_per_sec: if wall > 0.0 {
-                        total_flit_hops as f64 / wall
+                        net.metrics().flit_hops as f64 / wall
                     } else {
                         0.0
                     },

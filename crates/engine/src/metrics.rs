@@ -15,7 +15,13 @@ pub struct DeliveredMessage {
     pub delivered_at: u64,
 }
 
-/// Aggregate counters, resettable between sampling periods.
+/// Aggregate counters over a window of cycles.
+///
+/// The network's own counters are cumulative: nothing zeroes them.
+/// [`Network::metrics`](crate::Network::metrics) returns the counts since
+/// the last [`reset_metrics`](crate::Network::reset_metrics), and every
+/// other window (a sample, a registry's report) is likewise the
+/// difference of two snapshots, [`since`](Self::since).
 ///
 /// Counter semantics: `generated` counts accepted messages; `refused`
 /// counts messages dropped by congestion control; `delivered` counts
@@ -30,13 +36,15 @@ pub struct Metrics {
     pub refused: u64,
     /// Messages fully delivered.
     pub delivered: u64,
+    /// Sum of the end-to-end latencies of the delivered messages.
+    pub latency_sum: u64,
     /// Flit transfers across network physical channels.
     pub flit_hops: u64,
     /// Flits that left source queues into the network.
     pub flits_injected: u64,
     /// Flits delivered at destinations.
     pub flits_ejected: u64,
-    /// Cycles covered by these counters (since the last reset).
+    /// Cycles covered by these counters.
     pub cycles: u64,
     /// Would-be messages dropped at generation because no live path to the
     /// destination existed under the active fault mask.
@@ -69,40 +77,41 @@ impl Metrics {
         }
     }
 
-    /// Zeroes every counter (buffer/network state is untouched). The
-    /// `class_flits` vector is zeroed in place, so a sweep's per-sample
-    /// resets never reallocate.
-    pub fn reset(&mut self) {
-        let mut class_flits = std::mem::take(&mut self.class_flits);
-        class_flits.fill(0);
-        *self = Metrics {
+    /// The counts gained since `base`, an earlier snapshot of the same
+    /// cumulative counters.
+    pub fn since(&self, base: &Metrics) -> Metrics {
+        // Destructured without `..`, so a new counter cannot be left out.
+        let Metrics {
+            generated,
+            refused,
+            delivered,
+            latency_sum,
+            flit_hops,
+            flits_injected,
+            flits_ejected,
+            cycles,
+            unroutable,
+            messages_aborted,
+            flits_dropped,
+            route_attempts,
+            route_sleeps,
             class_flits,
-            ..Metrics::default()
-        };
-    }
-
-    /// Adds the counts `current` gained since `base` to `self`, field by
-    /// field: how the sampler accumulates one window across resets.
-    pub(crate) fn add_delta(&mut self, current: &Metrics, base: &Metrics) {
-        let delta = |cur: u64, base: u64| cur.saturating_sub(base);
-        self.generated += delta(current.generated, base.generated);
-        self.refused += delta(current.refused, base.refused);
-        self.delivered += delta(current.delivered, base.delivered);
-        self.flit_hops += delta(current.flit_hops, base.flit_hops);
-        self.flits_injected += delta(current.flits_injected, base.flits_injected);
-        self.flits_ejected += delta(current.flits_ejected, base.flits_ejected);
-        self.cycles += delta(current.cycles, base.cycles);
-        self.unroutable += delta(current.unroutable, base.unroutable);
-        self.messages_aborted += delta(current.messages_aborted, base.messages_aborted);
-        self.flits_dropped += delta(current.flits_dropped, base.flits_dropped);
-        self.route_attempts += delta(current.route_attempts, base.route_attempts);
-        self.route_sleeps += delta(current.route_sleeps, base.route_sleeps);
-        for (acc, (&cur, &b)) in self
-            .class_flits
-            .iter_mut()
-            .zip(current.class_flits.iter().zip(&base.class_flits))
-        {
-            *acc += delta(cur, b);
+        } = self;
+        Metrics {
+            generated: generated - base.generated,
+            refused: refused - base.refused,
+            delivered: delivered - base.delivered,
+            latency_sum: latency_sum - base.latency_sum,
+            flit_hops: flit_hops - base.flit_hops,
+            flits_injected: flits_injected - base.flits_injected,
+            flits_ejected: flits_ejected - base.flits_ejected,
+            cycles: cycles - base.cycles,
+            unroutable: unroutable - base.unroutable,
+            messages_aborted: messages_aborted - base.messages_aborted,
+            flits_dropped: flits_dropped - base.flits_dropped,
+            route_attempts: route_attempts - base.route_attempts,
+            route_sleeps: route_sleeps - base.route_sleeps,
+            class_flits: difference(class_flits, &base.class_flits),
         }
     }
 
@@ -138,29 +147,33 @@ impl Metrics {
     }
 }
 
+/// Element-wise `now - base` of two snapshots of one cumulative array.
+pub(crate) fn difference(now: &[u64], base: &[u64]) -> Vec<u64> {
+    now.iter().zip(base).map(|(now, base)| now - base).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn reset_preserves_shapes() {
-        let mut m = Metrics::new(4);
-        m.generated = 10;
-        m.class_flits[2] = 5;
-        m.cycles = 100;
-        m.reset();
-        assert_eq!(m.generated, 0);
-        assert_eq!(m.class_flits, vec![0; 4]);
-        assert_eq!(m.cycles, 0);
-    }
-
-    #[test]
-    fn reset_reuses_allocations() {
-        let mut m = Metrics::new(4);
-        let class_ptr = m.class_flits.as_ptr();
-        m.class_flits[1] = 9;
-        m.reset();
-        assert_eq!(m.class_flits.as_ptr(), class_ptr);
+    fn since_subtracts_every_counter() {
+        let mut base = Metrics::new(2);
+        base.generated = 10;
+        base.latency_sum = 40;
+        base.cycles = 100;
+        base.class_flits = vec![3, 4];
+        let mut now = base.clone();
+        now.generated = 15;
+        now.latency_sum = 100;
+        now.cycles = 250;
+        now.class_flits = vec![5, 4];
+        let window = now.since(&base);
+        assert_eq!(window.generated, 5);
+        assert_eq!(window.latency_sum, 60);
+        assert_eq!(window.cycles, 150);
+        assert_eq!(window.class_flits, vec![2, 0]);
+        assert_eq!(now.since(&now).generated, 0);
     }
 
     #[test]

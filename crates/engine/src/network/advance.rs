@@ -67,10 +67,8 @@ impl Network {
                 latency,
             });
             self.metrics.delivered += 1;
-            if let Some(sampler) = self.obs.sampler.as_mut() {
-                sampler.latency_sum += latency;
-            }
-            if let Some(reg) = self.obs.registry.as_deref_mut() {
+            self.metrics.latency_sum += latency;
+            if let Some(reg) = self.obs.registry.as_deref_mut().map(|s| &mut s.registry) {
                 reg.record_latency(latency);
             }
             // The documented hop class is the *minimal* src–dest distance;
@@ -165,11 +163,9 @@ impl Network {
         self.metrics.flit_hops += 1;
         let class = self.vc_class[mv.vc as usize] as usize;
         self.metrics.class_flits[class] += 1;
-        if let Some(sampler) = self.obs.sampler.as_mut() {
-            sampler.channel_flits[ch] += 1;
-        }
-        if let Some(reg) = self.obs.registry.as_deref_mut() {
-            reg.record_traversal(ch, class);
+        // Empty unless the sampler or the registry reads it.
+        if let Some(flits) = self.obs.channel_flits.get_mut(ch) {
+            *flits += 1;
         }
     }
 

@@ -61,7 +61,7 @@ impl Network {
                     break;
                 }
             }
-            if let Some(reg) = registry.as_deref_mut() {
+            if let Some(reg) = registry.as_deref_mut().map(|s| &mut s.registry) {
                 // Every ungranted requester with a flit ready is a blocked
                 // worm-cycle on this channel.
                 for r in 0..len {

@@ -6,7 +6,7 @@
 use crate::config::{SimConfig, Switching, DEFAULT_WATCHDOG_CYCLES};
 use crate::flit::MessageId;
 use crate::message::MessageSlab;
-use crate::metrics::{DeliveredMessage, Metrics};
+use crate::metrics::{difference, DeliveredMessage, Metrics};
 use crate::observer::{ObserverHandle, Observers, TraceSink};
 use crate::vc::Lanes;
 use crate::{EngineError, TraceEvent};
@@ -14,8 +14,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use wormsim_faults::Reachability;
 use wormsim_observe::{
-    EventSink, MetricsRegistry, Sample, PHASE_ADVANCE, PHASE_ALLOCATE, PHASE_DRAIN, PHASE_INJECT,
-    PHASE_ROUTE,
+    EventSink, MetricsReport, PhaseRecord, Sample, PHASE_ADVANCE, PHASE_ALLOCATE, PHASE_DRAIN,
+    PHASE_INJECT, PHASE_NAMES, PHASE_ROUTE,
 };
 use wormsim_routing::{Candidate, RoutingAlgorithm};
 use wormsim_topology::{ChannelMask, Direction, NodeId, Topology};
@@ -298,7 +298,10 @@ pub struct Network {
     nodes: Vec<NodeState>,
     slab: MessageSlab,
 
+    /// Cumulative counters: nothing zeroes them.
     metrics: Metrics,
+    /// `metrics` at the last [`reset_metrics`](Self::reset_metrics).
+    metrics_base: Metrics,
     delivered: Vec<DeliveredMessage>,
     cycle: u64,
     flits_in_flight: u64,
@@ -439,6 +442,7 @@ impl Network {
             nodes: (0..n).map(|_| NodeState::default()).collect(),
             slab: MessageSlab::default(),
             metrics: Metrics::new(classes),
+            metrics_base: Metrics::new(classes),
             delivered: Vec::new(),
             cycle: 0,
             flits_in_flight: 0,
@@ -550,20 +554,18 @@ impl Network {
         self.pattern.as_ref()
     }
 
-    /// Aggregate counters since the last [`reset_metrics`](Self::reset_metrics).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// Aggregate counters since the last [`reset_metrics`](Self::reset_metrics)
+    /// (since cycle 0 before the first).
+    pub fn metrics(&self) -> Metrics {
+        self.metrics.since(&self.metrics_base)
     }
 
-    /// Zeroes the aggregate counters (network state is untouched). Used at
-    /// sampling-period boundaries. The time-series sampler, if enabled,
-    /// keeps its window deltas intact across the reset.
+    /// Starts a new window for [`metrics`](Self::metrics), as at a
+    /// sampling-period boundary. Nothing is zeroed: the network's counters
+    /// are cumulative and this records where the window begins, so the
+    /// sampler's windows and the registry's report do not see it.
     pub fn reset_metrics(&mut self) {
-        if let Some(sampler) = self.obs.sampler.as_mut() {
-            sampler.carry.add_delta(&self.metrics, &sampler.base);
-            sampler.base.reset();
-        }
-        self.metrics.reset();
+        self.metrics_base.clone_from(&self.metrics);
     }
 
     /// Takes the per-message delivery records accumulated so far.
@@ -659,7 +661,6 @@ impl Network {
         ObserverHandle {
             obs: &mut self.obs,
             metrics: &self.metrics,
-            cycle: self.cycle,
             channels: self.ch_owner.len(),
         }
     }
@@ -683,10 +684,46 @@ impl Network {
         }
     }
 
-    /// The installed deep-telemetry registry, if metrics are enabled via
-    /// [`observer().metrics_on()`](ObserverHandle::metrics_on).
-    pub fn metrics_registry(&self) -> Option<&MetricsRegistry> {
-        self.obs.registry.as_deref()
+    /// The deep-telemetry registry installed by
+    /// [`observer().metrics_on()`](ObserverHandle::metrics_on), rendered
+    /// into a per-run report: its own counters, the flit and cycle counts
+    /// since it was installed, and the topology's shape, so the report
+    /// (and its [heatmap](MetricsReport::heatmap_csv)) is self-contained.
+    /// `None` if metrics are off.
+    pub fn metrics_report(&self, run_id: &str) -> Option<MetricsReport> {
+        let state = self.obs.registry.as_deref()?;
+        let (reg, base) = (&state.registry, &state.base);
+        let counts = self.metrics.since(&base.metrics);
+        let channel_flits = difference(&self.obs.channel_flits, &base.channel_flits);
+        let peak = channel_flits.iter().copied().max().unwrap_or(0);
+        let total: u64 = channel_flits.iter().sum();
+        let cycles = counts.cycles as f64;
+        Some(MetricsReport {
+            run_id: run_id.to_owned(),
+            topology: self.topo.label(),
+            dims: self.topo.dims().iter().map(|&d| u64::from(d)).collect(),
+            dirs: self.dirs as u64,
+            cycles: counts.cycles,
+            mean_channel_utilization: total as f64 / (channel_flits.len() as f64 * cycles),
+            peak_channel_utilization: peak as f64 / cycles,
+            class_flits: counts.class_flits,
+            class_blocked: reg.class_blocked.clone(),
+            class_alloc_fail: reg.class_alloc_fail.clone(),
+            channel_flits,
+            channel_blocked: reg.channel_blocked.clone(),
+            channel_alloc_fail: reg.channel_alloc_fail.clone(),
+            latency: reg.latency.summarize("latency"),
+            // Every engine phase runs every cycle.
+            phases: PHASE_NAMES
+                .iter()
+                .zip(reg.phase_nanos)
+                .map(|(name, nanos)| PhaseRecord {
+                    name: (*name).to_owned(),
+                    wall_seconds: nanos as f64 / 1e9,
+                    cycles: counts.cycles,
+                })
+                .collect(),
+        })
     }
 
     /// Emits the current (possibly partial) sampling window immediately —
@@ -697,7 +734,7 @@ impl Network {
             .obs
             .sampler
             .as_ref()
-            .is_some_and(|s| self.cycle > s.last_cycle)
+            .is_some_and(|s| self.cycle > s.base.metrics.cycles)
         {
             self.emit_sample();
         }
@@ -733,7 +770,8 @@ impl Network {
         result
     }
 
-    /// Builds and emits one sample for the window `(last_cycle, cycle]`.
+    /// Builds and emits one sample for the window that opened at the
+    /// sampler's snapshot and closes now.
     fn emit_sample(&mut self) {
         let Some(sampler) = self.obs.sampler.as_mut() else {
             return;
@@ -744,15 +782,15 @@ impl Network {
             class_occupancy[self.vc_class[ivc % self.vcs] as usize] += u64::from(flits);
         }
         let depths = || self.nodes.iter().map(|node| node.queue.len() as u64);
-        let mut window = sampler.carry.clone();
-        window.add_delta(&self.metrics, &sampler.base);
+        let window = self.metrics.since(&sampler.base.metrics);
+        let channel_flits = difference(&self.obs.channel_flits, &sampler.base.channel_flits);
         let sample = Sample {
             cycle: self.cycle,
-            window_cycles: self.cycle - sampler.last_cycle,
+            window_cycles: window.cycles,
             generated: window.generated,
             refused: window.refused,
             delivered: window.delivered,
-            latency_sum: std::mem::take(&mut sampler.latency_sum),
+            latency_sum: window.latency_sum,
             flit_hops: window.flit_hops,
             flits_injected: window.flits_injected,
             flits_ejected: window.flits_ejected,
@@ -762,15 +800,14 @@ impl Network {
             max_queue_depth: depths().max().unwrap_or(0),
             class_occupancy,
             class_flits: window.class_flits,
-            channel_flits: std::mem::replace(
-                &mut sampler.channel_flits,
-                vec![0; self.ch_owner.len()],
-            ),
+            channel_flits,
         };
         sampler.sink.record(&sample);
-        sampler.last_cycle = self.cycle;
-        sampler.base.clone_from(&self.metrics);
-        sampler.carry.reset();
+        sampler.base.metrics.clone_from(&self.metrics);
+        sampler
+            .base
+            .channel_flits
+            .clone_from(&self.obs.channel_flits);
     }
 
     /// Stops the traffic process: no further arrivals will be scheduled.
@@ -925,12 +962,9 @@ impl Network {
             self.check_livelock();
         }
         self.metrics.cycles += 1;
-        if let Some(reg) = self.obs.registry.as_deref_mut() {
-            reg.cycles += 1;
-        }
         self.cycle += 1;
         if let Some(sampler) = self.obs.sampler.as_ref() {
-            if self.cycle - sampler.last_cycle >= sampler.every {
+            if self.cycle - sampler.base.metrics.cycles >= sampler.every {
                 self.emit_sample();
             }
         }
@@ -943,7 +977,7 @@ impl Network {
     fn prof_lap(&mut self, lap: &mut Option<std::time::Instant>, phase: usize) {
         if let Some(start) = lap {
             let now = std::time::Instant::now();
-            if let Some(reg) = self.obs.registry.as_deref_mut() {
+            if let Some(reg) = self.obs.registry.as_deref_mut().map(|s| &mut s.registry) {
                 reg.phase_nanos[phase] += now.duration_since(*start).as_nanos() as u64;
             }
             *lap = Some(now);

@@ -236,7 +236,7 @@ impl Network {
     /// failed routes.
     #[cold]
     fn record_alloc_failures(&mut self, node: u32) {
-        if let Some(reg) = self.obs.registry.as_deref_mut() {
+        if let Some(reg) = self.obs.registry.as_deref_mut().map(|s| &mut s.registry) {
             for cand in &self.scratch_candidates {
                 let ch = node as usize * self.dirs + cand.direction().index();
                 reg.record_alloc_failure(ch, cand.vc_class() as usize);

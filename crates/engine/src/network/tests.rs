@@ -370,26 +370,27 @@ fn arb_differential() -> impl Strategy<Value = Differential> {
 
 /// Everything a run leaves behind that the sleeping route phase must
 /// not move: the counters (work counters aside), the delivery records
-/// and the registry's per-channel / per-class arrays.
+/// and the registry report's per-channel / per-class arrays.
 fn observable(net: &mut Network) -> (String, Vec<DeliveredMessage>, [Vec<u64>; 6], u64) {
-    let mut metrics = net.metrics().clone();
+    let mut metrics = net.metrics();
     metrics.route_attempts = 0;
     metrics.route_sleeps = 0;
-    let reg = net.metrics_registry().expect("switched on mid-run");
+    let report = net
+        .metrics_report("differential")
+        .expect("switched on mid-run");
     let arrays = [
-        reg.channel_flits.clone(),
-        reg.channel_blocked.clone(),
-        reg.channel_alloc_fail.clone(),
-        reg.class_flits.clone(),
-        reg.class_blocked.clone(),
-        reg.class_alloc_fail.clone(),
+        report.channel_flits,
+        report.channel_blocked,
+        report.channel_alloc_fail,
+        report.class_flits,
+        report.class_blocked,
+        report.class_alloc_fail,
     ];
-    let latencies = reg.latency.count();
     (
         format!("{metrics:?} {:?}", net.deadlock_report()),
         net.drain_delivered(),
         arrays,
-        latencies,
+        report.latency.count,
     )
 }
 

@@ -21,6 +21,15 @@
 //! let samples = net.observer().sample_off().expect("sampler was on");
 //! # let _ = samples;
 //! ```
+//!
+//! The sampler and the registry count nothing the network already counts.
+//! The network's [`Metrics`] are cumulative, and so is the one per-channel
+//! flit count kept here while either instrument is installed. Each
+//! instrument keeps a [`Snapshot`] of both: a sample is the difference
+//! between the snapshot at the start of its window and the counts at its
+//! end, and a registry's report is the difference since it was installed.
+//! [`Network::reset_metrics`](crate::Network::reset_metrics) moves only the
+//! network's own baseline, so it cannot cut a window short.
 
 use crate::metrics::Metrics;
 use crate::trace::TraceEvent;
@@ -47,35 +56,43 @@ pub(crate) enum TraceSink {
     Custom(Box<dyn EventSink<TraceEvent>>),
 }
 
-/// The periodic time-series sampler. Each sample reports counter deltas
-/// over its window; [`Network::reset_metrics`](crate::Network::reset_metrics)
-/// can zero the counters mid-window, so the deltas accumulated before a
-/// reset are folded into `carry` and no flit is lost from the stream.
+/// The cumulative counters at one instant: the start of a sampling
+/// window, or the moment a registry was installed.
+pub(crate) struct Snapshot {
+    pub(crate) metrics: Metrics,
+    pub(crate) channel_flits: Vec<u64>,
+}
+
+/// The periodic time-series sampler. Each sample reports the counts
+/// gained since `base`, the snapshot taken at the start of its window
+/// (cycle `base.metrics.cycles`: the cumulative cycle count is the clock).
 pub(crate) struct SamplerState {
     /// Cycles between samples.
     pub(crate) every: u64,
     /// Destination for emitted [`Sample`] records.
     pub(crate) sink: Box<dyn EventSink<Sample>>,
-    /// Cycle of the last emission (start of the current window).
-    pub(crate) last_cycle: u64,
-    /// Sum of latencies of messages delivered in the current window.
-    pub(crate) latency_sum: u64,
-    /// Flit transfers per channel in the current window.
-    pub(crate) channel_flits: Vec<u64>,
-    /// Deltas folded in across metric resets within the window.
-    pub(crate) carry: Metrics,
-    /// Metrics values at the start of the window (or last reset).
-    pub(crate) base: Metrics,
+    /// The counters at the start of the current window.
+    pub(crate) base: Snapshot,
+}
+
+/// An installed [`MetricsRegistry`] and the counters when it was
+/// installed: its report covers what happened since.
+pub(crate) struct RegistryState {
+    pub(crate) registry: MetricsRegistry,
+    pub(crate) base: Snapshot,
 }
 
 /// One network's observability instruments. The sampler and registry are
-/// boxed so the per-flit "is it on?" checks read two adjacent pointers.
+/// boxed, so an instrument that is off costs a null pointer.
 #[derive(Default)]
 pub(crate) struct Observers {
     pub(crate) sampler: Option<Box<SamplerState>>,
-    /// Deep-telemetry instruments (per-channel/per-class counters, latency
-    /// histogram, phase profiler).
-    pub(crate) registry: Option<Box<MetricsRegistry>>,
+    /// Deep-telemetry instruments (blocked requesters, allocation
+    /// failures, latency histogram, phase profiler).
+    pub(crate) registry: Option<Box<RegistryState>>,
+    /// Flit transfers per channel, cumulative while the sampler or the
+    /// registry is installed; empty (and never counted into) otherwise.
+    pub(crate) channel_flits: Vec<u64>,
     pub(crate) events: TraceSink,
 }
 
@@ -86,6 +103,25 @@ impl Observers {
             TraceSink::Off => {}
             TraceSink::Ring(ring) => ring.record(&event),
             TraceSink::Custom(sink) => sink.record(&event),
+        }
+    }
+
+    /// The counters now, starting the per-channel count (`channels`
+    /// channels) if no instrument has yet.
+    fn snapshot(&mut self, metrics: &Metrics, channels: usize) -> Snapshot {
+        if self.channel_flits.is_empty() {
+            self.channel_flits = vec![0; channels];
+        }
+        Snapshot {
+            metrics: metrics.clone(),
+            channel_flits: self.channel_flits.clone(),
+        }
+    }
+
+    /// Stops the per-channel count once no instrument reads it.
+    fn release_channel_flits(&mut self) {
+        if self.sampler.is_none() && self.registry.is_none() {
+            self.channel_flits = Vec::new();
         }
     }
 }
@@ -100,9 +136,9 @@ impl Observers {
 /// consume it and hand back what they removed.
 pub struct ObserverHandle<'a> {
     pub(crate) obs: &'a mut Observers,
-    /// The network's live counters: a new sampler's first window opens here.
+    /// The network's cumulative counters: a new sampler's first window
+    /// and a new registry's report open here.
     pub(crate) metrics: &'a Metrics,
-    pub(crate) cycle: u64,
     /// Output channels of the network (`nodes × 2n`).
     pub(crate) channels: usize,
 }
@@ -158,17 +194,14 @@ impl ObserverHandle<'_> {
     /// (clamped to at least 1), replacing any previous sampler. Each
     /// sample carries the counter deltas for its window, per-channel flit
     /// counts included, plus an instantaneous snapshot of queue depths and
-    /// VC occupancy; windows survive
-    /// [`reset_metrics`](crate::Network::reset_metrics) unharmed.
+    /// VC occupancy; [`reset_metrics`](crate::Network::reset_metrics)
+    /// does not move a window.
     pub fn sample(self, every: u64, sink: Box<dyn EventSink<Sample>>) -> Self {
+        let base = self.obs.snapshot(self.metrics, self.channels);
         self.obs.sampler = Some(Box::new(SamplerState {
             every: every.max(1),
             sink,
-            last_cycle: self.cycle,
-            latency_sum: 0,
-            channel_flits: vec![0; self.channels],
-            carry: Metrics::new(self.metrics.class_flits.len()),
-            base: self.metrics.clone(),
+            base,
         }));
         self
     }
@@ -176,25 +209,34 @@ impl ObserverHandle<'_> {
     /// Stops sampling, returning the sink (so callers can flush it or
     /// read its drop counter). `None` if sampling was off.
     pub fn sample_off(self) -> Option<Box<dyn EventSink<Sample>>> {
-        self.obs.sampler.take().map(|sampler| sampler.sink)
+        let sampler = self.obs.sampler.take();
+        self.obs.release_channel_flits();
+        sampler.map(|sampler| sampler.sink)
     }
 
     /// Installs a deep-telemetry [`MetricsRegistry`] sized for this
-    /// network: per-channel/per-VC-class counters, a latency histogram,
-    /// and the per-phase cycle profiler. Read it back with
-    /// [`Network::metrics_registry`](crate::Network::metrics_registry), or
+    /// network: per-channel/per-VC-class blocking and allocation-failure
+    /// counters, a latency histogram, and the per-phase cycle profiler.
+    /// Read it with
+    /// [`Network::metrics_report`](crate::Network::metrics_report), or
     /// take it with [`metrics_off`](Self::metrics_off). An already
     /// installed registry (and its counts) is kept.
     pub fn metrics_on(self) -> Self {
-        let classes = self.metrics.class_flits.len();
-        self.obs
-            .registry
-            .get_or_insert_with(|| Box::new(MetricsRegistry::new(self.channels, classes)));
+        if self.obs.registry.is_none() {
+            let classes = self.metrics.class_flits.len();
+            let base = self.obs.snapshot(self.metrics, self.channels);
+            self.obs.registry = Some(Box::new(RegistryState {
+                registry: MetricsRegistry::new(self.channels, classes),
+                base,
+            }));
+        }
         self
     }
 
     /// Uninstalls and returns the registry; `None` if metrics were off.
     pub fn metrics_off(self) -> Option<Box<MetricsRegistry>> {
-        self.obs.registry.take()
+        let state = self.obs.registry.take();
+        self.obs.release_channel_flits();
+        state.map(|state| Box::new(state.registry))
     }
 }

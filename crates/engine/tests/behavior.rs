@@ -344,7 +344,7 @@ fn channel_load_tracking() {
     let topo = net.topology().clone();
     net.inject(topo.node_at(&[0, 0]), topo.node_at(&[2, 0]), 4);
     assert!(net.run_until_empty(100));
-    let loads = &net.metrics_registry().unwrap().channel_flits;
+    let loads = net.metrics_report("loads").unwrap().channel_flits;
     let total: u64 = loads.iter().sum();
     assert_eq!(total, net.metrics().flit_hops);
     assert_eq!(total, 8, "4 flits x 2 hops");

@@ -219,28 +219,34 @@ fn metrics_registry_counts_cohere_with_engine_counters() {
     let mut net = busy_net(9);
     net.observer().metrics_on();
     net.run(2_000);
-    let registry = net.metrics_registry().expect("registry installed");
-    assert_eq!(registry.cycles, 2_000);
-    // Channel/class traversal counters agree with the engine's own
-    // flit-hop metric, split two ways over the same events.
-    let channel_total: u64 = registry.channel_flits.iter().sum();
-    let class_total: u64 = registry.class_flits.iter().sum();
+    let report = net.metrics_report("cohere").expect("registry installed");
+    assert_eq!(report.cycles, 2_000);
+    // The report's channel/class traversal counts agree with the engine's
+    // own flit-hop metric, split two ways over the same events.
+    let channel_total: u64 = report.channel_flits.iter().sum();
+    let class_total: u64 = report.class_flits.iter().sum();
     assert_eq!(channel_total, net.metrics().flit_hops);
     assert_eq!(class_total, net.metrics().flit_hops);
-    assert_eq!(registry.latency.count(), net.metrics().delivered);
-    assert!(registry.latency.max() >= 1, "latency is at least one cycle");
+    assert_eq!(report.latency.count, net.metrics().delivered);
+    assert!(report.latency.max >= 1, "latency is at least one cycle");
     // The phase profiler charged time to every engine phase.
-    assert!(registry.phase_nanos.iter().all(|&n| n > 0));
+    assert_eq!(report.phases.len(), 5);
+    assert!(report.phases.iter().all(|p| p.wall_seconds > 0.0));
     // A loaded adaptive network sees *some* contention.
-    let blocked: u64 = registry.channel_blocked.iter().sum();
+    let blocked: u64 = report.channel_blocked.iter().sum();
     assert!(blocked > 0, "no switch-allocation contention in 2k cycles?");
 
     // metrics_off hands the registry back; a fresh metrics_on starts over.
     let taken = net.observer().metrics_off().expect("was installed");
-    assert_eq!(taken.cycles, 2_000);
-    assert!(net.metrics_registry().is_none());
+    assert_eq!(taken.latency.count(), report.latency.count);
+    assert!(taken.phase_nanos.iter().all(|&n| n > 0));
+    assert!(net.metrics_report("off").is_none());
     net.observer().metrics_on();
-    assert_eq!(net.metrics_registry().unwrap().cycles, 0);
+    let fresh = net.metrics_report("fresh").unwrap();
+    assert_eq!(fresh.cycles, 0);
+    assert_eq!(fresh.channel_flits.iter().sum::<u64>(), 0);
+    net.run(100);
+    assert_eq!(net.metrics_report("fresh").unwrap().cycles, 100);
 }
 
 #[test]

@@ -5,15 +5,14 @@
 //! blind. It provides four pieces, each usable on its own:
 //!
 //! * **Event sinks** ([`EventSink`]): a pluggable destination for
-//!   per-event records. [`NullSink`] discards, [`RingSink`] keeps the last
-//!   N events with a `dropped_events` counter (bounding the old
-//!   grow-forever trace buffer), and [`JsonlSink`] streams records as
-//!   line-delimited JSON. The engine dispatches trace events and samples
-//!   through this trait at a cost of one branch per event site when
-//!   disabled.
+//!   per-event records. [`RingSink`] keeps the last N events with a
+//!   `dropped_events` counter (bounding the old grow-forever trace
+//!   buffer), and [`JsonlSink`] streams records as line-delimited JSON.
+//!   The engine dispatches trace events and samples through this trait at
+//!   a cost of one branch per event site when disabled.
 //! * **Time-series samples** ([`Sample`]): a typed snapshot of what the
 //!   network is doing over a window of cycles — queue depths, per-VC-class
-//!   occupancy, per-channel flit load, and the resettable counter deltas.
+//!   occupancy, per-channel flit load, and the counter deltas.
 //!   A stream of samples is the data behind a channel-load heatmap or a
 //!   latency-vs-time convergence plot.
 //! * **Phase timing** ([`PhaseTimings`], [`Stopwatch`]): lightweight
@@ -83,10 +82,9 @@ pub use codec::{Json, JsonObject, JsonRecord};
 pub use config::ObserveConfig;
 pub use manifest::{fnv1a_hex, git_describe, PhaseRecord, RunManifest};
 pub use metrics::{
-    heatmap_csv, HistogramRecord, MetricsRegistry, MetricsReport, Pow2Histogram, WaitForEdge,
-    WaitForSnapshot, WaitKind, PHASE_ADVANCE, PHASE_ALLOCATE, PHASE_DRAIN, PHASE_INJECT,
-    PHASE_NAMES, PHASE_ROUTE,
+    HistogramRecord, MetricsRegistry, MetricsReport, Pow2Histogram, WaitForEdge, WaitForSnapshot,
+    WaitKind, PHASE_ADVANCE, PHASE_ALLOCATE, PHASE_DRAIN, PHASE_INJECT, PHASE_NAMES, PHASE_ROUTE,
 };
 pub use sample::Sample;
-pub use sink::{EventSink, JsonlSink, NullSink, RingSink};
+pub use sink::{EventSink, JsonlSink, RingSink};
 pub use span::{PhaseTimings, Stopwatch};

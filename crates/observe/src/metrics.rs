@@ -4,9 +4,10 @@
 //! The engine owns one optional [`MetricsRegistry`] and feeds it from the
 //! hot path through `#[inline]` increments — plain array writes, no
 //! allocation, no branching beyond the single `Option` check the
-//! observability contract allows. At the end of a run the registry renders
-//! into a [`MetricsReport`] (`<run_id>.metrics.json`) and a node-grid
-//! channel-utilization heatmap CSV ([`heatmap_csv`]).
+//! observability contract allows. The registry holds only what the engine
+//! does not count itself; at the end of a run the engine renders both into
+//! a [`MetricsReport`] (`<run_id>.metrics.json`) and a node-grid
+//! channel-utilization heatmap CSV ([`MetricsReport::heatmap_csv`]).
 //!
 //! When a watchdog fires, the engine captures a [`WaitForSnapshot`]: the
 //! worm→channel wait-for graph at the stalled cycle, with
@@ -102,11 +103,6 @@ impl Pow2Histogram {
         self.max
     }
 
-    /// Mean of recorded values; NaN when empty.
-    pub fn mean(&self) -> f64 {
-        self.sum as f64 / self.count as f64
-    }
-
     /// The value at quantile `q` (0.0–1.0): the upper bound of the bucket
     /// holding the rank-`ceil(q·count)` value, clamped to the observed
     /// maximum. Returns 0 for an empty histogram.
@@ -172,13 +168,6 @@ pub struct HistogramRecord {
     pub buckets: Vec<(u8, u64)>,
 }
 
-impl HistogramRecord {
-    /// Mean of recorded values; NaN when empty.
-    pub fn mean(&self) -> f64 {
-        self.sum as f64 / self.count as f64
-    }
-}
-
 crate::json_record!(HistogramRecord as "histogram" {
     name,
     count,
@@ -194,21 +183,18 @@ crate::json_record!(HistogramRecord as "histogram" {
 ///
 /// Structure-of-arrays counters indexed by physical channel and by
 /// VC class, a latency histogram fed at ejection, and accumulated
-/// nanoseconds per engine phase (see [`PHASE_NAMES`]). The engine holds
-/// this behind an `Option` so the disabled path stays one branch per
-/// event site.
+/// nanoseconds per engine phase (see [`PHASE_NAMES`]). Flit and cycle
+/// counts are not here: the engine counts those once, for every
+/// observer. The engine holds this behind an `Option` so the disabled
+/// path stays one branch per event site.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    /// Flit traversals per physical channel.
-    pub channel_flits: Vec<u64>,
     /// Requester-cycles a channel's winners left blocked (a routed head
     /// requested the channel but was not granted this cycle).
     pub channel_blocked: Vec<u64>,
     /// VC-allocation failures charged to each candidate channel (a head
     /// had routing candidates but every admissible VC was taken).
     pub channel_alloc_fail: Vec<u64>,
-    /// Flit traversals per VC class.
-    pub class_flits: Vec<u64>,
     /// Blocked requester-cycles per VC class.
     pub class_blocked: Vec<u64>,
     /// VC-allocation failures per VC class.
@@ -218,8 +204,6 @@ pub struct MetricsRegistry {
     /// Accumulated wall-clock nanoseconds per engine phase, indexed by the
     /// `PHASE_*` consts.
     pub phase_nanos: [u64; 5],
-    /// Cycles the registry has observed.
-    pub cycles: u64,
 }
 
 impl MetricsRegistry {
@@ -227,23 +211,13 @@ impl MetricsRegistry {
     /// `num_classes` VC classes.
     pub fn new(num_channels: usize, num_classes: usize) -> Self {
         MetricsRegistry {
-            channel_flits: vec![0; num_channels],
             channel_blocked: vec![0; num_channels],
             channel_alloc_fail: vec![0; num_channels],
-            class_flits: vec![0; num_classes],
             class_blocked: vec![0; num_classes],
             class_alloc_fail: vec![0; num_classes],
             latency: Pow2Histogram::new(),
             phase_nanos: [0; 5],
-            cycles: 0,
         }
-    }
-
-    /// One flit crossed `channel` on VC class `class`.
-    #[inline]
-    pub fn record_traversal(&mut self, channel: usize, class: usize) {
-        self.channel_flits[channel] += 1;
-        self.class_flits[class] += 1;
     }
 
     /// A routed head requested `channel` (VC class `class`) this cycle and
@@ -267,51 +241,11 @@ impl MetricsRegistry {
     pub fn record_latency(&mut self, latency: u64) {
         self.latency.record(latency);
     }
-
-    /// The profiled engine phases as [`PhaseRecord`]s (cycles attributed
-    /// in full to each phase — they all run every cycle).
-    pub fn phase_records(&self) -> Vec<PhaseRecord> {
-        PHASE_NAMES
-            .iter()
-            .zip(self.phase_nanos.iter())
-            .map(|(name, &nanos)| PhaseRecord {
-                name: (*name).to_owned(),
-                wall_seconds: nanos as f64 / 1e9,
-                cycles: self.cycles,
-            })
-            .collect()
-    }
-
-    /// Renders the registry into the serializable per-run report.
-    /// `dims`/`dirs` describe the node grid so the report (and the heatmap
-    /// derived from it) is self-contained.
-    pub fn report(&self, run_id: &str, topology: &str, dims: &[u64], dirs: u64) -> MetricsReport {
-        let peak = self.channel_flits.iter().copied().max().unwrap_or(0);
-        let denom = self.cycles as f64;
-        let total: u64 = self.channel_flits.iter().sum();
-        let channels = self.channel_flits.len() as f64;
-        MetricsReport {
-            run_id: run_id.to_owned(),
-            topology: topology.to_owned(),
-            dims: dims.to_vec(),
-            dirs,
-            cycles: self.cycles,
-            mean_channel_utilization: total as f64 / (channels * denom),
-            peak_channel_utilization: peak as f64 / denom,
-            class_flits: self.class_flits.clone(),
-            class_blocked: self.class_blocked.clone(),
-            class_alloc_fail: self.class_alloc_fail.clone(),
-            channel_flits: self.channel_flits.clone(),
-            channel_blocked: self.channel_blocked.clone(),
-            channel_alloc_fail: self.channel_alloc_fail.clone(),
-            latency: self.latency.summarize("latency"),
-            phases: self.phase_records(),
-        }
-    }
 }
 
 /// The per-run metrics summary written as `<run_id>.metrics.json`
-/// (`{"type":"metrics"}`): everything the registry counted, plus enough
+/// (`{"type":"metrics"}`): everything the registry counted and the
+/// engine's flit and cycle counts since it was installed, plus enough
 /// topology shape (`dims`, `dirs`) for downstream tools to map channel
 /// indices back onto the node grid without the original config.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -373,6 +307,44 @@ impl MetricsReport {
         text.push('\n');
         crate::atomic_write(path, text)
     }
+
+    /// Renders the per-channel flit counts into a node-grid utilization
+    /// CSV (`<run_id>.heatmap.csv`).
+    ///
+    /// Each cell is a node's mean outgoing-channel utilization,
+    /// `sum(channel_flits[node*dirs ..][..dirs]) / (dirs × cycles)`. For 2D
+    /// grids the CSV is the grid itself — one row per dimension-1 coordinate
+    /// (north/south axis), one column per dimension-0 coordinate, node
+    /// `(x, y)` at row `y`, column `x`. Other dimensionalities fall back to a
+    /// `node,utilization` long format with a header row.
+    pub fn heatmap_csv(&self) -> String {
+        use std::fmt::Write as _;
+        let (dirs, cycles) = (self.dirs, self.cycles);
+        let nodes = self.channel_flits.len() as u64 / dirs.max(1);
+        let util = |node: u64| -> f64 {
+            let base = (node * dirs) as usize;
+            let sum: u64 = self.channel_flits[base..base + dirs as usize].iter().sum();
+            sum as f64 / (dirs.max(1) * cycles.max(1)) as f64
+        };
+        let mut out = String::new();
+        if let [w, h] = self.dims[..] {
+            for y in 0..h {
+                for x in 0..w {
+                    if x > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{:.6}", util(y * w + x));
+                }
+                out.push('\n');
+            }
+        } else {
+            out.push_str("node,utilization\n");
+            for node in 0..nodes {
+                let _ = writeln!(out, "{node},{:.6}", util(node));
+            }
+        }
+        out
+    }
 }
 
 // The two utilizations are NaN/inf when no cycles ran; like every float
@@ -394,21 +366,6 @@ crate::json_record!(MetricsReport as "metrics" {
     latency,
     phases,
 });
-
-impl PartialEq for MetricsRegistry {
-    fn eq(&self, other: &Self) -> bool {
-        // phase_nanos is wall-clock noise; equality means "counted the
-        // same simulation", which is what the determinism tests compare.
-        self.channel_flits == other.channel_flits
-            && self.channel_blocked == other.channel_blocked
-            && self.channel_alloc_fail == other.channel_alloc_fail
-            && self.class_flits == other.class_flits
-            && self.class_blocked == other.class_blocked
-            && self.class_alloc_fail == other.class_alloc_fail
-            && self.latency == other.latency
-            && self.cycles == other.cycles
-    }
-}
 
 /// Why a waiting worm cannot advance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -559,42 +516,6 @@ crate::json_record!(WaitForSnapshot as "wait_for" {
     edges,
 });
 
-/// Renders per-channel flit counts into a node-grid utilization CSV.
-///
-/// Each cell is a node's mean outgoing-channel utilization,
-/// `sum(channel_flits[node*dirs ..][..dirs]) / (dirs × cycles)`. For 2D
-/// grids the CSV is the grid itself — one row per dimension-1 coordinate
-/// (north/south axis), one column per dimension-0 coordinate, node
-/// `(x, y)` at row `y`, column `x`. Other dimensionalities fall back to a
-/// `node,utilization` long format with a header row.
-pub fn heatmap_csv(dims: &[u64], dirs: u64, channel_flits: &[u64], cycles: u64) -> String {
-    use std::fmt::Write as _;
-    let nodes = channel_flits.len() as u64 / dirs.max(1);
-    let util = |node: u64| -> f64 {
-        let base = (node * dirs) as usize;
-        let sum: u64 = channel_flits[base..base + dirs as usize].iter().sum();
-        sum as f64 / (dirs.max(1) * cycles.max(1)) as f64
-    };
-    let mut out = String::new();
-    if let [w, h] = dims {
-        for y in 0..*h {
-            for x in 0..*w {
-                if x > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{:.6}", util(y * w + x));
-            }
-            out.push('\n');
-        }
-    } else {
-        out.push_str("node,utilization\n");
-        for node in 0..nodes {
-            let _ = writeln!(out, "{node},{:.6}", util(node));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,7 +542,6 @@ mod tests {
         // The top quantiles clamp to the observed maximum.
         assert_eq!(h.quantile(0.99), 1000);
         assert_eq!(h.quantile(1.0), 1000);
-        assert!((h.mean() - 125.0).abs() < 1e-12);
     }
 
     #[test]
@@ -639,34 +559,49 @@ mod tests {
     }
 
     #[test]
-    fn registry_counts_and_reports() {
+    fn registry_counts() {
         let mut reg = MetricsRegistry::new(8, 2);
-        reg.record_traversal(3, 1);
-        reg.record_traversal(3, 1);
         reg.record_blocked(2, 0);
         reg.record_alloc_failure(7, 1);
         reg.record_latency(40);
-        reg.cycles = 100;
-        reg.phase_nanos[PHASE_ROUTE] = 2_000_000_000;
-        let report = reg.report("run-1", "torus:4x2", &[4, 2], 4);
-        assert_eq!(report.channel_flits[3], 2);
-        assert_eq!(report.class_flits, vec![0, 2]);
-        assert_eq!(report.class_blocked, vec![1, 0]);
-        assert_eq!(report.channel_alloc_fail[7], 1);
-        assert_eq!(report.latency.count, 1);
-        assert!((report.peak_channel_utilization - 0.02).abs() < 1e-12);
-        let route = report.phases.iter().find(|p| p.name == "route").unwrap();
-        assert!((route.wall_seconds - 2.0).abs() < 1e-12);
-        assert_eq!(route.cycles, 100);
+        assert_eq!(reg.class_blocked, vec![1, 0]);
+        assert_eq!(reg.channel_blocked[2], 1);
+        assert_eq!(reg.class_alloc_fail, vec![0, 1]);
+        assert_eq!(reg.channel_alloc_fail[7], 1);
+        assert_eq!(reg.latency.count(), 1);
+    }
+
+    /// A report over four channels of `cycles` cycles, one flit on channel 0.
+    fn report(cycles: u64) -> MetricsReport {
+        let denom = cycles as f64;
+        MetricsReport {
+            run_id: "r".to_owned(),
+            topology: "torus:2x2".to_owned(),
+            dims: vec![2, 2],
+            dirs: 1,
+            cycles,
+            mean_channel_utilization: 1.0 / (4.0 * denom),
+            peak_channel_utilization: 1.0 / denom,
+            class_flits: vec![1, 0],
+            class_blocked: vec![0, 0],
+            class_alloc_fail: vec![0, 0],
+            channel_flits: vec![1, 0, 0, 0],
+            channel_blocked: vec![0; 4],
+            channel_alloc_fail: vec![0; 4],
+            latency: Pow2Histogram::new().summarize("latency"),
+            phases: vec![PhaseRecord {
+                name: "route".to_owned(),
+                wall_seconds: 2.0,
+                cycles,
+            }],
+        }
     }
 
     #[test]
     fn metrics_report_round_trips_including_non_finite() {
-        let mut reg = MetricsRegistry::new(4, 2);
-        reg.record_traversal(0, 0);
-        // cycles stays 0: utilization divides by zero, producing inf/NaN,
+        // No cycles ran: utilization divides by zero, producing inf/NaN,
         // which must still round-trip bit-exactly.
-        let report = reg.report("r", "torus:2x2", &[2, 2], 1);
+        let report = report(0);
         assert!(report.peak_channel_utilization.is_infinite());
         assert!(report.mean_channel_utilization.is_infinite());
         let parsed = crate::json::from_str(&report.to_json()).unwrap();
@@ -691,10 +626,7 @@ mod tests {
         let dir = std::env::temp_dir().join("wormsim-observe-metrics-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.metrics.json");
-        let mut reg = MetricsRegistry::new(4, 2);
-        reg.cycles = 10;
-        reg.record_traversal(1, 0);
-        let report = reg.report("r", "torus:2x2", &[2, 2], 1);
+        let report = report(10);
         report.write_to(&path).unwrap();
         assert_eq!(MetricsReport::read_from(&path).unwrap(), report);
         let _ = std::fs::remove_file(&path);
@@ -792,15 +724,24 @@ mod tests {
 
     #[test]
     fn heatmap_renders_2d_grid_and_long_fallback() {
+        let heatmap = |dims: &[u64], dirs, channel_flits: &[u64], cycles| {
+            MetricsReport {
+                dims: dims.to_vec(),
+                dirs,
+                channel_flits: channel_flits.to_vec(),
+                cycles,
+                ..MetricsReport::default()
+            }
+            .heatmap_csv()
+        };
         // 3x2 grid, 1 dir per node: node = x + y*3.
-        let flits = vec![0, 10, 20, 30, 40, 50];
-        let csv = heatmap_csv(&[3, 2], 1, &flits, 10);
+        let csv = heatmap(&[3, 2], 1, &[0, 10, 20, 30, 40, 50], 10);
         let rows: Vec<&str> = csv.lines().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], "0.000000,1.000000,2.000000");
         assert_eq!(rows[1], "3.000000,4.000000,5.000000");
         // 1D falls back to the long format.
-        let csv = heatmap_csv(&[4], 2, &[2, 0, 4, 0, 0, 0, 8, 0], 2);
+        let csv = heatmap(&[4], 2, &[2, 0, 4, 0, 0, 0, 8, 0], 2);
         let rows: Vec<&str> = csv.lines().collect();
         assert_eq!(rows[0], "node,utilization");
         assert_eq!(rows[1], "0,0.500000");

@@ -31,15 +31,6 @@ pub trait EventSink<E>: Send {
     }
 }
 
-/// Discards everything. The explicit spelling of "observability off" for
-/// call sites that require a sink value.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl<E> EventSink<E> for NullSink {
-    fn record(&mut self, _event: &E) {}
-}
-
 /// A bounded in-memory sink keeping the most recent `capacity` events.
 ///
 /// This replaces the old grow-forever trace buffer: when full, the oldest
@@ -180,13 +171,6 @@ impl<E: JsonRecord, W: Write + Send> EventSink<E> for JsonlSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_discards() {
-        let mut sink = NullSink;
-        EventSink::record(&mut sink, &123u64);
-        assert_eq!(EventSink::<u64>::dropped_events(&sink), 0);
-    }
 
     #[test]
     fn ring_bounds_and_counts_drops() {

@@ -124,10 +124,12 @@ fn fig3_metrics_match_golden_with_metrics_enabled() {
         let mut net = fig3_network(algorithm);
         net.observer().metrics_on();
         net.run(3_000);
-        let registry = net.metrics_registry().expect("registry installed");
-        assert_eq!(registry.cycles, 3_000, "registry saw every cycle");
+        let report = net
+            .metrics_report(algorithm.name())
+            .expect("registry installed");
+        assert_eq!(report.cycles, 3_000, "registry saw every cycle");
         assert_eq!(
-            registry.latency.count(),
+            report.latency.count,
             net.metrics().delivered,
             "one latency observation per delivered message"
         );
@@ -326,6 +328,80 @@ fn sample_streams_match_golden() {
     snapshot.push_str(&std::fs::read_to_string(&stream).expect("sample stream written"));
     let _ = std::fs::remove_dir_all(&dir);
     assert_matches_golden("samples_seed1993.jsonl", &snapshot);
+}
+
+/// `json` with every `"wall_seconds":<value>,` field removed: phase
+/// timings are the one wall-clock part of a metrics report.
+fn strip_wall_seconds(json: &str) -> String {
+    let mut out = String::new();
+    let mut rest = json;
+    while let Some(at) = rest.find("\"wall_seconds\":") {
+        out.push_str(&rest[..at]);
+        let field = &rest[at..];
+        let comma = field.find(',').expect("cycles follows wall_seconds");
+        rest = &field[comma + 1..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The observed artifacts of one quick point with the registry on, and
+/// the report of a registry switched on after warm-up (as `perf` does):
+/// the registry's flit, channel and cycle counts cover exactly the cycles
+/// since it was installed. Both goldens were written by the code in which
+/// the sampler and the registry counted flits and cycles themselves, on
+/// top of counters zeroed at every period boundary; they are compared,
+/// never regenerated.
+#[test]
+fn observed_artifacts_match_golden() {
+    let point = || {
+        uniform(
+            &Topology::torus(&[8, 8]),
+            AlgorithmKind::NegativeHopBonusCards,
+            0.4,
+        )
+    };
+    let dir = std::env::temp_dir().join(format!("wormsim-observed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    point()
+        .quick()
+        .observe(ObserveConfig {
+            out_dir: Some(dir.clone()),
+            trace_dir: None,
+            sample_every: 500,
+            prefix: "golden".to_owned(),
+            metrics: true,
+        })
+        .run()
+        .expect("observed quick point runs");
+    let read = |ext: &str| {
+        std::fs::read_to_string(dir.join(format!("golden-nbc-uniform-l0.40-s1993.{ext}")))
+            .expect("artifact written")
+    };
+    let heatmap = read("heatmap.csv");
+    let mut metrics = strip_wall_seconds(&read("metrics.json"));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut net = point().build_network().expect("network builds");
+    net.run(1_000);
+    net.drain_delivered();
+    net.reset_metrics();
+    net.observer().metrics_on();
+    net.run(2_000);
+    let report = net
+        .metrics_report("after-warmup")
+        .expect("registry installed");
+    metrics.push_str(&strip_wall_seconds(&report.to_json()));
+    metrics.push('\n');
+
+    let golden = |name: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name);
+        std::fs::read_to_string(path).expect("golden present")
+    };
+    assert_eq!(heatmap, golden("observed_heatmap_seed1993.csv"));
+    assert_eq!(metrics, golden("observed_metrics_seed1993.jsonl"));
 }
 
 /// The same experiment run twice in-process gives identical results — the
