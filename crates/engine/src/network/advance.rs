@@ -54,15 +54,15 @@ impl Network {
         self.metrics.flits_ejected += 1;
         self.flits_in_flight -= 1;
         self.obs.trace(TraceEvent::FlitDelivered {
-            cycle: self.cycle,
+            cycle: self.metrics.cycles,
             msg: flit.msg,
             kind: flit.kind,
         });
         if flit.kind.is_tail() {
             let rec = self.slab.remove(flit.msg);
-            let latency = self.cycle - rec.generated;
+            let latency = self.metrics.cycles - rec.generated;
             self.obs.trace(TraceEvent::Delivered {
-                cycle: self.cycle,
+                cycle: self.metrics.cycles,
                 msg: flit.msg,
                 latency,
             });
@@ -81,7 +81,7 @@ impl Network {
                 latency,
                 source_wait: rec.injected.unwrap_or(rec.generated) - rec.generated,
                 length: rec.length,
-                delivered_at: self.cycle,
+                delivered_at: self.metrics.cycles,
             });
             self.after_tail_pop(ivc, node);
         }
@@ -112,10 +112,10 @@ impl Network {
             rec.route
                 .advance(&self.topo, NodeId::new(node), Candidate::new(dir, class));
             if from_injection {
-                rec.injected = Some(self.cycle);
+                rec.injected = Some(self.metrics.cycles);
             }
             self.obs.trace(TraceEvent::HopTaken {
-                cycle: self.cycle,
+                cycle: self.metrics.cycles,
                 msg: flit.msg,
                 from: NodeId::new(node),
                 direction: dir,
@@ -158,7 +158,7 @@ impl Network {
         // Channel bookkeeping.
         if flit.kind.is_tail() {
             self.out_owner[ovc] = None;
-            self.ch_freed_at[ch] = self.cycle;
+            self.ch_freed_at[ch] = self.metrics.cycles;
         }
         self.metrics.flit_hops += 1;
         let class = self.vc_class[mv.vc as usize] as usize;

@@ -72,7 +72,7 @@ impl Network {
             let due = self.faults.as_ref().is_some_and(|fs| {
                 fs.transitions
                     .get(fs.next_transition)
-                    .is_some_and(|&c| c <= self.cycle)
+                    .is_some_and(|&c| c <= self.metrics.cycles)
             });
             if !due {
                 return;
@@ -84,7 +84,7 @@ impl Network {
                 .expect("fault state implies a plan");
             let fs = self.faults.as_mut().expect("checked above");
             fs.next_transition += 1;
-            fs.mask = plan.mask_at(&self.topo, self.cycle);
+            fs.mask = plan.mask_at(&self.topo, self.metrics.cycles);
             fs.reach = Reachability::compute(&self.topo, &fs.mask);
             self.fault_sweep();
         }
@@ -311,7 +311,7 @@ impl Network {
                 continue;
             }
             let hops = rec.route.hops_taken();
-            let age = self.cycle - rec.generated;
+            let age = self.metrics.cycles - rec.generated;
             if self.cfg.hop_budget.is_some_and(|b| hops > b)
                 || self.cfg.age_budget.is_some_and(|b| age > b)
             {
@@ -322,7 +322,7 @@ impl Network {
         }
         if over > 0 {
             self.livelock = Some(LivelockReport {
-                detected_at: self.cycle,
+                detected_at: self.metrics.cycles,
                 messages_over_budget: over,
                 max_hops,
                 max_age,
@@ -347,7 +347,7 @@ impl Network {
     /// Read-only and cold: meant to run once, after the watchdog fires.
     pub fn wait_for_snapshot(&self, reason: &str) -> WaitForSnapshot {
         let mut snap = WaitForSnapshot {
-            cycle: self.cycle,
+            cycle: self.metrics.cycles,
             reason: reason.to_owned(),
             live_messages: self.slab.live() as u64,
             flits_in_flight: self.flits_in_flight,

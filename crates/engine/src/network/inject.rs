@@ -22,14 +22,15 @@ impl Network {
         // Arrival gaps are ≥ 1, so every entry still queued is due at the
         // current cycle or later; equal-cycle entries pop in ascending node
         // order, matching the scan this replaces.
+        let now = self.metrics.cycles;
         while let Some(&Reverse((when, node))) = self.arrival_heap.peek() {
-            debug_assert!(when >= self.cycle, "arrivals are drained every cycle");
-            if when != self.cycle {
+            debug_assert!(when >= now, "arrivals are drained every cycle");
+            if when != now {
                 break;
             }
             self.arrival_heap.pop();
             if let Some(gap) = self.cfg.arrival.next_gap(&mut self.arrivals_rng) {
-                self.arrival_heap.push(Reverse((self.cycle + gap, node)));
+                self.arrival_heap.push(Reverse((now + gap, node)));
             }
             let src = NodeId::new(node);
             let dest = self.pattern.sample_dest(src, &mut self.dest_rng);
@@ -44,35 +45,46 @@ impl Network {
                     continue;
                 }
             }
+            let (route, class) = self.route_message(src, dest);
             // Congestion control: refuse if the class is at its limit.
             if let Some(limit) = self.cfg.congestion_limit {
-                let mut route = MessageRouteState::new(src, dest);
-                self.algo.init_message(&self.topo, &mut route);
-                let class = self.algo.injection_class(&self.topo, &route);
                 let counts = &self.nodes[node as usize].class_counts;
                 let count = counts.get(class as usize).copied().unwrap_or(0);
                 if count >= limit {
                     self.metrics.refused += 1;
                     self.obs.trace(TraceEvent::Refused {
-                        cycle: self.cycle,
+                        cycle: now,
                         src,
                         class,
                     });
                     continue;
                 }
             }
-            self.admit(src, dest, length);
+            self.admit(route, class, length);
         }
     }
 
-    pub(super) fn admit(&mut self, src: NodeId, dest: NodeId, length: u32) -> MessageId {
+    /// A new message's initial route state and its injection class.
+    pub(super) fn route_message(&self, src: NodeId, dest: NodeId) -> (MessageRouteState, u32) {
         let mut route = MessageRouteState::new(src, dest);
         self.algo.init_message(&self.topo, &mut route);
-        let injection_class = self.algo.injection_class(&self.topo, &route);
+        let class = self.algo.injection_class(&self.topo, &route);
+        (route, class)
+    }
+
+    /// Queues a message at its source, counting it against the source's
+    /// `injection_class`.
+    pub(super) fn admit(
+        &mut self,
+        route: MessageRouteState,
+        injection_class: u32,
+        length: u32,
+    ) -> MessageId {
+        let (src, dest) = (route.src(), route.dest());
         let id = self.slab.insert(MessageRec {
             route,
             length,
-            generated: self.cycle,
+            generated: self.metrics.cycles,
             injected: None,
             injection_class,
             src,
@@ -86,7 +98,7 @@ impl Network {
         self.metrics.generated += 1;
         self.flits_in_flight += length as u64;
         self.obs.trace(TraceEvent::Generated {
-            cycle: self.cycle,
+            cycle: self.metrics.cycles,
             msg: id,
             src,
             dest,
@@ -112,7 +124,7 @@ impl Network {
                 let id = self.nodes[node].queue.pop_front().expect("non-empty");
                 self.lanes.start_message(ivc, id, self.slab.get(id).length);
                 self.obs.trace(TraceEvent::InjectionStarted {
-                    cycle: self.cycle,
+                    cycle: self.metrics.cycles,
                     msg: id,
                 });
                 self.enqueue_pending(ivc, node as u32);

@@ -298,12 +298,12 @@ pub struct Network {
     nodes: Vec<NodeState>,
     slab: MessageSlab,
 
-    /// Cumulative counters: nothing zeroes them.
+    /// Cumulative counters: nothing zeroes them, so `metrics.cycles` is
+    /// the clock.
     metrics: Metrics,
     /// `metrics` at the last [`reset_metrics`](Self::reset_metrics).
     metrics_base: Metrics,
     delivered: Vec<DeliveredMessage>,
-    cycle: u64,
     flits_in_flight: u64,
     last_progress: u64,
     /// The watchdog's no-progress window, resolved from the config once.
@@ -337,7 +337,7 @@ impl std::fmt::Debug for Network {
         f.debug_struct("Network")
             .field("topology", &self.topo.to_string())
             .field("algorithm", &self.algo.name())
-            .field("cycle", &self.cycle)
+            .field("cycle", &self.metrics.cycles)
             .field("flits_in_flight", &self.flits_in_flight)
             .field("live_messages", &self.slab.live())
             .finish_non_exhaustive()
@@ -444,7 +444,6 @@ impl Network {
             metrics: Metrics::new(classes),
             metrics_base: Metrics::new(classes),
             delivered: Vec::new(),
-            cycle: 0,
             flits_in_flight: 0,
             last_progress: 0,
             watchdog_cycles: cfg.watchdog_cycles.unwrap_or(DEFAULT_WATCHDOG_CYCLES),
@@ -526,7 +525,7 @@ impl Network {
 
     /// The current cycle (completed steps).
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.metrics.cycles
     }
 
     /// Virtual-channel classes per physical channel (set by the algorithm).
@@ -734,7 +733,7 @@ impl Network {
             .obs
             .sampler
             .as_ref()
-            .is_some_and(|s| self.cycle > s.base.metrics.cycles)
+            .is_some_and(|s| self.metrics.cycles > s.base.metrics.cycles)
         {
             self.emit_sample();
         }
@@ -782,24 +781,41 @@ impl Network {
             class_occupancy[self.vc_class[ivc % self.vcs] as usize] += u64::from(flits);
         }
         let depths = || self.nodes.iter().map(|node| node.queue.len() as u64);
-        let window = self.metrics.since(&sampler.base.metrics);
+        // Destructured without `..`, so a new counter fails to compile here
+        // until it is either carried by samples or bound to `_`.
+        let Metrics {
+            generated,
+            refused,
+            delivered,
+            latency_sum,
+            flit_hops,
+            flits_injected,
+            flits_ejected,
+            cycles: window_cycles,
+            unroutable: _,
+            messages_aborted: _,
+            flits_dropped: _,
+            route_attempts: _,
+            route_sleeps: _,
+            class_flits,
+        } = self.metrics.since(&sampler.base.metrics);
         let channel_flits = difference(&self.obs.channel_flits, &sampler.base.channel_flits);
         let sample = Sample {
-            cycle: self.cycle,
-            window_cycles: window.cycles,
-            generated: window.generated,
-            refused: window.refused,
-            delivered: window.delivered,
-            latency_sum: window.latency_sum,
-            flit_hops: window.flit_hops,
-            flits_injected: window.flits_injected,
-            flits_ejected: window.flits_ejected,
+            cycle: self.metrics.cycles,
+            window_cycles,
+            generated,
+            refused,
+            delivered,
+            latency_sum,
+            flit_hops,
+            flits_injected,
+            flits_ejected,
             flits_in_flight: self.flits_in_flight,
             live_messages: self.slab.live() as u64,
             queued_messages: depths().sum(),
             max_queue_depth: depths().max().unwrap_or(0),
             class_occupancy,
-            class_flits: window.class_flits,
+            class_flits,
             channel_flits,
         };
         sampler.sink.record(&sample);
@@ -856,7 +872,7 @@ impl Network {
     fn checked_step(&mut self, n: u64) -> bool {
         if n.is_multiple_of(crate::cancel::CANCEL_CHECK_STRIDE) {
             if let Some(token) = &self.cancel {
-                token.beat(self.cycle);
+                token.beat(self.metrics.cycles);
             }
             if self.is_cancelled() {
                 return false;
@@ -920,7 +936,8 @@ impl Network {
                 self.capacity
             );
         }
-        self.admit(src, dest, length)
+        let (route, class) = self.route_message(src, dest);
+        self.admit(route, class, length)
     }
 
     /// Executes one simulation cycle.
@@ -943,13 +960,13 @@ impl Network {
         progressed |= self.execute_link_moves();
         self.prof_lap(&mut lap, PHASE_ADVANCE);
         if progressed {
-            self.last_progress = self.cycle;
+            self.last_progress = self.metrics.cycles;
         } else if self.active_flits() > 0
             && self.deadlock.is_none()
-            && self.cycle - self.last_progress >= self.watchdog_cycles
+            && self.metrics.cycles - self.last_progress >= self.watchdog_cycles
         {
             self.deadlock = Some(DeadlockReport {
-                detected_at: self.cycle,
+                detected_at: self.metrics.cycles,
                 last_progress: self.last_progress,
                 flits_in_flight: self.flits_in_flight,
                 live_messages: self.slab.live(),
@@ -957,14 +974,13 @@ impl Network {
         }
         if (self.cfg.hop_budget.is_some() || self.cfg.age_budget.is_some())
             && self.livelock.is_none()
-            && self.cycle.is_multiple_of(LIVELOCK_CHECK_STRIDE)
+            && self.metrics.cycles.is_multiple_of(LIVELOCK_CHECK_STRIDE)
         {
             self.check_livelock();
         }
         self.metrics.cycles += 1;
-        self.cycle += 1;
         if let Some(sampler) = self.obs.sampler.as_ref() {
-            if self.cycle - sampler.base.metrics.cycles >= sampler.every {
+            if self.metrics.cycles - sampler.base.metrics.cycles >= sampler.every {
                 self.emit_sample();
             }
         }

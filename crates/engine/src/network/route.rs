@@ -42,7 +42,7 @@ impl Network {
                     RouteOutcome::Routed => continue,
                     RouteOutcome::Failed { dirs } => {
                         head.dirs = dirs;
-                        head.failed_at = self.cycle;
+                        head.failed_at = self.metrics.cycles;
                     }
                 }
             }

@@ -70,6 +70,7 @@
 mod atomic;
 mod codec;
 mod config;
+mod cycle;
 pub mod json;
 mod manifest;
 mod metrics;
@@ -80,6 +81,7 @@ mod span;
 pub use atomic::atomic_write;
 pub use codec::{Json, JsonObject, JsonRecord};
 pub use config::ObserveConfig;
+pub use cycle::find_cycle;
 pub use manifest::{fnv1a_hex, git_describe, PhaseRecord, RunManifest};
 pub use metrics::{
     HistogramRecord, MetricsRegistry, MetricsReport, Pow2Histogram, WaitForEdge, WaitForSnapshot,

@@ -15,6 +15,7 @@
 //! channel cycle (deadlock evidence) from mere congestion.
 
 use crate::{JsonRecord, PhaseRecord};
+use std::collections::BTreeMap;
 
 /// Engine phase index: arrivals + injection-VC assignment.
 pub const PHASE_INJECT: usize = 0;
@@ -437,71 +438,30 @@ pub struct WaitForSnapshot {
 }
 
 impl WaitForSnapshot {
-    /// Runs cycle detection over the edges and fills
-    /// [`cycle_found`](Self::cycle_found) /
+    /// The first circular wait among `edges`, as `(message, channel)`
+    /// pairs: each message waits on its channel, held by the next message
+    /// (the last by the first). Messages are searched in ascending order
+    /// and each one's waits in input order by the one [`find_cycle`].
+    ///
+    /// [`find_cycle`]: crate::find_cycle
+    pub fn cycle_of(edges: &[WaitForEdge]) -> Option<Vec<(u64, u64)>> {
+        let mut waits: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+        for e in edges {
+            waits.entry(e.msg).or_default().push((e.holder, e.channel));
+        }
+        crate::find_cycle(waits.keys().copied(), |msg| {
+            waits.get(&msg).into_iter().flatten().copied()
+        })
+    }
+
+    /// Fills [`cycle_found`](Self::cycle_found) /
     /// [`cycle_messages`](Self::cycle_messages) /
-    /// [`cycle_channels`](Self::cycle_channels) with the first cycle found
-    /// (deterministic: edges are explored in input order).
+    /// [`cycle_channels`](Self::cycle_channels) with the edges'
+    /// [first cycle](Self::cycle_of).
     pub fn detect_cycle(&mut self) {
-        self.cycle_found = false;
-        self.cycle_messages.clear();
-        self.cycle_channels.clear();
-        // msg -> outgoing (holder, channel) edges, input order preserved.
-        let mut adjacency: std::collections::BTreeMap<u64, Vec<(u64, u64)>> =
-            std::collections::BTreeMap::new();
-        for e in &self.edges {
-            adjacency
-                .entry(e.msg)
-                .or_default()
-                .push((e.holder, e.channel));
-        }
-        // Iterative DFS with tri-color marking; the explicit stack keeps
-        // the path so a back edge yields the whole cycle.
-        let mut color: std::collections::BTreeMap<u64, u8> = std::collections::BTreeMap::new();
-        let roots: Vec<u64> = adjacency.keys().copied().collect();
-        for root in roots {
-            if color.get(&root).copied().unwrap_or(0) != 0 {
-                continue;
-            }
-            // (msg, channel-we-arrived-over, next-edge-index)
-            let mut stack: Vec<(u64, u64, usize)> = vec![(root, 0, 0)];
-            color.insert(root, 1);
-            while let Some(&mut (msg, _, ref mut next)) = stack.last_mut() {
-                let edges = adjacency.get(&msg).map(Vec::as_slice).unwrap_or(&[]);
-                if *next >= edges.len() {
-                    color.insert(msg, 2);
-                    stack.pop();
-                    continue;
-                }
-                let (holder, channel) = edges[*next];
-                *next += 1;
-                match color.get(&holder).copied().unwrap_or(0) {
-                    0 => {
-                        color.insert(holder, 1);
-                        stack.push((holder, channel, 0));
-                    }
-                    1 => {
-                        // Back edge: the cycle is `holder ... msg -> holder`.
-                        let start = stack
-                            .iter()
-                            .position(|&(m, _, _)| m == holder)
-                            .expect("gray node is on the stack");
-                        for &(m, ch, _) in &stack[start + 1..] {
-                            self.cycle_messages.push(m);
-                            self.cycle_channels.push(ch);
-                        }
-                        self.cycle_messages.push(holder);
-                        self.cycle_channels.push(channel);
-                        // Rotate so the cycle starts at `holder` and each
-                        // channel sits next to the message waiting on it.
-                        self.cycle_messages.rotate_right(1);
-                        self.cycle_found = true;
-                        return;
-                    }
-                    _ => {}
-                }
-            }
-        }
+        let cycle = Self::cycle_of(&self.edges).unwrap_or_default();
+        self.cycle_found = !cycle.is_empty();
+        (self.cycle_messages, self.cycle_channels) = cycle.into_iter().unzip();
     }
 }
 

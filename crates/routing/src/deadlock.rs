@@ -303,66 +303,17 @@ impl DependencyGraph {
     }
 
     /// Searches for a cycle; returns one witness if present.
+    ///
+    /// Roots ascend and each vertex's successors descend, through the one
+    /// [`find_cycle`](wormsim_observe::find_cycle), so the witness is
+    /// reproducible.
     pub fn find_cycle(&self) -> Option<Vec<VirtualChannelId>> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let mut color: HashMap<VirtualChannelId, Color> = HashMap::new();
-        let empty: HashSet<VirtualChannelId> = HashSet::new();
-        // Deterministic iteration order helps reproducible witnesses.
-        let mut roots: Vec<VirtualChannelId> = self.adjacency.keys().copied().collect();
-        roots.sort_unstable();
-        for root in roots {
-            if *color.get(&root).unwrap_or(&Color::White) != Color::White {
-                continue;
-            }
-            // Iterative DFS with an explicit path stack.
-            let mut stack: Vec<(VirtualChannelId, Vec<VirtualChannelId>)> = Vec::new();
-            let mut neighbors: Vec<VirtualChannelId> = self
-                .adjacency
-                .get(&root)
-                .unwrap_or(&empty)
-                .iter()
-                .copied()
-                .collect();
-            neighbors.sort_unstable();
-            color.insert(root, Color::Gray);
-            stack.push((root, neighbors));
-            let mut path = vec![root];
-            while let Some((node, todo)) = stack.last_mut() {
-                if let Some(next) = todo.pop() {
-                    match *color.get(&next).unwrap_or(&Color::White) {
-                        Color::Gray => {
-                            // Found a cycle: slice the path from `next`.
-                            let start = path.iter().position(|&v| v == next).expect("on path");
-                            return Some(path[start..].to_vec());
-                        }
-                        Color::White => {
-                            color.insert(next, Color::Gray);
-                            let mut nn: Vec<VirtualChannelId> = self
-                                .adjacency
-                                .get(&next)
-                                .unwrap_or(&empty)
-                                .iter()
-                                .copied()
-                                .collect();
-                            nn.sort_unstable();
-                            path.push(next);
-                            stack.push((next, nn));
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color.insert(*node, Color::Black);
-                    stack.pop();
-                    path.pop();
-                }
-            }
-        }
-        None
+        let cycle = wormsim_observe::find_cycle(self.adjacency.keys().copied(), |vc| {
+            let mut next: Vec<_> = self.adjacency.get(&vc).into_iter().flatten().collect();
+            next.sort_unstable_by(|a, b| b.cmp(a));
+            next.into_iter().map(|&vc| (vc, ()))
+        })?;
+        Some(cycle.into_iter().map(|(vc, ())| vc).collect())
     }
 }
 

@@ -69,28 +69,22 @@ impl TriageReport {
     }
 }
 
-/// Replays a wait-for snapshot's edges through cycle detection, refining
-/// the watchdog's budget-based verdict.
-///
-/// The input snapshot is taken by value-copy (cloned internally), so a
-/// snapshot loaded from disk can be triaged without mutating it.
+/// Runs cycle detection over a wait-for snapshot's edges, refining the
+/// watchdog's budget-based verdict. The snapshot is only read: its own
+/// cycle fields are ignored.
 pub fn triage(snapshot: &WaitForSnapshot) -> TriageReport {
-    let mut scratch = snapshot.clone();
-    scratch.detect_cycle();
-    if scratch.cycle_found {
-        TriageReport {
-            verdict: TriageVerdict::ConfirmedUnsafe,
-            edges: scratch.edges.len(),
-            cycle_messages: scratch.cycle_messages,
-            cycle_channels: scratch.cycle_channels,
-        }
+    let cycle = WaitForSnapshot::cycle_of(&snapshot.edges);
+    let verdict = if cycle.is_some() {
+        TriageVerdict::ConfirmedUnsafe
     } else {
-        TriageReport {
-            verdict: TriageVerdict::BudgetArtifact,
-            edges: scratch.edges.len(),
-            cycle_messages: Vec::new(),
-            cycle_channels: Vec::new(),
-        }
+        TriageVerdict::BudgetArtifact
+    };
+    let (cycle_messages, cycle_channels) = cycle.into_iter().flatten().unzip();
+    TriageReport {
+        verdict,
+        edges: snapshot.edges.len(),
+        cycle_messages,
+        cycle_channels,
     }
 }
 

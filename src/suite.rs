@@ -6,6 +6,14 @@
 
 pub use wormsim as sim;
 
+/// A scratch directory `wormsim-<name>-<pid>` under the system temp
+/// directory, removed first if an earlier run left it (not created).
+pub fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("wormsim-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
 /// Compares `actual` against the committed golden `tests/golden/<name>`,
 /// or rewrites the golden when `WORMSIM_UPDATE_GOLDEN=1`.
 ///

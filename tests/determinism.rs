@@ -19,7 +19,7 @@ use wormsim::observe::{EventSink, JsonObject, JsonRecord};
 use wormsim::presets;
 use wormsim::topology::Topology;
 use wormsim::{AlgorithmKind, ArrivalProcess, Experiment, ObserveConfig, RunResult, Sample};
-use wormsim_suite::assert_matches_golden;
+use wormsim_suite::{assert_matches_golden, temp_dir};
 
 const SEED: u64 = 1993;
 const LOAD: f64 = 0.2;
@@ -309,8 +309,7 @@ fn sample_streams_match_golden() {
     net.sample_now();
     let mut snapshot = std::mem::take(&mut *lines.lock().expect("buffer lock"));
 
-    let dir = std::env::temp_dir().join(format!("wormsim-samples-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_dir("samples");
     Experiment::new(Topology::torus(&[6, 6]), algorithm)
         .offered_load(0.4)
         .quick()
@@ -361,8 +360,7 @@ fn observed_artifacts_match_golden() {
             0.4,
         )
     };
-    let dir = std::env::temp_dir().join(format!("wormsim-observed-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_dir("observed");
     point()
         .quick()
         .observe(ObserveConfig {

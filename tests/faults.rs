@@ -14,7 +14,7 @@ use wormsim::faults::{Fault, FaultPlan, FaultRegion, FaultTarget};
 use wormsim::observe::{json, JsonObject, ObserveConfig, WaitForSnapshot, WaitKind};
 use wormsim::topology::{Direction, Sign, Topology};
 use wormsim::{AlgorithmKind, Experiment, RunOutcome, RunResult};
-use wormsim_suite::assert_matches_golden;
+use wormsim_suite::{assert_matches_golden, temp_dir};
 
 const SEED: u64 = 1993;
 
@@ -81,8 +81,7 @@ fn naive_minimal_under_load_reports_deadlock_not_a_hang() {
 /// cycle — proof the watchdog fired on a real deadlock, not congestion.
 #[test]
 fn deadlocked_run_exports_wait_for_cycle_evidence() {
-    let dir = std::env::temp_dir().join(format!("wormsim-waitfor-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_dir("waitfor");
     std::fs::create_dir_all(&dir).unwrap();
     let result = Experiment::new(Topology::torus(&[4, 4]), AlgorithmKind::NaiveMinimal)
         .offered_load(0.7)

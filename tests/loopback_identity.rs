@@ -3,19 +3,10 @@
 //! journal files — the distributed determinism contract, checked by the
 //! root suite.
 
-use std::path::PathBuf;
 use wormsim::{presets, AlgorithmKind, MeasurementSchedule};
 use wormsim_bench::worker::LoopbackWorker;
 use wormsim_bench::{run_sweep, BackendChoice, SweepOptions, SweepPlan};
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wormsim-loopback-identity-{}-{name}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
+use wormsim_suite::temp_dir;
 
 #[test]
 fn local_and_remote_backends_write_identical_journals() {
@@ -24,8 +15,8 @@ fn local_and_remote_backends_write_identical_journals() {
     spec.algorithms = vec![AlgorithmKind::Ecube, AlgorithmKind::PositiveHop];
     let experiments = presets::experiments_for(&spec, MeasurementSchedule::quick(), 1993);
     let plan = SweepPlan::new(experiments).fail_fast(true);
-    let local_dir = temp_dir("local");
-    let remote_dir = temp_dir("remote");
+    let local_dir = temp_dir("loopback-identity-local");
+    let remote_dir = temp_dir("loopback-identity-remote");
     let local = SweepOptions {
         schedule: MeasurementSchedule::quick(),
         out_dir: local_dir.display().to_string(),

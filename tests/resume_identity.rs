@@ -5,15 +5,7 @@
 use std::path::PathBuf;
 use wormsim::{AlgorithmKind, Experiment, MeasurementSchedule, Topology};
 use wormsim_bench::{run_sweep, SweepOptions, SweepPlan};
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wormsim-resume-identity-{}-{name}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
+use wormsim_suite::temp_dir;
 
 #[test]
 fn resume_from_a_gapped_journal_rewrites_the_clean_journal_bytes() {
@@ -37,14 +29,14 @@ fn resume_from_a_gapped_journal_rewrites_the_clean_journal_bytes() {
         ..SweepOptions::default()
     };
 
-    let clean_dir = temp_dir("clean");
+    let clean_dir = temp_dir("resume-identity-clean");
     let clean = run_sweep(&plan, &options(&clean_dir, None)).expect("clean sweep");
     assert!(!clean.interrupted);
     let clean_bytes = std::fs::read_to_string(&clean.journal).expect("clean journal");
     assert_eq!(clean_bytes.lines().count(), 4);
 
     // A crash that journaled points 1 and 3 but not 0 and 2.
-    let gapped_dir = temp_dir("gapped");
+    let gapped_dir = temp_dir("resume-identity-gapped");
     std::fs::create_dir_all(&gapped_dir).unwrap();
     let gapped = gapped_dir.join("sweep.journal.jsonl");
     let kept: String = clean_bytes

@@ -3,22 +3,13 @@
 //! journal the same attempts, the same retry decision and the same bytes
 //! on the local pool and on a loopback worker.
 
-use std::path::PathBuf;
 use wormsim::observe::fnv1a_hex;
 use wormsim::topology::Topology;
 use wormsim::verify::{search_faults, AdversaryConfig};
 use wormsim::{AlgorithmKind, Experiment, FaultPlan, MeasurementSchedule};
 use wormsim_bench::worker::LoopbackWorker;
 use wormsim_bench::{run_sweep, BackendChoice, SweepOptions, SweepPlan};
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wormsim-retry-identity-{}-{name}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
+use wormsim_suite::temp_dir;
 
 /// Runs `experiments` once on the local pool and once on a loopback
 /// worker (default `--retries 1` both times), requires byte-identical
@@ -26,8 +17,8 @@ fn temp_dir(name: &str) -> PathBuf {
 /// policy moved into the supervisor), and returns the journal's lines.
 fn journal_lines(name: &str, experiments: Vec<Experiment>, digest: &str) -> Vec<String> {
     let plan = SweepPlan::new(experiments).fail_fast(true);
-    let local_dir = temp_dir(&format!("{name}-local"));
-    let remote_dir = temp_dir(&format!("{name}-remote"));
+    let local_dir = temp_dir(&format!("retry-identity-{name}-local"));
+    let remote_dir = temp_dir(&format!("retry-identity-{name}-remote"));
     let local = SweepOptions {
         schedule: MeasurementSchedule::quick(),
         out_dir: local_dir.display().to_string(),
